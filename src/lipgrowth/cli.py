@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                "adds the extrapolated h->infinity limit and its 1/h slope.")
     sp.add_argument("--kind", required=True,
                     choices=["band", "tent", "free-strip", "pinned-strip"])
-    sp.add_argument("--m", type=int, default=None, help="rows (free/pinned strips)")
+    sp.add_argument("--m", type=int, default=None,
+                    help="rows (free/pinned strips; band has 1, tent 2)")
     sp.add_argument("--h", type=int, nargs="+", required=True)
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--max-iter", type=int, default=10**5)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .iterate import power_iteration
+from .iterate import _window_sum, power_iteration
 
 MAX_MESH = 4096
 
@@ -145,19 +145,6 @@ def _box_sum_table(B: np.ndarray) -> np.ndarray:
     return S
 
 
-def _window_sum_1d(arr: np.ndarray, half: int, axis: int) -> np.ndarray:
-    c = np.cumsum(arr, axis=axis)
-    length = arr.shape[axis]
-    hi = np.minimum(np.arange(length) + half, length - 1)
-    out = np.take(c, hi, axis=axis)
-    lo = np.arange(length) - half - 1
-    sub = np.take(c, np.maximum(lo, 0), axis=axis)
-    shape = [1] * arr.ndim
-    shape[axis] = length
-    out = out - sub * (lo >= 0).reshape(shape)
-    return out
-
-
 def _pinned_pair_apply(b: np.ndarray) -> np.ndarray:
     """One sweep of the operator behind zeta on an N x N midpoint grid.
 
@@ -169,7 +156,7 @@ def _pinned_pair_apply(b: np.ndarray) -> np.ndarray:
     n = b.shape[0]
     half = n // 2
     B = _shear_embed(b)
-    C = _window_sum_1d(_window_sum_1d(B, half, 0), half, 1)
+    C = _window_sum(_window_sum(B, half, 0), half, 1)
     rows = np.arange(n)[:, None]
     area = (2.0 / n) ** 2
     return C[rows, rows + np.arange(n)[None, :]] * area

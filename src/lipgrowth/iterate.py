@@ -1,4 +1,5 @@
-"""Power iteration shared by the strip operators and the quadrature solvers."""
+"""Power iteration and window sums shared by the strip operators and the
+quadrature solvers."""
 from __future__ import annotations
 
 import numpy as np
@@ -37,3 +38,18 @@ def power_iteration(apply_fn, x0: np.ndarray, tol: float = 1e-10,
     raise ConvergenceError(
         f"no convergence within {max_iter} iterations (last residual {residual})",
         residual=residual, iterations=max_iter)
+
+
+def _window_sum(arr: np.ndarray, half: int, axis: int) -> np.ndarray:
+    """Sum over the window [j - half, j + half] along ``axis``, zero outside.
+
+    One cumulative sum and two gathers; the dtype of ``arr`` is kept, so
+    float, int64 and object (Python int) arrays all run the same code.
+    """
+    n = arr.shape[axis]
+    lead = list(arr.shape)
+    lead[axis] = 1
+    c = np.cumsum(np.concatenate([np.zeros(lead, arr.dtype), arr], axis), axis)
+    j = np.arange(n)
+    return (np.take(c, np.minimum(j + half + 1, n), axis)
+            - np.take(c, np.maximum(j - half, 0), axis))

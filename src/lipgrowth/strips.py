@@ -8,15 +8,23 @@ and growth constants into top eigenvalues.
 
 Operator kinds
   band            0/1 matrix over one free row below a pinned all-zero row
-  tent            weights 2h+1-|i-j|; identical to free-strip(2)
+  tent            weights 2h+1-|i-j|; free-strip(2) under its own name
   free-strip(m)   m free rows, weight max(0, 2h+1 - spread of prefix offsets)
   pinned-strip(m) m free rows below an all-zero row, 0/1 transitions
 
-All applications are matrix-free.  Exact integer paths are used for counts;
-spectra run in floating point with a fixed summation order.
+Every apply is matrix-free: separable window sums (cumulative-sum
+differences) on an embedded lattice, O(cells) per apply.  Pinned strips
+window each axis of a box of absolute values.  Free strips (and tent) scatter
+onto the lattice of prefix vectors, since their weight depends only on the
+difference of two columns' prefix vectors: a half-width-h box window on
+every axis, then one more along the diagonal (1, ..., 1) for the column
+offset.  One code path serves spectra (float) and exact counts (int64 below
+a proven overflow bound, Python ints above it), and each state budget bounds
+the cells of its lattice before anything is allocated.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -24,10 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResourceLimitError
-from .iterate import power_iteration
+from .iterate import _window_sum, power_iteration
 
 DEFAULT_STATE_BUDGET = 10**7
-_INT64_SAFE = 1 << 62
 
 
 def state_index(diffs: Sequence[int], h: int) -> int:
@@ -103,13 +110,7 @@ class BandOperator(TransferOperator):
     def apply(self, x: np.ndarray) -> np.ndarray:
         if x.shape != (self.dim,):
             raise ValueError(f"expected vector of length {self.dim}")
-        c = np.cumsum(x)
-        hi = np.minimum(np.arange(self.dim) + self.h, self.dim - 1)
-        lo = np.arange(self.dim) - self.h
-        out = c[hi].astype(float)
-        mask = lo > 0
-        out[mask] -= c[lo[mask] - 1]
-        return out
+        return _window_sum(np.asarray(x, dtype=float), self.h, 0)
 
 
 class FreeStripOperator(TransferOperator):
@@ -119,6 +120,19 @@ class FreeStripOperator(TransferOperator):
     delta with |delta + P_i(V) - P_i(U)| <= h for every row i, where P is the
     prefix sum of differences (P_1 = 0); that equals
     max(0, 2h+1 - (max_i D_i - min_i D_i)) with D = P(V) - P(U).
+
+    Since the weight depends on D only, ``apply`` works on the prefix
+    lattice: x is scattered to the points P(U), whose axis i (prefix
+    P_{i+2}) spans [-(i+1)h, (i+1)h] and is padded by h at both ends.  A
+    window of half-width h along every axis sums x over the box
+    |r_i - P_i(U)| <= h; one more half-width-h window along the diagonal
+    (1, ..., 1) sums that box over the offsets |delta| <= h, and reading it at
+    P(V) gives y(V).  The diagonal window runs down the columns of the flat
+    lattice reshaped to rows of one diagonal step (the sum of the strides);
+    the padding keeps every step taken from a state inside the lattice, so
+    no window wraps.  Every window is a cumulative-sum difference, so one
+    apply costs O(cells).  ``state_budget`` bounds ``cells``, the size of
+    that padded lattice, before anything is allocated.
     """
 
     kind = "free-strip"
@@ -131,10 +145,21 @@ class FreeStripOperator(TransferOperator):
         self.m = m
         self.h = h
         self.dim = (2 * h + 1) ** (m - 1)
-        if self.dim > state_budget:
+        self._shape = tuple(2 * (i + 2) * h + 1 for i in range(m - 1))
+        strides = [math.prod(self._shape[i + 1:]) for i in range(m - 1)]
+        self._step = max(sum(strides), 1)
+        self.cells = -(-math.prod(self._shape) // self._step) * self._step
+        if self.cells > state_budget:
             raise ResourceLimitError(
-                f"state space (2h+1)^(m-1) = {self.dim} exceeds budget {state_budget}")
+                f"prefix lattice of {self.cells} cells exceeds budget {state_budget}")
         self._pref = _prefix_table(m, h)
+        offsets = (np.arange(m - 1) + 2) * h
+        self._sites = (self._pref[:, 1:] + offsets) @ np.asarray(strides, dtype=np.int64)
+        # Every intermediate of _apply is a sum of entries of x copied by
+        # the m-1 box windows, each of which repeats an entry at most 2h+1
+        # times (m = 1 multiplies by 2h+1 once), so its magnitude is at most
+        # (2h+1)^max(m-1, 1) * sum|x|: int64 is exact while sum|x| <= cap.
+        self._int64_cap = np.iinfo(np.int64).max // (2 * h + 1) ** max(m - 1, 1)
 
     def ones(self) -> np.ndarray:
         return np.ones(self.dim)
@@ -145,56 +170,29 @@ class FreeStripOperator(TransferOperator):
         delta = pv - pu
         return max(0, 2 * self.h + 1 - int(delta.max() - delta.min()))
 
-    def _sweep(self, x: np.ndarray) -> np.ndarray:
-        """One output state at a time; O(dim * m) work per state."""
-        span = 2 * self.h + 1
-        pref = self._pref
-        out = np.empty(self.dim, dtype=x.dtype)
-        for v in range(self.dim):
-            delta = pref[v] - pref
-            spread = delta.max(axis=1) - delta.min(axis=1)
-            w = np.maximum(span - spread, 0).astype(x.dtype)
-            out[v] = w @ x
-        return out
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """y = W x in the dtype of x: float, int64 or object (Python ints)."""
+        if self.m == 1:
+            return x * (2 * self.h + 1)
+        flat = np.zeros(self.cells, dtype=x.dtype)
+        flat[self._sites] = x
+        size = math.prod(self._shape)
+        box = flat[:size].reshape(self._shape)
+        for axis in range(self.m - 1):
+            box = _window_sum(box, self.h, axis)
+        flat[:size] = box.ravel()
+        diag = _window_sum(flat.reshape(-1, self._step), self.h, 0)
+        return diag.ravel()[self._sites]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if x.shape != (self.dim,):
             raise ValueError(f"expected vector of length {self.dim}")
-        if self.m == 1:
-            return x * (2 * self.h + 1)
-        if self.m == 2:
-            return _tent_apply(x, self.h)
-        return self._sweep(x.astype(float))
+        return self._apply(np.asarray(x, dtype=float))
 
-    def apply_exact(self, xs: list[int]) -> list[int]:
-        """Integer application; falls back to big ints before int64 overflow."""
-        span = 2 * self.h + 1
-        if self.m == 1:
-            return [span * xs[0]]
-        total = sum(xs)
-        if span * total < _INT64_SAFE:
-            y = self._sweep(np.asarray(xs, dtype=np.int64))
-            return [int(v) for v in y]
-        pref = self._pref
-        out = []
-        for v in range(self.dim):
-            delta = pref[v] - pref
-            spread = delta.max(axis=1) - delta.min(axis=1)
-            w = np.maximum(span - spread, 0)
-            out.append(sum(int(wi) * xi for wi, xi in zip(w, xs) if wi))
-        return out
-
-
-def _tent_apply(x: np.ndarray, h: int) -> np.ndarray:
-    """y_s = sum_i (2h+1 - |s-i|) x_i in O(dim) via prefix sums."""
-    span = 2 * h + 1
-    idx = np.arange(x.size)
-    a = np.cumsum(x)                # sum x_i, i <= s
-    b = np.cumsum(idx * x)          # sum i x_i, i <= s
-    total, total_i = a[-1], b[-1]
-    # sum |s-i| x_i = s*a_s - b_s + (total_i - b_s) - s*(total - a_s)
-    abs_part = idx * a - b + (total_i - b) - idx * (total - a)
-    return span * total - abs_part
+    def apply_exact(self, xs: Sequence[int]) -> list[int]:
+        """Exact integer application: int64 while provably safe, else Python ints."""
+        dtype = np.int64 if sum(map(abs, xs)) <= self._int64_cap else object
+        return self._apply(np.array(xs, dtype=dtype)).tolist()
 
 
 class TentOperator(FreeStripOperator):
@@ -247,7 +245,7 @@ class PinnedStripOperator(TransferOperator):
             raise ValueError(f"expected box of shape {self.shape}")
         y = x
         for axis in range(self.m):
-            y = _sliding_window_sum(y, self.h, axis)
+            y = _window_sum(y, self.h, axis)
         return y * self.mask
 
     def states(self) -> list[tuple[int, ...]]:
@@ -263,27 +261,13 @@ class PinnedStripOperator(TransferOperator):
         return e
 
 
-def _sliding_window_sum(arr: np.ndarray, half: int, axis: int) -> np.ndarray:
-    """Sum over a window of half-width ``half`` along ``axis``, zero padded."""
-    c = np.cumsum(arr, axis=axis, dtype=float)
-    length = arr.shape[axis]
-    idx_hi = np.minimum(np.arange(length) + half, length - 1)
-    out = np.take(c, idx_hi, axis=axis)
-    lo = np.arange(length) - half - 1
-    valid = lo >= 0
-    sub = np.take(c, np.maximum(lo, 0), axis=axis)
-    shape = [1] * arr.ndim
-    shape[axis] = length
-    out -= sub * valid.reshape(shape)
-    return out
-
-
 def make_operator(kind: str, h: int, m: int | None = None,
                   state_budget: int = DEFAULT_STATE_BUDGET) -> TransferOperator:
-    if kind == "band":
-        return BandOperator(h)
-    if kind == "tent":
-        return TentOperator(h)
+    if kind in ("band", "tent"):
+        rows = 1 if kind == "band" else 2
+        if m not in (None, rows):
+            raise ValueError(f"{kind} operator has m = {rows}, not {m}")
+        return BandOperator(h) if kind == "band" else TentOperator(h)
     if kind == "free-strip":
         return FreeStripOperator(m if m is not None else 2, h, state_budget)
     if kind == "pinned-strip":
@@ -335,9 +319,11 @@ def strip_count_exact(m: int, n: int, h: int,
                       state_budget: int = DEFAULT_STATE_BUDGET) -> int:
     """Exact count of h-Lipschitz functions on the m-row, n-column grid.
 
-    Equals 1^T W^(n-1) 1 over free-strip(m) states: the first column, rooted
-    at its top vertex, realises every difference vector exactly once, and each
-    transfer weight counts the offsets of the next column.
+    The m x n and n x m grids have the same count, so the DP runs over the
+    shorter side: 1^T W^(cols-1) 1 over free-strip(rows) states, rows =
+    min(m, n).  The first column, rooted at its top vertex, realises every
+    difference vector exactly once, and each transfer weight counts the
+    offsets of the next column.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -345,12 +331,9 @@ def strip_count_exact(m: int, n: int, h: int,
         raise ValueError("m must be at least 1")
     if h < 0:
         raise ValueError("h must be nonnegative")
-    if n == 1:
-        # a single rooted column: one valid assignment per difference vector
-        return (2 * h + 1) ** (m - 1)
-    op = FreeStripOperator(m, h, state_budget)
+    op = FreeStripOperator(min(m, n), h, state_budget)
     xs = [1] * op.dim
-    for _ in range(n - 1):
+    for _ in range(max(m, n) - 1):
         xs = op.apply_exact(xs)
     return sum(xs)
 

@@ -163,6 +163,18 @@ def test_exit_codes(capsys):
     code, _ = run(capsys, ["strip", "--kind", "band", "--h", "60",
                            "--tol", "1e-15", "--max-iter", "2"])
     assert code == 4
+    # resource limit: the m=8 prefix lattice exceeds the default budget
+    assert main(["strip", "--kind", "free-strip", "--m", "8", "--h", "3"]) == 3
+
+
+def test_strip_fixed_rows_reject_m(capsys):
+    for kind, rows in (("band", 1), ("tent", 2)):
+        code, _ = run(capsys, ["strip", "--kind", kind, "--m", "3", "--h", "2"])
+        assert code == 2
+        code, out = run(capsys, ["strip", "--kind", kind, "--m", str(rows),
+                                 "--h", "2", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["records"][0]["m"] == rows
 
 
 def test_out_file(capsys, tmp_path):

@@ -1,9 +1,12 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipgrowth.counting import count_bruteforce
 from lipgrowth.errors import ConvergenceError, ResourceLimitError
@@ -136,7 +139,88 @@ def test_state_budget():
     with pytest.raises(ResourceLimitError):
         FreeStripOperator(4, 10, state_budget=1000)
     with pytest.raises(ResourceLimitError):
-        strip_count_exact(5, 2, 3, state_budget=100)
+        strip_count_exact(5, 5, 3, state_budget=100)
+    # the budget counts the padded prefix lattice, not the 25 states
+    op = FreeStripOperator(3, 2)
+    assert op.dim == 25 and op.cells >= 9 * 13
+    with pytest.raises(ResourceLimitError):
+        FreeStripOperator(3, 2, state_budget=op.cells - 1)
+    assert FreeStripOperator(3, 2, state_budget=op.cells).cells == op.cells
+
+
+def test_strip_count_transpose():
+    for m, n, h in ((1, 4, 2), (2, 5, 1), (3, 4, 1), (2, 6, 2)):
+        assert strip_count_exact(m, n, h) == strip_count_exact(n, m, h)
+    # runs as a 2-row strip of 9 columns, not over 5^8 nine-row states
+    assert strip_count_exact(9, 2, 2) == count_via_dense_int(2, 9, 2)
+    assert strip_count_exact(6, 2, 2, state_budget=100) == \
+        count_via_dense_int(2, 6, 2)
+
+
+WEIGHT_ORACLE_CASES = [(1, h) for h in range(4)] + [(2, h) for h in range(4)] \
+    + [(3, h) for h in range(3)] + [(4, h) for h in range(3)] \
+    + [(5, h) for h in range(2)]
+
+
+@functools.lru_cache(maxsize=None)
+def weight_matrix(m, h):
+    """Dense W built entry by entry from FreeStripOperator.weight (Python ints)."""
+    op = FreeStripOperator(m, h)
+    states = list(itertools.product(range(-h, h + 1), repeat=m - 1))
+    return tuple(tuple(op.weight(u, v) for u in states) for v in states)
+
+
+def dense_int_product(W, xs):
+    return [sum(w * x for w, x in zip(row, xs)) for row in W]
+
+
+def test_apply_matches_weight_oracle():
+    for m, h in WEIGHT_ORACLE_CASES:
+        op = FreeStripOperator(m, h)
+        W = weight_matrix(m, h)
+        assert np.array_equal(dense_matrix(op), np.array(W, dtype=float)), (m, h)
+        assert op.apply_exact([1] * op.dim) == \
+            dense_int_product(W, [1] * op.dim), (m, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WEIGHT_ORACLE_CASES), st.data())
+def test_apply_weight_oracle_property(case, data):
+    m, h = case
+    op = FreeStripOperator(m, h)
+    W = weight_matrix(m, h)
+    xs = data.draw(st.lists(st.integers(0, 2**70), min_size=op.dim,
+                            max_size=op.dim))
+    assert op.apply_exact(xs) == dense_int_product(W, xs)
+    xf = np.array(data.draw(st.lists(st.floats(0, 1e6), min_size=op.dim,
+                                     max_size=op.dim)))
+    expect = np.array(W, dtype=float) @ xf
+    # cumulative-sum differences err relative to the largest partial sum,
+    # (2h+1)^(m-1) * sum(x), not to each output entry
+    scale = (2 * h + 1) ** (m - 1) * xf.sum()
+    assert np.max(np.abs(op.apply(xf) - expect)) <= 1e-12 * scale
+
+
+def test_int64_guard_edge():
+    # int64 is used up to sum|x| = _int64_cap, Python ints above it
+    assert FreeStripOperator(1, 3)._int64_cap == np.iinfo(np.int64).max // 7
+    op = FreeStripOperator(3, 1)
+    W = weight_matrix(3, 1)
+    cap = op._int64_cap
+    assert cap == np.iinfo(np.int64).max // 9
+    for total in (cap, cap + 1):
+        xs = [total // op.dim] * op.dim
+        xs[0] += total - sum(xs)
+        assert sum(xs) == total
+        y = op.apply_exact(xs)   # int64 at the cap, Python ints above it
+        assert y == dense_int_product(W, xs)
+        assert y == op._apply(np.array(xs, dtype=object)).tolist()
+    # a strip DP whose totals cross the cap between two steps
+    k = 1
+    while strip_count_exact(3, k + 1, 1) <= cap:
+        k += 1
+    assert strip_count_exact(3, k, 1) <= cap < strip_count_exact(3, k + 1, 1)
+    assert strip_count_exact(3, k + 2, 1) == count_via_dense_int(3, k + 2, 1)
 
 
 def test_band_eigenvalue_h1():

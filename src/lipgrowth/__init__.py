@@ -14,22 +14,22 @@ from .errors import ConvergenceError, ResourceLimitError
 from .graphs import (Graph, components, from_edgelist_str, graph_hash,
                      make_family, make_grid, read_edgelist, sample_er,
                      to_edgelist_str, write_edgelist)
-from .counting import (EhrhartPoly, PinSpec, count_bruteforce,
-                       count_closed_form, count_pinned, count_with_stats,
-                       counts_for_fit, ehrhart_fit, ehrhart_nodes)
+from .counting import (EhrhartPoly, PinSpec, c_empirical, c_from_ehrhart,
+                       count_bruteforce, count_closed_form, count_pinned,
+                       count_with_stats, counts_for_fit, ehrhart_fit,
+                       ehrhart_nodes)
 from .strips import (BandOperator, FreeStripOperator, PinnedStripOperator,
                      SpectralEstimate, TentOperator, TransferOperator,
                      dense_matrix, extrapolate_limit, make_operator,
                      rayleigh_lower_bound, strip_count_exact, top_eigenvalue)
-from .continuum import (Eigenpair, GridBounds, Mesh1D, grid_bound_report,
-                        midpoint_mesh, nystrom_top, solve_alpha, solve_beta,
-                        solve_psi, solve_zeta)
+from .continuum import (Eigenpair, GridBounds, grid_bound_report,
+                        nystrom_top, solve_alpha, solve_beta, solve_psi,
+                        solve_zeta)
 from .randomlab import (BoundReport, LllConfig, MarginReport,
                         MonteCarloResult, PairSearchResult, bound_report,
-                        c_empirical, c_from_ehrhart, epsilon_upper_bound,
-                        giant_fraction_prediction, independent_pair_margin,
-                        independent_pair_search, lll_sampler,
-                        poisson_tail_bound, triple_sum_success,
+                        epsilon_upper_bound, giant_fraction_prediction,
+                        independent_pair_margin, independent_pair_search,
+                        lll_sampler, poisson_tail_bound, triple_sum_success,
                         wilson_interval)
 
 __version__ = "0.1.0"

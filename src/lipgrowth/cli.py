@@ -84,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=int, required=True)
     sp.add_argument("--method", choices=["auto", "brute", "closed", "strip"],
                     default="auto")
-    sp.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=int, default=None,
+                    help="search-node budget (brute) or state budget (strip)")
 
     sp = sub.add_parser("ehrhart", parents=[common], help="fit the counting polynomial")
     add_graph_args(sp)
@@ -105,9 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("constants", parents=[common], help="solve for the growth constants")
     sp.add_argument("--all", action="store_true")
-    sp.add_argument("--mesh-1d", type=int, default=2000)
-    sp.add_argument("--mesh-zeta", type=int, default=64)
-    sp.add_argument("--mesh-psi", type=int, default=32)
+    mesh_help = "midpoint mesh of 2*floor(N/2)+1 nodes per axis"
+    sp.add_argument("--mesh-1d", type=int, default=2000, metavar="N",
+                    help=mesh_help)
+    sp.add_argument("--mesh-zeta", type=int, default=64, metavar="N",
+                    help=mesh_help)
+    sp.add_argument("--mesh-psi", type=int, default=32, metavar="N",
+                    help=mesh_help)
 
     sp = sub.add_parser(
         "bounds", parents=[common], help="random-graph bound expressions",
@@ -163,7 +168,9 @@ def _cmd_count(args):
     t0 = time.perf_counter()
     method = args.method
     if method in ("auto", "brute"):
-        value, expansions = counting.count_with_stats(g, args.h, args.budget)
+        budget = (counting.DEFAULT_BUDGET if args.budget is None
+                  else args.budget)
+        value, expansions = counting.count_with_stats(g, args.h, budget)
         method = "brute"
     elif method == "closed":
         if args.family in ("tree", "path", "star"):
@@ -178,7 +185,9 @@ def _cmd_count(args):
             raise ValueError("--method strip needs --grid")
         m = int(args.grid.lower().split("x")[0])
         n = int(args.grid.lower().split("x")[1])
-        value = strips.strip_count_exact(m, n, args.h)
+        budget = (strips.DEFAULT_STATE_BUDGET if args.budget is None
+                  else args.budget)
+        value = strips.strip_count_exact(m, n, args.h, budget)
         expansions = 0
     elapsed = time.perf_counter() - t0
     rec = {"graph_hash": graphs.graph_hash(g), "h": args.h,
@@ -234,10 +243,12 @@ def _constants_records(mesh_1d, mesh_zeta, mesh_psi):
         ("alpha_sq", alpha ** 2, ""),
         ("alpha_sqrt2", alpha * math.sqrt(2), ""),
         ("beta", beta, ""),
-        ("nystrom_band", band.eigenvalue, f"N={mesh_1d}, iters={band.iterations}"),
-        ("nystrom_tent", tent.eigenvalue, f"N={mesh_1d}, iters={tent.iterations}"),
-        ("zeta", zeta, f"N={mesh_zeta}"),
-        ("psi", psi, f"N={mesh_psi}"),
+        ("nystrom_band", band.eigenvalue,
+         f"N={len(band.eigenfunction)}, iters={band.iterations}"),
+        ("nystrom_tent", tent.eigenvalue,
+         f"N={len(tent.eigenfunction)}, iters={tent.iterations}"),
+        ("zeta", zeta, f"N={2 * (mesh_zeta // 2) + 1}"),
+        ("psi", psi, f"N={2 * (mesh_psi // 2) + 1}"),
     ]
     return [{"name": name, "value": value,
              "reference": _ABSTRACT_REFERENCES.get(name, ""),
@@ -334,7 +345,8 @@ def _cmd_reproduce_abstract(args):
     ]
     records += [{"name": n, "value": v, "reference": r, "equation": e,
                  "metadata": ""} for n, v, r, e in strip_rows]
-    gb = continuum.grid_bound_report()
+    values = {r["name"]: r["value"] for r in records}
+    gb = continuum.grid_bound_report(zeta=values["zeta"], psi=values["psi"])
     records += [
         {"name": "square_grid_lower", "value": gb.lower_improved,
          "reference": "1.3685", "equation": "psi^(3/2)/sqrt(2)", "metadata": ""},

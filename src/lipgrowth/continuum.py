@@ -1,9 +1,27 @@
-"""Quadrature discretizations of the limiting transfer kernels.
+"""Nystrom discretizations of the limiting transfer kernels.
 
 As h grows, the discrete transfer operators converge (after scaling by h) to
-integral operators on [-1, 1] or [-1, 1]^2.  This module computes their top
-eigenvalues with the Nystrom method on a uniform midpoint mesh, along with
-the closed-form constants obtained by root finding:
+integral operators on [-1, 1] or [-1, 1]^2.  Their top eigenvalues come from
+the Nystrom method on the midpoint mesh of n = 2h+1 nodes per axis,
+x_i = (i - h) * 2/n.  Node differences are integer multiples of the cell
+size 2/n, so a kernel window |x - t| <= 1 is the index window |i - j| <= h
+and its edge falls midway between two nodes.  No node sits on an edge, so
+no covered-fraction boundary patch is needed (at even n a node on the edge
+is counted in full, an O(1/n) bias).  Each Nystrom matrix is thus a strip
+operator at h times the cell measure (2/n)^m, solved by one power iteration
+on that operator's ``apply``:
+
+  band-indicator  1[|x - t| <= 1]                 BandOperator(h)     m = 1
+  tent            2 - |x - t|                     TentOperator(h)     m = 2
+  zeta            1[|x-s| <= 1] 1[|x+y-s-t| <= 1] PinnedStripOperator(2, h)
+  psi             the same, summed over offsets k FreeStripOperator(3, h)
+
+Tent entries are (2 - |i-j| 2/n) 2/n = (2/n)^2 (2h+1 - |i-j|).  zeta's state
+(x, y), a first-row value and a within-column difference, sits on the pinned
+box as the absolute values (x, x + y), with m = 2; psi's state is the two
+within-column differences, with m = 3 for the offset.  A mesh argument n
+runs on 2*(n // 2) + 1 nodes, so an even n gains one node, and the
+operator's state budget bounds the mesh before allocation.
 
   alpha: largest solution of tan(1/x) = x; the tent-kernel eigenvalue is
          2*alpha^2 and the two-row strip grows like alpha*sqrt(2) per vertex.
@@ -21,47 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
-from .iterate import _window_sum, power_iteration
+from .iterate import power_iteration
+from .strips import (BandOperator, FreeStripOperator, PinnedStripOperator,
+                     TentOperator, TransferOperator)
 
-MAX_MESH = 4096
-
-
-@dataclass(frozen=True)
-class Mesh1D:
-    """Uniform midpoint rule on [-1, 1]: positive weights summing to 2."""
-
-    n: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-def midpoint_mesh(n: int) -> Mesh1D:
-    if n < 8:
-        raise ValueError("mesh needs at least 8 nodes")
-    if n > MAX_MESH:
-        raise ResourceLimitError(f"mesh size {n} exceeds cap {MAX_MESH}")
-    step = 2.0 / n
-    nodes = -1.0 + (np.arange(n) + 0.5) * step
-    return Mesh1D(n, nodes, np.full(n, step))
-
-
-def kernel_matrix(kind: str, mesh: Mesh1D) -> np.ndarray:
-    """Quadrature matrix K(x_i, t_j) * w_j for a 1D kernel on [-1, 1]^2.
-
-    band-indicator: K = 1 iff |x - t| <= 1.  Cells straddling the boundary
-    enter with their covered fraction (half weight at an exact hit), which
-    removes the dominant O(1/N) boundary error of the midpoint rule.
-    tent: K = 2 - |x - t|, continuous, no boundary handling needed.
-    """
-    dist = np.abs(mesh.nodes[:, None] - mesh.nodes[None, :])
-    step = 2.0 / mesh.n
-    if kind == "band-indicator":
-        coverage = np.clip((1.0 - dist) / step + 0.5, 0.0, 1.0)
-        return coverage * mesh.weights[None, :]
-    if kind == "tent":
-        return (2.0 - dist) * mesh.weights[None, :]
-    raise ValueError(f"unknown kernel {kind!r}")
+_KERNELS = {"band-indicator": BandOperator, "tent": TentOperator}
 
 
 @dataclass(frozen=True)
@@ -72,18 +54,23 @@ class Eigenpair:
     iterations: int
 
 
-def nystrom_top(kind: str, mesh: Mesh1D | int, tol: float = 1e-12,
+def _kernel_top(op: TransferOperator, tol: float, max_iter: int):
+    """Power iteration on ``op``; eigenvalue scaled by the cell measure."""
+    lam, vec, residual, iters = power_iteration(op.apply, op.ones(), tol,
+                                                max_iter)
+    return lam * (2.0 / (2 * op.h + 1)) ** op.m, vec, residual, iters
+
+
+def nystrom_top(kind: str, n: int, tol: float = 1e-12,
                 max_iter: int = 10**5) -> Eigenpair:
-    """Top eigenpair of the discretized kernel operator by power iteration."""
-    if isinstance(mesh, int):
-        mesh = midpoint_mesh(mesh)
-    K = kernel_matrix(kind, mesh)
-    lam, vec, residual, iters = power_iteration(
-        lambda x: K @ x, np.ones(mesh.n), tol, max_iter)
-    vec = vec / np.max(np.abs(vec))
-    if vec[mesh.n // 2] < 0:
-        vec = -vec
-    return Eigenpair(lam, vec, residual, iters)
+    """Top eigenpair of the discretized 1D kernel operator on 2*(n//2)+1 nodes."""
+    if kind not in _KERNELS:
+        raise ValueError(f"unknown kernel {kind!r}")
+    if n < 8:
+        raise ValueError("mesh needs at least 8 nodes")
+    lam, vec, residual, iters = _kernel_top(_KERNELS[kind](n // 2), tol,
+                                            max_iter)
+    return Eigenpair(lam, vec / np.max(np.abs(vec)), residual, iters)
 
 
 def _bisect(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -124,91 +111,19 @@ def solve_beta() -> float:
     return 1.0 / root
 
 
-def _shear_embed(b: np.ndarray) -> np.ndarray:
-    """Relabel b(s, t) as B(u, w) with u = s-index i and w-index i + j.
-
-    On the midpoint grid, s + t lives on a lattice with the same spacing, so
-    the pair constraints |x - s| <= 1 and |x + y - s - t| <= 1 become an
-    axis-aligned box in (u, w) coordinates.
-    """
-    n = b.shape[0]
-    out = np.zeros((n, 2 * n - 1))
-    rows = np.arange(n)[:, None]
-    out[rows, rows + np.arange(n)[None, :]] = b
-    return out
-
-
-def _box_sum_table(B: np.ndarray) -> np.ndarray:
-    """Inclusive 2D prefix sums with a zero border row/column."""
-    S = np.zeros((B.shape[0] + 1, B.shape[1] + 1))
-    S[1:, 1:] = np.cumsum(np.cumsum(B, axis=0), axis=1)
-    return S
-
-
-def _pinned_pair_apply(b: np.ndarray) -> np.ndarray:
-    """One sweep of the operator behind zeta on an N x N midpoint grid.
-
-    Output(x, y) integrates b over the cells whose centers satisfy
-    |x - s| <= 1 and |x + y - s - t| <= 1; membership is evaluated at cell
-    centers only.  In sheared coordinates both constraints are windows of
-    half-width N//2 cells, so the sweep is two sliding sums plus a gather.
-    """
-    n = b.shape[0]
-    half = n // 2
-    B = _shear_embed(b)
-    C = _window_sum(_window_sum(B, half, 0), half, 1)
-    rows = np.arange(n)[:, None]
-    area = (2.0 / n) ** 2
-    return C[rows, rows + np.arange(n)[None, :]] * area
-
-
 def solve_zeta(n: int, tol: float = 1e-12, max_iter: int = 10**5) -> float:
     """sqrt of the top eigenvalue of the pinned two-row limit operator."""
     if n < 16:
         raise ValueError("mesh needs at least 16 nodes per axis")
-    if n > MAX_MESH:
-        raise ResourceLimitError(f"mesh size {n} exceeds cap {MAX_MESH}")
-    lam, _, _, _ = power_iteration(_pinned_pair_apply, np.ones((n, n)),
-                                   tol, max_iter)
-    return math.sqrt(lam)
-
-
-def _offset_triple_apply(b: np.ndarray) -> np.ndarray:
-    """One sweep of the operator behind psi.
-
-    For each offset cell k the constraints |x - s - k| <= 1 and
-    |x + y - s - t - k| <= 1 select, at cell centers, index windows of
-    length exactly N (the half-integer shift leaves no boundary ties).  In
-    sheared coordinates the window corner moves diagonally with k, so the
-    k-sum collapses to window sums along the diagonals of the corner table.
-    """
-    n = b.shape[0]
-    S = _box_sum_table(_shear_embed(b))
-
-    # D[a, j] = sum of B over u in [a, a+n-1], w in [a+j, a+j+n-1]
-    a = np.arange(-n + 1, n)[:, None]
-    j = np.arange(n)[None, :]
-    u1 = np.clip(a, 0, n)
-    u2 = np.clip(a + n, 0, n)
-    w1 = np.clip(a + j, 0, 2 * n - 1)
-    w2 = np.clip(a + j + n, 0, 2 * n - 1)
-    D = S[u2, w2] - S[u1, w2] - S[u2, w1] + S[u1, w1]
-
-    P = np.vstack([np.zeros((1, n)), np.cumsum(D, axis=0)])
-    # output(i, j) sums D[a, j] over a in [i-n+1, i]; row index shift n-1
-    i = np.arange(n)
-    out = P[i + n] - P[i]
-    return out * (2.0 / n) ** 3
+    return math.sqrt(_kernel_top(PinnedStripOperator(2, n // 2), tol,
+                                 max_iter)[0])
 
 
 def solve_psi(n: int, tol: float = 1e-12, max_iter: int = 10**5) -> float:
     """Cube root of the top eigenvalue of the offset-integrated operator."""
     if n < 16:
         raise ValueError("mesh needs at least 16 nodes per axis")
-    if n > MAX_MESH:
-        raise ResourceLimitError(f"mesh size {n} exceeds cap {MAX_MESH}")
-    lam, _, _, _ = power_iteration(_offset_triple_apply, np.ones((n, n)),
-                                   tol, max_iter)
+    lam = _kernel_top(FreeStripOperator(3, n // 2), tol, max_iter)[0]
     return lam ** (1.0 / 3.0)
 
 

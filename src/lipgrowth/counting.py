@@ -295,3 +295,28 @@ def counts_for_fit(graph: Graph, budget: int = DEFAULT_BUDGET,
     if hs is None:
         hs = ehrhart_nodes(graph)
     return [(h, count_bruteforce(graph, h, budget)) for h in hs]
+
+
+def c_empirical(graph: Graph, h_list: Sequence[int],
+                budget: int = DEFAULT_BUDGET):
+    """Growth-constant estimate from exact counts.
+
+    With n - k + 1 values of h this interpolates the counting polynomial and
+    returns the exact-leading-coefficient root as a float; otherwise it
+    returns the finite-h sequence (1/h) count^(1/(n-k)).
+    """
+    nfree = graph.n - graph.component_count
+    if nfree == 0:
+        raise ValueError("graph with no free vertices has no growth constant")
+    hs = list(h_list)
+    if len(set(hs)) != len(hs):
+        raise ValueError("h values must be distinct")
+    counts = counts_for_fit(graph, budget, hs)
+    if len(hs) == nfree + 1:
+        return ehrhart_fit(graph, counts).c_estimate
+    return [c ** (1.0 / nfree) / h for h, c in counts if h > 0]
+
+
+def c_from_ehrhart(graph: Graph, budget: int = DEFAULT_BUDGET) -> float:
+    """Convenience: fitted growth constant at the smallest exact nodes."""
+    return c_empirical(graph, ehrhart_nodes(graph), budget)

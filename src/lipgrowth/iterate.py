@@ -1,5 +1,5 @@
-"""Power iteration and window sums shared by the strip operators and the
-quadrature solvers."""
+"""Power iteration, shared by the strip operators and the continuum solvers,
+and the window sum behind every strip ``apply``."""
 from __future__ import annotations
 
 import numpy as np

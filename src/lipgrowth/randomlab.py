@@ -12,11 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
-from .counting import DEFAULT_BUDGET, count_bruteforce, ehrhart_fit, ehrhart_nodes
 from .graphs import Graph
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -339,28 +337,3 @@ def epsilon_upper_bound(eps: float) -> float:
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
     return 2.0 - 2.0 ** -18 * eps ** 5
-
-
-def c_empirical(graph: Graph, h_list: Sequence[int],
-                budget: int = DEFAULT_BUDGET):
-    """Growth-constant estimate from exact counts.
-
-    With n - k + 1 values of h this interpolates the counting polynomial and
-    returns the exact-leading-coefficient root as a float; otherwise it
-    returns the finite-h sequence (1/h) count^(1/(n-k)).
-    """
-    nfree = graph.n - graph.component_count
-    if nfree == 0:
-        raise ValueError("graph with no free vertices has no growth constant")
-    hs = list(h_list)
-    if len(set(hs)) != len(hs):
-        raise ValueError("h values must be distinct")
-    counts = [(h, count_bruteforce(graph, h, budget)) for h in hs]
-    if len(hs) == nfree + 1:
-        return ehrhart_fit(graph, counts).c_estimate
-    return [c ** (1.0 / nfree) / h for h, c in counts if h > 0]
-
-
-def c_from_ehrhart(graph: Graph, budget: int = DEFAULT_BUDGET) -> float:
-    """Convenience: fitted growth constant at the smallest exact nodes."""
-    return c_empirical(graph, ehrhart_nodes(graph), budget)

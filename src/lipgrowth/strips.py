@@ -7,7 +7,7 @@ them, which turns exact strip counting into iterated operator application
 and growth constants into top eigenvalues.
 
 Operator kinds
-  band            0/1 matrix over one free row below a pinned all-zero row
+  band            entries 1 iff |i-j| <= h; pinned-strip(1) under its own name
   tent            weights 2h+1-|i-j|; free-strip(2) under its own name
   free-strip(m)   m free rows, weight max(0, 2h+1 - spread of prefix offsets)
   pinned-strip(m) m free rows below an all-zero row, 0/1 transitions
@@ -84,33 +84,10 @@ class TransferOperator:
         raise NotImplementedError
 
     def normalized(self, eigenvalue: float) -> float:
-        """Per-vertex growth scale: band -> lam/h, otherwise lam^(1/m)/h."""
+        """Per-vertex growth scale lam^(1/m)/h (band, with m = 1: lam/h)."""
         if self.h < 1:
             raise ValueError("normalization needs h >= 1")
-        if self.kind == "band":
-            return eigenvalue / self.h
         return eigenvalue ** (1.0 / self.m) / self.h
-
-
-class BandOperator(TransferOperator):
-    """Entries 1 iff |i-j| <= h on indices 0..2h (one row over a zero row)."""
-
-    kind = "band"
-    m = 1
-
-    def __init__(self, h: int):
-        if h < 0:
-            raise ValueError("h must be nonnegative")
-        self.h = h
-        self.dim = 2 * h + 1
-
-    def ones(self) -> np.ndarray:
-        return np.ones(self.dim)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}")
-        return _window_sum(np.asarray(x, dtype=float), self.h, 0)
 
 
 class FreeStripOperator(TransferOperator):
@@ -202,7 +179,6 @@ class TentOperator(FreeStripOperator):
 
     def __init__(self, h: int):
         super().__init__(2, h)
-        self.kind = "tent"
 
 
 class PinnedStripOperator(TransferOperator):
@@ -259,6 +235,15 @@ class PinnedStripOperator(TransferOperator):
         pos = tuple(state[i] + (i + 1) * self.h for i in range(self.m))
         e[pos] = 1.0
         return e
+
+
+class BandOperator(PinnedStripOperator):
+    """Entries 1 iff |i-j| <= h on indices 0..2h: pinned-strip(1) by name."""
+
+    kind = "band"
+
+    def __init__(self, h: int):
+        super().__init__(1, h)
 
 
 def make_operator(kind: str, h: int, m: int | None = None,

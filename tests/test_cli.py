@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -165,6 +166,26 @@ def test_exit_codes(capsys):
     assert code == 4
     # resource limit: the m=8 prefix lattice exceeds the default budget
     assert main(["strip", "--kind", "free-strip", "--m", "8", "--h", "3"]) == 3
+
+
+def test_count_strip_honours_budget(capsys):
+    # --budget bounds the strip DP's lattice as it bounds brute-force search
+    argv = ["count", "--grid", "3x40", "--h", "10", "--method", "strip"]
+    code, _ = run(capsys, argv + ["--budget", "1"])
+    assert code == 3
+    code, out = run(capsys, argv + ["--deterministic"])
+    assert code == 0
+    assert int(json.loads(out)["records"][0]["count"]) > 0
+
+
+def test_reproduce_abstract_grid_bounds_match_table(capsys):
+    code, out = run(capsys, ["reproduce-abstract", "--format", "json",
+                             "--deterministic"])
+    assert code == 0
+    values = {r["name"]: r["value"] for r in json.loads(out)["records"]}
+    assert values["square_grid_upper"] == values["zeta"]
+    assert values["square_grid_lower"] == values["psi"] ** 1.5 / math.sqrt(2)
+    assert abs(values["square_grid_upper"] - 1.4895) <= 1e-3
 
 
 def test_strip_fixed_rows_reject_m(capsys):

@@ -5,9 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from lipgrowth.counting import c_empirical, c_from_ehrhart
 from lipgrowth.graphs import Graph, components, make_family, sample_er
-from lipgrowth.randomlab import (LllConfig, bound_report, c_empirical,
-                                 c_from_ehrhart, epsilon_upper_bound,
+from lipgrowth.randomlab import (LllConfig, bound_report, epsilon_upper_bound,
                                  flatness_parameter,
                                  giant_fraction_prediction,
                                  independent_pair_margin,

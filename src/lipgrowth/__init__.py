@@ -4,10 +4,11 @@ computation of their growth constants.
 The count of integer functions that are pinned to 0 at one root per
 component and vary by at most h across edges is a polynomial in h of degree
 n - k; its leading coefficient determines the per-vertex growth constant
-c(G) in [1, 2].  This package computes such counts exactly (brute force,
-closed forms, column transfer), fits the polynomial in exact arithmetic,
-solves the limiting integral-operator eigenproblems behind the strip
-constants, and evaluates the random-graph bounds.
+c(G) in [1, 2].  This package computes such counts exactly (bucket
+elimination on any graph, closed forms, column transfer for grid strips),
+fits the polynomial in exact arithmetic, solves the limiting
+integral-operator eigenproblems behind the strip constants, and evaluates
+the random-graph bounds.
 """
 
 from .errors import ConvergenceError, ResourceLimitError

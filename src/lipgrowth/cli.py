@@ -17,7 +17,7 @@ import time
 from datetime import datetime, timezone
 
 from . import continuum, counting, graphs, randomlab, strips
-from .errors import ConvergenceError, ResourceLimitError
+from .errors import DEFAULT_BUDGET, ConvergenceError, ResourceLimitError
 
 SCHEMA = 1
 
@@ -78,18 +78,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "count", parents=[common], help="exact h-Lipschitz function count",
         epilog="Record fields: graph_hash, h, count (decimal string), "
-               "node_expansions, method, elapsed (dropped under "
-               "--deterministic).")
+               "node_expansions (table cells evaluated by the elimination; "
+               "0 for closed and strip), method, elapsed (dropped under "
+               "--deterministic).  method \"brute\" names the general-graph "
+               "exact engine, bucket elimination, which auto selects.")
     add_graph_args(sp)
     sp.add_argument("--h", type=int, required=True)
     sp.add_argument("--method", choices=["auto", "brute", "closed", "strip"],
                     default="auto")
-    sp.add_argument("--budget", type=int, default=None,
-                    help="search-node budget (brute) or state budget (strip)")
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help="cells of the largest elimination table (brute) or "
+                         "prefix lattice (strip)")
 
     sp = sub.add_parser("ehrhart", parents=[common], help="fit the counting polynomial")
     add_graph_args(sp)
-    sp.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help="cells of the largest elimination table")
 
     sp = sub.add_parser(
         "strip", parents=[common], help="transfer-operator spectra",
@@ -168,9 +172,7 @@ def _cmd_count(args):
     t0 = time.perf_counter()
     method = args.method
     if method in ("auto", "brute"):
-        budget = (counting.DEFAULT_BUDGET if args.budget is None
-                  else args.budget)
-        value, expansions = counting.count_with_stats(g, args.h, budget)
+        value, expansions = counting.count_with_stats(g, args.h, args.budget)
         method = "brute"
     elif method == "closed":
         if args.family in ("tree", "path", "star"):
@@ -185,9 +187,7 @@ def _cmd_count(args):
             raise ValueError("--method strip needs --grid")
         m = int(args.grid.lower().split("x")[0])
         n = int(args.grid.lower().split("x")[1])
-        budget = (strips.DEFAULT_STATE_BUDGET if args.budget is None
-                  else args.budget)
-        value = strips.strip_count_exact(m, n, args.h, budget)
+        value = strips.strip_count_exact(m, n, args.h, args.budget)
         expansions = 0
     elapsed = time.perf_counter() - t0
     rec = {"graph_hash": graphs.graph_hash(g), "h": args.h,

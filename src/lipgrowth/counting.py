@@ -1,19 +1,26 @@
-"""Exact enumeration of h-Lipschitz functions and Ehrhart-polynomial fitting.
+"""Exact counting of h-Lipschitz functions and Ehrhart-polynomial fitting.
 
 An h-Lipschitz function assigns an integer to every vertex, differs by at
 most h across each edge, and sends the root of every component to 0.  Counts
-are exact Python integers; polynomial fits use exact rationals.
+come from bucket elimination and are exact Python integers; polynomial fits
+use exact rationals.
 """
 from __future__ import annotations
 
+import heapq
+import math
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ResourceLimitError
+import numpy as np
+
+from .errors import DEFAULT_BUDGET, ResourceLimitError
 from .graphs import Graph
 
-DEFAULT_BUDGET = 10**9
+_LABELS = string.ascii_letters  # einsum's subscript alphabet: 52 axes per step
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -35,96 +42,97 @@ class PinSpec:
         return PinSpec(self.vertices, tuple(-w for w in self.values))
 
 
-def _bfs_order(graph: Graph, root: int) -> list[int]:
-    order = [root]
-    seen = {root}
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for w in graph.adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    return order
+def _domains(graph: Graph, pin_value: dict[int, int],
+             h: int) -> list[tuple[int, int]] | None:
+    """Interval of values each vertex can take, or None if one is empty.
 
-
-def _search_component(graph: Graph, order: list[int], pin_value: dict[int, int],
-                      h: int) -> tuple[int, int]:
-    """Count completions over one component by depth-first assignment.
-
-    Vertices are visited in BFS order from the root; each vertex ranges over
-    the intersection of [f(u)-h, f(u)+h] over already-assigned neighbours u.
-    A vertex none of whose neighbours come later cannot influence the rest of
-    the search, so its interval length multiplies instead of branching.
-    Returns (count, node expansions); the work is bounded a priori by the
-    caller's guard, so the search itself never aborts.
+    Every h-Lipschitz f has |f(v) - w_p| <= h * d(p, v) for each pinned p, so
+    v ranges over the intersection of [w_p - h*d, w_p + h*d], found by one
+    BFS per pinned vertex.  The bounds lo and hi are themselves h-Lipschitz
+    (d changes by at most 1 across an edge), so every edge constraint at a
+    vertex whose interval is one value already holds: such vertices, the
+    pinned ones included, are constants.  Conversely, when every interval is
+    nonempty the pins are h-Lipschitz in graph distance, and the extension
+    v -> min_p (w_p + h*d(p, v)) shows the count is positive.
     """
-    pos = {v: i for i, v in enumerate(order)}
-    length = len(order)
-    earlier: list[tuple[int, ...]] = []
-    has_later: list[bool] = []
-    pins: list[int | None] = []
-    for i, v in enumerate(order):
-        nb = [pos[w] for w in graph.adjacency[v]]
-        earlier.append(tuple(j for j in nb if j < i))
-        has_later.append(any(j > i for j in nb))
-        pins.append(pin_value.get(v))
-    values = [0] * length
-    expansions = 0
-
-    def rec(i: int) -> int:
-        nonlocal expansions
-        lo, hi = -(1 << 62), 1 << 62
-        for j in earlier[i]:
-            vj = values[j]
-            if vj - h > lo:
-                lo = vj - h
-            if vj + h < hi:
-                hi = vj + h
-        pin = pins[i]
-        if pin is not None:
-            if pin < lo or pin > hi:
-                return 0
-            expansions += 1
-            values[i] = pin
-            return rec(i + 1) if i + 1 < length else 1
-        if lo > hi:
-            return 0
-        expansions += 1
-        nxt = i + 1
-        if not has_later[i]:
-            width = hi - lo + 1
-            return width if nxt == length else width * rec(nxt)
-        total = 0
-        for val in range(lo, hi + 1):
-            values[i] = val
-            total += rec(nxt)
-        return total
-
-    if length == 1:
-        # lone root, pinned to its value
-        return (1 if pins[0] in (None, 0) else 0), 0
-    count = rec(0)
-    return count, expansions
+    lo = [-math.inf] * graph.n
+    hi = [math.inf] * graph.n
+    for p, w in pin_value.items():
+        dist = {p: 0}
+        frontier = [p]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for x in graph.adjacency[u]:
+                    if x not in dist:
+                        dist[x] = dist[u] + 1
+                        nxt.append(x)
+            frontier = nxt
+        for v, d in dist.items():
+            lo[v] = max(lo[v], w - h * d)
+            hi[v] = min(hi[v], w + h * d)
+    if any(a > b for a, b in zip(lo, hi)):
+        return None
+    return list(zip(lo, hi))
 
 
-def _guard(graph: Graph, h: int, n_pinned_nonroot: int, budget: int) -> None:
-    """A-priori work bound: reject when (2h+1)^free exceeds the budget.
+def _elimination_order(adjacency: dict[int, set[int]], size: dict[int, int],
+                       budget: int) -> tuple[list[int], int]:
+    """Greedy min-degree order, checked against ``budget`` before any work.
 
-    Every free vertex ranges over at most 2h+1 values, so the guard bounds
-    the search tree before any work happens; a run that starts always
-    finishes.  Deterministic, unlike a wall-clock limit.
+    Eliminating v leaves a table over its current neighbours (its scope),
+    and the neighbours become a clique.  Ties go to the fewest table cells,
+    then to the lowest vertex index, so the order is deterministic.  Returns
+    the order and the summed einsum loop extents, prod(size over scope + v).
     """
-    free = graph.n - graph.component_count - n_pinned_nonroot
-    if (2 * h + 1) ** max(free, 0) > budget:
-        raise ResourceLimitError(
-            f"(2h+1)^free = (2*{h}+1)^{free} exceeds budget {budget}")
+    nbrs = {v: set(ws) for v, ws in adjacency.items()}
+
+    def key(u: int) -> tuple[int, int, int]:
+        return len(nbrs[u]), math.prod(size[w] for w in nbrs[u]), u
+
+    # a heap of keys, re-pushed when a neighbour set changes; stale entries
+    # are skipped, so each pop is the current minimum
+    heap = [key(u) for u in nbrs]
+    heapq.heapify(heap)
+    order: list[int] = []
+    work = 0
+    # the edge factors are tables too
+    largest = max((size[v] * size[w] for v in nbrs for w in nbrs[v]), default=1)
+    while heap:
+        k = heapq.heappop(heap)
+        v = k[2]
+        if v not in nbrs or k != key(v):
+            continue
+        scope = nbrs.pop(v)
+        cells = k[1]
+        largest = max(largest, cells)
+        if largest > budget or len(scope) >= len(_LABELS):
+            raise ResourceLimitError(
+                f"elimination needs a table of {largest} cells (budget "
+                f"{budget}), {len(scope)} axes at vertex {v}")
+        work += cells * size[v]
+        for w in scope:
+            nbrs[w] |= scope
+            nbrs[w] -= {v, w}
+            heapq.heappush(heap, key(w))
+        order.append(v)
+    return order, work
 
 
 def count_with_stats(graph: Graph, h: int, budget: int = DEFAULT_BUDGET,
                      pin: PinSpec | None = None) -> tuple[int, int]:
-    """Exact count plus the number of search-tree node expansions used."""
+    """Exact count by bucket elimination, plus the table cells evaluated.
+
+    The count is a #CSP: each vertex with more than one admissible value
+    (see ``_domains``) is a variable, and each edge between two variables is
+    a band-indicator factor 1[|f(u) - f(v)| <= h].  Variables are summed out
+    one at a time in min-degree order (Dechter, Bucket elimination, AI 1999);
+    each step is one fused ``np.einsum`` over the factors that mention the
+    variable, so the product that still includes it is never built.  Work is
+    polynomial in h for graphs of bounded width.  ``budget`` bounds the cells
+    of the largest table and is checked before anything is allocated.  The
+    second value is the summed loop extents of the einsum steps.
+    """
     if h < 0:
         raise ValueError("h must be nonnegative")
     pin_value: dict[int, int] = {}
@@ -143,52 +151,57 @@ def count_with_stats(graph: Graph, h: int, budget: int = DEFAULT_BUDGET,
     for r in graph.roots:
         pin_value.setdefault(r, 0)
 
-    if h == 0:
-        # only translates of the zero function survive, one per component
-        return (1 if all(w == 0 for w in pin_value.values()) else 0), 0
-
-    if pin is not None and _pin_infeasible_by_distance(graph, pin_value, h):
+    domains = _domains(graph, pin_value, h)
+    if domains is None:
         return 0, 0
+    size = {v: b - a + 1 for v, (a, b) in enumerate(domains) if b > a}
+    adjacency = {v: {w for w in graph.adjacency[v] if w in size} for v in size}
+    order, work = _elimination_order(adjacency, size, budget)
 
-    _guard(graph, h, len(pin_value) - graph.component_count, budget)
+    # Exactness: a table made by eliminating the set S holds, per assignment
+    # of its scope, the number of Lipschitz assignments of S.  Every
+    # connected piece of S touches a vertex that is fixed in that entry (a
+    # scope variable or a constant), so walking each piece outward from it
+    # gives each x in S at most min(2h+1, size[x]) choices.  Each factor
+    # carries that product as its bound; entries, and the partial sums einsum
+    # forms on the way to them, stay below it.  A step runs in int64 while
+    # its bound fits, otherwise on object arrays of Python ints.
+    factors = []
+    for u, v in sorted(graph.edges):
+        if u in size and v in size:
+            # value difference between cells (i, j): i - j + (lo_u - lo_v)
+            diff = np.subtract.outer(np.arange(size[u]), np.arange(size[v]))
+            band = np.abs(diff + (domains[u][0] - domains[v][0])) <= h
+            factors.append(((u, v), band.astype(np.int64), 1))
     total = 1
-    expansions = 0
-    for part in graph.components().parts:
-        root = next(r for r in graph.roots if r in part)
-        order = _bfs_order(graph, root)
-        c, e = _search_component(graph, order, pin_value, h)
-        total *= c
-        expansions += e
-        if total == 0:
-            break
-    return total, expansions
-
-
-def _pin_infeasible_by_distance(graph: Graph, pin_value: dict[int, int], h: int) -> bool:
-    """Screen |w(v)| > h * dist(root, v), which forces an empty count."""
-    for c, part in enumerate(graph.components().parts):
-        pinned_here = [v for v in part if v in pin_value]
-        if len(pinned_here) <= 1:
+    for v in order:
+        bucket = [f for f in factors if v in f[0]]
+        if not bucket:
+            total *= size[v]
             continue
-        root = graph.root_of_component(c)
-        dist = {root: 0}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in graph.adjacency[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        for v in pinned_here:
-            if abs(pin_value[v]) > h * dist[v]:
-                return True
-    return False
+        factors = [f for f in factors if v not in f[0]]
+        scope = sorted(set().union(*(f[0] for f in bucket)) - {v})
+        bound = min(2 * h + 1, size[v]) * math.prod(f[2] for f in bucket)
+        dtype = np.int64 if bound <= _INT64_MAX else object
+        label = dict(zip(scope + [v], _LABELS))
+        spec = (",".join("".join(label[u] for u in f[0]) for f in bucket)
+                + "->" + "".join(label[u] for u in scope))
+        table = np.einsum(spec, *(f[1].astype(dtype, copy=False) for f in bucket),
+                          optimize=False)
+        if scope:
+            factors.append((tuple(scope), table, bound))
+        else:
+            total *= int(table)
+    return total, work
 
 
 def count_bruteforce(graph: Graph, h: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact |{h-Lipschitz functions on graph}| by pruned depth-first search."""
+    """Exact |{h-Lipschitz functions on graph}|, by ``count_with_stats``.
+
+    The name is kept for the API: this is the general-graph exact engine
+    (bucket elimination).  The pruned depth-first search it replaced is the
+    test oracle ``dfs_count`` in ``tests/helpers.py``.
+    """
     return count_with_stats(graph, h, budget)[0]
 
 
@@ -291,7 +304,7 @@ def ehrhart_nodes(graph: Graph) -> list[int]:
 
 def counts_for_fit(graph: Graph, budget: int = DEFAULT_BUDGET,
                    hs: Iterable[int] | None = None) -> list[tuple[int, int]]:
-    """Brute-force counts at the interpolation nodes."""
+    """Exact counts at the interpolation nodes."""
     if hs is None:
         hs = ehrhart_nodes(graph)
     return [(h, count_bruteforce(graph, h, budget)) for h in hs]

@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types and the work budget they enforce."""
+
+# Cells of the largest array an exact engine may allocate: the elimination
+# tables of ``counting`` and the prefix lattice of ``strips``.
+DEFAULT_BUDGET = 10**7
 
 
 class ResourceLimitError(RuntimeError):

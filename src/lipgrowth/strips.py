@@ -31,10 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import DEFAULT_BUDGET, ResourceLimitError
 from .iterate import _window_sum, power_iteration
-
-DEFAULT_STATE_BUDGET = 10**7
 
 
 def state_index(diffs: Sequence[int], h: int) -> int:
@@ -114,7 +112,7 @@ class FreeStripOperator(TransferOperator):
 
     kind = "free-strip"
 
-    def __init__(self, m: int, h: int, state_budget: int = DEFAULT_STATE_BUDGET):
+    def __init__(self, m: int, h: int, state_budget: int = DEFAULT_BUDGET):
         if m < 1:
             raise ValueError("m must be at least 1")
         if h < 0:
@@ -192,7 +190,7 @@ class PinnedStripOperator(TransferOperator):
 
     kind = "pinned-strip"
 
-    def __init__(self, m: int, h: int, state_budget: int = DEFAULT_STATE_BUDGET):
+    def __init__(self, m: int, h: int, state_budget: int = DEFAULT_BUDGET):
         if m < 1:
             raise ValueError("m must be at least 1")
         if h < 0:
@@ -247,7 +245,7 @@ class BandOperator(PinnedStripOperator):
 
 
 def make_operator(kind: str, h: int, m: int | None = None,
-                  state_budget: int = DEFAULT_STATE_BUDGET) -> TransferOperator:
+                  state_budget: int = DEFAULT_BUDGET) -> TransferOperator:
     if kind in ("band", "tent"):
         rows = 1 if kind == "band" else 2
         if m not in (None, rows):
@@ -301,7 +299,7 @@ def top_eigenvalue(op: TransferOperator, tol: float = 1e-10,
 
 
 def strip_count_exact(m: int, n: int, h: int,
-                      state_budget: int = DEFAULT_STATE_BUDGET) -> int:
+                      state_budget: int = DEFAULT_BUDGET) -> int:
     """Exact count of h-Lipschitz functions on the m-row, n-column grid.
 
     The m x n and n x m grids have the same count, so the DP runs over the
@@ -324,7 +322,7 @@ def strip_count_exact(m: int, n: int, h: int,
 
 
 def rayleigh_lower_bound(m: int, h: int,
-                         state_budget: int = DEFAULT_STATE_BUDGET) -> Fraction:
+                         state_budget: int = DEFAULT_BUDGET) -> Fraction:
     """Certified bound lam >= (1^T W 1) / dim for free-strip(m), exact rational."""
     op = FreeStripOperator(m, h, state_budget)
     total = sum(op.apply_exact([1] * op.dim))

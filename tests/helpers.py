@@ -1,8 +1,11 @@
-"""Shared test utilities: random trees, tiny-graph isomorphism."""
+"""Shared test utilities: random trees, tiny-graph isomorphism, and the
+pruned depth-first count that the elimination engine is tested against."""
 from itertools import permutations
 
 import numpy as np
 
+from lipgrowth.counting import PinSpec
+from lipgrowth.errors import ResourceLimitError
 from lipgrowth.graphs import Graph
 
 
@@ -63,3 +66,108 @@ def connected_fixture_graphs(max_n: int = 6) -> list[Graph]:
     tree = random_tree(6, rng)
     out.append(tree.add_edge(0, 5) if (0, 5) not in tree.edges else tree)
     return [g for g in out if g.n <= max_n]
+
+
+def _bfs_order(graph: Graph, root: int) -> list[int]:
+    order = [root]
+    seen = {root}
+    head = 0
+    while head < len(order):
+        u = order[head]
+        head += 1
+        for w in graph.adjacency[u]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
+
+
+def _search_component(graph: Graph, order: list[int], pin_value: dict[int, int],
+                      h: int) -> tuple[int, int]:
+    """Count completions over one component by depth-first assignment.
+
+    Vertices are visited in BFS order from the root; each vertex ranges over
+    the intersection of [f(u)-h, f(u)+h] over already-assigned neighbours u.
+    A vertex none of whose neighbours come later cannot influence the rest of
+    the search, so its interval length multiplies instead of branching.
+    Returns (count, node expansions); the work is bounded a priori by the
+    caller's guard, so the search itself never aborts.
+    """
+    pos = {v: i for i, v in enumerate(order)}
+    length = len(order)
+    earlier: list[tuple[int, ...]] = []
+    has_later: list[bool] = []
+    pins: list[int | None] = []
+    for i, v in enumerate(order):
+        nb = [pos[w] for w in graph.adjacency[v]]
+        earlier.append(tuple(j for j in nb if j < i))
+        has_later.append(any(j > i for j in nb))
+        pins.append(pin_value.get(v))
+    values = [0] * length
+    expansions = 0
+
+    def rec(i: int) -> int:
+        nonlocal expansions
+        lo, hi = -(1 << 62), 1 << 62
+        for j in earlier[i]:
+            vj = values[j]
+            if vj - h > lo:
+                lo = vj - h
+            if vj + h < hi:
+                hi = vj + h
+        pin = pins[i]
+        if pin is not None:
+            if pin < lo or pin > hi:
+                return 0
+            expansions += 1
+            values[i] = pin
+            return rec(i + 1) if i + 1 < length else 1
+        if lo > hi:
+            return 0
+        expansions += 1
+        nxt = i + 1
+        if not has_later[i]:
+            width = hi - lo + 1
+            return width if nxt == length else width * rec(nxt)
+        total = 0
+        for val in range(lo, hi + 1):
+            values[i] = val
+            total += rec(nxt)
+        return total
+
+    if length == 1:
+        # lone root, pinned to its value
+        return (1 if pins[0] in (None, 0) else 0), 0
+    count = rec(0)
+    return count, expansions
+
+
+def _guard(graph: Graph, h: int, n_pinned_nonroot: int, budget: int) -> None:
+    """A-priori work bound: reject when (2h+1)^free exceeds the budget.
+
+    Every free vertex ranges over at most 2h+1 values, so the guard bounds
+    the search tree before any work happens; a run that starts always
+    finishes.  Deterministic, unlike a wall-clock limit.
+    """
+    free = graph.n - graph.component_count - n_pinned_nonroot
+    if (2 * h + 1) ** max(free, 0) > budget:
+        raise ResourceLimitError(
+            f"(2h+1)^free = (2*{h}+1)^{free} exceeds budget {budget}")
+
+
+def dfs_count(graph: Graph, h: int, pin: PinSpec | None = None) -> int:
+    """Reference count of h-Lipschitz functions by pruned depth-first search.
+
+    Independent of ``lipgrowth.counting``'s variable elimination: it walks
+    every partial assignment in BFS order from each root, so it is only
+    practical for small graphs.  Pins follow ``count_pinned``'s convention.
+    """
+    pin_value = {} if pin is None else dict(zip(pin.vertices, pin.values))
+    for r in graph.roots:
+        pin_value.setdefault(r, 0)
+    _guard(graph, h, len(pin_value) - graph.component_count, 10**9)
+    total = 1
+    for part in graph.components().parts:
+        root = next(r for r in graph.roots if r in part)
+        total *= _search_component(graph, _bfs_order(graph, root), pin_value, h)[0]
+    return total

@@ -169,7 +169,7 @@ def test_exit_codes(capsys):
 
 
 def test_count_strip_honours_budget(capsys):
-    # --budget bounds the strip DP's lattice as it bounds brute-force search
+    # --budget bounds the strip lattice as it bounds the elimination tables
     argv = ["count", "--grid", "3x40", "--h", "10", "--method", "strip"]
     code, _ = run(capsys, argv + ["--budget", "1"])
     assert code == 3

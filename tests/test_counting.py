@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_fixture_graphs
+from helpers import connected_fixture_graphs, dfs_count
 from lipgrowth.counting import (EhrhartPoly, PinSpec, count_bruteforce,
                                 count_closed_form, count_pinned,
                                 count_with_stats, counts_for_fit, ehrhart_fit)
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.graphs import Graph, make_family, make_grid
+from lipgrowth.strips import strip_count_exact
 
 
 def small_connected():
@@ -78,6 +79,72 @@ def test_budget_guard():
     # an allowed run reports its expansions
     c, e = count_with_stats(make_grid(2, 2), 1)
     assert c == 19 and e > 0
+
+
+@st.composite
+def graphs_with_pins(draw):
+    """Graphs on <= 8 vertices, often disconnected, with optional pins whose
+    values reach past h * distance, so some pin sets are infeasible."""
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) \
+        if pairs else []
+    g = Graph.from_edges(n, edges)
+    h = draw(st.integers(0, 3))
+    free = [v for v in range(n) if v not in g.roots]
+    pinned = draw(st.lists(st.sampled_from(free), unique=True, max_size=3)) \
+        if free else []
+    if not pinned:
+        return g, h, None
+    roots = sorted({g.root_of_component(g.component_of[v]) for v in pinned})
+    values = draw(st.lists(st.integers(-3 * h - 1, 3 * h + 1),
+                           min_size=len(pinned), max_size=len(pinned)))
+    return g, h, PinSpec(tuple(roots + pinned),
+                         (0,) * len(roots) + tuple(values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_pins())
+def test_elimination_matches_dfs_oracle(case):
+    g, h, pin = case
+    assert count_with_stats(g, h, pin=pin)[0] == dfs_count(g, h, pin)
+
+
+def test_int64_to_object_boundary(monkeypatch):
+    expected = {n: strip_count_exact(2, n, 1) for n in (20, 21)}
+    dtypes = []
+    einsum = np.einsum
+
+    def spy(spec, *operands, **kwargs):
+        dtypes.extend(a.dtype for a in operands)
+        return einsum(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    # 2x20 at h=1 has 39 variables: every table is bounded by 3^39 <= int64
+    # max < 3^40, so all steps run in int64
+    assert count_bruteforce(make_grid(2, 20), 1) == expected[20]
+    assert set(dtypes) == {np.dtype(np.int64)}
+    dtypes.clear()
+    # 2x21 has 41: the first steps still fit int64, the ones whose eliminated
+    # set passes 39 vertices run on Python ints
+    assert count_bruteforce(make_grid(2, 21), 1) == expected[21]
+    assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_pins_are_not_table_axes():
+    # K7 at h=4: six variables of 9 values; eliminating the first leaves a
+    # 9^5 table over the other five, and the pinned root adds no axis
+    k7 = make_family("complete", 7)
+    c, _ = count_with_stats(k7, 4, budget=9**5)
+    assert c == count_closed_form("complete", 7, 4)
+    with pytest.raises(ResourceLimitError):
+        count_with_stats(k7, 4, budget=9**5 - 1)
+    # a PinSpec pin is a constant too
+    pin = PinSpec((0, 1), (0, 0))
+    assert count_with_stats(k7, 4, budget=9**4, pin=pin)[0] == \
+        dfs_count(k7, 4, pin)
+    with pytest.raises(ResourceLimitError):
+        count_with_stats(k7, 4, budget=9**4 - 1, pin=pin)
 
 
 def test_disconnected_counts_multiply():

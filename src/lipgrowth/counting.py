@@ -119,19 +119,13 @@ def _elimination_order(adjacency: dict[int, set[int]], size: dict[int, int],
     return order, work
 
 
-def count_with_stats(graph: Graph, h: int, budget: int = DEFAULT_BUDGET,
-                     pin: PinSpec | None = None) -> tuple[int, int]:
-    """Exact count by bucket elimination, plus the table cells evaluated.
+def _plan(graph: Graph, h: int, budget: int, pin: PinSpec | None
+          ) -> tuple[list[tuple[int, int]], dict[int, int], list[int], int] | None:
+    """Domains, variable sizes, elimination order and summed loop extents.
 
-    The count is a #CSP: each vertex with more than one admissible value
-    (see ``_domains``) is a variable, and each edge between two variables is
-    a band-indicator factor 1[|f(u) - f(v)| <= h].  Variables are summed out
-    one at a time in min-degree order (Dechter, Bucket elimination, AI 1999);
-    each step is one fused ``np.einsum`` over the factors that mention the
-    variable, so the product that still includes it is never built.  Work is
-    polynomial in h for graphs of bounded width.  ``budget`` bounds the cells
-    of the largest table and is checked before anything is allocated.  The
-    second value is the summed loop extents of the einsum steps.
+    Returns None when some domain is empty (the count is 0).  Validates
+    ``pin`` and raises ``ResourceLimitError`` if the largest table exceeds
+    ``budget``; no table is allocated, so this is cheap at any h.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
@@ -153,10 +147,31 @@ def count_with_stats(graph: Graph, h: int, budget: int = DEFAULT_BUDGET,
 
     domains = _domains(graph, pin_value, h)
     if domains is None:
-        return 0, 0
+        return None
     size = {v: b - a + 1 for v, (a, b) in enumerate(domains) if b > a}
     adjacency = {v: {w for w in graph.adjacency[v] if w in size} for v in size}
     order, work = _elimination_order(adjacency, size, budget)
+    return domains, size, order, work
+
+
+def count_with_stats(graph: Graph, h: int, budget: int = DEFAULT_BUDGET,
+                     pin: PinSpec | None = None) -> tuple[int, int]:
+    """Exact count by bucket elimination, plus the table cells evaluated.
+
+    The count is a #CSP: each vertex with more than one admissible value
+    (see ``_domains``) is a variable, and each edge between two variables is
+    a band-indicator factor 1[|f(u) - f(v)| <= h].  Variables are summed out
+    one at a time in min-degree order (Dechter, Bucket elimination, AI 1999);
+    each step is one fused ``np.einsum`` over the factors that mention the
+    variable, so the product that still includes it is never built.  Work is
+    polynomial in h for graphs of bounded width.  ``budget`` bounds the cells
+    of the largest table and is checked before anything is allocated.  The
+    second value is the summed loop extents of the einsum steps.
+    """
+    plan = _plan(graph, h, budget, pin)
+    if plan is None:
+        return 0, 0
+    domains, size, order, work = plan
 
     # Exactness: a table made by eliminating the set S holds, per assignment
     # of its scope, the number of Lipschitz assignments of S.  Every
@@ -304,9 +319,15 @@ def ehrhart_nodes(graph: Graph) -> list[int]:
 
 def counts_for_fit(graph: Graph, budget: int = DEFAULT_BUDGET,
                    hs: Iterable[int] | None = None) -> list[tuple[int, int]]:
-    """Exact counts at the interpolation nodes."""
-    if hs is None:
-        hs = ehrhart_nodes(graph)
+    """Exact counts at the interpolation nodes.
+
+    The budget is checked at the largest node before any node is counted,
+    so a fit that cannot finish fails at once instead of after its cheaper
+    nodes.
+    """
+    hs = ehrhart_nodes(graph) if hs is None else list(hs)
+    if hs:
+        _plan(graph, max(hs), budget, None)
     return [(h, count_bruteforce(graph, h, budget)) for h in hs]
 
 

@@ -254,9 +254,12 @@ def independent_pair_search(graph: Graph, size: int,
                             seed: int = 0) -> PairSearchResult:
     """Look for two disjoint size-``size`` vertex sets with no crossing edge.
 
-    Exhaustive mode (default for n <= 20) scans candidate sets A and takes B
-    from the non-neighbours of A, so "not found" is definitive.  The
-    heuristic mode samples random A sets and is inconclusive on failure.
+    Exhaustive mode (default for n <= 20) is definitive: "not found" means
+    no such pair exists.  When 2*size == n the two sets cover every vertex,
+    so each component lies wholly in one of them and the search is a subset
+    sum over component sizes; otherwise it scans candidate sets A and takes
+    B from the non-neighbours of A.  The heuristic mode samples random A
+    sets and is inconclusive on failure.
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -265,6 +268,10 @@ def independent_pair_search(graph: Graph, size: int,
         exhaustive = n <= 20
     if 2 * size > n:
         return PairSearchResult(False, None, None, True)
+    if exhaustive and n > 20:
+        raise ValueError("exhaustive search capped at n = 20")
+    if exhaustive and 2 * size == n:
+        return _cover_split(graph, size)
 
     nbr_mask = [0] * n
     for u, v in graph.edges:
@@ -287,8 +294,6 @@ def independent_pair_search(graph: Graph, size: int,
         return tuple(picked)
 
     if exhaustive:
-        if n > 20:
-            raise ValueError("exhaustive search capped at n = 20")
         for a_set in combinations(range(n), size):
             b_set = complement_pick(a_set)
             if b_set is not None:
@@ -302,6 +307,30 @@ def independent_pair_search(graph: Graph, size: int,
         if b_set is not None:
             return PairSearchResult(True, tuple(sorted(a_set)), b_set, False)
     return PairSearchResult(False, None, None, False)
+
+
+def _cover_split(graph: Graph, size: int) -> PairSearchResult:
+    """Definitive search when the two sets cover V: a union of components
+    with ``size`` vertices is A, the rest is B."""
+    parts = graph.components().parts
+    # reached[t] = (component, previous sum) that first reached sum t; the
+    # key snapshot per component keeps each one used at most once
+    reached: dict[int, tuple[int, int] | None] = {0: None}
+    for c, part in enumerate(parts):
+        for t in list(reached):
+            u = t + len(part)
+            if u <= size and u not in reached:
+                reached[u] = (c, t)
+    if size not in reached:
+        return PairSearchResult(False, None, None, True)
+    chosen = []
+    t = size
+    while reached[t] is not None:
+        c, t = reached[t]
+        chosen.extend(parts[c])
+    set_a = tuple(sorted(chosen))
+    set_b = tuple(sorted(set(range(graph.n)) - set(chosen)))
+    return PairSearchResult(True, set_a, set_b, True)
 
 
 def triple_sum_success(h: int) -> Fraction:

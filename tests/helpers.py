@@ -1,6 +1,8 @@
 """Shared test utilities: random trees, tiny-graph isomorphism, and the
-pruned depth-first count that the elimination engine is tested against."""
-from itertools import permutations
+reference implementations the library is tested against: the pruned
+depth-first count, a one-skip-at-a-time Erdos-Renyi walk, and the
+exhaustive independent-pair scan."""
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -171,3 +173,41 @@ def dfs_count(graph: Graph, h: int, pin: PinSpec | None = None) -> int:
         root = next(r for r in graph.roots if r in part)
         total *= _search_component(graph, _bfs_order(graph, root), pin_value, h)[0]
     return total
+
+
+def er_reference_edges(n: int, d: float, seed: int) -> set[tuple[int, int]]:
+    """Edges of ``sample_er(n, d, seed)`` by a pure-Python geometric walk.
+
+    Pairs (i, j), i < j, are listed lexicographically; starting before the
+    first, each ``default_rng(seed).geometric(d/n)`` draw, taken one at a
+    time, advances to the next present pair until the walk passes the end.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    p = d / n
+    if p == 0:
+        return set()
+    rng = np.random.default_rng(seed)
+    edges = set()
+    pos = -1
+    while True:
+        pos += int(rng.geometric(p))
+        if pos >= len(pairs):
+            return edges
+        edges.add(pairs[pos])
+
+
+def pair_scan(graph: Graph, size: int) -> tuple[int, ...] | None:
+    """Exhaustive independent-pair oracle: the first set A (in combinations
+    order) whose non-neighbours hold ``size`` vertices, or None."""
+    n = graph.n
+    if 2 * size > n:
+        return None
+    closed_nbhd = [{v} for v in range(n)]
+    for u, v in graph.edges:
+        closed_nbhd[u].add(v)
+        closed_nbhd[v].add(u)
+    for a_set in combinations(range(n), size):
+        closed = set().union(*(closed_nbhd[v] for v in a_set))
+        if n - len(closed) >= size:
+            return a_set
+    return None

@@ -81,6 +81,25 @@ def test_budget_guard():
     assert c == 19 and e > 0
 
 
+def test_fit_budget_checked_before_counting(monkeypatch):
+    # the 4x5 fit needs h = 0..19, and h = 19 needs a table far past the
+    # budget, so the fit is rejected before any node, h = 0 included, runs
+    calls = []
+    einsum = np.einsum
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    with pytest.raises(ResourceLimitError):
+        counts_for_fit(make_grid(4, 5))
+    assert calls == []
+    # a fit that fits the budget still counts every node
+    assert [h for h, _ in counts_for_fit(make_grid(2, 2))] == [0, 1, 2, 3]
+    assert calls
+
+
 @st.composite
 def graphs_with_pins(draw):
     """Graphs on <= 8 vertices, often disconnected, with optional pins whose

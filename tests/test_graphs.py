@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import is_isomorphic
+from helpers import er_reference_edges, is_isomorphic
+from lipgrowth import graphs
 from lipgrowth.graphs import (Graph, components, from_edgelist_str, graph_hash,
                               make_family, make_grid, read_edgelist, sample_er,
                               to_edgelist_str, write_edgelist)
@@ -74,6 +75,50 @@ def test_sample_er_edge_cases():
         sample_er(5, 6, 0)
     with pytest.raises(ValueError):
         sample_er(5, -1, 0)
+    with pytest.raises(ValueError):
+        sample_er(0, 0, 0)
+
+    for seed in (0, 1, 2):
+        # no pairs at all
+        assert sample_er(1, 0.5, seed).edges == frozenset()
+        # p = 1: every pair, one skip of 1 per pair
+        assert sample_er(2, 2, seed).edges == frozenset({(0, 1)})
+        assert len(sample_er(50, 50, seed).edges) == 50 * 49 // 2
+        # p = 0: no geometric draw is possible, so no walk happens
+        assert sample_er(50, 0, seed).edges == frozenset()
+        # p = 1e-305: every skip saturates near 2**63; the walk must end
+        # after the first one, neither landing on the last pair nor wrapping
+        # around to negative pair indices
+        tiny = sample_er(10**5, 1e-300, seed)
+        assert tiny.edges == frozenset() and tiny.component_count == 10**5
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+@pytest.mark.parametrize("n, d, seed", [(2, 2, 0), (9, 9, 4), (30, 0.5, 3),
+                                        (60, 3.0, 1), (120, 40.0, 5)])
+def test_sample_er_matches_reference_walk(monkeypatch, block, n, d, seed):
+    # small blocks make the first block of skips fall short of n(n-1)/2, so
+    # the walk continues across blocks
+    if block is not None:
+        monkeypatch.setattr(graphs, "_SKIP_BLOCK", block)
+    assert sample_er(n, d, seed).edges == er_reference_edges(n, d, seed)
+
+
+def test_sample_er_saturated_skip_after_an_edge(monkeypatch):
+    # At p near 1e-18 a skip can saturate at 2**63 - 1 right after a present
+    # pair; unclipped, the int64 partial sum would wrap to a negative index
+    class Stream:
+        def __init__(self, seed):
+            self.skips = iter([2] + [2**63 - 1] * 10)
+
+        def geometric(self, p, size=None):
+            if size is None:
+                return next(self.skips)
+            return np.array([next(self.skips) for _ in range(size)])
+
+    monkeypatch.setattr(np.random, "default_rng", Stream)
+    assert sample_er(5, 1e-9, 0).edges == er_reference_edges(5, 1e-9, 0) \
+        == {(0, 2)}
 
 
 def test_sample_er_deterministic_in_seed():

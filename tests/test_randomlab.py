@@ -4,7 +4,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import pair_scan
 from lipgrowth.counting import c_empirical, c_from_ehrhart
 from lipgrowth.graphs import Graph, components, make_family, sample_er
 from lipgrowth.randomlab import (LllConfig, bound_report, epsilon_upper_bound,
@@ -289,6 +292,30 @@ def test_pair_search_er_scarcity():
         assert res.definitive
         found += res.found
     assert found == 0
+
+
+@st.composite
+def half_size_cases(draw):
+    """Graphs on an even number n <= 12 of vertices, sparse enough that
+    their component sizes often, but not always, reach n/2."""
+    n = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n))
+    return Graph.from_edges(n, edges), n // 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(half_size_cases())
+def test_cover_split_matches_scan_oracle(case):
+    g, size = case
+    res = independent_pair_search(g, size)
+    assert res.definitive
+    assert res.found == (pair_scan(g, size) is not None)
+    if res.found:
+        a, b = set(res.set_a), set(res.set_b)
+        assert len(a) == len(b) == size and a.isdisjoint(b)
+        assert not any((u in a and v in b) or (u in b and v in a)
+                       for u, v in g.edges)
 
 
 def test_pair_search_modes():

@@ -7,7 +7,6 @@ give equal graphs.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -25,7 +24,8 @@ class ComponentInfo(NamedTuple):
     giant_size: int
 
 
-def _lowest_index_roots(n: int, edges: set[tuple[int, int]]) -> tuple[int, ...]:
+def _component_labels(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Component label per vertex by union-find, ordered by smallest member."""
     parent = list(range(n))
 
     def find(a):
@@ -42,16 +42,31 @@ def _lowest_index_roots(n: int, edges: set[tuple[int, int]]) -> tuple[int, ...]:
                 parent[rv] = ru
             else:
                 parent[ru] = rv
-    return tuple(sorted({find(v) for v in range(n)}))
+    # Each representative is its component's smallest member, so it is
+    # labelled before any other member in this ascending scan.
+    label = [0] * n
+    k = 0
+    for v in range(n):
+        r = find(v)
+        if r == v:
+            label[v] = k
+            k += 1
+        else:
+            label[v] = label[r]
+    return tuple(label)
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph plus a chosen root in every component."""
+    """Simple undirected graph plus a chosen root in every component.
+
+    ``roots=None`` picks the lowest-index vertex of each component, which
+    makes graphs a pure function of (n, edges).
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
-    roots: tuple[int, ...]
+    roots: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -60,6 +75,12 @@ class Graph:
             if not (0 <= u < v < self.n):
                 raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
         comp = self.component_of
+        if self.roots is None:
+            firsts: list[int] = []
+            for v, c in enumerate(comp):
+                if c == len(firsts):
+                    firsts.append(v)
+            object.__setattr__(self, "roots", tuple(firsts))
         seen = set()
         for r in self.roots:
             if not (0 <= r < self.n):
@@ -73,11 +94,8 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
                    roots: Iterable[int] | None = None) -> "Graph":
-        """Build a graph, normalising edge order and defaulting roots.
-
-        The default root of each component is its lowest-index vertex, which
-        makes graphs a pure function of (n, edges).
-        """
+        """Build a graph, normalising edge order; ``roots=None`` defaults
+        each component's root to its lowest-index vertex."""
         norm = set()
         for u, v in edges:
             if u == v:
@@ -85,9 +103,7 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"bad edge ({u}, {v}) for n={n}")
             norm.add((u, v) if u < v else (v, u))
-        if roots is None:
-            roots = _lowest_index_roots(n, norm)
-        return cls(n, frozenset(norm), tuple(roots))
+        return cls(n, frozenset(norm), None if roots is None else tuple(roots))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -100,21 +116,7 @@ class Graph:
     @cached_property
     def component_of(self) -> tuple[int, ...]:
         """Component label per vertex; labels are ordered by smallest member."""
-        label = [-1] * self.n
-        k = 0
-        for s in range(self.n):
-            if label[s] >= 0:
-                continue
-            queue = deque([s])
-            label[s] = k
-            while queue:
-                u = queue.popleft()
-                for w in self.adjacency[u]:
-                    if label[w] < 0:
-                        label[w] = k
-                        queue.append(w)
-            k += 1
-        return tuple(label)
+        return _component_labels(self.n, self.edges)
 
     @property
     def component_count(self) -> int:

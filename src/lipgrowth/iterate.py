@@ -1,5 +1,10 @@
 """Power iteration, shared by the strip operators and the continuum solvers,
-and the window sum behind every strip ``apply``."""
+and the window sum behind every strip ``apply``.
+
+The window sum runs in place: it turns its source into a running sum along
+one axis and writes the window into a second buffer, so an ``apply`` that
+chains windows ping-pongs between two buffers it allocates once.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -40,16 +45,35 @@ def power_iteration(apply_fn, x0: np.ndarray, tol: float = 1e-10,
         residual=residual, iterations=max_iter)
 
 
-def _window_sum(arr: np.ndarray, half: int, axis: int) -> np.ndarray:
-    """Sum over the window [j - half, j + half] along ``axis``, zero outside.
+def _window_sum(src: np.ndarray, half: int, axis: int, out: np.ndarray) -> None:
+    """Write into ``out`` the sum of ``src`` over [j - half, j + half] along
+    ``axis``, zero outside.
 
-    One cumulative sum and two gathers; the dtype of ``arr`` is kept, so
-    float, int64 and object (Python int) arrays all run the same code.
+    ``src`` is overwritten with its running sum along ``axis``; ``out`` has
+    the shape and dtype of ``src`` and shares no memory with it.  The window
+    is then two slice copies and one in-place subtraction, so the call
+    allocates no full-size temporary.  The dtype is kept, so float, int64 and
+    object (Python int) arrays all run the same code.
+
+    Along a leading axis the running sum is one vectorised row add per
+    index: ``np.cumsum`` would run that axis as its strided inner loop.
+    Along the last axis, or when each index holds a single element, it is
+    ``np.cumsum`` itself.  Both add in the same order, so results do not
+    depend on which one runs.
     """
-    n = arr.shape[axis]
-    lead = list(arr.shape)
-    lead[axis] = 1
-    c = np.cumsum(np.concatenate([np.zeros(lead, arr.dtype), arr], axis), axis)
-    j = np.arange(n)
-    return (np.take(c, np.minimum(j + half + 1, n), axis)
-            - np.take(c, np.maximum(j - half, 0), axis))
+    n = src.shape[axis]
+    s = np.moveaxis(src, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    if axis == src.ndim - 1 or src.size == n:
+        np.cumsum(src, axis=axis, out=src)
+    else:
+        for i in range(1, n):
+            np.add(s[i - 1], s[i], out=s[i])
+    # out[j] = run[min(j + half, n - 1)] - run[j - half - 1], the second
+    # term only where j > half.
+    if half < n:
+        o[:n - half] = s[half:]
+        o[n - half:] = s[n - 1]
+        np.subtract(o[half + 1:], s[:n - half - 1], out=o[half + 1:])
+    else:
+        o[...] = s[n - 1]

@@ -12,15 +12,18 @@ Operator kinds
   free-strip(m)   m free rows, weight max(0, 2h+1 - spread of prefix offsets)
   pinned-strip(m) m free rows below an all-zero row, 0/1 transitions
 
-Every apply is matrix-free: separable window sums (cumulative-sum
-differences) on an embedded lattice, O(cells) per apply.  Pinned strips
-window each axis of a box of absolute values.  Free strips (and tent) scatter
-onto the lattice of prefix vectors, since their weight depends only on the
-difference of two columns' prefix vectors: a half-width-h box window on
-every axis, then one more along the diagonal (1, ..., 1) for the column
-offset.  One code path serves spectra (float) and exact counts (int64 below
-a proven overflow bound, Python ints above it), and each state budget bounds
-the cells of its lattice before anything is allocated.
+Every apply is matrix-free: separable window sums (running-sum
+differences) on an embedded lattice, O(cells) per apply.  Each window turns
+one buffer into its running sum in place and writes the window into the
+other, so an apply allocates two lattice-sized buffers and swaps them after
+every window.  Pinned strips window each axis of a box of absolute values.
+Free strips (and tent) scatter onto the lattice of prefix vectors, since
+their weight depends only on the difference of two columns' prefix vectors:
+a half-width-h box window on every axis, then one more along the diagonal
+(1, ..., 1) for the column offset.  One code path serves spectra (float)
+and exact counts (int64 below a proven overflow bound, Python ints above
+it), and each state budget bounds the cells of its lattice before anything
+is allocated.
 """
 from __future__ import annotations
 
@@ -105,7 +108,7 @@ class FreeStripOperator(TransferOperator):
     P(V) gives y(V).  The diagonal window runs down the columns of the flat
     lattice reshaped to rows of one diagonal step (the sum of the strides);
     the padding keeps every step taken from a state inside the lattice, so
-    no window wraps.  Every window is a cumulative-sum difference, so one
+    no window wraps.  Every window is a running-sum difference, so one
     apply costs O(cells).  ``state_budget`` bounds ``cells``, the size of
     that padded lattice, before anything is allocated.
     """
@@ -149,15 +152,19 @@ class FreeStripOperator(TransferOperator):
         """y = W x in the dtype of x: float, int64 or object (Python ints)."""
         if self.m == 1:
             return x * (2 * self.h + 1)
-        flat = np.zeros(self.cells, dtype=x.dtype)
-        flat[self._sites] = x
+        # Two zeroed buffers: the box windows write only the first ``size``
+        # cells, so the tail the diagonal window reads stays zero in both.
+        src = np.zeros(self.cells, dtype=x.dtype)
+        dst = np.zeros(self.cells, dtype=x.dtype)
+        src[self._sites] = x
         size = math.prod(self._shape)
-        box = flat[:size].reshape(self._shape)
         for axis in range(self.m - 1):
-            box = _window_sum(box, self.h, axis)
-        flat[:size] = box.ravel()
-        diag = _window_sum(flat.reshape(-1, self._step), self.h, 0)
-        return diag.ravel()[self._sites]
+            _window_sum(src[:size].reshape(self._shape), self.h, axis,
+                        dst[:size].reshape(self._shape))
+            src, dst = dst, src
+        _window_sum(src.reshape(-1, self._step), self.h, 0,
+                    dst.reshape(-1, self._step))
+        return dst[self._sites]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if x.shape != (self.dim,):
@@ -217,10 +224,12 @@ class PinnedStripOperator(TransferOperator):
     def apply(self, x: np.ndarray) -> np.ndarray:
         if x.shape != self.shape:
             raise ValueError(f"expected box of shape {self.shape}")
-        y = x
+        src = x.copy()
+        dst = np.empty_like(src)
         for axis in range(self.m):
-            y = _window_sum(y, self.h, axis)
-        return y * self.mask
+            _window_sum(src, self.h, axis, dst)
+            src, dst = dst, src
+        return np.multiply(src, self.mask, out=src)
 
     def states(self) -> list[tuple[int, ...]]:
         """Valid states in C order of the embedded box."""

@@ -1,7 +1,8 @@
 """Shared test utilities: random trees, tiny-graph isomorphism, and the
-reference implementations the library is tested against: the pruned
-depth-first count, a one-skip-at-a-time Erdos-Renyi walk, and the
-exhaustive independent-pair scan."""
+reference implementations the library is tested against: breadth-first
+component labels, the pruned depth-first count, a one-skip-at-a-time
+Erdos-Renyi walk, and the exhaustive independent-pair scan."""
+from collections import deque
 from itertools import combinations, permutations
 
 import numpy as np
@@ -68,6 +69,29 @@ def connected_fixture_graphs(max_n: int = 6) -> list[Graph]:
     tree = random_tree(6, rng)
     out.append(tree.add_edge(0, 5) if (0, 5) not in tree.edges else tree)
     return [g for g in out if g.n <= max_n]
+
+
+def bfs_component_labels(n: int, edges) -> list[int]:
+    """Component label per vertex by breadth-first search from each unlabelled
+    vertex in ascending order, so labels are ordered by smallest member."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    label = [-1] * n
+    k = 0
+    for s in range(n):
+        if label[s] >= 0:
+            continue
+        label[s] = k
+        queue = deque([s])
+        while queue:
+            for w in adj[queue.popleft()]:
+                if label[w] < 0:
+                    label[w] = k
+                    queue.append(w)
+        k += 1
+    return label
 
 
 def _bfs_order(graph: Graph, root: int) -> list[int]:

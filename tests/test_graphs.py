@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import er_reference_edges, is_isomorphic
+from helpers import bfs_component_labels, er_reference_edges, is_isomorphic
 from lipgrowth import graphs
 from lipgrowth.graphs import (Graph, components, from_edgelist_str, graph_hash,
                               make_family, make_grid, read_edgelist, sample_er,
@@ -174,6 +174,44 @@ def test_handshake_identity(g):
 def test_roots_one_per_component(g):
     comp_of = g.component_of
     assert sorted({comp_of[r] for r in g.roots}) == list(range(g.component_count))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.data())
+def test_component_labels_and_roots_match_bfs_oracle(g, data):
+    labels = bfs_component_labels(g.n, g.edges)
+    assert list(g.component_of) == labels
+    k = max(labels) + 1
+    assert g.component_count == k
+    assert g.roots == tuple(labels.index(c) for c in range(k))
+    # explicit roots, checked in order: in range, one per component, all there
+    if data.draw(st.booleans()):
+        roots = data.draw(st.permutations(
+            [data.draw(st.sampled_from([v for v in range(g.n) if labels[v] == c]))
+             for c in range(k)]))
+    else:
+        roots = data.draw(st.lists(st.integers(-1, g.n), max_size=k + 1))
+    expected = None
+    seen = set()
+    for r in roots:
+        if not 0 <= r < g.n:
+            expected = "out of range"
+            break
+        if labels[r] in seen:
+            expected = "more than one root"
+            break
+        seen.add(labels[r])
+    else:
+        if len(seen) != k:
+            expected = "every component needs a root"
+    if expected is None:
+        assert g.with_roots(roots).roots == tuple(roots)
+        assert Graph.from_edges(g.n, g.edges, roots).roots == tuple(roots)
+    else:
+        with pytest.raises(ValueError, match=expected):
+            g.with_roots(roots)
+        with pytest.raises(ValueError, match=expected):
+            Graph.from_edges(g.n, g.edges, roots)
 
 
 def test_graph_validation():

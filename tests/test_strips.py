@@ -240,11 +240,34 @@ def test_tent_eigenvalue_h1():
     assert est.eigenvalue == pytest.approx(dense.max(), abs=1e-9)
 
 
+def pinned_transition_matrix(m, h):
+    """Pinned-strip states and 0/1 matrix straight from the transition rule.
+
+    States are (y_1..y_m) with |y_1| <= h and |y_(i+1) - y_i| <= h, listed
+    lexicographically; z follows y iff |z_i - y_i| <= h for every row i.
+    """
+    states = [y for y in itertools.product(range(-m * h, m * h + 1), repeat=m)
+              if abs(y[0]) <= h
+              and all(abs(y[i + 1] - y[i]) <= h for i in range(m - 1))]
+    matrix = np.array([[float(all(abs(zi - yi) <= h for zi, yi in zip(z, y)))
+                        for y in states] for z in states])
+    return states, matrix
+
+
+def test_pinned_strip_dense_matches_transition_rule():
+    for m, h in ((1, 0), (1, 1), (1, 3), (2, 0), (2, 1), (2, 2), (3, 1), (3, 2)):
+        op = PinnedStripOperator(m, h)
+        states, matrix = pinned_transition_matrix(m, h)
+        assert op.states() == states, (m, h)
+        assert len(states) == op.dim
+        assert np.array_equal(dense_matrix(op), matrix), (m, h)
+
+
 def test_pinned_strip_eigenvalue_matches_dense():
-    for m, h in ((1, 2), (2, 1), (2, 2)):
+    for m, h in ((1, 2), (2, 1), (2, 2), (3, 1)):
         op = PinnedStripOperator(m, h)
         est = top_eigenvalue(op, tol=1e-12)
-        dense = np.linalg.eigvalsh(dense_matrix(op))
+        dense = np.linalg.eigvalsh(pinned_transition_matrix(m, h)[1])
         assert est.eigenvalue == pytest.approx(dense.max(), rel=1e-9)
 
 

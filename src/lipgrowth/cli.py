@@ -293,6 +293,8 @@ def _cmd_random_lab(args):
                "seed": res.seed}
         return {"records": [rec]}
     if args.mode == "giant":
+        predicted = (randomlab.giant_fraction_prediction(args.d)
+                     if args.d > 1 else None)
         records = []
         for t in range(args.trials):
             g = graphs.sample_er(args.n, args.d, args.seed + t)
@@ -301,8 +303,7 @@ def _cmd_random_lab(args):
                             "seed": args.seed + t,
                             "components": info.count,
                             "giant_fraction": info.giant_size / args.n,
-                            "predicted": randomlab.giant_fraction_prediction(args.d)
-                            if args.d > 1 else None})
+                            "predicted": predicted})
         return {"records": records}
     # pairs
     size = args.size

@@ -2,13 +2,17 @@
 
 Vertices are 0..n-1.  Graphs are immutable after construction; generators and
 the Erdos-Renyi sampler are pure functions of their arguments, so equal seeds
-give equal graphs.
+give equal graphs.  Alongside the ``edges`` set a graph keeps one int64
+(E, 2) edge array, on which validation, component labels, component parts
+and degrees are computed with whole-array numpy operations; only the sorted
+``adjacency`` lists, built on first use, are Python-level.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -24,36 +28,35 @@ class ComponentInfo(NamedTuple):
     giant_size: int
 
 
-def _component_labels(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Component label per vertex by union-find, ordered by smallest member."""
-    parent = list(range(n))
+def _component_labels(n: int,
+                      edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component label per vertex from an (E, 2) edge array, ordered by
+    smallest member, and each component's smallest member in label order.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            # keep the smaller index as representative
-            if ru < rv:
-                parent[rv] = ru
-            else:
-                parent[ru] = rv
-    # Each representative is its component's smallest member, so it is
-    # labelled before any other member in this ascending scan.
-    label = [0] * n
-    k = 0
-    for v in range(n):
-        r = find(v)
-        if r == v:
-            label[v] = k
-            k += 1
-        else:
-            label[v] = label[r]
-    return tuple(label)
+    Each round hooks every root under the smallest root it shares an edge
+    with, when that root is smaller, then pointer-jumps every vertex to its
+    root (Shiloach & Vishkin, "An O(log n) parallel connectivity
+    algorithm", J. Algorithms 3, 1982), until every edge joins two vertices
+    with the same root.  A root only
+    ever hooks under a smaller index, so the forest stays acyclic and each
+    final root is its component's smallest member; ranking the roots gives
+    the labels.
+    """
+    parent = np.arange(n)
+    u, v = edges[:, 0], edges[:, 1]
+    while True:
+        pu, pv = parent[u], parent[v]
+        lo, hi = np.minimum(pu, pv), np.maximum(pu, pv)
+        if (lo == hi).all():
+            break
+        np.minimum.at(parent, hi, lo)
+        while True:
+            jumped = parent[parent]
+            if (jumped == parent).all():
+                break
+            parent = jumped
+    is_root = parent == np.arange(n)
+    return (np.cumsum(is_root) - 1)[parent], np.flatnonzero(is_root)
 
 
 @dataclass(frozen=True)
@@ -71,16 +74,16 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
-        comp = self.component_of
+        u, v = self.edge_array[:, 0], self.edge_array[:, 1]
+        bad = ~((0 <= u) & (u < v) & (v < self.n))
+        if bad.any():
+            u, v = self.edge_array[bad.argmax()].tolist()
+            raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
         if self.roots is None:
-            firsts: list[int] = []
-            for v, c in enumerate(comp):
-                if c == len(firsts):
-                    firsts.append(v)
-            object.__setattr__(self, "roots", tuple(firsts))
+            object.__setattr__(self, "roots",
+                               tuple(self._labelling[1].tolist()))
+            return
+        comp = self.component_of
         seen = set()
         for r in self.roots:
             if not (0 <= r < self.n):
@@ -106,6 +109,14 @@ class Graph:
         return cls(n, frozenset(norm), None if roots is None else tuple(roots))
 
     @cached_property
+    def edge_array(self) -> np.ndarray:
+        """Read-only int64 (E, 2) array of the edges, in ``edges`` order."""
+        arr = np.fromiter(chain.from_iterable(self.edges), np.int64,
+                          2 * len(self.edges)).reshape(-1, 2)
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         adj = [[] for _ in range(self.n)]
         for u, v in self.edges:
@@ -114,23 +125,30 @@ class Graph:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
+    def _labelling(self) -> tuple[np.ndarray, np.ndarray]:
+        return _component_labels(self.n, self.edge_array)
+
+    @cached_property
     def component_of(self) -> tuple[int, ...]:
-        """Component label per vertex; labels are ordered by smallest member."""
-        return _component_labels(self.n, self.edges)
+        """Component label per vertex; labels are ordered by smallest member
+        (computed once per graph by ``_component_labels``)."""
+        return tuple(self._labelling[0].tolist())
 
     @property
     def component_count(self) -> int:
-        return max(self.component_of) + 1
+        return len(self._labelling[1])
 
     def components(self) -> ComponentInfo:
-        parts = [[] for _ in range(self.component_count)]
-        for v, c in enumerate(self.component_of):
-            parts[c].append(v)
-        parts = tuple(tuple(p) for p in parts)
-        return ComponentInfo(parts, len(parts), max(len(p) for p in parts))
+        labels = self._labelling[0]
+        order = np.argsort(labels, kind="stable").tolist()
+        sizes = np.bincount(labels)
+        ends = np.cumsum(sizes).tolist()
+        parts = tuple(tuple(order[a:b]) for a, b in zip([0, *ends], ends))
+        return ComponentInfo(parts, len(parts), int(sizes.max()))
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
+        return tuple(np.bincount(self.edge_array.ravel(),
+                                 minlength=self.n).tolist())
 
     def add_edge(self, u: int, v: int) -> "Graph":
         """New graph with one extra edge; roots revert to the canonical rule."""
@@ -211,8 +229,10 @@ def sample_er(n: int, d: float, seed: int) -> Graph:
     Pairs are ordered lexicographically and the gap from one present pair to
     the next is a Geometric(d/n) skip (Batagelj & Brandes, "Efficient
     generation of large random networks", Phys. Rev. E 71, 036113, 2005), so
-    the work is linear in the edges drawn, not in n(n-1)/2.  The result is a
-    pure function of (n, d, seed).
+    the work is linear in the edges drawn, not in n(n-1)/2.  Distinct pair
+    indices are distinct pairs (i, j) with i < j, so they go to ``Graph``
+    as they are, without ``Graph.from_edges``'s per-edge normalisation.  The
+    result is a pure function of (n, d, seed).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -237,11 +257,11 @@ def sample_er(n: int, d: float, seed: int) -> Graph:
         if stop < index.size:
             break
         last = int(index[-1])
-    edges: list[tuple[int, int]] = []
+    edges: frozenset[tuple[int, int]] = frozenset()
     if found:
         i, j = _pairs_from_linear(np.concatenate(found), n)
-        edges = list(zip(i.tolist(), j.tolist()))
-    return Graph.from_edges(n, edges)
+        edges = frozenset(zip(i.tolist(), j.tolist()))
+    return Graph(n, edges)
 
 
 def to_edgelist_str(graph: Graph) -> str:

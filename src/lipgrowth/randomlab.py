@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .graphs import Graph
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -125,24 +126,38 @@ def independent_pair_margin(d: float) -> MarginReport:
     return MarginReport(d=d, margin=margin, chain_value=chain)
 
 
-def giant_fraction_prediction(d: float, tol: float = 1e-13,
-                              max_iter: int = 10**6) -> float:
-    """Limiting giant-component fraction 1 - x/d with x = d e^(x-d).
+def giant_fraction_prediction(d: float, max_iter: int = 2000) -> float:
+    """Limiting giant-component fraction: the root y in (0, 1] of
+    1 - y = e^(-d y).
 
-    The fixed point is the small solution of x e^(-x) = d e^(-d) (the
-    Lambert-W form); damped iteration from x0 = d e^(-d) converges because
-    the map is increasing with derivative x* < 1 at the fixed point.
+    f(y) = 1 - y - e^(-d y) is concave with f(0) = 0, f'(0) = d - 1 > 0 and
+    f(1) = -e^(-d) < 0, so for d > 1 it has one root in (0, 1].  Bisection
+    keeps f(lo) >= 0 >= f(hi) (f(1) rounding to 0 means y rounds to 1) and
+    stops when lo and hi are adjacent doubles, so the error is the rounding
+    of f alone; the root's relative condition number is about 1/(d - 1),
+    which bounds the accuracy near d = 1.  Bisection from [0, 1] reaches
+    adjacent doubles within about 1100 halvings; a cap below that raises
+    ``ConvergenceError``.
     """
-    if d <= 1:
+    if not d > 1:
         raise ValueError("giant component needs d > 1")
-    x = d * math.exp(-d)
+
+    def f(y):
+        return -math.expm1(-d * y) - y
+
+    lo, hi = 0.0, 1.0
+    if f(hi) >= 0:
+        return hi
     for _ in range(max_iter):
-        nxt = 0.5 * (x + d * math.exp(x - d))
-        if abs(nxt - x) <= tol * max(1.0, abs(nxt)):
-            x = nxt
-            break
-        x = nxt
-    return 1.0 - x / d
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi if abs(f(hi)) <= abs(f(lo)) else lo
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    raise ConvergenceError("giant-fraction bisection hit its iteration cap",
+                           residual=hi - lo, iterations=max_iter)
 
 
 def poisson_tail_bound(d: float, x: float) -> float:
@@ -211,31 +226,59 @@ def lll_sampler(graph: Graph, cfg: LllConfig, trials: int,
     every edge satisfies |f(u) - f(v)| <= h.  Trials use derived seeds
     (seed, trial), so the aggregate is deterministic and scheduling-free,
     and the raw uniform stream does not depend on the graph.
+
+    Each failing edge is counted once, from its lower endpoint u: since
+    f(v) - f(u) > h and no value exceeds the top of the low range, f(u) is
+    at most ``thr`` = low_range[1] - h - 1.  High-range vertices are never
+    that endpoint, because every high value is at least
+    low_range[1] - h > thr; so only low-degree vertices get a row in the
+    neighbour table, which is at most ceil(2d) - 1 wide and padded with a
+    sentinel vertex whose value 0 fails no edge.  A trial scans the vertices
+    with f <= thr and their rows only.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    n = graph.n
     degrees = np.array(graph.degrees())
     low = degrees < cfg.degree_threshold
     lo_a, lo_b = cfg.low_range
     hi_a, hi_b = cfg.high_range
-    base = np.where(low, lo_a, hi_a)
-    width = np.where(low, lo_b - lo_a + 1, hi_b - hi_a + 1)
-    edges = np.array(sorted(graph.edges), dtype=np.int64).reshape(-1, 2)
+    base = np.where(low, lo_a, hi_a).astype(np.float64)
+    width = np.where(low, lo_b - lo_a + 1, hi_b - hi_a + 1).astype(np.float64)
+    # hi_b = h <= lo_b, so lo_b is the largest drawable value
+    thr = lo_b - cfg.h - 1
 
+    # One row per vertex listing its neighbours, filled for low vertices
+    # only; empty slots hold the sentinel vertex n.
+    e = graph.edge_array
+    src = np.concatenate((e[:, 0], e[:, 1]))
+    dst = np.concatenate((e[:, 1], e[:, 0]))
+    keep = low[src]
+    order = np.argsort(src[keep], kind="stable")
+    src, dst = src[keep][order], dst[keep][order]
+    row_len = np.where(low, degrees, 0)
+    slot = np.arange(src.size) - (np.cumsum(row_len) - row_len)[src]
+    pad = np.full((n, row_len.max()), n, dtype=np.int64)
+    pad[src, slot] = dst
+
+    buf = np.zeros(n + 1)  # buf[n] is the sentinel's value, always 0
+    f = buf[:n]
     successes = 0
     failing_edges = 0
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        f = base + np.floor(rng.random(graph.n) * width).astype(np.int64)
-        if edges.size:
-            bad = np.abs(f[edges[:, 0]] - f[edges[:, 1]]) > cfg.h
-            nbad = int(bad.sum())
-        else:
-            nbad = 0
+        rng.random(out=f)
+        # f = floor(u * width) + base: small integers, exact as floats
+        np.multiply(f, width, out=f)
+        np.floor(f, out=f)
+        np.add(f, base, out=f)
+        b = np.flatnonzero(f <= thr)
+        nbr_values = buf.take(pad.take(b, axis=0))
+        nbad = int(np.count_nonzero(nbr_values > (f[b] + cfg.h)[:, None]))
         failing_edges += nbad
         successes += nbad == 0
     lo_ci, hi_ci = wilson_interval(successes, trials)
-    rate = failing_edges / (trials * len(edges)) if len(edges) else 0.0
+    rate = failing_edges / (trials * len(e)) if len(e) else 0.0
     return MonteCarloResult(trials, successes, successes / trials,
                             lo_ci, hi_ci, seed, rate)
 

@@ -1,7 +1,8 @@
 """Shared test utilities: random trees, tiny-graph isomorphism, and the
 reference implementations the library is tested against: breadth-first
 component labels, the pruned depth-first count, a one-skip-at-a-time
-Erdos-Renyi walk, and the exhaustive independent-pair scan."""
+Erdos-Renyi walk, the exhaustive independent-pair scan and the every-edge
+random-construction sampler."""
 from collections import deque
 from itertools import combinations, permutations
 
@@ -10,6 +11,7 @@ import numpy as np
 from lipgrowth.counting import PinSpec
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.graphs import Graph
+from lipgrowth.randomlab import LllConfig, MonteCarloResult, wilson_interval
 
 
 def random_tree(n: int, rng: np.random.Generator) -> Graph:
@@ -235,3 +237,29 @@ def pair_scan(graph: Graph, size: int) -> tuple[int, ...] | None:
         if n - len(closed) >= size:
             return a_set
     return None
+
+
+def lll_reference(graph: Graph, cfg: LllConfig, trials: int,
+                  seed: int) -> MonteCarloResult:
+    """Reference for ``lll_sampler``: every trial checks both endpoints of
+    every edge.  Degrees come from ``graph.adjacency``; vertex i takes the
+    i-th uniform of ``default_rng([seed, t]).random(n)`` in trial t."""
+    degrees = np.array([len(a) for a in graph.adjacency])
+    low = degrees < cfg.degree_threshold
+    lo_a, lo_b = cfg.low_range
+    hi_a, hi_b = cfg.high_range
+    base = np.where(low, lo_a, hi_a)
+    width = np.where(low, lo_b - lo_a + 1, hi_b - hi_a + 1)
+    edges = np.array(sorted(graph.edges), dtype=np.int64).reshape(-1, 2)
+    successes = 0
+    failing_edges = 0
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        f = base + np.floor(rng.random(graph.n) * width).astype(np.int64)
+        nbad = int(np.sum(np.abs(f[edges[:, 0]] - f[edges[:, 1]]) > cfg.h))
+        failing_edges += nbad
+        successes += nbad == 0
+    lo_ci, hi_ci = wilson_interval(successes, trials)
+    rate = failing_edges / (trials * len(edges)) if len(edges) else 0.0
+    return MonteCarloResult(trials, successes, successes / trials,
+                            lo_ci, hi_ci, seed, rate)

@@ -176,14 +176,78 @@ def test_roots_one_per_component(g):
     assert sorted({comp_of[r] for r in g.roots}) == list(range(g.component_count))
 
 
+def assert_components_match_oracle(g, labels):
+    """Labels, count, default roots, parts, giant size and degrees of ``g``
+    against the breadth-first ``labels`` and the adjacency lists."""
+    assert list(g.component_of) == labels
+    k = max(labels) + 1
+    assert g.component_count == k
+    firsts = {}
+    parts = [[] for _ in range(k)]
+    for v, c in enumerate(labels):
+        firsts.setdefault(c, v)
+        parts[c].append(v)
+    assert g.roots == tuple(firsts[c] for c in range(k))
+    info = g.components()
+    assert info.parts == tuple(tuple(p) for p in parts)
+    assert info.count == k
+    assert info.giant_size == max(len(p) for p in parts)
+    assert g.degrees() == tuple(len(a) for a in g.adjacency)
+
+
+@pytest.mark.parametrize("order", ["identity", "zigzag", "random"])
+def test_long_path_components_match_bfs_oracle(order):
+    # A path on 10^5 vertices visited in the given vertex order.  Reversing
+    # the order gives the same edge set as the identity, so the zigzag
+    # 0, n-1, 1, n-2, ... stands in for it: each root's smallest neighbour
+    # is then far away along the path.
+    n = 10**5
+    if order == "identity":
+        seq = np.arange(n)
+    elif order == "zigzag":
+        seq = np.empty(n, dtype=np.int64)
+        seq[0::2] = np.arange((n + 1) // 2)
+        seq[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
+    else:
+        seq = np.random.default_rng(5).permutation(n)
+    g = Graph.from_edges(n, zip(seq[:-1].tolist(), seq[1:].tolist()))
+    assert_components_match_oracle(g, bfs_component_labels(n, g.edges))
+    assert g.component_of == (0,) * n
+
+
+@pytest.mark.parametrize("edges, n", [
+    ([(i, 10**5 - 1) for i in range(10**5 - 1)], 10**5),  # star, hub last
+    ([(500, 1001)], 1002),  # 10^3 isolated vertices plus one edge
+])
+def test_star_and_isolated_components_match_bfs_oracle(edges, n):
+    g = Graph.from_edges(n, edges)
+    assert_components_match_oracle(g, bfs_component_labels(n, g.edges))
+
+
+def test_graph_validation_messages():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        Graph(0, frozenset())
+    # the first bad edge in iteration order is named, as listed
+    edges = frozenset({(0, 1), (2, 1), (1, 3)})
+    first_bad = next(e for e in edges if not 0 <= e[0] < e[1] < 3)
+    with pytest.raises(ValueError,
+                       match=rf"bad edge \({first_bad[0]}, {first_bad[1]}\) for n=3"):
+        Graph(3, edges)
+    with pytest.raises(ValueError, match=r"bad edge \(-1, 2\) for n=3"):
+        Graph(3, frozenset({(-1, 2)}))
+    with pytest.raises(ValueError, match=r"bad edge \(2, 2\) for n=3"):
+        Graph(3, frozenset({(2, 2)}))
+    g = make_family("path", 3)
+    with pytest.raises(ValueError):
+        g.edge_array[0, 0] = 1  # shared by the graph, so read-only
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_graphs(), st.data())
 def test_component_labels_and_roots_match_bfs_oracle(g, data):
     labels = bfs_component_labels(g.n, g.edges)
-    assert list(g.component_of) == labels
+    assert_components_match_oracle(g, labels)
     k = max(labels) + 1
-    assert g.component_count == k
-    assert g.roots == tuple(labels.index(c) for c in range(k))
     # explicit roots, checked in order: in range, one per component, all there
     if data.draw(st.booleans()):
         roots = data.draw(st.permutations(

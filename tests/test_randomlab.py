@@ -4,11 +4,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import pair_scan
+from helpers import lll_reference, pair_scan
 from lipgrowth.counting import c_empirical, c_from_ehrhart
+from lipgrowth.errors import ConvergenceError
 from lipgrowth.graphs import Graph, components, make_family, sample_er
 from lipgrowth.randomlab import (LllConfig, bound_report, epsilon_upper_bound,
                                  flatness_parameter,
@@ -102,6 +103,32 @@ def test_giant_fraction_prediction():
     assert abs(giant_fraction_prediction(10) - 1) <= 1e-3
     with pytest.raises(ValueError):
         giant_fraction_prediction(1.0)
+
+
+def mp_giant_fraction(d):
+    """Root y of 1 - y = e^(-d y) by the principal Lambert-W branch; the
+    precision covers the cancellation next to the branch point at d = 1."""
+    with mpmath.workdps(100):
+        dd = mpmath.mpf(d)
+        return 1 + mpmath.lambertw(-dd * mpmath.exp(-dd)) / dd
+
+
+@pytest.mark.parametrize("d", [1 + 10.0 ** -k for k in range(1, 13)]
+                         + [1.5, 2.0, 5.0, 10.0, 100.0, 1000.0])
+def test_giant_fraction_matches_lambert_w(d):
+    # the root's relative condition number is about 1/(d - 1): a rounding
+    # of d moves it by that many ulps
+    y = giant_fraction_prediction(d)
+    exact = mp_giant_fraction(d)
+    assert abs(y - exact) / exact <= 1e-15 / (d - 1) + 1e-15
+
+
+def test_giant_fraction_prediction_cap_and_domain():
+    with pytest.raises(ConvergenceError):
+        giant_fraction_prediction(2.0, max_iter=10)
+    for d in (0.5, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            giant_fraction_prediction(d)
 
 
 def test_giant_fraction_two_formulations_agree():
@@ -258,6 +285,42 @@ def test_lll_deterministic():
     a = lll_sampler(g, cfg, trials=60, seed=11)
     b = lll_sampler(g, cfg, trials=60, seed=11)
     assert a == b
+
+
+@st.composite
+def lll_cases(draw):
+    """Graph on up to 40 vertices (random edge set, or a star, complete
+    graph or edgeless graph on a prefix with the rest isolated) plus a
+    config with d in (4, 20] and h in 0..60."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(["random", "star", "complete", "edgeless"]))
+    if kind == "random" and n > 1:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = draw(st.sets(st.sampled_from(pairs), max_size=150))
+        graph = Graph.from_edges(n, edges)
+    elif kind in ("star", "complete"):
+        graph = Graph.from_edges(n, make_family(kind, k).edges)
+    else:
+        graph = Graph.from_edges(n, [])
+    d = draw(st.floats(4, 20, exclude_min=True))
+    cfg = LllConfig(h=draw(st.integers(0, 60)), d=d)
+    return graph, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(lll_cases(), st.integers(1, 40), st.integers(0, 3))
+# Every vertex of K12 and the star's centre are low at d = 6 (degree 11 <
+# 12) and fill a whole table row; with h = 60 an edge fails in about 0.4 %
+# of trials, so these runs see several failures from every row.
+@example(case=(make_family("star", 12), LllConfig(h=60, d=6.0)),
+         trials=2000, seed=0)
+@example(case=(make_family("complete", 12), LllConfig(h=60, d=6.0)),
+         trials=500, seed=1)
+def test_lll_sampler_matches_reference(case, trials, seed):
+    graph, cfg = case
+    assert lll_sampler(graph, cfg, trials, seed) == \
+        lll_reference(graph, cfg, trials, seed)
 
 
 def test_pair_search_examples():

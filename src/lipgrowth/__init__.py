@@ -23,9 +23,9 @@ from .strips import (BandOperator, FreeStripOperator, PinnedStripOperator,
                      SpectralEstimate, TentOperator, TransferOperator,
                      dense_matrix, extrapolate_limit, make_operator,
                      rayleigh_lower_bound, strip_count_exact, top_eigenvalue)
-from .continuum import (Eigenpair, GridBounds, grid_bound_report,
-                        nystrom_top, solve_alpha, solve_beta, solve_psi,
-                        solve_zeta)
+from .continuum import (Eigenpair, GridBounds, KernelLimit, grid_bound_report,
+                        kernel_limit, nystrom_top, solve_alpha, solve_beta,
+                        solve_psi, solve_zeta)
 from .randomlab import (BoundReport, LllConfig, MarginReport,
                         MonteCarloResult, PairSearchResult, bound_report,
                         epsilon_upper_bound, giant_fraction_prediction,

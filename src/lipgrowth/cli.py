@@ -21,24 +21,22 @@ from .errors import DEFAULT_BUDGET, ConvergenceError, ResourceLimitError
 
 SCHEMA = 1
 
-_ABSTRACT_REFERENCES = {
-    "alpha": "1.16234",
-    "alpha_sq": "1.351",
-    "alpha_sqrt2": "1.6438",
-    "beta": "1.554",
-    "zeta": "1.4895",
-    "psi": "1.553",
-}
-
-_EQUATIONS = {
-    "alpha": "largest x with tan(1/x) = x",
-    "alpha_sq": "alpha^2",
-    "alpha_sqrt2": "alpha*sqrt(2)",
-    "beta": "1/r, cos r + 2 sin r = 2 (r = arctan 3/4)",
-    "zeta": "sqrt(top eigenvalue), pinned two-row kernel",
-    "psi": "cbrt(top eigenvalue), offset three-row kernel",
-    "nystrom_band": "top eigenvalue, indicator kernel |x-t|<=1",
-    "nystrom_tent": "top eigenvalue, kernel 2-|x-t| (= 2 alpha^2)",
+# constants row name -> (reference from the abstract, equation)
+_ROWS = {
+    "alpha": ("1.16234", "largest x with tan(1/x) = x"),
+    "alpha_sq": ("1.351", "alpha^2"),
+    "alpha_sqrt2": ("1.6438", "alpha*sqrt(2)"),
+    "beta": ("1.554", "1/r, cos r + 2 sin r = 2 (r = arctan 3/4)"),
+    "zeta": ("1.4895", "sqrt(top eigenvalue), pinned two-row kernel"),
+    "psi": ("1.553", "cbrt(top eigenvalue), offset three-row kernel"),
+    "nystrom_band": ("", "top eigenvalue, indicator kernel |x-t|<=1"),
+    "nystrom_tent": ("", "top eigenvalue, kernel 2-|x-t| (= 2 alpha^2)"),
+    "strip_band": ("1.554", "band operator, h -> inf"),
+    "strip_two_rows": ("1.6438", "two-row operator, h -> inf"),
+    "strip_pinned_two": ("1.4895", "pinned two-row operator, h -> inf"),
+    "strip_three_rows": ("1.553", "three-row operator, h -> inf"),
+    "square_grid_lower": ("1.3685", "psi^(3/2)/sqrt(2)"),
+    "square_grid_upper": ("1.4895", "zeta"),
 }
 
 
@@ -109,14 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-iter", type=int, default=10**5)
 
     sp = sub.add_parser("constants", parents=[common], help="solve for the growth constants")
-    sp.add_argument("--all", action="store_true")
-    mesh_help = "midpoint mesh of 2*floor(N/2)+1 nodes per axis"
-    sp.add_argument("--mesh-1d", type=int, default=2000, metavar="N",
-                    help=mesh_help)
-    sp.add_argument("--mesh-zeta", type=int, default=64, metavar="N",
-                    help=mesh_help)
-    sp.add_argument("--mesh-psi", type=int, default=32, metavar="N",
-                    help=mesh_help)
+    sp.add_argument("--all", action="store_true",
+                    help="no effect: every row is always printed")
 
     sp = sub.add_parser(
         "bounds", parents=[common], help="random-graph bound expressions",
@@ -144,6 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _grid_shape(text: str) -> tuple[int, int]:
+    try:
+        m, n = (int(x) for x in text.lower().split("x"))
+    except ValueError as exc:
+        raise ValueError(f"bad --grid {text!r}, expected MxN") from exc
+    return m, n
+
+
 def _build_graph(args) -> graphs.Graph:
     if args.family:
         if args.n is None:
@@ -151,11 +151,7 @@ def _build_graph(args) -> graphs.Graph:
         kind = "path" if args.family == "tree" else args.family
         return graphs.make_family(kind, args.n)
     if args.grid:
-        try:
-            m, n = (int(x) for x in args.grid.lower().split("x"))
-        except Exception as exc:
-            raise ValueError(f"bad --grid {args.grid!r}, expected MxN") from exc
-        return graphs.make_grid(m, n)
+        return graphs.make_grid(*_grid_shape(args.grid))
     if args.er:
         return graphs.sample_er(int(args.er[0]), float(args.er[1]), args.seed)
     if getattr(args, "load", None):
@@ -185,8 +181,7 @@ def _cmd_count(args):
     else:  # strip
         if not args.grid:
             raise ValueError("--method strip needs --grid")
-        m = int(args.grid.lower().split("x")[0])
-        n = int(args.grid.lower().split("x")[1])
+        m, n = _grid_shape(args.grid)
         value = strips.strip_count_exact(m, n, args.h, args.budget)
         expansions = 0
     elapsed = time.perf_counter() - t0
@@ -231,34 +226,41 @@ def _cmd_strip(args):
     return payload
 
 
-def _constants_records(mesh_1d, mesh_zeta, mesh_psi):
+def _ladder(fit: continuum.KernelLimit, scale: float = 1.0) -> str:
+    return f"N={'/'.join(map(str, fit.meshes))}, err={fit.error * scale:.1e}"
+
+
+def _abstract_records():
+    """Every constants row, the eight of ``constants`` first; a strip row
+    is its kernel's ladder limit, the kernel being the scaled operator."""
     alpha = continuum.solve_alpha()
-    beta = continuum.solve_beta()
-    band = continuum.nystrom_top("band-indicator", mesh_1d)
-    tent = continuum.nystrom_top("tent", mesh_1d)
-    zeta = continuum.solve_zeta(mesh_zeta)
-    psi = continuum.solve_psi(mesh_psi)
+    band, tent, zeta, psi = (continuum.kernel_limit(k) for k in
+                             ("band-indicator", "tent", "zeta", "psi"))
+    two_rows = math.sqrt(tent.value)
+    gb = continuum.grid_bound_report(zeta=zeta.value, psi=psi.value)
     rows = [
         ("alpha", alpha, ""),
         ("alpha_sq", alpha ** 2, ""),
         ("alpha_sqrt2", alpha * math.sqrt(2), ""),
-        ("beta", beta, ""),
-        ("nystrom_band", band.eigenvalue,
-         f"N={len(band.eigenfunction)}, iters={band.iterations}"),
-        ("nystrom_tent", tent.eigenvalue,
-         f"N={len(tent.eigenfunction)}, iters={tent.iterations}"),
-        ("zeta", zeta, f"N={2 * (mesh_zeta // 2) + 1}"),
-        ("psi", psi, f"N={2 * (mesh_psi // 2) + 1}"),
+        ("beta", continuum.solve_beta(), ""),
+        ("nystrom_band", band.value, _ladder(band)),
+        ("nystrom_tent", tent.value, _ladder(tent)),
+        ("zeta", zeta.value, _ladder(zeta)),
+        ("psi", psi.value, _ladder(psi)),
+        ("strip_band", band.value, _ladder(band)),
+        ("strip_two_rows", two_rows, _ladder(tent, 0.5 / two_rows)),
+        ("strip_pinned_two", zeta.value, _ladder(zeta)),
+        ("strip_three_rows", psi.value, _ladder(psi)),
+        ("square_grid_lower", gb.lower_improved, ""),
+        ("square_grid_upper", gb.upper_improved, ""),
     ]
-    return [{"name": name, "value": value,
-             "reference": _ABSTRACT_REFERENCES.get(name, ""),
-             "equation": _EQUATIONS.get(name, ""),
-             "metadata": meta} for name, value, meta in rows]
+    return [{"name": name, "value": value, "reference": _ROWS[name][0],
+             "equation": _ROWS[name][1], "metadata": meta}
+            for name, value, meta in rows]
 
 
 def _cmd_constants(args):
-    return {"records": _constants_records(args.mesh_1d, args.mesh_zeta,
-                                          args.mesh_psi)}
+    return {"records": _abstract_records()[:8]}
 
 
 def _cmd_bounds(args):
@@ -323,38 +325,7 @@ def _cmd_random_lab(args):
 
 
 def _cmd_reproduce_abstract(args):
-    records = _constants_records(2000, 256, 128)
-    band_pairs, tent_pairs = [], []
-    for h in (50, 100, 200, 400):
-        band_pairs.append((h, strips.top_eigenvalue(strips.BandOperator(h),
-                                                    1e-12).normalized))
-        tent_pairs.append((h, strips.top_eigenvalue(strips.TentOperator(h),
-                                                    1e-12).normalized))
-    pinned_pairs = [(h, strips.top_eigenvalue(
-        strips.PinnedStripOperator(2, h), 1e-12).normalized) for h in (10, 15, 20)]
-    free3_pairs = [(h, strips.top_eigenvalue(
-        strips.FreeStripOperator(3, h), 1e-12).normalized) for h in (10, 15, 20)]
-    strip_rows = [
-        ("strip_band", strips.extrapolate_limit(band_pairs).limit, "1.554",
-         "band operator, h -> inf"),
-        ("strip_two_rows", strips.extrapolate_limit(tent_pairs).limit, "1.6438",
-         "two-row operator, h -> inf"),
-        ("strip_pinned_two", strips.extrapolate_limit(pinned_pairs).limit, "1.4895",
-         "pinned two-row operator, h -> inf"),
-        ("strip_three_rows", strips.extrapolate_limit(free3_pairs).limit, "1.553",
-         "three-row operator, h -> inf"),
-    ]
-    records += [{"name": n, "value": v, "reference": r, "equation": e,
-                 "metadata": ""} for n, v, r, e in strip_rows]
-    values = {r["name"]: r["value"] for r in records}
-    gb = continuum.grid_bound_report(zeta=values["zeta"], psi=values["psi"])
-    records += [
-        {"name": "square_grid_lower", "value": gb.lower_improved,
-         "reference": "1.3685", "equation": "psi^(3/2)/sqrt(2)", "metadata": ""},
-        {"name": "square_grid_upper", "value": gb.upper_improved,
-         "reference": "1.4895", "equation": "zeta", "metadata": ""},
-    ]
-    return {"records": records}
+    return {"records": _abstract_records()}
 
 
 _DISPATCH = {

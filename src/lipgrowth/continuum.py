@@ -23,6 +23,12 @@ within-column differences, with m = 3 for the offset.  A mesh argument n
 runs on 2*(n // 2) + 1 nodes, so an even n gains one node, and the
 operator's state budget bounds the mesh before allocation.
 
+With no node on an edge, a solver's value v(N) = lambda^(1/m) / (h + 1/2)
+has no first-order error in 1/N.  ``kernel_limit`` fits a quadratic in 1/N
+to v on the three finest meshes of a doubling ladder of four; the fit's move
+from the three coarsest is its error estimate.  That one fit is both the
+kernel constant and the strip limit it equals.
+
   alpha: largest solution of tan(1/x) = x; the tent-kernel eigenvalue is
          2*alpha^2 and the two-row strip grows like alpha*sqrt(2) per vertex.
   beta:  1/r where r is the smallest positive root of cos x + 2 sin x = 2
@@ -41,24 +47,24 @@ import numpy as np
 
 from .iterate import power_iteration
 from .strips import (BandOperator, FreeStripOperator, PinnedStripOperator,
-                     TentOperator, TransferOperator)
+                     TentOperator, TransferOperator, extrapolate_limit)
 
 _KERNELS = {"band-indicator": BandOperator, "tent": TentOperator}
+_LADDERS = {"band-indicator": (251, 501, 1001, 2001),
+            "tent": (251, 501, 1001, 2001),
+            "zeta": (17, 33, 65, 129), "psi": (17, 33, 65, 129)}
 
 
 @dataclass(frozen=True)
 class Eigenpair:
     eigenvalue: float
     eigenfunction: np.ndarray  # values on mesh nodes, sup-norm 1
-    residual: float
-    iterations: int
 
 
 def _kernel_top(op: TransferOperator, tol: float, max_iter: int):
     """Power iteration on ``op``; eigenvalue scaled by the cell measure."""
-    lam, vec, residual, iters = power_iteration(op.apply, op.ones(), tol,
-                                                max_iter)
-    return lam * (2.0 / (2 * op.h + 1)) ** op.m, vec, residual, iters
+    lam, vec, _, _ = power_iteration(op.apply, op.ones(), tol, max_iter)
+    return lam * (2.0 / (2 * op.h + 1)) ** op.m, vec
 
 
 def nystrom_top(kind: str, n: int, tol: float = 1e-12,
@@ -68,9 +74,8 @@ def nystrom_top(kind: str, n: int, tol: float = 1e-12,
         raise ValueError(f"unknown kernel {kind!r}")
     if n < 8:
         raise ValueError("mesh needs at least 8 nodes")
-    lam, vec, residual, iters = _kernel_top(_KERNELS[kind](n // 2), tol,
-                                            max_iter)
-    return Eigenpair(lam, vec / np.max(np.abs(vec)), residual, iters)
+    lam, vec = _kernel_top(_KERNELS[kind](n // 2), tol, max_iter)
+    return Eigenpair(lam, vec / np.max(np.abs(vec)))
 
 
 def _bisect(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -128,6 +133,29 @@ def solve_psi(n: int, tol: float = 1e-12, max_iter: int = 10**5) -> float:
 
 
 @dataclass(frozen=True)
+class KernelLimit:
+    """A kernel constant extrapolated N -> infinity on a mesh ladder."""
+
+    value: float    # quadratic fit in 1/N to the three finest meshes
+    error: float    # |value - the same fit to the three coarsest|
+    slope: float    # the fit's 1/N coefficient, near 0 on midpoint meshes
+    meshes: tuple[int, ...]
+
+
+def kernel_limit(kernel: str) -> KernelLimit:
+    """The constant of "band-indicator" or "tent" (Nystrom eigenvalues beta
+    and 2 alpha^2), "zeta" or "psi", from its solver on its mesh ladder."""
+    if kernel not in _LADDERS:
+        raise ValueError(f"unknown kernel {kernel!r}")
+    solve = {"zeta": solve_zeta, "psi": solve_psi}.get(
+        kernel, lambda n: nystrom_top(kernel, n).eigenvalue)
+    pairs = [(n, solve(n)) for n in _LADDERS[kernel]]
+    fine, coarse = extrapolate_limit(pairs[-3:]), extrapolate_limit(pairs[:3])
+    return KernelLimit(fine.limit, abs(fine.limit - coarse.limit), fine.slope,
+                       _LADDERS[kernel])
+
+
+@dataclass(frozen=True)
 class GridBounds:
     """Bounds on the limiting growth constant of large square grids."""
 
@@ -138,16 +166,16 @@ class GridBounds:
     provenance: tuple[tuple[str, str], ...]
 
 
-def grid_bound_report(zeta_mesh: int = 64, psi_mesh: int = 32,
-                      zeta: float | None = None,
+def grid_bound_report(zeta: float | None = None,
                       psi: float | None = None) -> GridBounds:
-    """Base and improved (lower, upper) bounds with provenance labels."""
+    """Base and improved bounds with provenance; zeta/psi default to their
+    ``kernel_limit``."""
     alpha = solve_alpha()
     beta = solve_beta()
     if zeta is None:
-        zeta = solve_zeta(zeta_mesh)
+        zeta = kernel_limit("zeta").value
     if psi is None:
-        psi = solve_psi(psi_mesh)
+        psi = kernel_limit("psi").value
     return GridBounds(
         lower_base=alpha ** 2,
         upper_base=beta,

@@ -348,12 +348,12 @@ class ExtrapolationFit:
 
 
 def extrapolate_limit(estimates: Sequence[tuple[float, float]]) -> ExtrapolationFit:
-    """Richardson-style h -> infinity limit from (h, normalized value) pairs.
+    """Richardson-style limit from (h, value) pairs: a user's h list
+    (``strip``) or a mesh ladder of (N, v(N)) (``continuum.kernel_limit``).
 
-    Fits a quadratic in 1/h (least squares when more than three points), which
-    models the first-order boundary error of the discrete operators plus one
-    correction term.  The fitted 1/h coefficient is reported so the model
-    assumption stays auditable.
+    Fits a quadratic in 1/h (least squares when more than three points): a
+    first-order error plus one correction term.  The fitted 1/h coefficient
+    is reported so the model stays auditable; on a mesh ladder it is ~0.
     """
     if len(estimates) < 3:
         raise ValueError("need at least 3 points")

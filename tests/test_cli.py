@@ -4,6 +4,7 @@ import math
 import pytest
 
 from lipgrowth.cli import main
+from lipgrowth.continuum import solve_alpha
 from lipgrowth.graphs import from_edgelist_str, make_grid
 
 
@@ -156,6 +157,10 @@ def test_exit_codes(capsys):
     # usage: family without --n
     code, _ = run(capsys, ["count", "--family", "path", "--h", "1"])
     assert code == 2
+    # usage: malformed grid, also for the strip method
+    code, _ = run(capsys, ["count", "--grid", "3x", "--h", "1",
+                           "--method", "strip"])
+    assert code == 2
     # resource limit
     code, _ = run(capsys, ["count", "--grid", "5x5", "--h", "4",
                            "--budget", "100"])
@@ -186,6 +191,31 @@ def test_reproduce_abstract_grid_bounds_match_table(capsys):
     assert values["square_grid_upper"] == values["zeta"]
     assert values["square_grid_lower"] == values["psi"] ** 1.5 / math.sqrt(2)
     assert abs(values["square_grid_upper"] - 1.4895) <= 1e-3
+
+
+def test_constants_rows_shared_with_reproduce_abstract(capsys):
+    argv = ["--format", "json", "--deterministic"]
+    _, out = run(capsys, ["constants", *argv])
+    constants = json.loads(out)["records"]
+    _, out = run(capsys, ["reproduce-abstract", *argv])
+    records = json.loads(out)["records"]
+    assert [r["name"] for r in constants] == [
+        "alpha", "alpha_sq", "alpha_sqrt2", "beta", "nystrom_band",
+        "nystrom_tent", "zeta", "psi"]
+    assert records[:8] == constants
+    values = {r["name"]: r["value"] for r in records}
+    meta = {r["name"]: r["metadata"] for r in records}
+    # each strip row is its kernel's one ladder limit
+    assert values["strip_band"] == values["nystrom_band"]
+    assert values["strip_two_rows"] == math.sqrt(values["nystrom_tent"])
+    assert values["strip_pinned_two"] == values["zeta"]
+    assert values["strip_three_rows"] == values["psi"]
+    assert abs(values["strip_band"] - 1 / math.atan(0.75)) <= 1e-9
+    assert abs(values["strip_two_rows"] - solve_alpha() * math.sqrt(2)) <= 1e-9
+    for name in ("nystrom_band", "nystrom_tent", "strip_band", "strip_two_rows"):
+        assert meta[name].startswith("N=251/501/1001/2001, err=")
+    for name in ("zeta", "psi", "strip_pinned_two", "strip_three_rows"):
+        assert meta[name].startswith("N=17/33/65/129, err=")
 
 
 def test_strip_fixed_rows_reject_m(capsys):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lipgrowth.continuum import (grid_bound_report, nystrom_top, solve_alpha,
-                                 solve_beta, solve_psi, solve_zeta)
+from lipgrowth.continuum import (grid_bound_report, kernel_limit, nystrom_top,
+                                 solve_alpha, solve_beta, solve_psi,
+                                 solve_zeta)
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.iterate import power_iteration
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
@@ -209,6 +210,29 @@ def test_psi_cross_check_free_strip():
     assert abs(solve_psi(32) - limit) <= 0.02
 
 
+def test_kernel_limit():
+    # band and tent land on their closed forms, inside the error estimate
+    alpha = solve_alpha()
+    for kernel, exact in (("band-indicator", 1 / math.atan(0.75)),
+                          ("tent", 2 * alpha * alpha)):
+        fit = kernel_limit(kernel)
+        assert fit.meshes == (251, 501, 1001, 2001)
+        assert abs(fit.value - exact) <= 1e-10
+        assert abs(fit.value - exact) <= fit.error
+        # a first-order error (lambda^(1/m)/h has one) would show as a 1/N
+        # coefficient of order one; the midpoint meshes have none
+        assert abs(fit.slope) <= 1e-5
+    # zeta and psi have no closed form; v(N) falls toward the limit
+    for kernel, solve in (("zeta", solve_zeta), ("psi", solve_psi)):
+        fit = kernel_limit(kernel)
+        assert fit.meshes == (17, 33, 65, 129)
+        assert fit.error <= 1e-6
+        assert fit.value < solve(fit.meshes[-1])
+        assert abs(fit.slope) <= 1e-5
+    with pytest.raises(ValueError):
+        kernel_limit("gauss")
+
+
 def test_solver_preconditions():
     with pytest.raises(ValueError):
         solve_zeta(8)
@@ -227,6 +251,8 @@ def test_constants_in_growth_window():
 
 def test_grid_bound_report():
     gb = grid_bound_report()
+    assert gb.upper_improved == kernel_limit("zeta").value
+    assert gb.lower_improved == kernel_limit("psi").value ** 1.5 / math.sqrt(2)
     assert gb.lower_base == pytest.approx(1.351, abs=1e-3)
     assert gb.upper_base == pytest.approx(1.554, abs=1e-3)
     assert abs(gb.lower_improved - 1.3685) <= 0.02

@@ -18,7 +18,7 @@ from .graphs import (Graph, components, from_edgelist_str, graph_hash,
 from .counting import (EhrhartPoly, PinSpec, c_empirical, c_from_ehrhart,
                        count_bruteforce, count_closed_form, count_pinned,
                        count_with_stats, counts_for_fit, ehrhart_fit,
-                       ehrhart_nodes)
+                       ehrhart_nodes, reciprocal_fit)
 from .strips import (BandOperator, FreeStripOperator, PinnedStripOperator,
                      SpectralEstimate, TentOperator, TransferOperator,
                      dense_matrix, extrapolate_limit, make_operator,

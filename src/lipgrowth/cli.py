@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage error, 3 resource limit, 4 non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -88,7 +89,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cells of the largest elimination table (brute) or "
                          "prefix lattice (strip)")
 
-    sp = sub.add_parser("ehrhart", parents=[common], help="fit the counting polynomial")
+    sp = sub.add_parser(
+        "ehrhart", parents=[common], help="fit the counting polynomial",
+        epilog="Record fields: graph_hash, nodes (h = 0..d, d = n - k), "
+               "counts (exact count at each node, decimal strings), counted "
+               "(the h actually counted, 0..d//2+1; reciprocity "
+               "L(-1-h) = (-1)^d L(h) gives the rest and the fit checks "
+               "itself against the spare values), coefficients and leading "
+               "(exact rationals, constant term first), degree, c_estimate "
+               "(leading^(1/degree)).")
     add_graph_args(sp)
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="cells of the largest elimination table")
@@ -195,12 +204,13 @@ def _cmd_count(args):
 
 def _cmd_ehrhart(args):
     g = _build_graph(args)
-    counts = counting.counts_for_fit(g, args.budget)
-    fit = counting.ehrhart_fit(g, counts)
+    fit, counted = counting.reciprocal_fit(g, args.budget)
+    nodes = counting.ehrhart_nodes(g)
     return {"records": [{
         "graph_hash": graphs.graph_hash(g),
-        "nodes": [h for h, _ in counts],
-        "counts": [str(c) for _, c in counts],
+        "nodes": nodes,
+        "counts": [str(fit.evaluate(h)) for h in nodes],
+        "counted": [h for h, _ in counted],
         "coefficients": [str(c) for c in fit.coeffs],
         "leading": str(fit.leading),
         "degree": fit.degree,
@@ -300,11 +310,10 @@ def _cmd_random_lab(args):
         records = []
         for t in range(args.trials):
             g = graphs.sample_er(args.n, args.d, args.seed + t)
-            info = graphs.components(g)
             records.append({"mode": "giant", "n": args.n, "d": args.d,
                             "seed": args.seed + t,
-                            "components": info.count,
-                            "giant_fraction": info.giant_size / args.n,
+                            "components": g.component_count,
+                            "giant_fraction": g.giant_size / args.n,
                             "predicted": predicted})
         return {"records": records}
     # pairs
@@ -394,10 +403,15 @@ def _emit(payload: dict, args) -> str:
     return _as_table(records)
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process: ``parse_args`` keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

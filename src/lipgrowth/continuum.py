@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -61,20 +63,22 @@ class Eigenpair:
     eigenfunction: np.ndarray  # values on mesh nodes, sup-norm 1
 
 
-def _kernel_top(op: TransferOperator, tol: float, max_iter: int):
-    """Power iteration on ``op``; eigenvalue scaled by the cell measure."""
-    lam, vec, _, _ = power_iteration(op.apply, op.ones(), tol, max_iter)
+def _kernel_top(make_op: Callable[[int], TransferOperator], n: int,
+                min_nodes: int):
+    """Power iteration (relative tolerance 1e-12) on ``make_op(n // 2)``,
+    the mesh of n nodes per axis; eigenvalue scaled by the cell measure."""
+    if n < min_nodes:
+        raise ValueError(f"mesh needs at least {min_nodes} nodes per axis")
+    op = make_op(n // 2)
+    lam, vec, _, _ = power_iteration(op.apply, op.ones(), 1e-12, 10**5)
     return lam * (2.0 / (2 * op.h + 1)) ** op.m, vec
 
 
-def nystrom_top(kind: str, n: int, tol: float = 1e-12,
-                max_iter: int = 10**5) -> Eigenpair:
+def nystrom_top(kind: str, n: int) -> Eigenpair:
     """Top eigenpair of the discretized 1D kernel operator on 2*(n//2)+1 nodes."""
     if kind not in _KERNELS:
         raise ValueError(f"unknown kernel {kind!r}")
-    if n < 8:
-        raise ValueError("mesh needs at least 8 nodes")
-    lam, vec = _kernel_top(_KERNELS[kind](n // 2), tol, max_iter)
+    lam, vec = _kernel_top(_KERNELS[kind], n, 8)
     return Eigenpair(lam, vec / np.max(np.abs(vec)))
 
 
@@ -116,20 +120,14 @@ def solve_beta() -> float:
     return 1.0 / root
 
 
-def solve_zeta(n: int, tol: float = 1e-12, max_iter: int = 10**5) -> float:
+def solve_zeta(n: int) -> float:
     """sqrt of the top eigenvalue of the pinned two-row limit operator."""
-    if n < 16:
-        raise ValueError("mesh needs at least 16 nodes per axis")
-    return math.sqrt(_kernel_top(PinnedStripOperator(2, n // 2), tol,
-                                 max_iter)[0])
+    return math.sqrt(_kernel_top(partial(PinnedStripOperator, 2), n, 16)[0])
 
 
-def solve_psi(n: int, tol: float = 1e-12, max_iter: int = 10**5) -> float:
+def solve_psi(n: int) -> float:
     """Cube root of the top eigenvalue of the offset-integrated operator."""
-    if n < 16:
-        raise ValueError("mesh needs at least 16 nodes per axis")
-    lam = _kernel_top(FreeStripOperator(3, n // 2), tol, max_iter)[0]
-    return lam ** (1.0 / 3.0)
+    return _kernel_top(partial(FreeStripOperator, 3), n, 16)[0] ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)

@@ -331,6 +331,35 @@ def counts_for_fit(graph: Graph, budget: int = DEFAULT_BUDGET,
     return [(h, count_bruteforce(graph, h, budget)) for h in hs]
 
 
+def reciprocal_fit(graph: Graph, budget: int = DEFAULT_BUDGET
+                   ) -> tuple[EhrhartPoly, list[tuple[int, int]]]:
+    """The counting polynomial from exact counts at h = 0..d//2 + 1 only.
+
+    With d = n - k, the Lipschitz polytope of each component is the polar of
+    its reflexive symmetric edge polytope (Matsui, Higashitani, Nagazawa,
+    Ohsugi & Hibi, J. Algebraic Combin. 34, 2011), hence reflexive itself,
+    and Ehrhart-Macdonald reciprocity reads L(-1-h) = (-1)^d L(h); the
+    product over components keeps it.  ``ehrhart_fit`` interpolates the
+    counts at h = 0..d//2 and the reflections of the first ceil(d/2) of
+    them.  Every known value left over, the count at d//2 + 1 and for even d
+    one more reflection, is checked against the fit, so the fit checks
+    itself: a mismatch raises ValueError.  ``counts_for_fit`` checks the
+    budget at the largest counted h before any count.  Returns the fit and
+    the counted (h, count) pairs.
+    """
+    d = graph.n - graph.component_count
+    half = d // 2
+    counted = counts_for_fit(graph, budget, range(half + 2))
+    sign = -1 if d % 2 else 1
+    mirrored = [(-1 - h, sign * c) for h, c in counted[:half + 1]]
+    fit = ehrhart_fit(graph, counted[:half + 1] + mirrored[:d - half])
+    for h, c in counted[half + 1:] + mirrored[d - half:]:
+        if fit.evaluate(h) != c:
+            raise ValueError(f"count {c} at h = {h} is off the fitted "
+                             f"polynomial, which gives {fit.evaluate(h)}")
+    return fit, counted
+
+
 def c_empirical(graph: Graph, h_list: Sequence[int],
                 budget: int = DEFAULT_BUDGET):
     """Growth-constant estimate from exact counts.
@@ -352,5 +381,5 @@ def c_empirical(graph: Graph, h_list: Sequence[int],
 
 
 def c_from_ehrhart(graph: Graph, budget: int = DEFAULT_BUDGET) -> float:
-    """Convenience: fitted growth constant at the smallest exact nodes."""
-    return c_empirical(graph, ehrhart_nodes(graph), budget)
+    """Convenience: growth constant of ``reciprocal_fit``."""
+    return reciprocal_fit(graph, budget)[0].c_estimate

@@ -138,6 +138,11 @@ class Graph:
     def component_count(self) -> int:
         return len(self._labelling[1])
 
+    @property
+    def giant_size(self) -> int:
+        """Vertices in the largest component."""
+        return int(np.bincount(self._labelling[0]).max())
+
     def components(self) -> ComponentInfo:
         labels = self._labelling[0]
         order = np.argsort(labels, kind="stable").tolist()

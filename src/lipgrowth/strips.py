@@ -28,6 +28,7 @@ is allocated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -312,10 +313,16 @@ def strip_count_exact(m: int, n: int, h: int,
     """Exact count of h-Lipschitz functions on the m-row, n-column grid.
 
     The m x n and n x m grids have the same count, so the DP runs over the
-    shorter side: 1^T W^(cols-1) 1 over free-strip(rows) states, rows =
-    min(m, n).  The first column, rooted at its top vertex, realises every
-    difference vector exactly once, and each transfer weight counts the
-    offsets of the next column.
+    shorter side: 1^T W^s 1 over free-strip(rows) states, rows = min(m, n)
+    and s = max(m, n) - 1.  The first column, rooted at its top vertex,
+    realises every difference vector exactly once, and each transfer weight
+    counts the offsets of the next column.
+
+    W is symmetric (a weight depends only on the spread of P(V) - P(U),
+    which negation keeps), so the DP meets in the middle: with
+    x = W^(s//2) 1 and y = W^(s - s//2) 1, the count is x . y.  That takes
+    s - s//2 applies instead of s, and the ones skipped are those on the
+    largest integers.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -324,10 +331,12 @@ def strip_count_exact(m: int, n: int, h: int,
     if h < 0:
         raise ValueError("h must be nonnegative")
     op = FreeStripOperator(min(m, n), h, state_budget)
-    xs = [1] * op.dim
-    for _ in range(max(m, n) - 1):
-        xs = op.apply_exact(xs)
-    return sum(xs)
+    steps = max(m, n) - 1
+    x = [1] * op.dim
+    for _ in range(steps // 2):
+        x = op.apply_exact(x)
+    y = op.apply_exact(x) if steps % 2 else x
+    return sum(map(operator.mul, x, y))
 
 
 def rayleigh_lower_bound(m: int, h: int,

@@ -1,8 +1,8 @@
 """Shared test utilities: random trees, tiny-graph isomorphism, and the
 reference implementations the library is tested against: breadth-first
-component labels, the pruned depth-first count, a one-skip-at-a-time
-Erdos-Renyi walk, the exhaustive independent-pair scan and the every-edge
-random-construction sampler."""
+component labels, the pruned depth-first count, the stepwise strip DP, a
+one-skip-at-a-time Erdos-Renyi walk, the exhaustive independent-pair scan
+and the every-edge random-construction sampler."""
 from collections import deque
 from itertools import combinations, permutations
 
@@ -12,6 +12,7 @@ from lipgrowth.counting import PinSpec
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.graphs import Graph
 from lipgrowth.randomlab import LllConfig, MonteCarloResult, wilson_interval
+from lipgrowth.strips import FreeStripOperator
 
 
 def random_tree(n: int, rng: np.random.Generator) -> Graph:
@@ -199,6 +200,17 @@ def dfs_count(graph: Graph, h: int, pin: PinSpec | None = None) -> int:
         root = next(r for r in graph.roots if r in part)
         total *= _search_component(graph, _bfs_order(graph, root), pin_value, h)[0]
     return total
+
+
+def strip_count_stepwise(m: int, n: int, h: int) -> int:
+    """Reference strip count 1^T W^(max(m, n) - 1) 1, one apply per column
+    over free-strip(min(m, n)) states, as the DP ran before it met in the
+    middle."""
+    op = FreeStripOperator(min(m, n), h)
+    xs = [1] * op.dim
+    for _ in range(max(m, n) - 1):
+        xs = op.apply_exact(xs)
+    return sum(xs)
 
 
 def er_reference_edges(n: int, d: float, seed: int) -> set[tuple[int, int]]:

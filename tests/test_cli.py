@@ -5,7 +5,8 @@ import pytest
 
 from lipgrowth.cli import main
 from lipgrowth.continuum import solve_alpha
-from lipgrowth.graphs import from_edgelist_str, make_grid
+from lipgrowth.graphs import (components, from_edgelist_str, make_grid,
+                              sample_er)
 
 
 def run(capsys, argv):
@@ -74,6 +75,24 @@ def test_ehrhart_subcommand(capsys):
     assert rec["c_estimate"] == pytest.approx(2.0)
 
 
+def test_ehrhart_counts_match_strip_counts(capsys):
+    # the nodes above the counted range are evaluated from the polynomial
+    for m, n in ((2, 3), (3, 3)):
+        code, out = run(capsys, ["ehrhart", "--grid", f"{m}x{n}",
+                                 "--deterministic"])
+        assert code == 0
+        rec = json.loads(out)["records"][0]
+        d = m * n - 1
+        assert rec["nodes"] == list(range(d + 1))
+        assert rec["counted"] == list(range(d // 2 + 2))
+        for h, count in zip(rec["nodes"], rec["counts"]):
+            code, out = run(capsys, ["count", "--grid", f"{m}x{n}", "--h",
+                                     str(h), "--method", "strip",
+                                     "--deterministic"])
+            assert code == 0
+            assert json.loads(out)["records"][0]["count"] == count, (m, n, h)
+
+
 def test_strip_subcommand_csv(capsys):
     code, out = run(capsys, ["strip", "--kind", "band",
                              "--h", "50", "100", "200",
@@ -122,7 +141,12 @@ def test_random_lab_modes(capsys):
     code, out = run(capsys, ["random-lab", "--mode", "giant", "--n", "500",
                              "--d", "2", "--trials", "2", "--deterministic"])
     assert code == 0
-    assert len(json.loads(out)["records"]) == 2
+    records = json.loads(out)["records"]
+    assert len(records) == 2
+    for rec in records:
+        info = components(sample_er(500, 2, rec["seed"]))
+        assert rec["components"] == info.count
+        assert rec["giant_fraction"] == info.giant_size / 500
 
     code, out = run(capsys, ["random-lab", "--mode", "pairs", "--n", "18",
                              "--d", "6", "--trials", "3", "--deterministic"])
@@ -141,6 +165,21 @@ def test_deterministic_byte_identical(capsys):
     _, t1 = run(capsys, args + ["--threads", "1"])
     _, t4 = run(capsys, args + ["--threads", "4"])
     assert t1 == t4
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    # main reuses one parser; no option of one call may reach the next
+    argv = ["count", "--grid", "2x2", "--h", "1"]
+    _, first = run(capsys, argv + ["--deterministic", "--format", "csv"])
+    assert first.splitlines()[0] == "graph_hash,h,count,node_expansions,method"
+    _, second = run(capsys, argv)
+    payload = json.loads(second)
+    assert "timestamp" in payload and "elapsed" in payload["records"][0]
+    _, third = run(capsys, argv + ["--format", "table"])
+    assert third.split()[:2] == ["graph_hash", "h"]
+    assert "elapsed" in third.splitlines()[0]
+    _, fourth = run(capsys, ["ehrhart", "--grid", "2x2", "--deterministic"])
+    assert "timestamp" not in json.loads(fourth)
 
 
 def test_seed_controls_er(capsys):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from helpers import connected_fixture_graphs, dfs_count
 from lipgrowth.counting import (EhrhartPoly, PinSpec, count_bruteforce,
                                 count_closed_form, count_pinned,
-                                count_with_stats, counts_for_fit, ehrhart_fit)
+                                count_with_stats, counts_for_fit, ehrhart_fit,
+                                reciprocal_fit)
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.graphs import Graph, make_family, make_grid
 from lipgrowth.strips import strip_count_exact
@@ -291,6 +292,72 @@ def test_ehrhart_disconnected_degree():
     fit = ehrhart_fit(g, counts_for_fit(g))
     assert fit.degree == 2
     assert fit.coeffs == (Fraction(1), Fraction(4), Fraction(4))
+
+
+def _assert_reciprocal_fit_matches_full_fit(g):
+    fit, counted = reciprocal_fit(g)
+    d = g.n - g.component_count
+    assert fit == ehrhart_fit(g, counts_for_fit(g))
+    assert [h for h, _ in counted] == list(range(d // 2 + 2))
+    assert all(fit.evaluate(h) == c for h, c in counted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sampled_from([(i, j) for i in range(n)
+                              for j in range(i + 1, n)] or [None]),
+             unique=True, max_size=12))))
+def test_reciprocal_fit_matches_full_fit(case):
+    # often disconnected, with isolated vertices; d = 0 when edgeless
+    n, edges = case
+    _assert_reciprocal_fit_matches_full_fit(
+        Graph.from_edges(n, [e for e in edges if e is not None]))
+
+
+def test_reciprocal_fit_examples():
+    for g in (make_grid(2, 3), make_grid(3, 3), make_family("cycle", 7),
+              make_family("complete", 5),
+              Graph.from_edges(1, []), Graph.from_edges(3, []),   # d = 0
+              Graph.from_edges(3, [(0, 2)])):                     # d = 1
+        _assert_reciprocal_fit_matches_full_fit(g)
+
+
+def test_reciprocal_fit_checks_itself(monkeypatch):
+    # one count off by one at the top counted node is caught, for odd d
+    # (2x3, d = 5), even d (C7, d = 6) and d = 0
+    from lipgrowth import counting
+    exact = counting.count_bruteforce
+    for g in (make_grid(2, 3), make_family("cycle", 7), Graph.from_edges(2, [])):
+        top = (g.n - g.component_count) // 2 + 1
+        monkeypatch.setattr(counting, "count_bruteforce",
+                            lambda graph, h, budget=None:
+                            exact(graph, h) + (h == top))
+        with pytest.raises(ValueError):
+            reciprocal_fit(g)
+        monkeypatch.setattr(counting, "count_bruteforce", exact)
+        reciprocal_fit(g)
+
+
+def test_reciprocal_fit_checks_budget_before_counting(monkeypatch):
+    # 4x5 counts h = 0..10, and h = 10 exceeds the default budget; 3x3
+    # counts h = 0..5, whose largest tables have 825 cells at h = 4 and
+    # 1271 at h = 5, so a budget of 1000 stops it at the extra node
+    calls = []
+    einsum = np.einsum
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    with pytest.raises(ResourceLimitError):
+        reciprocal_fit(make_grid(4, 5))
+    with pytest.raises(ResourceLimitError):
+        reciprocal_fit(make_grid(3, 3), budget=1000)
+    assert calls == []
+    assert reciprocal_fit(make_grid(3, 3), budget=1271)[0].degree == 8
+    assert calls
 
 
 def _dominance_ratio(graph, pinned, h, w_ranges):

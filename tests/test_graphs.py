@@ -191,7 +191,7 @@ def assert_components_match_oracle(g, labels):
     info = g.components()
     assert info.parts == tuple(tuple(p) for p in parts)
     assert info.count == k
-    assert info.giant_size == max(len(p) for p in parts)
+    assert info.giant_size == g.giant_size == max(len(p) for p in parts)
     assert g.degrees() == tuple(len(a) for a in g.adjacency)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import strip_count_stepwise
 from lipgrowth.counting import count_bruteforce
 from lipgrowth.errors import ConvergenceError, ResourceLimitError
 from lipgrowth.graphs import make_grid
@@ -113,6 +114,26 @@ def test_strip_count_big_integers():
     assert val == 7 ** 49
     val = strip_count_exact(2, 40, 2)
     assert val == count_via_dense_int(2, 40, 2)
+
+
+def test_free_strip_matrix_symmetric():
+    # the premise of the meet-in-the-middle strip DP: W = W^T
+    for m in range(1, 5):
+        for h in range(4):
+            W = dense_matrix(FreeStripOperator(m, h))
+            assert np.array_equal(W, W.T), (m, h)
+
+
+def test_strip_count_meets_stepwise_oracle():
+    # both orientations, odd and even step counts max(m, n) - 1
+    for m in range(1, 5):
+        for n in range(1, 13):
+            for h in range(4):
+                expect = strip_count_stepwise(m, n, h)
+                assert strip_count_exact(m, n, h) == expect, (m, n, h)
+                assert strip_count_exact(n, m, h) == expect, (n, m, h)
+    for m, n, h in ((3, 40, 10), (4, 10, 3)):
+        assert strip_count_exact(m, n, h) == strip_count_stepwise(m, n, h)
 
 
 def count_via_dense_int(m, n, h):

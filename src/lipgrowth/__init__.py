@@ -12,17 +12,17 @@ the random-graph bounds.
 """
 
 from .errors import ConvergenceError, ResourceLimitError
-from .graphs import (Graph, components, from_edgelist_str, graph_hash,
-                     make_family, make_grid, read_edgelist, sample_er,
-                     to_edgelist_str, write_edgelist)
+from .graphs import (Graph, from_edgelist_str, graph_hash, make_family,
+                     make_grid, read_edgelist, sample_er, to_edgelist_str,
+                     write_edgelist)
 from .counting import (EhrhartPoly, PinSpec, c_empirical, c_from_ehrhart,
                        count_bruteforce, count_closed_form, count_pinned,
                        count_with_stats, counts_for_fit, ehrhart_fit,
                        ehrhart_nodes, reciprocal_fit)
 from .strips import (BandOperator, FreeStripOperator, PinnedStripOperator,
                      SpectralEstimate, TentOperator, TransferOperator,
-                     dense_matrix, extrapolate_limit, make_operator,
-                     rayleigh_lower_bound, strip_count_exact, top_eigenvalue)
+                     extrapolate_limit, make_operator, rayleigh_lower_bound,
+                     strip_count_exact, top_eigenvalue)
 from .continuum import (Eigenpair, GridBounds, KernelLimit, grid_bound_report,
                         kernel_limit, nystrom_top, solve_alpha, solve_beta,
                         solve_psi, solve_zeta)

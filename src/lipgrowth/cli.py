@@ -55,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--deterministic", action="store_true",
                         help="suppress timestamp/elapsed fields for "
                              "byte-identical runs")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker hint; results are independent of it")
     common.add_argument("--out", type=str, default=None,
                         help="also write the JSON payload to this file")
     sub = p.add_subparsers(dest="command", required=True)
@@ -97,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                "L(-1-h) = (-1)^d L(h) gives the rest and the fit checks "
                "itself against the spare values), coefficients and leading "
                "(exact rationals, constant term first), degree, c_estimate "
-               "(leading^(1/degree)).")
+               "(leading^(1/degree); null at degree 0).")
     add_graph_args(sp)
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="cells of the largest elimination table")
@@ -115,9 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--max-iter", type=int, default=10**5)
 
-    sp = sub.add_parser("constants", parents=[common], help="solve for the growth constants")
-    sp.add_argument("--all", action="store_true",
-                    help="no effect: every row is always printed")
+    sub.add_parser("constants", parents=[common], help="solve for the growth constants")
 
     sp = sub.add_parser(
         "bounds", parents=[common], help="random-graph bound expressions",
@@ -214,7 +210,7 @@ def _cmd_ehrhart(args):
         "coefficients": [str(c) for c in fit.coeffs],
         "leading": str(fit.leading),
         "degree": fit.degree,
-        "c_estimate": fit.c_estimate,
+        "c_estimate": fit.c_estimate if fit.degree else None,
     }]}
 
 
@@ -247,7 +243,7 @@ def _abstract_records():
     band, tent, zeta, psi = (continuum.kernel_limit(k) for k in
                              ("band-indicator", "tent", "zeta", "psi"))
     two_rows = math.sqrt(tent.value)
-    gb = continuum.grid_bound_report(zeta=zeta.value, psi=psi.value)
+    gb = continuum.grid_bound_report(zeta.value, psi.value)
     rows = [
         ("alpha", alpha, ""),
         ("alpha_sq", alpha ** 2, ""),

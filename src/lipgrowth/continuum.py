@@ -164,16 +164,11 @@ class GridBounds:
     provenance: tuple[tuple[str, str], ...]
 
 
-def grid_bound_report(zeta: float | None = None,
-                      psi: float | None = None) -> GridBounds:
-    """Base and improved bounds with provenance; zeta/psi default to their
-    ``kernel_limit``."""
+def grid_bound_report(zeta: float, psi: float) -> GridBounds:
+    """Base and improved bounds with provenance, from the constants zeta
+    and psi (their ``kernel_limit`` values)."""
     alpha = solve_alpha()
     beta = solve_beta()
-    if zeta is None:
-        zeta = kernel_limit("zeta").value
-    if psi is None:
-        psi = kernel_limit("psi").value
     return GridBounds(
         lower_base=alpha ** 2,
         upper_base=beta,

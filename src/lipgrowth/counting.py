@@ -182,7 +182,7 @@ def count_with_stats(graph: Graph, h: int, budget: int = DEFAULT_BUDGET,
     # forms on the way to them, stay below it.  A step runs in int64 while
     # its bound fits, otherwise on object arrays of Python ints.
     factors = []
-    for u, v in sorted(graph.edges):
+    for u, v in graph.edge_array.tolist():
         if u in size and v in size:
             # value difference between cells (i, j): i - j + (lo_u - lo_v)
             diff = np.subtract.outer(np.arange(size[u]), np.arange(size[v]))

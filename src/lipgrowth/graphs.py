@@ -2,17 +2,17 @@
 
 Vertices are 0..n-1.  Graphs are immutable after construction; generators and
 the Erdos-Renyi sampler are pure functions of their arguments, so equal seeds
-give equal graphs.  Alongside the ``edges`` set a graph keeps one int64
-(E, 2) edge array, on which validation, component labels, component parts
-and degrees are computed with whole-array numpy operations; only the sorted
-``adjacency`` lists, built on first use, are Python-level.
+give equal graphs.  A graph stores its edges as one read-only int64 (E, 2)
+array with u < v in each row and rows in strictly increasing lexicographic
+order; validation, component labels, component parts and degrees are
+whole-array numpy operations on it.  Only the ``edges`` set and the sorted
+``adjacency`` lists, each built on first use, are Python-level.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -59,26 +59,41 @@ def _component_labels(n: int,
     return (np.cumsum(is_root) - 1)[parent], np.flatnonzero(is_root)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph plus a chosen root in every component.
 
-    ``roots=None`` picks the lowest-index vertex of each component, which
-    makes graphs a pure function of (n, edges).
+    ``edge_array`` is an int64 (E, 2) array with u < v in every row and the
+    rows in strictly increasing lexicographic order, so a graph has one
+    stored form; the constructor keeps a read-only copy.  ``roots=None``
+    picks the lowest-index vertex of each component, which makes graphs a
+    pure function of (n, edges).  Graphs compare and hash by identity.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    edge_array: np.ndarray
     roots: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
-        u, v = self.edge_array[:, 0], self.edge_array[:, 1]
+        e = np.array(self.edge_array, dtype=np.int64)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError(f"edge array must have shape (E, 2), not {e.shape}")
+        e.flags.writeable = False
+        object.__setattr__(self, "edge_array", e)
+        u, v = e[:, 0], e[:, 1]
         bad = ~((0 <= u) & (u < v) & (v < self.n))
         if bad.any():
-            u, v = self.edge_array[bad.argmax()].tolist()
+            u, v = e[bad.argmax()].tolist()
             raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
+        du, dv = np.diff(u), np.diff(v)
+        unordered = (du < 0) | ((du == 0) & (dv <= 0))
+        if unordered.any():
+            i = int(unordered.argmax())
+            (a, b), (c, d) = e[i:i + 2].tolist()
+            raise ValueError(f"edge ({c}, {d}) does not follow ({a}, {b}): "
+                             "rows must be sorted without repeats")
         if self.roots is None:
             object.__setattr__(self, "roots",
                                tuple(self._labelling[1].tolist()))
@@ -97,8 +112,9 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
                    roots: Iterable[int] | None = None) -> "Graph":
-        """Build a graph, normalising edge order; ``roots=None`` defaults
-        each component's root to its lowest-index vertex."""
+        """Build a graph from edges in any order and orientation, repeats
+        allowed; ``roots=None`` defaults each component's root to its
+        lowest-index vertex."""
         norm = set()
         for u, v in edges:
             if u == v:
@@ -106,20 +122,18 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"bad edge ({u}, {v}) for n={n}")
             norm.add((u, v) if u < v else (v, u))
-        return cls(n, frozenset(norm), None if roots is None else tuple(roots))
+        arr = np.array(sorted(norm), dtype=np.int64).reshape(-1, 2)
+        return cls(n, arr, None if roots is None else tuple(roots))
 
     @cached_property
-    def edge_array(self) -> np.ndarray:
-        """Read-only int64 (E, 2) array of the edges, in ``edges`` order."""
-        arr = np.fromiter(chain.from_iterable(self.edges), np.int64,
-                          2 * len(self.edges)).reshape(-1, 2)
-        arr.flags.writeable = False
-        return arr
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edge set as (u, v) tuples, u < v."""
+        return frozenset(map(tuple, self.edge_array.tolist()))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
+        for u, v in self.edge_array.tolist():
             adj[u].append(v)
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
@@ -157,24 +171,16 @@ class Graph:
 
     def add_edge(self, u: int, v: int) -> "Graph":
         """New graph with one extra edge; roots revert to the canonical rule."""
-        if u == v:
-            raise ValueError(f"self-loop at {u}")
-        e = (u, v) if u < v else (v, u)
-        return Graph.from_edges(self.n, self.edges | {e})
+        return Graph.from_edges(self.n, [*self.edge_array.tolist(), (u, v)])
 
     def with_roots(self, roots: Iterable[int]) -> "Graph":
-        return Graph(self.n, self.edges, tuple(roots))
+        return Graph(self.n, self.edge_array, tuple(roots))
 
     def root_of_component(self, c: int) -> int:
         for r in self.roots:
             if self.component_of[r] == c:
                 return r
         raise ValueError(f"no root for component {c}")
-
-
-def components(graph: Graph) -> ComponentInfo:
-    """Vertex partition into connected components with count and giant size."""
-    return graph.components()
 
 
 def make_grid(m: int, n: int) -> Graph:
@@ -234,10 +240,10 @@ def sample_er(n: int, d: float, seed: int) -> Graph:
     Pairs are ordered lexicographically and the gap from one present pair to
     the next is a Geometric(d/n) skip (Batagelj & Brandes, "Efficient
     generation of large random networks", Phys. Rev. E 71, 036113, 2005), so
-    the work is linear in the edges drawn, not in n(n-1)/2.  Distinct pair
-    indices are distinct pairs (i, j) with i < j, so they go to ``Graph``
-    as they are, without ``Graph.from_edges``'s per-edge normalisation.  The
-    result is a pure function of (n, d, seed).
+    the work is linear in the edges drawn, not in n(n-1)/2.  Increasing pair
+    indices are lexicographically increasing pairs (i, j) with i < j, so
+    they go to ``Graph`` as its edge array, without ``Graph.from_edges``'s
+    per-edge normalisation.  The result is a pure function of (n, d, seed).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -262,17 +268,16 @@ def sample_er(n: int, d: float, seed: int) -> Graph:
         if stop < index.size:
             break
         last = int(index[-1])
-    edges: frozenset[tuple[int, int]] = frozenset()
-    if found:
-        i, j = _pairs_from_linear(np.concatenate(found), n)
-        edges = frozenset(zip(i.tolist(), j.tolist()))
-    return Graph(n, edges)
+    if not found:
+        return Graph(n, np.empty((0, 2), dtype=np.int64))
+    i, j = _pairs_from_linear(np.concatenate(found), n)
+    return Graph(n, np.stack((i, j), axis=1))
 
 
 def to_edgelist_str(graph: Graph) -> str:
     """Plain-text format: first line "n k", then one sorted "u v" line per edge."""
     lines = [f"{graph.n} {graph.component_count}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(graph.edges))
+    lines.extend(f"{u} {v}" for u, v in graph.edge_array.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -317,7 +317,7 @@ def independent_pair_search(graph: Graph, size: int,
         return _cover_split(graph, size)
 
     nbr_mask = [0] * n
-    for u, v in graph.edges:
+    for u, v in graph.edge_array.tolist():
         nbr_mask[u] |= 1 << v
         nbr_mask[v] |= 1 << u
     full = (1 << n) - 1

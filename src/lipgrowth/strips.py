@@ -39,26 +39,6 @@ from .errors import DEFAULT_BUDGET, ResourceLimitError
 from .iterate import _window_sum, power_iteration
 
 
-def state_index(diffs: Sequence[int], h: int) -> int:
-    """Mixed-radix index of a difference vector, each entry in [-h, h]."""
-    idx = 0
-    base = 2 * h + 1
-    for d in diffs:
-        if abs(d) > h:
-            raise ValueError(f"difference {d} outside [-{h}, {h}]")
-        idx = idx * base + (d + h)
-    return idx
-
-
-def index_state(idx: int, m: int, h: int) -> tuple[int, ...]:
-    base = 2 * h + 1
-    out = []
-    for _ in range(m - 1):
-        out.append(idx % base - h)
-        idx //= base
-    return tuple(reversed(out))
-
-
 def _prefix_table(m: int, h: int) -> np.ndarray:
     """All states' prefix sums: row = (0, d1, d1+d2, ...), shape (dim, m)."""
     base = 2 * h + 1
@@ -131,9 +111,9 @@ class FreeStripOperator(TransferOperator):
         if self.cells > state_budget:
             raise ResourceLimitError(
                 f"prefix lattice of {self.cells} cells exceeds budget {state_budget}")
-        self._pref = _prefix_table(m, h)
         offsets = (np.arange(m - 1) + 2) * h
-        self._sites = (self._pref[:, 1:] + offsets) @ np.asarray(strides, dtype=np.int64)
+        self._sites = ((_prefix_table(m, h)[:, 1:] + offsets)
+                       @ np.asarray(strides, dtype=np.int64))
         # Every intermediate of _apply is a sum of entries of x copied by
         # the m-1 box windows, each of which repeats an entry at most 2h+1
         # times (m = 1 multiplies by 2h+1 once), so its magnitude is at most
@@ -142,12 +122,6 @@ class FreeStripOperator(TransferOperator):
 
     def ones(self) -> np.ndarray:
         return np.ones(self.dim)
-
-    def weight(self, u_diffs: Sequence[int], v_diffs: Sequence[int]) -> int:
-        pu = self._pref[state_index(u_diffs, self.h)]
-        pv = self._pref[state_index(v_diffs, self.h)]
-        delta = pv - pu
-        return max(0, 2 * self.h + 1 - int(delta.max() - delta.min()))
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """y = W x in the dtype of x: float, int64 or object (Python ints)."""
@@ -232,18 +206,6 @@ class PinnedStripOperator(TransferOperator):
             src, dst = dst, src
         return np.multiply(src, self.mask, out=src)
 
-    def states(self) -> list[tuple[int, ...]]:
-        """Valid states in C order of the embedded box."""
-        coords = np.argwhere(self.mask)
-        offs = np.array([(i + 1) * self.h for i in range(self.m)])
-        return [tuple(int(c) for c in row - offs) for row in coords]
-
-    def basis(self, state: tuple[int, ...]) -> np.ndarray:
-        e = np.zeros(self.shape)
-        pos = tuple(state[i] + (i + 1) * self.h for i in range(self.m))
-        e[pos] = 1.0
-        return e
-
 
 class BandOperator(PinnedStripOperator):
     """Entries 1 iff |i-j| <= h on indices 0..2h: pinned-strip(1) by name."""
@@ -266,20 +228,6 @@ def make_operator(kind: str, h: int, m: int | None = None,
     if kind == "pinned-strip":
         return PinnedStripOperator(m if m is not None else 1, h, state_budget)
     raise ValueError(f"unknown operator kind {kind!r}")
-
-
-def dense_matrix(op: TransferOperator) -> np.ndarray:
-    """Materialize small operators column-by-column (tests and inspection)."""
-    if isinstance(op, PinnedStripOperator):
-        states = op.states()
-        cols = [op.apply(op.basis(s))[op.mask] for s in states]
-        return np.column_stack(cols)
-    cols = []
-    for j in range(op.dim):
-        e = np.zeros(op.dim)
-        e[j] = 1.0
-        cols.append(op.apply(e))
-    return np.column_stack(cols)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
-"""Shared test utilities: random trees, tiny-graph isomorphism, and the
-reference implementations the library is tested against: breadth-first
-component labels, the pruned depth-first count, the stepwise strip DP, a
+"""Shared test utilities: random trees, tiny-graph isomorphism, operator
+inspection tools (state indexing, free-strip weights from difference
+vectors, pinned-strip states, dense matrices), and the reference
+implementations the library is tested against: breadth-first component
+labels, the pruned depth-first count, the stepwise strip DP, a
 one-skip-at-a-time Erdos-Renyi walk, the exhaustive independent-pair scan
 and the every-edge random-construction sampler."""
 from collections import deque
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
+from typing import Sequence
 
 import numpy as np
 
@@ -12,7 +15,8 @@ from lipgrowth.counting import PinSpec
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.graphs import Graph
 from lipgrowth.randomlab import LllConfig, MonteCarloResult, wilson_interval
-from lipgrowth.strips import FreeStripOperator
+from lipgrowth.strips import (FreeStripOperator, PinnedStripOperator,
+                              TransferOperator)
 
 
 def random_tree(n: int, rng: np.random.Generator) -> Graph:
@@ -200,6 +204,55 @@ def dfs_count(graph: Graph, h: int, pin: PinSpec | None = None) -> int:
         root = next(r for r in graph.roots if r in part)
         total *= _search_component(graph, _bfs_order(graph, root), pin_value, h)[0]
     return total
+
+
+def state_index(diffs: Sequence[int], h: int) -> int:
+    """Mixed-radix index of a difference vector, each entry in [-h, h]."""
+    idx = 0
+    base = 2 * h + 1
+    for d in diffs:
+        if abs(d) > h:
+            raise ValueError(f"difference {d} outside [-{h}, {h}]")
+        idx = idx * base + (d + h)
+    return idx
+
+
+def index_state(idx: int, m: int, h: int) -> tuple[int, ...]:
+    """Difference vector of the m-row state with mixed-radix index idx."""
+    base = 2 * h + 1
+    out = []
+    for _ in range(m - 1):
+        out.append(idx % base - h)
+        idx //= base
+    return tuple(reversed(out))
+
+
+def free_strip_weight(h: int, u_diffs: Sequence[int],
+                      v_diffs: Sequence[int]) -> int:
+    """Free-strip transfer weight max(0, 2h+1 - spread(P(V) - P(U))), with P
+    the prefix sums (0, d1, d1+d2, ...) of each difference vector."""
+    delta = [b - a for a, b in zip(accumulate(u_diffs, initial=0),
+                                   accumulate(v_diffs, initial=0))]
+    return max(0, 2 * h + 1 - (max(delta) - min(delta)))
+
+
+def pinned_states(op: PinnedStripOperator) -> list[tuple[int, ...]]:
+    """Valid pinned-strip states in C order of the embedded box."""
+    offs = np.array([(i + 1) * op.h for i in range(op.m)])
+    return [tuple(row) for row in (np.argwhere(op.mask) - offs).tolist()]
+
+
+def dense_matrix(op: TransferOperator) -> np.ndarray:
+    """Materialize a small operator column by column; a pinned strip's
+    rows and columns are its valid states, in ``pinned_states`` order."""
+    if isinstance(op, PinnedStripOperator):
+        cols = []
+        for pos in np.argwhere(op.mask):
+            e = np.zeros(op.shape)
+            e[tuple(pos)] = 1.0
+            cols.append(op.apply(e)[op.mask])
+        return np.column_stack(cols)
+    return np.column_stack([op.apply(e) for e in np.eye(op.dim)])
 
 
 def strip_count_stepwise(m: int, n: int, h: int) -> int:

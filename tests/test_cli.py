@@ -5,8 +5,7 @@ import pytest
 
 from lipgrowth.cli import main
 from lipgrowth.continuum import solve_alpha
-from lipgrowth.graphs import (components, from_edgelist_str, make_grid,
-                              sample_er)
+from lipgrowth.graphs import from_edgelist_str, make_grid, sample_er
 
 
 def run(capsys, argv):
@@ -75,6 +74,19 @@ def test_ehrhart_subcommand(capsys):
     assert rec["c_estimate"] == pytest.approx(2.0)
 
 
+def test_ehrhart_degree_zero(capsys, tmp_path):
+    # no free vertex: L(h) = 1 is exact and the growth constant is undefined
+    path = tmp_path / "edgeless.edges"
+    path.write_text("3 3\n")
+    for graph in (["--family", "path", "--n", "1"], ["--load", str(path)]):
+        code, out = run(capsys, ["ehrhart", *graph, "--deterministic"])
+        assert code == 0
+        rec = json.loads(out)["records"][0]
+        assert rec["counts"] == ["1"]
+        assert rec["degree"] == 0
+        assert rec["c_estimate"] is None
+
+
 def test_ehrhart_counts_match_strip_counts(capsys):
     # the nodes above the counted range are evaluated from the polynomial
     for m, n in ((2, 3), (3, 3)):
@@ -114,7 +126,7 @@ def test_strip_extrapolation_json(capsys):
 
 
 def test_constants_table(capsys):
-    code, out = run(capsys, ["constants", "--all", "--deterministic"])
+    code, out = run(capsys, ["constants", "--deterministic"])
     assert code == 0
     for ref in ("1.16234", "1.554", "1.6438", "1.351", "1.4895", "1.553"):
         assert ref in out
@@ -144,9 +156,9 @@ def test_random_lab_modes(capsys):
     records = json.loads(out)["records"]
     assert len(records) == 2
     for rec in records:
-        info = components(sample_er(500, 2, rec["seed"]))
-        assert rec["components"] == info.count
-        assert rec["giant_fraction"] == info.giant_size / 500
+        g = sample_er(500, 2, rec["seed"])
+        assert rec["components"] == g.component_count
+        assert rec["giant_fraction"] == g.giant_size / 500
 
     code, out = run(capsys, ["random-lab", "--mode", "pairs", "--n", "18",
                              "--d", "6", "--trials", "3", "--deterministic"])
@@ -161,10 +173,6 @@ def test_deterministic_byte_identical(capsys):
     _, first = run(capsys, args)
     _, second = run(capsys, args)
     assert first == second
-
-    _, t1 = run(capsys, args + ["--threads", "1"])
-    _, t4 = run(capsys, args + ["--threads", "4"])
-    assert t1 == t4
 
 
 def test_consecutive_calls_share_no_state(capsys):
@@ -191,8 +199,9 @@ def test_seed_controls_er(capsys):
 
 
 def test_exit_codes(capsys):
-    # usage: unknown flag
+    # usage: unknown flag, and the removed --threads
     assert main(["count", "--nope"]) == 2
+    assert main(["count", "--grid", "2x2", "--h", "1", "--threads", "1"]) == 2
     # usage: family without --n
     code, _ = run(capsys, ["count", "--family", "path", "--h", "1"])
     assert code == 2

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from helpers import dense_matrix
 from lipgrowth.continuum import (grid_bound_report, kernel_limit, nystrom_top,
                                  solve_alpha, solve_beta, solve_psi,
                                  solve_zeta)
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.iterate import power_iteration
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
-                              PinnedStripOperator, TentOperator, dense_matrix,
+                              PinnedStripOperator, TentOperator,
                               extrapolate_limit, top_eigenvalue)
 
 
@@ -250,7 +251,8 @@ def test_constants_in_growth_window():
 
 
 def test_grid_bound_report():
-    gb = grid_bound_report()
+    gb = grid_bound_report(kernel_limit("zeta").value,
+                           kernel_limit("psi").value)
     assert gb.upper_improved == kernel_limit("zeta").value
     assert gb.lower_improved == kernel_limit("psi").value ** 1.5 / math.sqrt(2)
     assert gb.lower_base == pytest.approx(1.351, abs=1e-3)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import bfs_component_labels, er_reference_edges, is_isomorphic
 from lipgrowth import graphs
-from lipgrowth.graphs import (Graph, components, from_edgelist_str, graph_hash,
+from lipgrowth.graphs import (Graph, from_edgelist_str, graph_hash,
                               make_family, make_grid, read_edgelist, sample_er,
                               to_edgelist_str, write_edgelist)
 
@@ -66,7 +66,7 @@ def test_make_family_examples():
 def test_sample_er_edge_cases():
     empty = sample_er(10, 0, 123)
     assert len(empty.edges) == 0
-    assert components(empty).count == 10
+    assert empty.component_count == 10
 
     full = sample_er(5, 5, 99)
     assert len(full.edges) == 10
@@ -101,7 +101,18 @@ def test_sample_er_matches_reference_walk(monkeypatch, block, n, d, seed):
     # the walk continues across blocks
     if block is not None:
         monkeypatch.setattr(graphs, "_SKIP_BLOCK", block)
-    assert sample_er(n, d, seed).edges == er_reference_edges(n, d, seed)
+    g = sample_er(n, d, seed)
+    assert g.component_count >= 1 and len(g.degrees()) == n
+    # the sampled pairs reach the graph as its array, never as a set
+    assert "edges" not in vars(g)
+    reference = er_reference_edges(n, d, seed)
+    assert g.edge_array.tolist() == [list(e) for e in sorted(reference)]
+    assert not g.edge_array.flags.writeable
+    assert g.edges == reference
+    # any order and orientation, repeats included, gives the same array
+    mixed = [*reference, *((v, u) for u, v in reference)]
+    np.random.default_rng(seed).shuffle(mixed)
+    assert np.array_equal(Graph.from_edges(n, mixed).edge_array, g.edge_array)
 
 
 def test_sample_er_saturated_skip_after_an_edge(monkeypatch):
@@ -140,16 +151,16 @@ def test_sample_er_mean_degree():
 
 
 def test_components_examples():
-    info = components(make_family("complete", 4))
+    info = make_family("complete", 4).components()
     assert info.count == 1 and info.giant_size == 4
 
     two = Graph.from_edges(4, [(0, 1), (2, 3)])
-    info = components(two)
+    info = two.components()
     assert info.count == 2 and info.giant_size == 2
     assert two.roots == (0, 2)
 
     er = sample_er(1000, 2, 7)
-    frac = components(er).giant_size / er.n
+    frac = er.giant_size / er.n
     assert abs(frac - 0.7968) <= 0.05
     from lipgrowth.randomlab import giant_fraction_prediction
     assert abs(frac - giant_fraction_prediction(2)) <= 0.05
@@ -157,7 +168,7 @@ def test_components_examples():
 
 def test_components_cover_all_vertices():
     g = sample_er(50, 1.5, 3)
-    info = components(g)
+    info = g.components()
     seen = sorted(v for part in info.parts for v in part)
     assert seen == list(range(50))
     assert info.count == len(g.roots)
@@ -225,19 +236,33 @@ def test_star_and_isolated_components_match_bfs_oracle(edges, n):
 
 
 def test_graph_validation_messages():
+    def rows(*edges):
+        return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
     with pytest.raises(ValueError, match="at least one vertex"):
-        Graph(0, frozenset())
-    # the first bad edge in iteration order is named, as listed
-    edges = frozenset({(0, 1), (2, 1), (1, 3)})
-    first_bad = next(e for e in edges if not 0 <= e[0] < e[1] < 3)
-    with pytest.raises(ValueError,
-                       match=rf"bad edge \({first_bad[0]}, {first_bad[1]}\) for n=3"):
-        Graph(3, edges)
+        Graph(0, rows())
+    # the first bad row is named, as listed
+    with pytest.raises(ValueError, match=r"bad edge \(2, 1\) for n=3"):
+        Graph(3, rows((0, 1), (2, 1), (1, 3)))
+    with pytest.raises(ValueError, match=r"bad edge \(1, 3\) for n=3"):
+        Graph(3, rows((0, 1), (1, 3), (2, 1)))
     with pytest.raises(ValueError, match=r"bad edge \(-1, 2\) for n=3"):
-        Graph(3, frozenset({(-1, 2)}))
+        Graph(3, rows((-1, 2)))
     with pytest.raises(ValueError, match=r"bad edge \(2, 2\) for n=3"):
-        Graph(3, frozenset({(2, 2)}))
-    g = make_family("path", 3)
+        Graph(3, rows((2, 2)))
+    # rows must increase strictly: no unsorted and no repeated row
+    with pytest.raises(ValueError, match=r"edge \(0, 2\) does not follow \(1, 2\)"):
+        Graph(3, rows((0, 1), (1, 2), (0, 2)))
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) does not follow \(0, 2\)"):
+        Graph(3, rows((0, 2), (0, 1)))
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) does not follow \(0, 1\)"):
+        Graph(3, rows((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match=r"shape \(E, 2\)"):
+        Graph(3, np.array([0, 1]))
+    given_rows = rows((0, 1), (1, 2))
+    g = Graph(3, given_rows)
+    given_rows[0, 0] = 2  # the graph keeps its own copy
+    assert g.edges == {(0, 1), (1, 2)}
     with pytest.raises(ValueError):
         g.edge_array[0, 0] = 1  # shared by the graph, so read-only
 

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import strip_count_stepwise
+from helpers import (dense_matrix, free_strip_weight, index_state,
+                     pinned_states, state_index, strip_count_stepwise)
 from lipgrowth.counting import count_bruteforce
 from lipgrowth.errors import ConvergenceError, ResourceLimitError
 from lipgrowth.graphs import make_grid
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
-                              PinnedStripOperator, TentOperator, dense_matrix,
-                              extrapolate_limit, index_state, make_operator,
-                              rayleigh_lower_bound, state_index,
-                              strip_count_exact, top_eigenvalue)
+                              PinnedStripOperator, TentOperator,
+                              extrapolate_limit, make_operator,
+                              rayleigh_lower_bound, strip_count_exact,
+                              top_eigenvalue)
 
 BETA = 1.0 / math.atan(0.75)
 ALPHA_SQRT2 = 1.6437967
@@ -34,16 +35,14 @@ def test_state_index_round_trip():
 
 
 def test_weight_examples():
-    assert FreeStripOperator(2, 2).weight((1,), (-1,)) == 3
-    f3 = FreeStripOperator(3, 1)
-    assert f3.weight((0, 0), (0, 0)) == 3
-    assert f3.weight((-1, -1), (1, 1)) == 0
+    assert free_strip_weight(2, (1,), (-1,)) == 3
+    assert free_strip_weight(1, (0, 0), (0, 0)) == 3
+    assert free_strip_weight(1, (-1, -1), (1, 1)) == 0
 
 
 def test_weight_matches_offset_enumeration():
     # derivation oracle: count offsets delta directly
     h = 1
-    f3 = FreeStripOperator(3, h)
     for u in itertools.product(range(-h, h + 1), repeat=2):
         for v in itertools.product(range(-h, h + 1), repeat=2):
             pu = (0, u[0], u[0] + u[1])
@@ -51,7 +50,7 @@ def test_weight_matches_offset_enumeration():
             direct = sum(
                 1 for delta in range(-2 * h, 2 * h + 1)
                 if all(abs(delta + pv[i] - pu[i]) <= h for i in range(3)))
-            assert f3.weight(u, v) == direct
+            assert free_strip_weight(h, u, v) == direct
 
 
 def test_band_apply_examples():
@@ -73,10 +72,11 @@ def test_tent_apply_matches_direct_matrix():
 
 def test_free_strip2_equals_tent_entries():
     for h in (1, 2, 3):
-        op = FreeStripOperator(2, h)
+        W = dense_matrix(FreeStripOperator(2, h))
         for u in range(-h, h + 1):
             for v in range(-h, h + 1):
-                assert op.weight((u,), (v,)) == 2 * h + 1 - abs(u - v)
+                assert free_strip_weight(h, (u,), (v,)) == 2 * h + 1 - abs(u - v)
+                assert W[v + h, u + h] == 2 * h + 1 - abs(u - v)
 
 
 def test_pinned_strip1_equals_band():
@@ -88,15 +88,14 @@ def test_pinned_strip1_equals_band():
 def test_w_symmetry():
     for m in (2, 3):
         for h in (1, 2):
-            op = FreeStripOperator(m, h)
             states = list(itertools.product(range(-h, h + 1), repeat=m - 1))
             for u in states:
                 for v in states:
-                    w = op.weight(u, v)
-                    assert w == op.weight(v, u)
+                    w = free_strip_weight(h, u, v)
+                    assert w == free_strip_weight(h, v, u)
                     neg_u = tuple(-d for d in u)
                     neg_v = tuple(-d for d in v)
-                    assert w == op.weight(neg_u, neg_v)
+                    assert w == free_strip_weight(h, neg_u, neg_v)
 
 
 def test_strip_count_examples():
@@ -138,9 +137,8 @@ def test_strip_count_meets_stepwise_oracle():
 
 def count_via_dense_int(m, n, h):
     # independent integer DP with an explicitly materialised weight matrix
-    op = FreeStripOperator(m, h)
     states = list(itertools.product(range(-h, h + 1), repeat=m - 1))
-    W = [[op.weight(u, v) for v in states] for u in states]
+    W = [[free_strip_weight(h, u, v) for v in states] for u in states]
     vec = [1] * len(states)
     for _ in range(n - 1):
         vec = [sum(W[i][j] * vec[j] for j in range(len(states)))
@@ -185,10 +183,10 @@ WEIGHT_ORACLE_CASES = [(1, h) for h in range(4)] + [(2, h) for h in range(4)] \
 
 @functools.lru_cache(maxsize=None)
 def weight_matrix(m, h):
-    """Dense W built entry by entry from FreeStripOperator.weight (Python ints)."""
-    op = FreeStripOperator(m, h)
+    """Dense W built entry by entry from free_strip_weight (Python ints)."""
     states = list(itertools.product(range(-h, h + 1), repeat=m - 1))
-    return tuple(tuple(op.weight(u, v) for u in states) for v in states)
+    return tuple(tuple(free_strip_weight(h, u, v) for u in states)
+                 for v in states)
 
 
 def dense_int_product(W, xs):
@@ -279,7 +277,7 @@ def test_pinned_strip_dense_matches_transition_rule():
     for m, h in ((1, 0), (1, 1), (1, 3), (2, 0), (2, 1), (2, 2), (3, 1), (3, 2)):
         op = PinnedStripOperator(m, h)
         states, matrix = pinned_transition_matrix(m, h)
-        assert op.states() == states, (m, h)
+        assert pinned_states(op) == states, (m, h)
         assert len(states) == op.dim
         assert np.array_equal(dense_matrix(op), matrix), (m, h)
 

@@ -20,9 +20,9 @@ from .counting import (EhrhartPoly, PinSpec, c_empirical, c_from_ehrhart,
                        count_with_stats, counts_for_fit, ehrhart_fit,
                        ehrhart_nodes, reciprocal_fit)
 from .strips import (BandOperator, FreeStripOperator, PinnedStripOperator,
-                     SpectralEstimate, TentOperator, TransferOperator,
-                     extrapolate_limit, make_operator, rayleigh_lower_bound,
-                     strip_count_exact, top_eigenvalue)
+                     SpectralEstimate, TentOperator, extrapolate_limit,
+                     make_operator, rayleigh_lower_bound, strip_count_exact,
+                     top_eigenvalue)
 from .continuum import (Eigenpair, GridBounds, KernelLimit, grid_bound_report,
                         kernel_limit, nystrom_top, solve_alpha, solve_beta,
                         solve_psi, solve_zeta)

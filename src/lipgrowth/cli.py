@@ -290,6 +290,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_random_lab(args):
+    if args.trials < 1:
+        raise ValueError("--trials must be positive")
     if args.mode == "lll":
         g = graphs.sample_er(args.n, args.d, args.seed)
         cfg = randomlab.LllConfig(h=args.h, d=args.d)
@@ -320,7 +322,7 @@ def _cmd_random_lab(args):
     records = []
     for t in range(args.trials):
         g = graphs.sample_er(args.n, args.d, args.seed + t)
-        res = randomlab.independent_pair_search(g, size)
+        res = randomlab.independent_pair_search(g, size, seed=args.seed + t)
         found += res.found
         records.append({"mode": "pairs", "n": args.n, "d": args.d, "size": size,
                         "seed": args.seed + t, "found": res.found,

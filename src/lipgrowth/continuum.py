@@ -17,8 +17,9 @@ on that operator's ``apply``:
   psi             the same, summed over offsets k FreeStripOperator(3, h)
 
 Tent entries are (2 - |i-j| 2/n) 2/n = (2/n)^2 (2h+1 - |i-j|).  zeta's state
-(x, y), a first-row value and a within-column difference, sits on the pinned
-box as the absolute values (x, x + y), with m = 2; psi's state is the two
+(x, y), a first-row value and a within-column difference, is the pinned
+strip's pair of difference steps below its zero row, whose prefix sums are
+the absolute values (x, x + y), with m = 2; psi's state is the two
 within-column differences, with m = 3 for the offset.  A mesh argument n
 runs on 2*(n // 2) + 1 nodes, so an even n gains one node, and the
 operator's state budget bounds the mesh before allocation.
@@ -49,7 +50,7 @@ import numpy as np
 
 from .iterate import power_iteration
 from .strips import (BandOperator, FreeStripOperator, PinnedStripOperator,
-                     TentOperator, TransferOperator, extrapolate_limit)
+                     TentOperator, extrapolate_limit)
 
 _KERNELS = {"band-indicator": BandOperator, "tent": TentOperator}
 _LADDERS = {"band-indicator": (251, 501, 1001, 2001),
@@ -63,7 +64,7 @@ class Eigenpair:
     eigenfunction: np.ndarray  # values on mesh nodes, sup-norm 1
 
 
-def _kernel_top(make_op: Callable[[int], TransferOperator], n: int,
+def _kernel_top(make_op: Callable[[int], FreeStripOperator], n: int,
                 min_nodes: int):
     """Power iteration (relative tolerance 1e-12) on ``make_op(n // 2)``,
     the mesh of n nodes per axis; eigenvalue scaled by the cell measure."""

@@ -242,6 +242,22 @@ def count_pinned(graph: Graph, h: int, pin: PinSpec,
     return count_with_stats(graph, h, budget, pin=pin)[0]
 
 
+def _root(x: int | Fraction, k: int) -> float:
+    """x^(1/k) for a positive int or Fraction x: float(x) ** (1/k) wherever
+    float(x) is finite, else y^(1/k) 2^q for x = y 2^(kq) with y in float
+    range, the power of two exact.  Only for k > 1000 can y pass 2^1000;
+    then its own 2^r is rooted apart."""
+    try:
+        return float(x) ** (1.0 / k)
+    except OverflowError:
+        x = Fraction(x)
+    q, r = divmod(x.numerator.bit_length() - x.denominator.bit_length(), k)
+    if r < 1000:
+        return math.ldexp(float(x / 2 ** (k * q)) ** (1.0 / k), q)
+    y = float(x / 2 ** (k * q + r))
+    return math.ldexp(y ** (1.0 / k) * 2.0 ** (r / k), q)
+
+
 @dataclass(frozen=True)
 class EhrhartPoly:
     """Interpolated counting polynomial with exact rational coefficients.
@@ -264,7 +280,7 @@ class EhrhartPoly:
     def c_estimate(self) -> float:
         if self.degree == 0:
             raise ValueError("growth constant needs degree >= 1")
-        return float(self.leading) ** (1.0 / self.degree)
+        return _root(self.leading, self.degree)
 
     def evaluate(self, h: int) -> Fraction:
         acc = Fraction(0)
@@ -377,7 +393,7 @@ def c_empirical(graph: Graph, h_list: Sequence[int],
     counts = counts_for_fit(graph, budget, hs)
     if len(hs) == nfree + 1:
         return ehrhart_fit(graph, counts).c_estimate
-    return [c ** (1.0 / nfree) / h for h, c in counts if h > 0]
+    return [_root(c, nfree) / h for h, c in counts if h > 0]
 
 
 def c_from_ehrhart(graph: Graph, budget: int = DEFAULT_BUDGET) -> float:

@@ -16,14 +16,15 @@ Every apply is matrix-free: separable window sums (running-sum
 differences) on an embedded lattice, O(cells) per apply.  Each window turns
 one buffer into its running sum in place and writes the window into the
 other, so an apply allocates two lattice-sized buffers and swaps them after
-every window.  Pinned strips window each axis of a box of absolute values.
-Free strips (and tent) scatter onto the lattice of prefix vectors, since
-their weight depends only on the difference of two columns' prefix vectors:
-a half-width-h box window on every axis, then one more along the diagonal
-(1, ..., 1) for the column offset.  One code path serves spectra (float)
-and exact counts (int64 below a proven overflow bound, Python ints above
-it), and each state budget bounds the cells of its lattice before anything
-is allocated.
+every window.  Every kind scatters onto the lattice of prefix vectors,
+since its weight depends only on the difference of two columns' prefix
+vectors: a half-width-h box window on every axis, then, for free strips
+(and tent), one more along the diagonal (1, ..., 1) for the column offset.
+A pinned strip of m rows is the free strip of m+1 rows with its top row
+fixed, so its states are the prefix vectors of m difference steps and it
+needs no offset window.  One code path serves spectra (float) and exact
+counts (int64 below a proven overflow bound, Python ints above it), and the
+state budget bounds the cells of the lattice before anything is allocated.
 """
 from __future__ import annotations
 
@@ -51,28 +52,7 @@ def _prefix_table(m: int, h: int) -> np.ndarray:
     return pref
 
 
-class TransferOperator:
-    """Common interface: kind, h, m, dim, ones(), apply(), normalized()."""
-
-    kind: str
-    h: int
-    m: int
-    dim: int
-
-    def ones(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def normalized(self, eigenvalue: float) -> float:
-        """Per-vertex growth scale lam^(1/m)/h (band, with m = 1: lam/h)."""
-        if self.h < 1:
-            raise ValueError("normalization needs h >= 1")
-        return eigenvalue ** (1.0 / self.m) / self.h
-
-
-class FreeStripOperator(TransferOperator):
+class FreeStripOperator:
     """Transfer over m free rows; states are within-column difference vectors.
 
     The weight between states U and V is the number of integer column offsets
@@ -92,9 +72,14 @@ class FreeStripOperator(TransferOperator):
     no window wraps.  Every window is a running-sum difference, so one
     apply costs O(cells).  ``state_budget`` bounds ``cells``, the size of
     that padded lattice, before anything is allocated.
+
+    A ``pinned`` kind fixes the top row at 0: its m rows are the m
+    difference steps below that row, so it runs on the m axes of the free
+    (m+1)-row lattice, unpadded and without the diagonal window.
     """
 
     kind = "free-strip"
+    pinned = False
 
     def __init__(self, m: int, h: int, state_budget: int = DEFAULT_BUDGET):
         if m < 1:
@@ -103,29 +88,32 @@ class FreeStripOperator(TransferOperator):
             raise ValueError("h must be nonnegative")
         self.m = m
         self.h = h
-        self.dim = (2 * h + 1) ** (m - 1)
-        self._shape = tuple(2 * (i + 2) * h + 1 for i in range(m - 1))
-        strides = [math.prod(self._shape[i + 1:]) for i in range(m - 1)]
-        self._step = max(sum(strides), 1)
+        axes = m if self.pinned else m - 1
+        pad = 0 if self.pinned else h
+        self.dim = (2 * h + 1) ** axes
+        self._shape = tuple(2 * ((i + 1) * h + pad) + 1 for i in range(axes))
+        strides = [math.prod(self._shape[i + 1:]) for i in range(axes)]
+        self._step = 1 if self.pinned else max(sum(strides), 1)
         self.cells = -(-math.prod(self._shape) // self._step) * self._step
         if self.cells > state_budget:
             raise ResourceLimitError(
                 f"prefix lattice of {self.cells} cells exceeds budget {state_budget}")
-        offsets = (np.arange(m - 1) + 2) * h
-        self._sites = ((_prefix_table(m, h)[:, 1:] + offsets)
+        offsets = (np.arange(axes) + 1) * h + pad
+        self._sites = ((_prefix_table(axes + 1, h)[:, 1:] + offsets)
                        @ np.asarray(strides, dtype=np.int64))
         # Every intermediate of _apply is a sum of entries of x copied by
-        # the m-1 box windows, each of which repeats an entry at most 2h+1
-        # times (m = 1 multiplies by 2h+1 once), so its magnitude is at most
-        # (2h+1)^max(m-1, 1) * sum|x|: int64 is exact while sum|x| <= cap.
-        self._int64_cap = np.iinfo(np.int64).max // (2 * h + 1) ** max(m - 1, 1)
+        # the box windows, each of which repeats an entry at most 2h+1
+        # times (free-strip(1) multiplies by 2h+1 once), so its magnitude is
+        # at most (2h+1)^max(axes, 1) * sum|x|: int64 is exact while
+        # sum|x| <= cap.
+        self._int64_cap = np.iinfo(np.int64).max // (2 * h + 1) ** max(axes, 1)
 
     def ones(self) -> np.ndarray:
         return np.ones(self.dim)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """y = W x in the dtype of x: float, int64 or object (Python ints)."""
-        if self.m == 1:
+        if not self._shape:
             return x * (2 * self.h + 1)
         # Two zeroed buffers: the box windows write only the first ``size``
         # cells, so the tail the diagonal window reads stays zero in both.
@@ -133,13 +121,15 @@ class FreeStripOperator(TransferOperator):
         dst = np.zeros(self.cells, dtype=x.dtype)
         src[self._sites] = x
         size = math.prod(self._shape)
-        for axis in range(self.m - 1):
+        for axis in range(len(self._shape)):
             _window_sum(src[:size].reshape(self._shape), self.h, axis,
                         dst[:size].reshape(self._shape))
             src, dst = dst, src
-        _window_sum(src.reshape(-1, self._step), self.h, 0,
-                    dst.reshape(-1, self._step))
-        return dst[self._sites]
+        if not self.pinned:
+            _window_sum(src.reshape(-1, self._step), self.h, 0,
+                        dst.reshape(-1, self._step))
+            src = dst
+        return src[self._sites]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if x.shape != (self.dim,):
@@ -151,6 +141,12 @@ class FreeStripOperator(TransferOperator):
         dtype = np.int64 if sum(map(abs, xs)) <= self._int64_cap else object
         return self._apply(np.array(xs, dtype=dtype)).tolist()
 
+    def normalized(self, eigenvalue: float) -> float:
+        """Per-vertex growth scale lam^(1/m)/h (band, with m = 1: lam/h)."""
+        if self.h < 1:
+            raise ValueError("normalization needs h >= 1")
+        return eigenvalue ** (1.0 / self.m) / self.h
+
 
 class TentOperator(FreeStripOperator):
     """Two-row transfer with entries 2h+1-|i-j| (free-strip(2) weights)."""
@@ -161,50 +157,17 @@ class TentOperator(FreeStripOperator):
         super().__init__(2, h)
 
 
-class PinnedStripOperator(TransferOperator):
+class PinnedStripOperator(FreeStripOperator):
     """m free rows below an all-zero row; transitions are coordinatewise boxes.
 
     States are absolute value vectors (y_1..y_m) with |y_1| <= h and
-    |y_{i+1} - y_i| <= h; a transition to (z_1..z_m) is allowed iff
-    |z_i - y_i| <= h for all i.  Vectors live on an embedded box with axis i
-    covering [-(i+1)h, (i+1)h]; invalid states stay zero.
+    |y_{i+1} - y_i| <= h, the prefix sums of m difference steps in the
+    free (m+1)-row state order; a transition to (z_1..z_m) is allowed iff
+    |z_i - y_i| <= h for all i: the box windows alone.
     """
 
     kind = "pinned-strip"
-
-    def __init__(self, m: int, h: int, state_budget: int = DEFAULT_BUDGET):
-        if m < 1:
-            raise ValueError("m must be at least 1")
-        if h < 0:
-            raise ValueError("h must be nonnegative")
-        self.m = m
-        self.h = h
-        self.dim = (2 * h + 1) ** m
-        self.shape = tuple(2 * (i + 1) * h + 1 for i in range(m))
-        if int(np.prod(self.shape)) > state_budget:
-            raise ResourceLimitError(
-                f"embedded box {self.shape} exceeds budget {state_budget}")
-        mask = np.ones(self.shape, dtype=bool)
-        for i in range(m - 1):
-            lo = np.arange(self.shape[i]) - (i + 1) * h
-            hi = np.arange(self.shape[i + 1]) - (i + 2) * h
-            diff = np.abs(hi.reshape((1,) * (i + 1) + (-1,) + (1,) * (m - i - 2))
-                          - lo.reshape((1,) * i + (-1, 1) + (1,) * (m - i - 2)))
-            mask &= diff <= h
-        self.mask = mask
-
-    def ones(self) -> np.ndarray:
-        return self.mask.astype(float)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != self.shape:
-            raise ValueError(f"expected box of shape {self.shape}")
-        src = x.copy()
-        dst = np.empty_like(src)
-        for axis in range(self.m):
-            _window_sum(src, self.h, axis, dst)
-            src, dst = dst, src
-        return np.multiply(src, self.mask, out=src)
+    pinned = True
 
 
 class BandOperator(PinnedStripOperator):
@@ -217,7 +180,7 @@ class BandOperator(PinnedStripOperator):
 
 
 def make_operator(kind: str, h: int, m: int | None = None,
-                  state_budget: int = DEFAULT_BUDGET) -> TransferOperator:
+                  state_budget: int = DEFAULT_BUDGET) -> FreeStripOperator:
     if kind in ("band", "tent"):
         rows = 1 if kind == "band" else 2
         if m not in (None, rows):
@@ -242,7 +205,7 @@ class SpectralEstimate:
     iterations: int
 
 
-def top_eigenvalue(op: TransferOperator, tol: float = 1e-10,
+def top_eigenvalue(op: FreeStripOperator, tol: float = 1e-10,
                    max_iter: int = 10**5) -> SpectralEstimate:
     """Dominant eigenvalue by power iteration from the all-ones vector.
 

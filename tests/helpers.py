@@ -6,7 +6,7 @@ labels, the pruned depth-first count, the stepwise strip DP, a
 one-skip-at-a-time Erdos-Renyi walk, the exhaustive independent-pair scan
 and the every-edge random-construction sampler."""
 from collections import deque
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations, permutations, product
 from typing import Sequence
 
 import numpy as np
@@ -15,8 +15,7 @@ from lipgrowth.counting import PinSpec
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.graphs import Graph
 from lipgrowth.randomlab import LllConfig, MonteCarloResult, wilson_interval
-from lipgrowth.strips import (FreeStripOperator, PinnedStripOperator,
-                              TransferOperator)
+from lipgrowth.strips import FreeStripOperator, PinnedStripOperator
 
 
 def random_tree(n: int, rng: np.random.Generator) -> Graph:
@@ -237,21 +236,14 @@ def free_strip_weight(h: int, u_diffs: Sequence[int],
 
 
 def pinned_states(op: PinnedStripOperator) -> list[tuple[int, ...]]:
-    """Valid pinned-strip states in C order of the embedded box."""
-    offs = np.array([(i + 1) * op.h for i in range(op.m)])
-    return [tuple(row) for row in (np.argwhere(op.mask) - offs).tolist()]
+    """Pinned-strip states (y_1..y_m) in the operator's order: the prefix
+    sums of the m-step difference vectors, listed in C order."""
+    return [tuple(accumulate(d))
+            for d in product(range(-op.h, op.h + 1), repeat=op.m)]
 
 
-def dense_matrix(op: TransferOperator) -> np.ndarray:
-    """Materialize a small operator column by column; a pinned strip's
-    rows and columns are its valid states, in ``pinned_states`` order."""
-    if isinstance(op, PinnedStripOperator):
-        cols = []
-        for pos in np.argwhere(op.mask):
-            e = np.zeros(op.shape)
-            e[tuple(pos)] = 1.0
-            cols.append(op.apply(e)[op.mask])
-        return np.column_stack(cols)
+def dense_matrix(op: FreeStripOperator) -> np.ndarray:
+    """Materialize a small operator column by column."""
     return np.column_stack([op.apply(e) for e in np.eye(op.dim)])
 
 

@@ -6,6 +6,7 @@ import pytest
 from lipgrowth.cli import main
 from lipgrowth.continuum import solve_alpha
 from lipgrowth.graphs import from_edgelist_str, make_grid, sample_er
+from lipgrowth.randomlab import independent_pair_search
 
 
 def run(capsys, argv):
@@ -167,6 +168,19 @@ def test_random_lab_modes(capsys):
     assert payload["summary"]["found_fraction"] == 0.0
 
 
+def test_random_lab_pairs_heuristic_follows_seed(capsys):
+    # above n = 20 the pair search samples; trial t draws from --seed + t,
+    # as its graph does, and not from one fixed seed for every trial
+    code, out = run(capsys, ["random-lab", "--mode", "pairs", "--n", "30",
+                             "--d", "5", "--size", "9", "--trials", "10",
+                             "--deterministic"])
+    assert code == 0
+    for rec in json.loads(out)["records"]:
+        g = sample_er(30, 5, rec["seed"])
+        res = independent_pair_search(g, 9, seed=rec["seed"])
+        assert (rec["found"], rec["definitive"]) == (res.found, False)
+
+
 def test_deterministic_byte_identical(capsys):
     args = ["strip", "--kind", "tent", "--h", "10", "20", "30",
             "--deterministic"]
@@ -219,6 +233,12 @@ def test_exit_codes(capsys):
     assert code == 4
     # resource limit: the m=8 prefix lattice exceeds the default budget
     assert main(["strip", "--kind", "free-strip", "--m", "8", "--h", "3"]) == 3
+    # usage: fewer than one trial, in every random-lab mode
+    for mode in ("lll", "giant", "pairs"):
+        for trials in ("0", "-1"):
+            code, out = run(capsys, ["random-lab", "--mode", mode, "--n", "20",
+                                     "--d", "10", "--trials", trials])
+            assert (code, out) == (2, ""), (mode, trials)
 
 
 def test_count_strip_honours_budget(capsys):

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import connected_fixture_graphs, dfs_count
-from lipgrowth.counting import (EhrhartPoly, PinSpec, count_bruteforce,
-                                count_closed_form, count_pinned,
-                                count_with_stats, counts_for_fit, ehrhart_fit,
-                                reciprocal_fit)
+from lipgrowth.counting import (EhrhartPoly, PinSpec, c_empirical,
+                                count_bruteforce, count_closed_form,
+                                count_pinned, count_with_stats,
+                                counts_for_fit, ehrhart_fit, reciprocal_fit)
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.graphs import Graph, make_family, make_grid
 from lipgrowth.strips import strip_count_exact
@@ -387,6 +387,22 @@ def test_pinned_dominance_trend():
         ratios.append(_dominance_ratio(make_family("path", 4), (0, 3), h, [rng]))
     assert all(a <= b or abs(a - b) < 1e-12 for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] >= 0.9
+
+
+def test_growth_roots_beyond_float_range():
+    # counts and leading coefficients of 2^1024 and more overflow float(),
+    # so the roots come from the exact values
+    assert c_empirical(make_family("star", 1100), [1, 2]) == [3.0, 2.5]
+    assert EhrhartPoly((Fraction(0),) * 1100
+                       + (Fraction(2 ** 1100),)).c_estimate == 2.0
+    # beyond 2^1000 above the nearest power 2^(kq), the rest is rooted apart
+    assert c_empirical(make_family("star", 2100), [1, 2]) == \
+        pytest.approx([3.0, 2.5], rel=1e-15)
+    # within float range the root is float(x) ** (1/k), bit for bit
+    assert c_empirical(make_family("star", 400), [1, 2]) == \
+        [float(3 ** 399) ** (1 / 399), float(5 ** 399) ** (1 / 399) / 2]
+    leading = Fraction(2 ** 1100 - 1, 2 ** 77 + 1)
+    assert EhrhartPoly((Fraction(1), leading)).c_estimate == float(leading)
 
 
 def test_ehrhart_poly_type():

@@ -277,9 +277,28 @@ def test_pinned_strip_dense_matches_transition_rule():
     for m, h in ((1, 0), (1, 1), (1, 3), (2, 0), (2, 1), (2, 2), (3, 1), (3, 2)):
         op = PinnedStripOperator(m, h)
         states, matrix = pinned_transition_matrix(m, h)
-        assert pinned_states(op) == states, (m, h)
+        order = pinned_states(op)
+        assert sorted(order) == states, (m, h)
         assert len(states) == op.dim
-        assert np.array_equal(dense_matrix(op), matrix), (m, h)
+        perm = [states.index(y) for y in order]
+        assert np.array_equal(dense_matrix(op), matrix[np.ix_(perm, perm)]), (m, h)
+
+
+def test_pinned_apply_exact_at_int64_cap():
+    # a pinned strip windows all m of its axes, so its int64 cap divides by
+    # (2h+1)^m; int64 runs at the cap and Python ints just above it
+    for m, h in ((1, 1), (2, 1), (2, 2), (3, 1)):
+        op = PinnedStripOperator(m, h)
+        cap = op._int64_cap
+        assert cap == np.iinfo(np.int64).max // (2 * h + 1) ** m, (m, h)
+        states, matrix = pinned_transition_matrix(m, h)
+        perm = [states.index(y) for y in pinned_states(op)]
+        W = matrix[np.ix_(perm, perm)].astype(int).tolist()
+        for total in (cap, cap + 1):
+            xs = [total // op.dim + k for k in range(op.dim)]
+            xs[0] += total - sum(xs)
+            assert sum(xs) == total
+            assert op.apply_exact(xs) == dense_int_product(W, xs), (m, h)
 
 
 def test_pinned_strip_eigenvalue_matches_dense():

@@ -15,17 +15,15 @@ from .errors import ConvergenceError, ResourceLimitError
 from .graphs import (Graph, from_edgelist_str, graph_hash, make_family,
                      make_grid, read_edgelist, sample_er, to_edgelist_str,
                      write_edgelist)
-from .counting import (EhrhartPoly, PinSpec, c_empirical, c_from_ehrhart,
-                       count_bruteforce, count_closed_form, count_pinned,
-                       count_with_stats, counts_for_fit, ehrhart_fit,
-                       ehrhart_nodes, reciprocal_fit)
+from .counting import (EhrhartPoly, PinSpec, c_empirical, count,
+                       count_closed_form, count_with_stats, counts_for_fit,
+                       ehrhart_fit, reciprocal_fit)
 from .strips import (BandOperator, FreeStripOperator, PinnedStripOperator,
                      SpectralEstimate, TentOperator, extrapolate_limit,
                      make_operator, rayleigh_lower_bound, strip_count_exact,
                      top_eigenvalue)
-from .continuum import (Eigenpair, GridBounds, KernelLimit, grid_bound_report,
-                        kernel_limit, nystrom_top, solve_alpha, solve_beta,
-                        solve_psi, solve_zeta)
+from .continuum import (Eigenpair, KernelLimit, kernel_limit, nystrom_top,
+                        solve_alpha, solve_beta, solve_psi, solve_zeta)
 from .randomlab import (BoundReport, LllConfig, MarginReport,
                         MonteCarloResult, PairSearchResult, bound_report,
                         epsilon_upper_bound, giant_fraction_prediction,

@@ -119,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bounds", parents=[common], help="random-graph bound expressions",
         epilog="CSV columns: d, lower_exact, lower_asymptotic, upper_exact, "
                "upper_asymptotic, lower_valid, upper_valid, "
-               "upper_exact_below_two, pair_margin, giant_fraction.")
+               "upper_exact_below_two, pair_margin, giant_fraction.  A "
+               "value outside its validity range is null (an empty cell).")
     sp.add_argument("--d", type=float, nargs="+", required=True)
 
     sp = sub.add_parser(
@@ -201,7 +202,7 @@ def _cmd_count(args):
 def _cmd_ehrhart(args):
     g = _build_graph(args)
     fit, counted = counting.reciprocal_fit(g, args.budget)
-    nodes = counting.ehrhart_nodes(g)
+    nodes = list(range(g.n - g.component_count + 1))
     return {"records": [{
         "graph_hash": graphs.graph_hash(g),
         "nodes": nodes,
@@ -243,7 +244,6 @@ def _abstract_records():
     band, tent, zeta, psi = (continuum.kernel_limit(k) for k in
                              ("band-indicator", "tent", "zeta", "psi"))
     two_rows = math.sqrt(tent.value)
-    gb = continuum.grid_bound_report(zeta.value, psi.value)
     rows = [
         ("alpha", alpha, ""),
         ("alpha_sq", alpha ** 2, ""),
@@ -257,8 +257,8 @@ def _abstract_records():
         ("strip_two_rows", two_rows, _ladder(tent, 0.5 / two_rows)),
         ("strip_pinned_two", zeta.value, _ladder(zeta)),
         ("strip_three_rows", psi.value, _ladder(psi)),
-        ("square_grid_lower", gb.lower_improved, ""),
-        ("square_grid_upper", gb.upper_improved, ""),
+        ("square_grid_lower", psi.value ** 1.5 / math.sqrt(2), ""),
+        ("square_grid_upper", zeta.value, ""),
     ]
     return [{"name": name, "value": value, "reference": _ROWS[name][0],
              "equation": _ROWS[name][1], "metadata": meta}
@@ -384,6 +384,12 @@ def _as_csv(records) -> str:
     return buf.getvalue()
 
 
+def _dumps(body: dict) -> str:
+    """Strict JSON: a NaN or infinity raises instead of printing bare NaN."""
+    return json.dumps(body, sort_keys=True, indent=2, default=str,
+                      allow_nan=False) + "\n"
+
+
 def _emit(payload: dict, args) -> str:
     if "text" in payload:
         return payload["text"]
@@ -394,7 +400,7 @@ def _emit(payload: dict, args) -> str:
     if not args.deterministic:
         body["timestamp"] = datetime.now(timezone.utc).isoformat()
     if fmt == "json":
-        return json.dumps(body, sort_keys=True, indent=2, default=str) + "\n"
+        return _dumps(body)
     records = payload.get("records", [])
     if fmt == "csv":
         return _as_csv(records)
@@ -429,7 +435,7 @@ def main(argv=None) -> int:
         body["schema"] = SCHEMA
         body["command"] = args.command
         with open(args.out, "w") as fh:
-            fh.write(json.dumps(body, sort_keys=True, indent=2, default=str) + "\n")
+            fh.write(_dumps(body))
     sys.stdout.write(text)
     return 0
 

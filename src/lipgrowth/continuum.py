@@ -152,32 +152,3 @@ def kernel_limit(kernel: str) -> KernelLimit:
     fine, coarse = extrapolate_limit(pairs[-3:]), extrapolate_limit(pairs[:3])
     return KernelLimit(fine.limit, abs(fine.limit - coarse.limit), fine.slope,
                        _LADDERS[kernel])
-
-
-@dataclass(frozen=True)
-class GridBounds:
-    """Bounds on the limiting growth constant of large square grids."""
-
-    lower_base: float       # alpha^2
-    upper_base: float       # beta = 1/arctan(3/4)
-    lower_improved: float   # psi^(3/2)/sqrt(2)
-    upper_improved: float   # zeta
-    provenance: tuple[tuple[str, str], ...]
-
-
-def grid_bound_report(zeta: float, psi: float) -> GridBounds:
-    """Base and improved bounds with provenance, from the constants zeta
-    and psi (their ``kernel_limit`` values)."""
-    alpha = solve_alpha()
-    beta = solve_beta()
-    return GridBounds(
-        lower_base=alpha ** 2,
-        upper_base=beta,
-        lower_improved=psi ** 1.5 / math.sqrt(2.0),
-        upper_improved=zeta,
-        provenance=(
-            ("lower_base", "alpha^2, two-row Rayleigh argument"),
-            ("upper_base", "1/arctan(3/4), one-row band kernel"),
-            ("lower_improved", "psi^(3/2)/sqrt(2), three-row operator"),
-            ("upper_improved", "zeta, pinned two-row operator"),
-        ))

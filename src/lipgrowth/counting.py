@@ -1,9 +1,10 @@
 """Exact counting of h-Lipschitz functions and Ehrhart-polynomial fitting.
 
 An h-Lipschitz function assigns an integer to every vertex, differs by at
-most h across each edge, and sends the root of every component to 0.  Counts
-come from bucket elimination and are exact Python integers; polynomial fits
-use exact rationals.
+most h across each edge, and sends the root of every component to 0.
+``count`` gives their number, pinned or not, by bucket elimination as an
+exact Python integer; ``reciprocal_fit`` interpolates the counting polynomial in exact
+rationals, and its ``c_estimate`` is the growth constant.
 """
 from __future__ import annotations
 
@@ -210,14 +211,15 @@ def count_with_stats(graph: Graph, h: int, budget: int = DEFAULT_BUDGET,
     return total, work
 
 
-def count_bruteforce(graph: Graph, h: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact |{h-Lipschitz functions on graph}|, by ``count_with_stats``.
+def count(graph: Graph, h: int, budget: int = DEFAULT_BUDGET,
+          pin: PinSpec | None = None) -> int:
+    """Exact count of h-Lipschitz functions, agreeing with ``pin`` if given.
 
-    The name is kept for the API: this is the general-graph exact engine
-    (bucket elimination).  The pruned depth-first search it replaced is the
-    test oracle ``dfs_count`` in ``tests/helpers.py``.
+    The engine is ``count_with_stats``; the pruned depth-first search it
+    replaced is the test oracle ``dfs_count`` in ``tests/helpers.py``.  An
+    infeasible pin counts zero functions; it is not an error.
     """
-    return count_with_stats(graph, h, budget)[0]
+    return count_with_stats(graph, h, budget, pin)[0]
 
 
 def count_closed_form(kind: str, n: int, h: int) -> int:
@@ -231,15 +233,6 @@ def count_closed_form(kind: str, n: int, h: int) -> int:
     if kind == "complete":
         return (h + 1) ** n - h ** n
     raise ValueError(f"unknown closed form {kind!r}")
-
-
-def count_pinned(graph: Graph, h: int, pin: PinSpec,
-                 budget: int = DEFAULT_BUDGET) -> int:
-    """Exact count of h-Lipschitz functions agreeing with the pinned values.
-
-    An infeasible pin simply counts zero functions; it is not an error.
-    """
-    return count_with_stats(graph, h, budget, pin=pin)[0]
 
 
 def _root(x: int | Fraction, k: int) -> float:
@@ -328,11 +321,6 @@ def ehrhart_fit(graph: Graph, counts: Sequence[tuple[int, int]]) -> EhrhartPoly:
     return fit
 
 
-def ehrhart_nodes(graph: Graph) -> list[int]:
-    """Smallest exact node set h = 0..n-k."""
-    return list(range(graph.n - graph.component_count + 1))
-
-
 def counts_for_fit(graph: Graph, budget: int = DEFAULT_BUDGET,
                    hs: Iterable[int] | None = None) -> list[tuple[int, int]]:
     """Exact counts at the interpolation nodes.
@@ -341,10 +329,10 @@ def counts_for_fit(graph: Graph, budget: int = DEFAULT_BUDGET,
     so a fit that cannot finish fails at once instead of after its cheaper
     nodes.
     """
-    hs = ehrhart_nodes(graph) if hs is None else list(hs)
+    hs = range(graph.n - graph.component_count + 1) if hs is None else list(hs)
     if hs:
         _plan(graph, max(hs), budget, None)
-    return [(h, count_bruteforce(graph, h, budget)) for h in hs]
+    return [(h, count(graph, h, budget)) for h in hs]
 
 
 def reciprocal_fit(graph: Graph, budget: int = DEFAULT_BUDGET
@@ -377,25 +365,16 @@ def reciprocal_fit(graph: Graph, budget: int = DEFAULT_BUDGET
 
 
 def c_empirical(graph: Graph, h_list: Sequence[int],
-                budget: int = DEFAULT_BUDGET):
-    """Growth-constant estimate from exact counts.
-
-    With n - k + 1 values of h this interpolates the counting polynomial and
-    returns the exact-leading-coefficient root as a float; otherwise it
-    returns the finite-h sequence (1/h) count^(1/(n-k)).
-    """
+                budget: int = DEFAULT_BUDGET) -> list[float]:
+    """The finite-h growth sequence (1/h) count^(1/(n-k)) for h > 0 in
+    ``h_list``.  Its limit as h grows is the growth constant, which
+    ``reciprocal_fit(graph)[0].c_estimate`` takes from the exact leading
+    coefficient."""
     nfree = graph.n - graph.component_count
     if nfree == 0:
         raise ValueError("graph with no free vertices has no growth constant")
     hs = list(h_list)
     if len(set(hs)) != len(hs):
         raise ValueError("h values must be distinct")
-    counts = counts_for_fit(graph, budget, hs)
-    if len(hs) == nfree + 1:
-        return ehrhart_fit(graph, counts).c_estimate
-    return [_root(c, nfree) / h for h, c in counts if h > 0]
-
-
-def c_from_ehrhart(graph: Graph, budget: int = DEFAULT_BUDGET) -> float:
-    """Convenience: growth constant of ``reciprocal_fit``."""
-    return reciprocal_fit(graph, budget)[0].c_estimate
+    return [_root(c, nfree) / h for h, c in counts_for_fit(graph, budget, hs)
+            if h > 0]

@@ -13,19 +13,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 # Geometric skips drawn per block.  The generator consumes its stream one
 # skip at a time, so the block size only affects batching, never the graph.
 _SKIP_BLOCK = 1 << 16
-
-
-class ComponentInfo(NamedTuple):
-    parts: tuple[tuple[int, ...], ...]
-    count: int
-    giant_size: int
 
 
 def _component_labels(n: int,
@@ -157,13 +151,13 @@ class Graph:
         """Vertices in the largest component."""
         return int(np.bincount(self._labelling[0]).max())
 
-    def components(self) -> ComponentInfo:
+    @cached_property
+    def parts(self) -> tuple[tuple[int, ...], ...]:
+        """The vertices of each component, ascending, in label order."""
         labels = self._labelling[0]
         order = np.argsort(labels, kind="stable").tolist()
-        sizes = np.bincount(labels)
-        ends = np.cumsum(sizes).tolist()
-        parts = tuple(tuple(order[a:b]) for a, b in zip([0, *ends], ends))
-        return ComponentInfo(parts, len(parts), int(sizes.max()))
+        ends = np.cumsum(np.bincount(labels)).tolist()
+        return tuple(tuple(order[a:b]) for a, b in zip([0, *ends], ends))
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.edge_array.ravel(),
@@ -247,7 +241,7 @@ def sample_er(n: int, d: float, seed: int) -> Graph:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if d < 0 or d > n:
+    if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n so the edge probability is in [0, 1]")
     p = d / n
     rng = np.random.default_rng(seed)

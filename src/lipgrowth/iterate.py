@@ -20,6 +20,10 @@ def power_iteration(apply_fn, x0: np.ndarray, tol: float = 1e-10,
     relative change of successive Rayleigh quotients; iteration stops once it
     drops to ``tol``.  The returned vector has unit 2-norm.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     x = np.asarray(x0, dtype=float)
     norm = float(np.sqrt(np.vdot(x, x).real))
     if norm == 0:

@@ -1,10 +1,11 @@
 """Random-graph experiments around the growth-constant bounds.
 
 Evaluates the closed-form lower/upper bound expressions for sparse random
-graphs, runs the random-construction sampler behind the lower bound, searches
-for large independent set pairs, and provides the exact triple-sum kernel of
-the near-critical upper bound.  "With high probability" statements are
-operationalised as fixed-seed Monte-Carlo estimates with Wilson intervals.
+graphs (None outside their validity range), runs the random-construction
+sampler behind the lower bound, searches for large independent set pairs,
+and provides the exact triple-sum kernel of the near-critical upper bound.
+"With high probability" statements are operationalised as fixed-seed
+Monte-Carlo estimates with Wilson intervals.
 """
 from __future__ import annotations
 
@@ -40,14 +41,15 @@ class BoundReport:
 
     ``lower_valid`` needs d > 4 (real stretch parameter); ``upper_valid``
     needs d >= 9 so twice the flatness parameter 2*ln(d)/d stays within the
-    entropy domain.  The exact upper expression exceeds 2 for moderate d;
+    entropy domain.  Each exact expression is None where it is not valid.
+    The exact upper expression exceeds 2 for moderate d;
     ``upper_exact_below_two`` flags when it is informative.
     """
 
     d: float
-    lower_exact: float
+    lower_exact: float | None
     lower_asymptotic: float
-    upper_exact: float
+    upper_exact: float | None
     upper_asymptotic: float
     lower_valid: bool
     upper_valid: bool
@@ -56,7 +58,7 @@ class BoundReport:
 
 def stretch_parameter(d: float) -> float:
     """c = (1/d) * sqrt(1 - 4/d), the low-range overshoot of the sampler."""
-    if d <= 4:
+    if not d > 4:
         raise ValueError("stretch needs d > 4")
     return math.sqrt(1.0 - 4.0 / d) / d
 
@@ -68,16 +70,15 @@ def flatness_parameter(d: float) -> float:
 
 def bound_report(d: float) -> BoundReport:
     """Evaluate both displayed bound expressions and their asymptotic forms."""
-    if d <= 0:
-        raise ValueError("d must be positive")
+    if not 0 < d < math.inf:
+        raise ValueError("d must be positive and finite")
     lower_valid = d > 4
+    lower_exact = upper_exact = None
     if lower_valid:
         c = stretch_parameter(d)
         lower_exact = ((1.0 + c)
                        * (1.0 - c) ** (5.0 * math.exp(-d / 4.0))
                        * math.sqrt(1.0 - 1.0 / (d - 1.0)))
-    else:
-        lower_exact = math.nan
     lower_asymptotic = 1.0 + 1.0 / (2.0 * d)
 
     a = flatness_parameter(d)
@@ -85,8 +86,6 @@ def bound_report(d: float) -> BoundReport:
     if upper_valid:
         upper_exact = (2.0 ** math.exp(-d / 4.0)
                        * math.exp(d * a * a / (1.0 - math.exp(-d / 4.0))))
-    else:
-        upper_exact = math.nan
     upper_asymptotic = 1.0 + 4.0 * math.log(d) ** 2 / d
 
     return BoundReport(
@@ -116,8 +115,8 @@ def independent_pair_margin(d: float) -> MarginReport:
     Positive margin means the first-moment bound on edge-free set pairs
     vanishes.  Requires d >= 9 so that 2a <= 1 keeps the entropy defined.
     """
-    if d < 9:
-        raise ValueError("margin needs d >= 9 (entropy domain)")
+    if not 9 <= d < math.inf:
+        raise ValueError("margin needs finite d >= 9 (entropy domain)")
     a = flatness_parameter(d)
     h2 = -2 * a * math.log2(2 * a) - (1 - 2 * a) * math.log2(1 - 2 * a) \
         if 2 * a < 1 else 0.0
@@ -162,9 +161,9 @@ def giant_fraction_prediction(d: float, max_iter: int = 2000) -> float:
 
 def poisson_tail_bound(d: float, x: float) -> float:
     """Tail bound Pr(X >= d + x) <= exp(-x^2 / (2(x + d))) for Poisson(d)."""
-    if d <= 0:
+    if not d > 0:
         raise ValueError("d must be positive")
-    if x < 0:
+    if not x >= 0:
         raise ValueError("x must be nonnegative")
     if x == 0:
         return 1.0
@@ -187,8 +186,9 @@ class LllConfig:
     def __post_init__(self):
         if self.h < 0:
             raise ValueError("h must be nonnegative")
-        if self.d <= 4:
-            raise ValueError("d must exceed 4 for a real stretch parameter")
+        if not 4 < self.d < math.inf:
+            raise ValueError("d must be finite and exceed 4 for a real "
+                             "stretch parameter")
 
     @property
     def stretch(self) -> float:
@@ -292,27 +292,22 @@ class PairSearchResult:
 
 
 def independent_pair_search(graph: Graph, size: int,
-                            exhaustive: bool | None = None,
-                            attempts: int = 200,
                             seed: int = 0) -> PairSearchResult:
     """Look for two disjoint size-``size`` vertex sets with no crossing edge.
 
-    Exhaustive mode (default for n <= 20) is definitive: "not found" means
+    For n <= 20 the search is exhaustive and definitive: "not found" means
     no such pair exists.  When 2*size == n the two sets cover every vertex,
     so each component lies wholly in one of them and the search is a subset
     sum over component sizes; otherwise it scans candidate sets A and takes
-    B from the non-neighbours of A.  The heuristic mode samples random A
+    B from the non-neighbours of A.  Above n = 20 it tries 200 random A
     sets and is inconclusive on failure.
     """
     if size < 1:
         raise ValueError("size must be positive")
     n = graph.n
-    if exhaustive is None:
-        exhaustive = n <= 20
+    exhaustive = n <= 20
     if 2 * size > n:
         return PairSearchResult(False, None, None, True)
-    if exhaustive and n > 20:
-        raise ValueError("exhaustive search capped at n = 20")
     if exhaustive and 2 * size == n:
         return _cover_split(graph, size)
 
@@ -344,7 +339,7 @@ def independent_pair_search(graph: Graph, size: int,
         return PairSearchResult(False, None, None, True)
 
     rng = np.random.default_rng(seed)
-    for _ in range(attempts):
+    for _ in range(200):
         a_set = tuple(int(v) for v in rng.choice(n, size=size, replace=False))
         b_set = complement_pick(a_set)
         if b_set is not None:
@@ -355,7 +350,7 @@ def independent_pair_search(graph: Graph, size: int,
 def _cover_split(graph: Graph, size: int) -> PairSearchResult:
     """Definitive search when the two sets cover V: a union of components
     with ``size`` vertices is A, the rest is B."""
-    parts = graph.components().parts
+    parts = graph.parts
     # reached[t] = (component, previous sum) that first reached sum t; the
     # key snapshot per component keeps each one used at most once
     reached: dict[int, tuple[int, int] | None] = {0: None}

@@ -23,7 +23,7 @@ vectors: a half-width-h box window on every axis, then, for free strips
 A pinned strip of m rows is the free strip of m+1 rows with its top row
 fixed, so its states are the prefix vectors of m difference steps and it
 needs no offset window.  One code path serves spectra (float) and exact
-counts (int64 below a proven overflow bound, Python ints above it), and the
+counts (int64 while a bound on every output fits, Python ints above), and the
 state budget bounds the cells of the lattice before anything is allocated.
 """
 from __future__ import annotations
@@ -101,12 +101,14 @@ class FreeStripOperator:
         offsets = (np.arange(axes) + 1) * h + pad
         self._sites = ((_prefix_table(axes + 1, h)[:, 1:] + offsets)
                        @ np.asarray(strides, dtype=np.int64))
-        # Every intermediate of _apply is a sum of entries of x copied by
-        # the box windows, each of which repeats an entry at most 2h+1
-        # times (free-strip(1) multiplies by 2h+1 once), so its magnitude is
-        # at most (2h+1)^max(axes, 1) * sum|x|: int64 is exact while
+        # Every step of _apply is a copy, add, subtract or multiply, which
+        # int64 arrays wrap modulo 2^64, so an int64 result is congruent to
+        # W x and equals it whenever each |(W x)_i| fits, however large the
+        # running sums grow on the way.  A weight is at most 2h+1 (1 when
+        # pinned), so |(W x)_i| <= that times sum|x|: int64 is exact while
         # sum|x| <= cap.
-        self._int64_cap = np.iinfo(np.int64).max // (2 * h + 1) ** max(axes, 1)
+        self._int64_cap = np.iinfo(np.int64).max // (1 if self.pinned
+                                                     else 2 * h + 1)
 
     def ones(self) -> np.ndarray:
         return np.ones(self.dim)
@@ -212,8 +214,6 @@ def top_eigenvalue(op: FreeStripOperator, tol: float = 1e-10,
     Converged when successive Rayleigh quotients agree to a relative ``tol``;
     the all-ones start has positive overlap with the Perron vector.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     lam, _, residual, iters = power_iteration(op.apply, op.ones(), tol, max_iter)
     return SpectralEstimate(op.kind, op.m, op.h, op.dim, lam,
                             op.normalized(lam), residual, iters)

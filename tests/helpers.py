@@ -192,14 +192,15 @@ def dfs_count(graph: Graph, h: int, pin: PinSpec | None = None) -> int:
 
     Independent of ``lipgrowth.counting``'s variable elimination: it walks
     every partial assignment in BFS order from each root, so it is only
-    practical for small graphs.  Pins follow ``count_pinned``'s convention.
+    practical for small graphs.  Pins follow ``lipgrowth.counting.count``'s
+    convention.
     """
     pin_value = {} if pin is None else dict(zip(pin.vertices, pin.values))
     for r in graph.roots:
         pin_value.setdefault(r, 0)
     _guard(graph, h, len(pin_value) - graph.component_count, 10**9)
     total = 1
-    for part in graph.components().parts:
+    for part in graph.parts:
         root = next(r for r in graph.roots if r in part)
         total *= _search_component(graph, _bfs_order(graph, root), pin_value, h)[0]
     return total

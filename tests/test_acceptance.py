@@ -12,10 +12,8 @@ import numpy as np
 
 from helpers import dense_matrix, random_tree
 from lipgrowth.cli import main as cli_main
-from lipgrowth.continuum import (grid_bound_report, nystrom_top, solve_alpha,
-                                 solve_psi, solve_zeta)
-from lipgrowth.counting import (PinSpec, count_bruteforce, count_pinned,
-                                counts_for_fit, ehrhart_fit)
+from lipgrowth.continuum import nystrom_top, solve_alpha, solve_psi, solve_zeta
+from lipgrowth.counting import PinSpec, count, counts_for_fit, ehrhart_fit
 from lipgrowth.graphs import make_family, make_grid, sample_er
 from lipgrowth.randomlab import (bound_report, giant_fraction_prediction,
                                  independent_pair_margin, triple_sum_success)
@@ -39,11 +37,11 @@ def test_criterion_1_closed_form_oracles():
         n = int(rng.integers(1, 8))
         tree = random_tree(n, rng)
         for h in range(6):
-            ok &= count_bruteforce(tree, h) == (2 * h + 1) ** (n - 1)
+            ok &= count(tree, h) == (2 * h + 1) ** (n - 1)
     for n in range(1, 6):
         kn = make_family("complete", n)
         for h in range(6):
-            ok &= count_bruteforce(kn, h) == (h + 1) ** n - h ** n
+            ok &= count(kn, h) == (h + 1) ** n - h ** n
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 10
     report(1, ok, f"20 random trees (n<=7) and K_n (n<=5) at h<=5, {elapsed:.1f}s")
@@ -68,7 +66,7 @@ def test_criterion_2_ehrhart_prediction():
         assert g.component_count == 1 and g.n <= 7
         fit = ehrhart_fit(g, counts_for_fit(g))
         held_out = g.n
-        ok &= fit.evaluate(held_out) == count_bruteforce(g, held_out)
+        ok &= fit.evaluate(held_out) == count(g, held_out)
     report(2, ok, f"degree-(n-1) interpolant exact at h=n for "
                   f"{len(fixtures)} connected fixtures")
     assert ok
@@ -84,7 +82,7 @@ def test_criterion_3_strip_dp_vs_bruteforce():
                 continue
             g = make_grid(m, n)
             for h in range(3):
-                ok &= strip_count_exact(m, n, h) == count_bruteforce(g, h)
+                ok &= strip_count_exact(m, n, h) == count(g, h)
                 checked += 1
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60
@@ -135,16 +133,15 @@ def test_criterion_6_zeta_psi():
                    for h in (10, 15, 20)]
     zeta_strip = extrapolate_limit(pinned_pairs).limit
     psi_strip = extrapolate_limit(free3_pairs).limit
-    gb = grid_bound_report(zeta, psi)
+    lower, upper = psi ** 1.5 / math.sqrt(2), zeta
     elapsed = time.perf_counter() - t0
     ok = (abs(zeta - 1.4895) <= 0.02 and abs(psi - 1.553) <= 0.02
           and abs(zeta - zeta_strip) <= 0.02 and abs(psi - psi_strip) <= 0.02
-          and abs(gb.lower_improved - 1.3685) <= 0.02
-          and abs(gb.upper_improved - 1.4895) <= 0.02
+          and abs(lower - 1.3685) <= 0.02 and abs(upper - 1.4895) <= 0.02
           and elapsed < 600)
     report(6, ok, f"zeta(64) = {zeta:.4f}, psi(32) = {psi:.4f}, strip "
                   f"cross-checks {zeta_strip:.4f}/{psi_strip:.4f}, bounds "
-                  f"({gb.lower_improved:.4f}, {gb.upper_improved:.4f}), "
+                  f"({lower:.4f}, {upper:.4f}), "
                   f"{elapsed:.1f}s")
     assert ok
 
@@ -211,9 +208,9 @@ def test_criterion_9_triple_sum_kernel():
 def _suite_root_invariance():
     for g in (make_family("path", 5), make_family("cycle", 5),
               make_grid(2, 3), make_family("complete", 4)):
-        base = count_bruteforce(g, 2)
+        base = count(g, 2)
         for r in range(g.n):
-            assert count_bruteforce(g.with_roots((r,)), 2) == base
+            assert count(g.with_roots((r,)), 2) == base
 
 
 def _suite_edge_monotonicity():
@@ -227,8 +224,7 @@ def _suite_edge_monotonicity():
             continue
         extra = missing[int(rng.integers(0, len(missing)))]
         h = int(rng.integers(1, 4))
-        assert count_bruteforce(tree.add_edge(*extra), h) <= \
-            count_bruteforce(tree, h)
+        assert count(tree.add_edge(*extra), h) <= count(tree, h)
 
 
 def _suite_negation_symmetry():
@@ -236,7 +232,7 @@ def _suite_negation_symmetry():
     for w1 in range(-3, 4):
         for w2 in range(-3, 4):
             pin = PinSpec((0, 2, 4), (0, w1, w2))
-            assert count_pinned(g, 2, pin) == count_pinned(g, 2, pin.negated())
+            assert count(g, 2, pin=pin) == count(g, 2, pin=pin.negated())
 
 
 def _suite_pinned_dominance():
@@ -246,7 +242,7 @@ def _suite_pinned_dominance():
         rng = range(-2 * h, 2 * h + 1)
         best, v0 = 0, None
         for w in itertools.product(rng, rng):
-            c = count_pinned(make_grid(2, 3), h, PinSpec((0, 1, 2), (0,) + w))
+            c = count(make_grid(2, 3), h, pin=PinSpec((0, 1, 2), (0,) + w))
             if w == (0, 0):
                 v0 = c
             best = max(best, c)

@@ -140,6 +140,40 @@ def test_bounds_subcommand(capsys):
     rec = json.loads(out)["records"][0]
     assert rec["lower_exact"] == pytest.approx(1.0047, abs=5e-4)
     assert rec["upper_asymptotic"] == pytest.approx(1.8484, abs=1e-3)
+    # an exact bound outside its validity range is null, an empty CSV cell
+    code, out = run(capsys, ["bounds", "--d", "3", "5", "--deterministic"])
+    assert code == 0
+    recs = json.loads(out)["records"]
+    assert [(r["lower_exact"] is None, r["upper_exact"] is None)
+            for r in recs] == [(True, True), (False, True)]
+    code, out = run(capsys, ["bounds", "--d", "3", "--format", "csv"])
+    assert out.splitlines()[1].split(",")[:5] == ["3", "", "1.166666667", "",
+                                                   "2.609265281"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--grid", "2x3", "--h", "2"],
+    ["ehrhart", "--family", "cycle", "--n", "5"],
+    ["strip", "--kind", "band", "--h", "3", "4", "5"],
+    ["constants", "--format", "json"],
+    ["bounds", "--d", "3", "5", "9", "100"],
+    ["random-lab", "--mode", "lll", "--n", "50", "--d", "6", "--h", "5",
+     "--trials", "3"],
+    ["random-lab", "--mode", "giant", "--n", "50", "--d", "1", "--trials", "2"],
+    ["random-lab", "--mode", "pairs", "--n", "12", "--d", "3", "--trials", "2"],
+    ["reproduce-abstract", "--format", "json"],
+])
+def test_json_is_strict(capsys, tmp_path, argv):
+    # NaN and Infinity are not JSON: stdout and --out must parse without them
+    path = tmp_path / "out.json"
+    code, out = run(capsys, argv + ["--out", str(path)])
+    assert code == 0
+    for text in (out, path.read_text()):
+        assert json.loads(text, parse_constant=_reject_constant)["records"]
 
 
 def test_random_lab_modes(capsys):
@@ -231,6 +265,18 @@ def test_exit_codes(capsys):
     code, _ = run(capsys, ["strip", "--kind", "band", "--h", "60",
                            "--tol", "1e-15", "--max-iter", "2"])
     assert code == 4
+    # usage: a tolerance that is not positive, or no iteration at all
+    for flags in (["--tol", "nan"], ["--tol", "0"], ["--max-iter", "0"]):
+        code, out = run(capsys, ["strip", "--kind", "band", "--h", "3", *flags])
+        assert (code, out) == (2, ""), flags
+    # usage: a degree that is not a finite number in range
+    for argv in (["count", "--er", "10", "nan", "--h", "1"],
+                 ["count", "--er", "10", "inf", "--h", "1"],
+                 ["random-lab", "--mode", "giant", "--n", "10", "--d", "nan"],
+                 ["random-lab", "--mode", "lll", "--n", "10", "--d", "nan"],
+                 ["bounds", "--d", "nan"], ["bounds", "--d", "10", "inf"]):
+        code, out = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
     # resource limit: the m=8 prefix lattice exceeds the default budget
     assert main(["strip", "--kind", "free-strip", "--m", "8", "--h", "3"]) == 3
     # usage: fewer than one trial, in every random-lab mode
@@ -259,6 +305,10 @@ def test_reproduce_abstract_grid_bounds_match_table(capsys):
     assert values["square_grid_upper"] == values["zeta"]
     assert values["square_grid_lower"] == values["psi"] ** 1.5 / math.sqrt(2)
     assert abs(values["square_grid_upper"] - 1.4895) <= 1e-3
+    assert abs(values["square_grid_lower"] - 1.3685) <= 1e-3
+    # the headline: the improved pair lies strictly inside the base pair
+    assert (values["alpha_sq"] < values["square_grid_lower"]
+            < values["square_grid_upper"] < values["beta"])
 
 
 def test_constants_rows_shared_with_reproduce_abstract(capsys):

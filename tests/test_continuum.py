@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import dense_matrix
-from lipgrowth.continuum import (grid_bound_report, kernel_limit, nystrom_top,
-                                 solve_alpha, solve_beta, solve_psi,
-                                 solve_zeta)
+from lipgrowth.continuum import (kernel_limit, nystrom_top, solve_alpha,
+                                 solve_beta, solve_psi, solve_zeta)
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.iterate import power_iteration
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
@@ -245,17 +244,3 @@ def test_constants_in_growth_window():
                   solve_zeta(32), solve_psi(16)):
         assert 1.0 <= value <= 2.0
 
-
-def test_grid_bound_report():
-    gb = grid_bound_report(kernel_limit("zeta").value,
-                           kernel_limit("psi").value)
-    assert gb.upper_improved == kernel_limit("zeta").value
-    assert gb.lower_improved == kernel_limit("psi").value ** 1.5 / math.sqrt(2)
-    assert gb.lower_base == pytest.approx(1.351, abs=1e-3)
-    assert gb.upper_base == pytest.approx(1.554, abs=1e-3)
-    assert abs(gb.lower_improved - 1.3685) <= 0.02
-    assert abs(gb.upper_improved - 1.4895) <= 0.02
-    assert gb.lower_base <= gb.upper_base
-    assert gb.lower_improved <= gb.upper_improved
-    assert dict(gb.provenance).keys() == {
-        "lower_base", "upper_base", "lower_improved", "upper_improved"}

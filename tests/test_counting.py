@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import connected_fixture_graphs, dfs_count
-from lipgrowth.counting import (EhrhartPoly, PinSpec, c_empirical,
-                                count_bruteforce, count_closed_form,
-                                count_pinned, count_with_stats,
+from lipgrowth.counting import (EhrhartPoly, PinSpec, c_empirical, count,
+                                count_closed_form, count_with_stats,
                                 counts_for_fit, ehrhart_fit, reciprocal_fit)
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.graphs import Graph, make_family, make_grid
@@ -30,11 +29,11 @@ def small_connected():
 
 
 def test_bruteforce_examples():
-    assert count_bruteforce(make_family("path", 2), 1) == 3
-    assert count_bruteforce(make_family("complete", 3), 2) == 19
-    assert count_bruteforce(make_family("cycle", 4), 1) == 19
+    assert count(make_family("path", 2), 1) == 3
+    assert count(make_family("complete", 3), 2) == 19
+    assert count(make_family("cycle", 4), 1) == 19
     for g in (make_family("path", 4), make_grid(2, 3), make_family("star", 6)):
-        assert count_bruteforce(g, 0) == 1
+        assert count(g, 0) == 1
 
 
 def test_bruteforce_c4_against_direct_enumeration():
@@ -49,19 +48,19 @@ def test_bruteforce_c4_against_direct_enumeration():
                         and abs(f4) <= h and abs(f2) <= h):
                     direct += 1
     assert direct == 19
-    assert count_bruteforce(make_family("cycle", 4), 1) == direct
+    assert count(make_family("cycle", 4), 1) == direct
 
 
 def test_bruteforce_matches_closed_forms():
     for n in range(1, 6):
         for h in range(4):
-            assert count_bruteforce(make_family("path", n), h) == \
+            assert count(make_family("path", n), h) == \
                 count_closed_form("tree", n, h)
-            assert count_bruteforce(make_family("complete", n), h) == \
+            assert count(make_family("complete", n), h) == \
                 count_closed_form("complete", n, h)
     for n in range(2, 6):
         for h in range(4):
-            assert count_bruteforce(make_family("star", n), h) == \
+            assert count(make_family("star", n), h) == \
                 count_closed_form("tree", n, h)
 
 
@@ -76,7 +75,7 @@ def test_closed_form_examples():
 def test_budget_guard():
     g = make_grid(4, 4)
     with pytest.raises(ResourceLimitError):
-        count_bruteforce(g, 3, budget=1000)
+        count(g, 3, budget=1000)
     # an allowed run reports its expansions
     c, e = count_with_stats(make_grid(2, 2), 1)
     assert c == 19 and e > 0
@@ -142,12 +141,12 @@ def test_int64_to_object_boundary(monkeypatch):
     monkeypatch.setattr(np, "einsum", spy)
     # 2x20 at h=1 has 39 variables: every table is bounded by 3^39 <= int64
     # max < 3^40, so all steps run in int64
-    assert count_bruteforce(make_grid(2, 20), 1) == expected[20]
+    assert count(make_grid(2, 20), 1) == expected[20]
     assert set(dtypes) == {np.dtype(np.int64)}
     dtypes.clear()
     # 2x21 has 41: the first steps still fit int64, the ones whose eliminated
     # set passes 39 vertices run on Python ints
-    assert count_bruteforce(make_grid(2, 21), 1) == expected[21]
+    assert count(make_grid(2, 21), 1) == expected[21]
     assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}
 
 
@@ -169,28 +168,28 @@ def test_pins_are_not_table_axes():
 
 def test_disconnected_counts_multiply():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert count_bruteforce(g, 1) == 9
-    assert count_bruteforce(g, 2) == 25
+    assert count(g, 1) == 9
+    assert count(g, 2) == 25
 
 
 def test_pinned_examples():
     p3 = make_family("path", 3)
-    assert count_pinned(p3, 2, PinSpec((0, 2), (0, 0))) == 5
-    assert count_pinned(p3, 2, PinSpec((0, 2), (0, 1))) == 4
-    assert count_pinned(p3, 2, PinSpec((0, 2), (0, 5))) == 0
+    assert count(p3, 2, pin=PinSpec((0, 2), (0, 0))) == 5
+    assert count(p3, 2, pin=PinSpec((0, 2), (0, 1))) == 4
+    assert count(p3, 2, pin=PinSpec((0, 2), (0, 5))) == 0
 
 
 def test_pinned_infeasible_edge_inside_t_returns_zero():
     p2 = make_family("path", 2)
-    assert count_pinned(p2, 1, PinSpec((0, 1), (0, 5))) == 0
+    assert count(p2, 1, pin=PinSpec((0, 1), (0, 5))) == 0
 
 
 def test_pinned_validation():
     p3 = make_family("path", 3)
     with pytest.raises(ValueError):
-        count_pinned(p3, 2, PinSpec((1, 2), (0, 0)))      # root missing
+        count(p3, 2, pin=PinSpec((1, 2), (0, 0)))      # root missing
     with pytest.raises(ValueError):
-        count_pinned(p3, 2, PinSpec((0, 2), (1, 0)))      # root pin nonzero
+        count(p3, 2, pin=PinSpec((0, 2), (1, 0)))      # root pin nonzero
     with pytest.raises(ValueError):
         PinSpec((0, 0), (0, 0))                           # repeated vertex
     with pytest.raises(ValueError):
@@ -204,31 +203,31 @@ def test_pinned_negation_symmetry():
         w1 = int(rng.integers(-4, 5))
         w2 = int(rng.integers(-4, 5))
         pin = PinSpec((0, 2, 4), (0, w1, w2))
-        assert count_pinned(g, 2, pin) == count_pinned(g, 2, pin.negated())
+        assert count(g, 2, pin=pin) == count(g, 2, pin=pin.negated())
 
 
 def test_pinned_unpinned_consistency():
     # summing the pinned counts over one vertex's full range recovers the total
     g = make_family("cycle", 5)
     h = 2
-    total = sum(count_pinned(g, h, PinSpec((0, 2), (0, w)))
+    total = sum(count(g, h, pin=PinSpec((0, 2), (0, w)))
                 for w in range(-2 * h, 2 * h + 1))
-    assert total == count_bruteforce(g, h)
+    assert total == count(g, h)
 
 
 def test_root_invariance():
     for g in connected_fixture_graphs(max_n=6):
         for h in (1, 3):
-            baseline = count_bruteforce(g, h)
+            baseline = count(g, h)
             for r in range(g.n):
-                assert count_bruteforce(g.with_roots((r,)), h) == baseline
+                assert count(g.with_roots((r,)), h) == baseline
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_connected(), st.integers(0, 3))
 def test_count_bounds_sandwich(g, h):
     nfree = g.n - g.component_count
-    c = count_bruteforce(g, h)
+    c = count(g, h)
     assert (h + 1) ** nfree <= c <= (2 * h + 1) ** nfree
 
 
@@ -240,8 +239,8 @@ def test_edge_monotonicity(g, h, data):
     if not missing:
         return
     e = data.draw(st.sampled_from(missing))
-    before = count_bruteforce(g, h)
-    after = count_bruteforce(g.add_edge(*e), h)
+    before = count(g, h)
+    after = count(g.add_edge(*e), h)
     assert after <= before
 
 
@@ -259,7 +258,7 @@ def test_ehrhart_examples():
     c4 = make_family("cycle", 4)
     fit = ehrhart_fit(c4, counts_for_fit(c4))
     assert 1 <= fit.leading <= 2 ** 3
-    assert fit.evaluate(4) == count_bruteforce(c4, 4)
+    assert fit.evaluate(4) == count(c4, 4)
 
 
 def test_ehrhart_validation():
@@ -276,7 +275,7 @@ def test_ehrhart_polynomiality_holdout():
     for g in (make_family("cycle", 5), make_grid(2, 3)):
         fit = ehrhart_fit(g, counts_for_fit(g))
         held_out = g.n - g.component_count + 1
-        assert fit.evaluate(held_out) == count_bruteforce(g, held_out)
+        assert fit.evaluate(held_out) == count(g, held_out)
 
 
 def test_ehrhart_evaluate_matches_nodes():
@@ -327,15 +326,15 @@ def test_reciprocal_fit_checks_itself(monkeypatch):
     # one count off by one at the top counted node is caught, for odd d
     # (2x3, d = 5), even d (C7, d = 6) and d = 0
     from lipgrowth import counting
-    exact = counting.count_bruteforce
+    exact = counting.count
     for g in (make_grid(2, 3), make_family("cycle", 7), Graph.from_edges(2, [])):
         top = (g.n - g.component_count) // 2 + 1
-        monkeypatch.setattr(counting, "count_bruteforce",
+        monkeypatch.setattr(counting, "count",
                             lambda graph, h, budget=None:
                             exact(graph, h) + (h == top))
         with pytest.raises(ValueError):
             reciprocal_fit(g)
-        monkeypatch.setattr(counting, "count_bruteforce", exact)
+        monkeypatch.setattr(counting, "count", exact)
         reciprocal_fit(g)
 
 
@@ -363,7 +362,7 @@ def test_reciprocal_fit_checks_budget_before_counting(monkeypatch):
 def _dominance_ratio(graph, pinned, h, w_ranges):
     best, v0 = 0, None
     for w in itertools.product(*w_ranges):
-        c = count_pinned(graph, h, PinSpec(pinned, (0,) + w))
+        c = count(graph, h, pin=PinSpec(pinned, (0,) + w))
         if all(x == 0 for x in w):
             v0 = c
         best = max(best, c)

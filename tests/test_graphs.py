@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,8 +75,9 @@ def test_sample_er_edge_cases():
 
     with pytest.raises(ValueError):
         sample_er(5, 6, 0)
-    with pytest.raises(ValueError):
-        sample_er(5, -1, 0)
+    for d in (-1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sample_er(5, d, 0)
     with pytest.raises(ValueError):
         sample_er(0, 0, 0)
 
@@ -151,12 +154,11 @@ def test_sample_er_mean_degree():
 
 
 def test_components_examples():
-    info = make_family("complete", 4).components()
-    assert info.count == 1 and info.giant_size == 4
+    k4 = make_family("complete", 4)
+    assert k4.parts == ((0, 1, 2, 3),) and k4.giant_size == 4
 
     two = Graph.from_edges(4, [(0, 1), (2, 3)])
-    info = two.components()
-    assert info.count == 2 and info.giant_size == 2
+    assert two.parts == ((0, 1), (2, 3)) and two.giant_size == 2
     assert two.roots == (0, 2)
 
     er = sample_er(1000, 2, 7)
@@ -168,10 +170,9 @@ def test_components_examples():
 
 def test_components_cover_all_vertices():
     g = sample_er(50, 1.5, 3)
-    info = g.components()
-    seen = sorted(v for part in info.parts for v in part)
+    seen = sorted(v for part in g.parts for v in part)
     assert seen == list(range(50))
-    assert info.count == len(g.roots)
+    assert len(g.parts) == g.component_count == len(g.roots)
 
 
 @settings(max_examples=50, deadline=None)
@@ -199,10 +200,8 @@ def assert_components_match_oracle(g, labels):
         firsts.setdefault(c, v)
         parts[c].append(v)
     assert g.roots == tuple(firsts[c] for c in range(k))
-    info = g.components()
-    assert info.parts == tuple(tuple(p) for p in parts)
-    assert info.count == k
-    assert info.giant_size == g.giant_size == max(len(p) for p in parts)
+    assert g.parts == tuple(tuple(p) for p in parts)
+    assert g.giant_size == max(len(p) for p in parts)
     assert g.degrees() == tuple(len(a) for a in g.adjacency)
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import lll_reference, pair_scan
-from lipgrowth.counting import c_empirical, c_from_ehrhart
+from lipgrowth.counting import c_empirical, reciprocal_fit
 from lipgrowth.errors import ConvergenceError
 from lipgrowth.graphs import Graph, make_family, sample_er
 from lipgrowth.randomlab import (LllConfig, bound_report, epsilon_upper_bound,
@@ -57,14 +57,22 @@ def test_bound_report_domain_edges():
     # the 1 + 1/(2d) form is only the large-d asymptote)
     assert math.isfinite(rep.lower_exact) and rep.lower_exact > 0
     assert rep.lower_valid and not rep.upper_valid
-    assert math.isnan(rep.upper_exact)
+    assert rep.upper_exact is None
 
     rep4 = bound_report(4)
-    assert not rep4.lower_valid and math.isnan(rep4.lower_exact)
-    with pytest.raises(ValueError):
-        bound_report(0)
-    with pytest.raises(ValueError):
-        stretch_parameter(4)
+    assert not rep4.lower_valid and rep4.lower_exact is None
+    for d in (0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            bound_report(d)
+    for d in (4, math.nan):
+        with pytest.raises(ValueError):
+            stretch_parameter(d)
+    for d in (8.9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            independent_pair_margin(d)
+    for d, x in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            poisson_tail_bound(d, x)
 
 
 def test_lower_exact_below_asymptote_with_slack():
@@ -236,8 +244,9 @@ def test_lll_config():
         assert c.low_range[1] >= c.low_range[0]
         assert c.high_range[1] >= c.high_range[0]
         assert c.low_range[1] - c.high_range[0] <= h
-    with pytest.raises(ValueError):
-        LllConfig(h=10, d=4.0)
+    for d in (4.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            LllConfig(h=10, d=d)
     with pytest.raises(ValueError):
         LllConfig(h=-1, d=5.0)
 
@@ -383,10 +392,10 @@ def test_cover_split_matches_scan_oracle(case):
 
 def test_pair_search_modes():
     big = Graph.from_edges(30, [])
-    res = independent_pair_search(big, 5)          # auto -> heuristic
+    res = independent_pair_search(big, 5)          # n > 20: heuristic
     assert res.found and not res.definitive
-    with pytest.raises(ValueError):
-        independent_pair_search(big, 5, exhaustive=True)
+    res = independent_pair_search(Graph.from_edges(20, []), 5)  # exhaustive
+    assert res.found and res.definitive
     with pytest.raises(ValueError):
         independent_pair_search(big, 0)
 
@@ -394,19 +403,19 @@ def test_pair_search_modes():
 def test_c_empirical_star():
     from lipgrowth.counting import counts_for_fit, ehrhart_fit
     star = make_family("star", 5)
-    assert c_from_ehrhart(star) == pytest.approx(2.0, abs=1e-12)
+    assert reciprocal_fit(star)[0].c_estimate == pytest.approx(2.0, abs=1e-12)
     fit = ehrhart_fit(star, counts_for_fit(star))
     assert fit.leading == 2 ** 4   # the growth constant is exactly 2
 
 
 def test_c_empirical_complete():
-    assert c_from_ehrhart(make_family("complete", 4)) == \
+    assert reciprocal_fit(make_family("complete", 4))[0].c_estimate == \
         pytest.approx(4 ** (1 / 3), abs=1e-12)
 
 
 def test_c_empirical_er_in_growth_window():
     g = sample_er(9, 2, 10)
-    c = c_from_ehrhart(g)
+    c = reciprocal_fit(g)[0].c_estimate
     assert 1.0 <= c <= 2.0
 
 
@@ -427,8 +436,8 @@ def test_c_empirical_tree_dominates_supergraph():
         t_vals = c_empirical(tree, [h])
         g_vals = c_empirical(denser, [h])
         assert t_vals[0] >= g_vals[0]
-    assert c_from_ehrhart(tree) == pytest.approx(2.0, abs=1e-12)
-    assert c_from_ehrhart(denser) <= 2.0
+    assert reciprocal_fit(tree)[0].c_estimate == pytest.approx(2.0, abs=1e-12)
+    assert reciprocal_fit(denser)[0].c_estimate <= 2.0
 
 
 def test_c_empirical_validation():

@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import operator
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (dense_matrix, free_strip_weight, index_state,
                      pinned_states, state_index, strip_count_stepwise)
-from lipgrowth.counting import count_bruteforce
+from lipgrowth.counting import count
 from lipgrowth.errors import ConvergenceError, ResourceLimitError
 from lipgrowth.graphs import make_grid
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
@@ -104,7 +106,7 @@ def test_strip_count_examples():
         for h in (0, 1, 3):
             assert strip_count_exact(1, n, h) == (2 * h + 1) ** (n - 1)
     assert strip_count_exact(3, 3, 1) == 1665
-    assert strip_count_exact(3, 3, 1) == count_bruteforce(make_grid(3, 3), 1)
+    assert strip_count_exact(3, 3, 1) == count(make_grid(3, 3), 1)
 
 
 def test_strip_count_big_integers():
@@ -150,8 +152,8 @@ def test_strip_count_oracle_vs_bruteforce_small():
     for m, n in ((1, 5), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (2, 5)):
         for h in (0, 1):
             assert strip_count_exact(m, n, h) == \
-                count_bruteforce(make_grid(m, n), h), (m, n, h)
-    assert strip_count_exact(2, 4, 2) == count_bruteforce(make_grid(2, 4), 2)
+                count(make_grid(m, n), h), (m, n, h)
+    assert strip_count_exact(2, 4, 2) == count(make_grid(2, 4), 2)
 
 
 def test_state_budget():
@@ -221,12 +223,13 @@ def test_apply_weight_oracle_property(case, data):
 
 
 def test_int64_guard_edge():
-    # int64 is used up to sum|x| = _int64_cap, Python ints above it
+    # int64 is used up to sum|x| = _int64_cap, Python ints above it; the cap
+    # divides by the largest weight, 2h+1, whatever the number of rows
     assert FreeStripOperator(1, 3)._int64_cap == np.iinfo(np.int64).max // 7
     op = FreeStripOperator(3, 1)
     W = weight_matrix(3, 1)
     cap = op._int64_cap
-    assert cap == np.iinfo(np.int64).max // 9
+    assert cap == np.iinfo(np.int64).max // 3
     for total in (cap, cap + 1):
         xs = [total // op.dim] * op.dim
         xs[0] += total - sum(xs)
@@ -234,6 +237,23 @@ def test_int64_guard_edge():
         y = op.apply_exact(xs)   # int64 at the cap, Python ints above it
         assert y == dense_int_product(W, xs)
         assert y == op._apply(np.array(xs, dtype=object)).tolist()
+    # signed vectors with sum|x| at the cap of each kind: the int64 path
+    # agrees with Python ints and raises no overflow warning
+    rng = np.random.default_rng(0)
+    for other in (FreeStripOperator(1, 3), FreeStripOperator(2, 2), op,
+                  FreeStripOperator(4, 1), TentOperator(3), BandOperator(3),
+                  PinnedStripOperator(2, 2)):
+        top = other._int64_cap
+        for _ in range(6):
+            cuts = sorted(rng.integers(0, top, other.dim - 1).tolist())
+            parts = map(operator.sub, [*cuts, top], [0, *cuts])
+            signs = rng.choice([-1, 1], other.dim).tolist()
+            xs = list(map(operator.mul, parts, signs))
+            assert sum(map(abs, xs)) == top
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                y = other.apply_exact(xs)
+            assert y == other._apply(np.array(xs, dtype=object)).tolist()
     # a strip DP whose totals cross the cap between two steps
     k = 1
     while strip_count_exact(3, k + 1, 1) <= cap:
@@ -285,12 +305,12 @@ def test_pinned_strip_dense_matches_transition_rule():
 
 
 def test_pinned_apply_exact_at_int64_cap():
-    # a pinned strip windows all m of its axes, so its int64 cap divides by
-    # (2h+1)^m; int64 runs at the cap and Python ints just above it
+    # pinned weights are 0 or 1, so the int64 cap is int64 max itself;
+    # int64 runs at the cap and Python ints just above it
     for m, h in ((1, 1), (2, 1), (2, 2), (3, 1)):
         op = PinnedStripOperator(m, h)
         cap = op._int64_cap
-        assert cap == np.iinfo(np.int64).max // (2 * h + 1) ** m, (m, h)
+        assert cap == np.iinfo(np.int64).max, (m, h)
         states, matrix = pinned_transition_matrix(m, h)
         perm = [states.index(y) for y in pinned_states(op)]
         W = matrix[np.ix_(perm, perm)].astype(int).tolist()
@@ -299,6 +319,15 @@ def test_pinned_apply_exact_at_int64_cap():
             xs[0] += total - sum(xs)
             assert sum(xs) == total
             assert op.apply_exact(xs) == dense_int_product(W, xs), (m, h)
+    # int64 arrays wrap modulo 2^64, so an int64 apply is exact whenever its
+    # outputs fit, even when a running sum does not: here one reaches 2M
+    big = int(np.iinfo(np.int64).max)
+    xs = [big, big, -big, -big, big]
+    assert max(itertools.accumulate(xs)) > big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = BandOperator(2)._apply(np.array(xs, dtype=np.int64)).tolist()
+    assert y == [big, 0, big, 0, -big] == BandOperator(2).apply_exact(xs)
 
 
 def test_pinned_strip_eigenvalue_matches_dense():

@@ -135,7 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=float, default=5.0)
     sp.add_argument("--h", type=int, default=100)
     sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--size", type=int, default=None, help="set size for pairs mode")
+    sp.add_argument("--size", type=int, default=None,
+                    help="set size for pairs mode (default: "
+                         "ceil(2 ln(d)/d * n), which needs 1 < d < inf)")
 
     sub.add_parser("reproduce-abstract", parents=[common],
                    help="full pipeline for the headline constants table")
@@ -317,6 +319,10 @@ def _cmd_random_lab(args):
     # pairs
     size = args.size
     if size is None:
+        # the size 2 ln(d)/d * n is positive and finite only for 1 < d < inf
+        if not 1 < args.d < math.inf:
+            raise ValueError("--d must be finite and above 1 to set the "
+                             "pairs size (or pass --size)")
         size = math.ceil(randomlab.flatness_parameter(args.d) * args.n)
     found = 0
     records = []

@@ -3,7 +3,9 @@ and the window sum behind every strip ``apply``.
 
 The window sum runs in place: it turns its source into a running sum along
 one axis and writes the window into a second buffer, so an ``apply`` that
-chains windows ping-pongs between two buffers it allocates once.
+chains windows ping-pongs between two buffers that its operator keeps.
+``_running_sum`` alone serves the last window, which an ``apply`` reads
+only at its states.
 """
 from __future__ import annotations
 
@@ -49,30 +51,41 @@ def power_iteration(apply_fn, x0: np.ndarray, tol: float = 1e-10,
         residual=residual, iterations=max_iter)
 
 
+def _running_sum(a: np.ndarray, axis: int) -> None:
+    """Overwrite ``a`` with its running sum along ``axis``.
+
+    Along a leading axis this is one vectorised row add per index:
+    ``np.cumsum`` would run that axis as its strided inner loop.  Along the
+    last axis, or when each index holds a single element, it is
+    ``np.cumsum`` itself.  Both add in the same order, so results do not
+    depend on which one runs.
+    """
+    n = a.shape[axis]
+    if axis == a.ndim - 1 or a.size == n:
+        np.cumsum(a, axis=axis, out=a)
+    else:
+        s = a.swapaxes(0, axis)
+        for i in range(1, n):
+            np.add(s[i - 1], s[i], out=s[i])
+
+
 def _window_sum(src: np.ndarray, half: int, axis: int, out: np.ndarray) -> None:
     """Write into ``out`` the sum of ``src`` over [j - half, j + half] along
     ``axis``, zero outside.
 
-    ``src`` is overwritten with its running sum along ``axis``; ``out`` has
-    the shape and dtype of ``src`` and shares no memory with it.  The window
-    is then two slice copies and one in-place subtraction, so the call
-    allocates no full-size temporary.  The dtype is kept, so float, int64 and
-    object (Python int) arrays all run the same code.
-
-    Along a leading axis the running sum is one vectorised row add per
-    index: ``np.cumsum`` would run that axis as its strided inner loop.
-    Along the last axis, or when each index holds a single element, it is
-    ``np.cumsum`` itself.  Both add in the same order, so results do not
-    depend on which one runs.
+    ``src`` is overwritten with its running sum along ``axis``
+    (``_running_sum``); ``out`` has the shape and dtype of ``src`` and shares
+    no memory with it.  The window is then two slice copies and one in-place
+    subtraction, so the call allocates no full-size temporary.  The dtype is
+    kept, so float, int64 and object (Python int) arrays all run the same
+    code.  Every step is elementwise over the slabs of one index, so both
+    arrays are viewed with ``axis`` swapped to the front, whatever order the
+    other axes then take.
     """
+    _running_sum(src, axis)
     n = src.shape[axis]
-    s = np.moveaxis(src, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    if axis == src.ndim - 1 or src.size == n:
-        np.cumsum(src, axis=axis, out=src)
-    else:
-        for i in range(1, n):
-            np.add(s[i - 1], s[i], out=s[i])
+    s = src.swapaxes(0, axis)
+    o = out.swapaxes(0, axis)
     # out[j] = run[min(j + half, n - 1)] - run[j - half - 1], the second
     # term only where j > half.
     if half < n:

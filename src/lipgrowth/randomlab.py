@@ -295,12 +295,12 @@ def independent_pair_search(graph: Graph, size: int,
                             seed: int = 0) -> PairSearchResult:
     """Look for two disjoint size-``size`` vertex sets with no crossing edge.
 
-    For n <= 20 the search is exhaustive and definitive: "not found" means
-    no such pair exists.  When 2*size == n the two sets cover every vertex,
-    so each component lies wholly in one of them and the search is a subset
-    sum over component sizes; otherwise it scans candidate sets A and takes
-    B from the non-neighbours of A.  Above n = 20 it tries 200 random A
-    sets and is inconclusive on failure.
+    When 2*size == n the two sets cover every vertex, so each component
+    lies wholly in one of them: the search is a subset sum over component
+    sizes and definitive at any n.  Otherwise, for n <= 20, it scans
+    candidate sets A and takes B from the non-neighbours of A, which is
+    also definitive: "not found" means no such pair exists.  Above n = 20
+    it tries 200 random A sets and is inconclusive on failure.
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -308,7 +308,7 @@ def independent_pair_search(graph: Graph, size: int,
     exhaustive = n <= 20
     if 2 * size > n:
         return PairSearchResult(False, None, None, True)
-    if exhaustive and 2 * size == n:
+    if 2 * size == n:
         return _cover_split(graph, size)
 
     nbr_mask = [0] * n
@@ -349,25 +349,40 @@ def independent_pair_search(graph: Graph, size: int,
 
 def _cover_split(graph: Graph, size: int) -> PairSearchResult:
     """Definitive search when the two sets cover V: a union of components
-    with ``size`` vertices is A, the rest is B."""
-    parts = graph.parts
-    # reached[t] = (component, previous sum) that first reached sum t; the
-    # key snapshot per component keeps each one used at most once
-    reached: dict[int, tuple[int, int] | None] = {0: None}
-    for c, part in enumerate(parts):
-        for t in list(reached):
-            u = t + len(part)
-            if u <= size and u not in reached:
-                reached[u] = (c, t)
-    if size not in reached:
+    with ``size`` vertices is A, the rest is B.
+
+    The subset sum runs on Python-int bitsets (bit t set iff some choice of
+    components holds t vertices).  The q components of one size enter as
+    0/1 items of 1, 2, 4, ... of them, so the work grows with the number of
+    distinct sizes, not of components.
+    """
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for part in graph.parts:
+        by_size.setdefault(len(part), []).append(part)
+    items = []   # (component size, how many of them)
+    for s, group in by_size.items():
+        left, k = len(group), 1
+        while left:
+            items.append((s, min(k, left)))
+            left -= items[-1][1]
+            k *= 2
+    mask = (1 << size + 1) - 1
+    reach = [1]  # reach[i]: the sums the first i items make
+    for s, k in items:
+        reach.append((reach[-1] | reach[-1] << s * k) & mask)
+    if not reach[-1] >> size & 1:
         return PairSearchResult(False, None, None, True)
-    chosen = []
+    taken = dict.fromkeys(by_size, 0)
     t = size
-    while reached[t] is not None:
-        c, t = reached[t]
-        chosen.extend(parts[c])
+    for i in reversed(range(len(items))):
+        if not reach[i] >> t & 1:   # t needs item i
+            s, k = items[i]
+            taken[s] += k
+            t -= s * k
+    chosen = {v for s, k in taken.items() for part in by_size[s][:k]
+              for v in part}
     set_a = tuple(sorted(chosen))
-    set_b = tuple(sorted(set(range(graph.n)) - set(chosen)))
+    set_b = tuple(v for v in range(graph.n) if v not in chosen)
     return PairSearchResult(True, set_a, set_b, True)
 
 

@@ -15,8 +15,11 @@ Operator kinds
 Every apply is matrix-free: separable window sums (running-sum
 differences) on an embedded lattice, O(cells) per apply.  Each window turns
 one buffer into its running sum in place and writes the window into the
-other, so an apply allocates two lattice-sized buffers and swaps them after
-every window.  Every kind scatters onto the lattice of prefix vectors,
+other, swapping the two after every window; an operator allocates its two
+lattice-sized buffers on its first apply in a dtype and reuses them after.
+The last window is never written out: its buffer becomes the running sum
+along that axis, read as one difference at each state.  Every kind
+scatters onto the lattice of prefix vectors,
 since its weight depends only on the difference of two columns' prefix
 vectors: a half-width-h box window on every axis, then, for free strips
 (and tent), one more along the diagonal (1, ..., 1) for the column offset.
@@ -37,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, ResourceLimitError
-from .iterate import _window_sum, power_iteration
+from .iterate import _running_sum, _window_sum, power_iteration
 
 
 def _prefix_table(m: int, h: int) -> np.ndarray:
@@ -70,8 +73,11 @@ class FreeStripOperator:
     lattice reshaped to rows of one diagonal step (the sum of the strides);
     the padding keeps every step taken from a state inside the lattice, so
     no window wraps.  Every window is a running-sum difference, so one
-    apply costs O(cells).  ``state_budget`` bounds ``cells``, the size of
-    that padded lattice, before anything is allocated.
+    apply costs O(cells), and the last one is taken only at the states:
+    y(V) = R[hi] - R[lo] for the running sum R along the last window's
+    axis.  ``state_budget`` bounds ``cells``, the size of that padded
+    lattice, before anything is allocated; the two lattice buffers are
+    kept, one pair per dtype, for the operator's lifetime.
 
     A ``pinned`` kind fixes the top row at 0: its m rows are the m
     difference steps below that row, so it runs on the m axes of the free
@@ -101,6 +107,17 @@ class FreeStripOperator:
         offsets = (np.arange(axes) + 1) * h + pad
         self._sites = ((_prefix_table(axes + 1, h)[:, 1:] + offsets)
                        @ np.asarray(strides, dtype=np.int64))
+        # The last window (the last box axis when pinned, else the diagonal
+        # as the leading axis of rows of one step) at coordinate j of n is
+        # run[min(j + h, n - 1)] - run[j - h - 1], the second term only
+        # where j > h; hi and lo index those two cells of the running sum.
+        stride = 1 if self.pinned else self._step
+        n = self._shape[-1] if self.pinned else self.cells // stride
+        j = self._sites // stride % n
+        self._hi = self._sites + (np.minimum(j + h, n - 1) - j) * stride
+        self._has_lo = j > h
+        self._lo = np.where(self._has_lo, self._sites - (h + 1) * stride, 0)
+        self._buffers: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
         # Every step of _apply is a copy, add, subtract or multiply, which
         # int64 arrays wrap modulo 2^64, so an int64 result is congruent to
         # W x and equals it whenever each |(W x)_i| fits, however large the
@@ -117,21 +134,29 @@ class FreeStripOperator:
         """y = W x in the dtype of x: float, int64 or object (Python ints)."""
         if not self._shape:
             return x * (2 * self.h + 1)
-        # Two zeroed buffers: the box windows write only the first ``size``
-        # cells, so the tail the diagonal window reads stays zero in both.
-        src = np.zeros(self.cells, dtype=x.dtype)
-        dst = np.zeros(self.cells, dtype=x.dtype)
-        src[self._sites] = x
+        if x.dtype not in self._buffers:
+            self._buffers[x.dtype] = (np.empty(self.cells, dtype=x.dtype),
+                                      np.empty(self.cells, dtype=x.dtype))
+        src, dst = self._buffers[x.dtype]
         size = math.prod(self._shape)
-        for axis in range(len(self._shape)):
+        # The box windows write only the first ``size`` cells of dst; the
+        # diagonal window reads the whole buffer, so both tails start at 0.
+        src.fill(0)
+        if not self.pinned:
+            dst[size:] = 0
+        src[self._sites] = x
+        for axis in range(len(self._shape) - self.pinned):
             _window_sum(src[:size].reshape(self._shape), self.h, axis,
                         dst[:size].reshape(self._shape))
             src, dst = dst, src
-        if not self.pinned:
-            _window_sum(src.reshape(-1, self._step), self.h, 0,
-                        dst.reshape(-1, self._step))
-            src = dst
-        return src[self._sites]
+        if self.pinned:
+            _running_sum(src[:size].reshape(self._shape), len(self._shape) - 1)
+        else:
+            _running_sum(src.reshape(-1, self._step), 0)
+        # fancy indexing copies, so the result never aliases a buffer
+        y = src[self._hi]
+        np.subtract(y, src[self._lo], out=y, where=self._has_lo)
+        return y
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if x.shape != (self.dim,):

@@ -277,6 +277,13 @@ def test_exit_codes(capsys):
                  ["bounds", "--d", "nan"], ["bounds", "--d", "10", "inf"]):
         code, out = run(capsys, argv)
         assert (code, out) == (2, ""), argv
+    # usage: without --size, pairs mode needs 1 < d < inf for its set size,
+    # and the message names --d
+    for d in ("nan", "inf", "0", "1"):
+        code = main(["random-lab", "--mode", "pairs", "--n", "20", "--d", d])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), d
+        assert "--d" in captured.err, d
     # resource limit: the m=8 prefix lattice exceeds the default budget
     assert main(["strip", "--kind", "free-strip", "--m", "8", "--h", "3"]) == 3
     # usage: fewer than one trial, in every random-lab mode

@@ -94,6 +94,14 @@ def test_apply_leaves_input_unchanged(op):
     assert not np.shares_memory(x, y)
     # a second apply of the same vector gives the same answer
     assert np.array_equal(op.apply(x), y)
+    # the operator reuses its buffers, but a result is the caller's: it
+    # outlives the next apply, and writing into it changes no later one
+    first = y.copy()
+    other = op.apply(x[::-1].copy())
+    assert np.array_equal(y, first)
+    y[:] = np.nan
+    other[:] = np.nan
+    assert np.array_equal(op.apply(x), first)
 
 
 @pytest.mark.parametrize("op", APPLY_OPERATORS, ids=lambda op: f"{op.kind}-{op.m}")

@@ -11,8 +11,8 @@ from helpers import lll_reference, pair_scan
 from lipgrowth.counting import c_empirical, reciprocal_fit
 from lipgrowth.errors import ConvergenceError
 from lipgrowth.graphs import Graph, make_family, sample_er
-from lipgrowth.randomlab import (LllConfig, bound_report, epsilon_upper_bound,
-                                 flatness_parameter,
+from lipgrowth.randomlab import (LllConfig, PairSearchResult, bound_report,
+                                 epsilon_upper_bound, flatness_parameter,
                                  giant_fraction_prediction,
                                  independent_pair_margin,
                                  independent_pair_search, lll_sampler,
@@ -398,6 +398,51 @@ def test_pair_search_modes():
     assert res.found and res.definitive
     with pytest.raises(ValueError):
         independent_pair_search(big, 0)
+
+
+def test_cover_split_is_definitive_above_20_vertices():
+    # an 11-vertex path and 11 isolated vertices: A = the path, B = the rest
+    g = Graph.from_edges(22, [(i, i + 1) for i in range(10)])
+    res = independent_pair_search(g, 11)
+    assert res == PairSearchResult(True, tuple(range(11)),
+                                   tuple(range(11, 22)), True)
+    # a 12-vertex path cannot lie in either half: definitively absent
+    g = Graph.from_edges(22, [(i, i + 1) for i in range(11)])
+    assert independent_pair_search(g, 11) == PairSearchResult(False, None,
+                                                              None, True)
+    # 300 three-paths, 150 edges and 600 isolated vertices: many
+    # components of three sizes, and 900 of the 1,800 vertices in many ways
+    edges = [e for t in range(300) for e in ((3 * t, 3 * t + 1),
+                                             (3 * t + 1, 3 * t + 2))]
+    edges += [(900 + 2 * k, 901 + 2 * k) for k in range(150)]
+    g = Graph.from_edges(1800, edges)
+    res = independent_pair_search(g, 900)
+    a = set(res.set_a)
+    assert res.found and res.definitive and len(a) == 900
+    assert res.set_b == tuple(sorted(set(range(1800)) - a))
+    assert not any((u in a) != (v in a) for u, v in g.edge_array.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=25))
+def test_cover_split_matches_subset_sum_oracle(lengths):
+    # disjoint paths of the drawn lengths, plus one isolated vertex when
+    # that makes n even; repeated lengths exercise the grouping by size
+    n = sum(lengths) + sum(lengths) % 2
+    edges, start = [], 0
+    for k in lengths:
+        edges += [(start + i, start + i + 1) for i in range(k - 1)]
+        start += k
+    g = Graph.from_edges(n, edges)
+    sums = {0}
+    for part in g.parts:
+        sums |= {t + len(part) for t in sums}
+    res = independent_pair_search(g, n // 2)
+    assert res.definitive and res.found == (n // 2 in sums)
+    if res.found:
+        a = set(res.set_a)
+        assert len(a) == n // 2 and set(res.set_b) == set(range(n)) - a
+        assert not any((u in a) != (v in a) for u, v in edges)
 
 
 def test_c_empirical_star():

@@ -230,7 +230,9 @@ def test_int64_guard_edge():
     W = weight_matrix(3, 1)
     cap = op._int64_cap
     assert cap == np.iinfo(np.int64).max // 3
-    for total in (cap, cap + 1):
+    # int64 at the cap, Python ints above it, and back again: the operator
+    # keeps one buffer pair per dtype
+    for total in (cap, cap + 1, cap, cap + 1):
         xs = [total // op.dim] * op.dim
         xs[0] += total - sum(xs)
         assert sum(xs) == total
@@ -314,7 +316,7 @@ def test_pinned_apply_exact_at_int64_cap():
         states, matrix = pinned_transition_matrix(m, h)
         perm = [states.index(y) for y in pinned_states(op)]
         W = matrix[np.ix_(perm, perm)].astype(int).tolist()
-        for total in (cap, cap + 1):
+        for total in (cap, cap + 1, cap, cap + 1):
             xs = [total // op.dim + k for k in range(op.dim)]
             xs[0] += total - sum(xs)
             assert sum(xs) == total
@@ -452,3 +454,46 @@ def test_normalization_rules():
     assert PinnedStripOperator(2, 2).normalized(16.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         BandOperator(0).normalized(1.0)
+
+
+def oracle_matrix(op):
+    """The operator's matrix in Python ints, straight from its weight rule
+    and in its state order: ``weight_matrix`` for free kinds (tent too),
+    the transition rule for pinned ones (band too)."""
+    if not op.pinned:
+        return weight_matrix(op.m, op.h)
+    states, matrix = pinned_transition_matrix(op.m, op.h)
+    perm = [states.index(y) for y in pinned_states(op)]
+    return tuple(map(tuple, matrix[np.ix_(perm, perm)].astype(int).tolist()))
+
+
+WARM_CASES = [(kind, m, h) for h in range(4)
+              for kind, ms in (("free-strip", (1, 2, 3, 4)),
+                               ("pinned-strip", (1, 2, 3)),
+                               ("band", (None,)), ("tent", (None,)))
+              for m in ms]
+
+
+@pytest.mark.parametrize("kind, m, h", WARM_CASES)
+def test_warm_buffers_match_fresh_operator(kind, m, h):
+    # one operator reuses its buffers across applies in float, int64 and
+    # Python ints, in turn: each result equals a fresh operator's and the
+    # weight rule's product
+    op = make_operator(kind, h, m)
+    W = oracle_matrix(op)
+    rng = np.random.default_rng(10 * h + (m or 0))
+    for step in range(7):
+        ints = rng.integers(-9, 10, op.dim).tolist()
+        fresh = make_operator(kind, h, m)
+        if step % 3 == 0:
+            # quarters: every sum is exact in float, in any order
+            x = np.asarray(ints) / 4
+            y = op.apply(x)
+            assert np.array_equal(y, fresh.apply(x)), step
+            assert y.tolist() == [v / 4 for v in dense_int_product(W, ints)]
+        else:
+            xs = ints if step % 3 == 1 else [2**70 + v for v in ints]
+            assert (sum(map(abs, xs)) > op._int64_cap) == (step % 3 == 2)
+            y = op.apply_exact(xs)
+            assert y == fresh.apply_exact(xs) == dense_int_product(W, xs), step
+    assert len(op._buffers) == (3 if op._shape else 0)

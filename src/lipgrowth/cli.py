@@ -41,13 +41,21 @@ _ROWS = {
 }
 
 
+def _seed(text: str) -> int:
+    """--seed: a non-negative integer, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lipgrowth",
         description="Count h-Lipschitz integer functions on graphs and "
                     "compute their growth constants.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_seed, default=0,
                         help="seed for all randomness (default 0)")
     common.add_argument("--format", choices=["json", "csv", "table"],
                         default=None,
@@ -103,8 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "strip", parents=[common], help="transfer-operator spectra",
         epilog="CSV columns: kind, m, h, lambda, normalized, residual, "
-               "iterations; with three or more h values the JSON payload "
-               "adds the extrapolated h->infinity limit and its 1/h slope.")
+               "iterations; with three or more h values, which must then be "
+               "distinct and increasing, the JSON payload adds the "
+               "extrapolated h->infinity limit and its 1/h slope.")
     sp.add_argument("--kind", required=True,
                     choices=["band", "tent", "free-strip", "pinned-strip"])
     sp.add_argument("--m", type=int, default=None,
@@ -218,6 +227,10 @@ def _cmd_ehrhart(args):
 
 
 def _cmd_strip(args):
+    # checked before any solve: the extrapolation needs a 1/h ladder
+    if len(args.h) >= 3 and sorted(set(args.h)) != args.h:
+        raise ValueError("--h values must be distinct and increasing "
+                         "to extrapolate")
     records = []
     pairs = []
     for h in args.h:

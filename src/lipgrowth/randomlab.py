@@ -223,9 +223,13 @@ def lll_sampler(graph: Graph, cfg: LllConfig, trials: int,
     """Estimate how often the random construction lands on a valid function.
 
     Per trial, every vertex draws one value from its range; success means
-    every edge satisfies |f(u) - f(v)| <= h.  Trials use derived seeds
-    (seed, trial), so the aggregate is deterministic and scheduling-free,
-    and the raw uniform stream does not depend on the graph.
+    every edge satisfies |f(u) - f(v)| <= h.  All trials read one stream,
+    ``default_rng(seed)``: trial t takes its uniforms t*n .. t*n + n - 1,
+    one per vertex in vertex order, so the result is a pure function of
+    (graph, cfg, trials, seed) and the raw stream does not depend on the
+    graph.  Each uniform is one 64-bit draw, so trial t alone is
+    reproduced by ``rng.bit_generator.advance(t * n)`` on a fresh
+    ``default_rng(seed)``.
 
     Each failing edge is counted once, from its lower endpoint u: since
     f(v) - f(u) > h and no value exceeds the top of the low range, f(u) is
@@ -265,8 +269,8 @@ def lll_sampler(graph: Graph, cfg: LllConfig, trials: int,
     f = buf[:n]
     successes = 0
     failing_edges = 0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
         rng.random(out=f)
         # f = floor(u * width) + base: small integers, exact as floats
         np.multiply(f, width, out=f)

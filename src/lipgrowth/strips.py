@@ -43,18 +43,6 @@ from .errors import DEFAULT_BUDGET, ResourceLimitError
 from .iterate import _running_sum, _window_sum, power_iteration
 
 
-def _prefix_table(m: int, h: int) -> np.ndarray:
-    """All states' prefix sums: row = (0, d1, d1+d2, ...), shape (dim, m)."""
-    base = 2 * h + 1
-    dim = base ** (m - 1)
-    if m == 1:
-        return np.zeros((1, 1), dtype=np.int64)
-    grids = np.indices((base,) * (m - 1)).reshape(m - 1, dim).T - h
-    pref = np.zeros((dim, m), dtype=np.int64)
-    pref[:, 1:] = np.cumsum(grids, axis=1)
-    return pref
-
-
 class FreeStripOperator:
     """Transfer over m free rows; states are within-column difference vectors.
 
@@ -104,9 +92,17 @@ class FreeStripOperator:
         if self.cells > state_budget:
             raise ResourceLimitError(
                 f"prefix lattice of {self.cells} cells exceeds budget {state_budget}")
-        offsets = (np.arange(axes) + 1) * h + pad
-        self._sites = ((_prefix_table(axes + 1, h)[:, 1:] + offsets)
-                       @ np.asarray(strides, dtype=np.int64))
+        # A state's site is linear in its difference steps: from the site
+        # of the all-zero state, step t moves prefix axes t.. by d_t, so it
+        # adds d_t times their stride sum.  States run in C order over
+        # (d_1, ..., d_axes), each in [-h, h].
+        reach = np.cumsum(strides[::-1], dtype=np.int64)[::-1]
+        steps = np.arange(-h, h + 1, dtype=np.int64)
+        sites = np.int64(sum(((i + 1) * h + pad) * stride
+                             for i, stride in enumerate(strides)))
+        for t in range(axes):
+            sites = np.add.outer(sites, steps * reach[t])
+        self._sites = np.ravel(sites)
         # The last window (the last box axis when pinned, else the diagonal
         # as the leading axis of rows of one step) at coordinate j of n is
         # run[min(j + h, n - 1)] - run[j - h - 1], the second term only

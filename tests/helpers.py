@@ -243,6 +243,23 @@ def pinned_states(op: PinnedStripOperator) -> list[tuple[int, ...]]:
             for d in product(range(-op.h, op.h + 1), repeat=op.m)]
 
 
+def prefix_sites(m: int, h: int, pinned: bool) -> list[int]:
+    """Flat lattice site of every strip state, in state order: the prefix
+    sums of each difference vector, offset into the padded box and
+    flattened row-major.  A free m-row strip has m - 1 difference steps
+    and pads every axis by h; a pinned one has m steps and no padding."""
+    axes = m if pinned else m - 1
+    pad = 0 if pinned else h
+    sizes = [2 * ((i + 1) * h + pad) + 1 for i in range(axes)]
+    sites = []
+    for diffs in product(range(-h, h + 1), repeat=axes):
+        site = 0
+        for i, (p, size) in enumerate(zip(accumulate(diffs), sizes)):
+            site = site * size + p + (i + 1) * h + pad
+        sites.append(site)
+    return sites
+
+
 def dense_matrix(op: FreeStripOperator) -> np.ndarray:
     """Materialize a small operator column by column."""
     return np.column_stack([op.apply(e) for e in np.eye(op.dim)])
@@ -297,11 +314,11 @@ def pair_scan(graph: Graph, size: int) -> tuple[int, ...] | None:
     return None
 
 
-def lll_reference(graph: Graph, cfg: LllConfig, trials: int,
-                  seed: int) -> MonteCarloResult:
-    """Reference for ``lll_sampler``: every trial checks both endpoints of
-    every edge.  Degrees come from ``graph.adjacency``; vertex i takes the
-    i-th uniform of ``default_rng([seed, t]).random(n)`` in trial t."""
+def lll_trial_failures(graph: Graph, cfg: LllConfig,
+                       uniforms: np.ndarray) -> int:
+    """Failing edges of one ``lll_sampler`` trial whose vertex i takes
+    ``uniforms[i]``; checks both endpoints of every edge, with degrees from
+    ``graph.adjacency``."""
     degrees = np.array([len(a) for a in graph.adjacency])
     low = degrees < cfg.degree_threshold
     lo_a, lo_b = cfg.low_range
@@ -309,15 +326,23 @@ def lll_reference(graph: Graph, cfg: LllConfig, trials: int,
     base = np.where(low, lo_a, hi_a)
     width = np.where(low, lo_b - lo_a + 1, hi_b - hi_a + 1)
     edges = np.array(sorted(graph.edges), dtype=np.int64).reshape(-1, 2)
+    f = base + np.floor(uniforms * width).astype(np.int64)
+    return int(np.sum(np.abs(f[edges[:, 0]] - f[edges[:, 1]]) > cfg.h))
+
+
+def lll_reference(graph: Graph, cfg: LllConfig, trials: int,
+                  seed: int) -> MonteCarloResult:
+    """Reference for ``lll_sampler``: one ``default_rng(seed)`` stream, and
+    trial t checks every edge under the next ``random(n)`` uniforms."""
+    rng = np.random.default_rng(seed)
     successes = 0
     failing_edges = 0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        f = base + np.floor(rng.random(graph.n) * width).astype(np.int64)
-        nbad = int(np.sum(np.abs(f[edges[:, 0]] - f[edges[:, 1]]) > cfg.h))
+    for _ in range(trials):
+        nbad = lll_trial_failures(graph, cfg, rng.random(graph.n))
         failing_edges += nbad
         successes += nbad == 0
     lo_ci, hi_ci = wilson_interval(successes, trials)
-    rate = failing_edges / (trials * len(edges)) if len(edges) else 0.0
+    n_edges = len(graph.edges)
+    rate = failing_edges / (trials * n_edges) if n_edges else 0.0
     return MonteCarloResult(trials, successes, successes / trials,
                             lo_ci, hi_ci, seed, rate)

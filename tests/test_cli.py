@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from lipgrowth import strips
 from lipgrowth.cli import main
 from lipgrowth.continuum import solve_alpha
 from lipgrowth.graphs import from_edgelist_str, make_grid, sample_er
@@ -284,6 +285,16 @@ def test_exit_codes(capsys):
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), d
         assert "--d" in captured.err, d
+    # usage: --seed must be a non-negative integer, and the parser's
+    # message names it
+    for argv in (["random-lab", "--mode", "lll", "--n", "10", "--seed", "-1"],
+                 ["random-lab", "--mode", "giant", "--n", "10", "--seed=-1"],
+                 ["generate", "--er", "10", "2", "--seed", "-1"],
+                 ["generate", "--er", "10", "2", "--seed", "x"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert "--seed" in captured.err, argv
     # resource limit: the m=8 prefix lattice exceeds the default budget
     assert main(["strip", "--kind", "free-strip", "--m", "8", "--h", "3"]) == 3
     # usage: fewer than one trial, in every random-lab mode
@@ -341,6 +352,20 @@ def test_constants_rows_shared_with_reproduce_abstract(capsys):
         assert meta[name].startswith("N=251/501/1001/2001, err=")
     for name in ("zeta", "psi", "strip_pinned_two", "strip_three_rows"):
         assert meta[name].startswith("N=17/33/65/129, err=")
+
+
+def test_strip_checks_h_list_before_solving(capsys, monkeypatch):
+    # three or more --h values feed the 1/h extrapolation, so they must be
+    # distinct and increasing; a bad list exits 2 before any operator is built
+    def unreachable(*args):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(strips, "make_operator", unreachable)
+    for hs in (["20", "15", "10"], ["3", "4", "4"]):
+        code = main(["strip", "--kind", "pinned-strip", "--m", "3", "--h", *hs])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), hs
+        assert "--h" in captured.err, hs
 
 
 def test_strip_fixed_rows_reject_m(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import lll_reference, pair_scan
+from helpers import lll_reference, lll_trial_failures, pair_scan
 from lipgrowth.counting import c_empirical, reciprocal_fit
 from lipgrowth.errors import ConvergenceError
 from lipgrowth.graphs import Graph, make_family, sample_er
@@ -330,6 +330,24 @@ def test_lll_sampler_matches_reference(case, trials, seed):
     graph, cfg = case
     assert lll_sampler(graph, cfg, trials, seed) == \
         lll_reference(graph, cfg, trials, seed)
+
+
+def test_lll_trial_reads_its_own_slice_of_one_stream():
+    # trial t alone: default_rng(seed) advanced past the t * n uniforms of
+    # the trials before it
+    graph = make_family("complete", 12)
+    cfg = LllConfig(h=60, d=6.0)
+    trials, seed = 500, 5
+    failures = []
+    for t in range(trials):
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(t * graph.n)
+        failures.append(lll_trial_failures(graph, cfg, rng.random(graph.n)))
+    # the trials differ: some fail and some succeed
+    assert 0 < failures.count(0) < trials
+    res = lll_sampler(graph, cfg, trials, seed)
+    assert res.successes == failures.count(0)
+    assert res.edge_failure_rate == sum(failures) / (trials * len(graph.edges))
 
 
 def test_pair_search_examples():

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (dense_matrix, free_strip_weight, index_state,
-                     pinned_states, state_index, strip_count_stepwise)
+                     pinned_states, prefix_sites, state_index,
+                     strip_count_stepwise)
 from lipgrowth.counting import count
 from lipgrowth.errors import ConvergenceError, ResourceLimitError
 from lipgrowth.graphs import make_grid
@@ -472,6 +473,12 @@ WARM_CASES = [(kind, m, h) for h in range(4)
                                ("pinned-strip", (1, 2, 3)),
                                ("band", (None,)), ("tent", (None,)))
               for m in ms]
+
+
+@pytest.mark.parametrize("kind, m, h", WARM_CASES)
+def test_sites_match_prefix_sum_reference(kind, m, h):
+    op = make_operator(kind, h, m)
+    assert op._sites.tolist() == prefix_sites(op.m, h, op.pinned)
 
 
 @pytest.mark.parametrize("kind, m, h", WARM_CASES)

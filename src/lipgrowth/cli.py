@@ -170,7 +170,10 @@ def _build_graph(args) -> graphs.Graph:
     if args.grid:
         return graphs.make_grid(*_grid_shape(args.grid))
     if args.er:
-        return graphs.sample_er(int(args.er[0]), float(args.er[1]), args.seed)
+        try:
+            return graphs.sample_er(int(args.er[0]), float(args.er[1]), args.seed)
+        except ValueError as exc:
+            raise ValueError(f"--er: {exc}") from exc
     if getattr(args, "load", None):
         return graphs.read_edgelist(args.load)
     raise ValueError("no graph specified")
@@ -304,11 +307,19 @@ def _cmd_bounds(args):
     return {"records": records}
 
 
+def _lab_graph(args, seed: int) -> graphs.Graph:
+    """``sample_er(args.n, args.d, seed)``; its usage error names the flag."""
+    try:
+        return graphs.sample_er(args.n, args.d, seed)
+    except ValueError as exc:
+        raise ValueError(f"{'--n' if args.n < 1 else '--d'}: {exc}") from exc
+
+
 def _cmd_random_lab(args):
     if args.trials < 1:
         raise ValueError("--trials must be positive")
     if args.mode == "lll":
-        g = graphs.sample_er(args.n, args.d, args.seed)
+        g = _lab_graph(args, args.seed)
         cfg = randomlab.LllConfig(h=args.h, d=args.d)
         res = randomlab.lll_sampler(g, cfg, args.trials, args.seed)
         rec = {"mode": "lll", "n": args.n, "d": args.d, "h": args.h,
@@ -322,7 +333,7 @@ def _cmd_random_lab(args):
                      if args.d > 1 else None)
         records = []
         for t in range(args.trials):
-            g = graphs.sample_er(args.n, args.d, args.seed + t)
+            g = _lab_graph(args, args.seed + t)
             records.append({"mode": "giant", "n": args.n, "d": args.d,
                             "seed": args.seed + t,
                             "components": g.component_count,
@@ -340,7 +351,7 @@ def _cmd_random_lab(args):
     found = 0
     records = []
     for t in range(args.trials):
-        g = graphs.sample_er(args.n, args.d, args.seed + t)
+        g = _lab_graph(args, args.seed + t)
         res = randomlab.independent_pair_search(g, size, seed=args.seed + t)
         found += res.found
         records.append({"mode": "pairs", "n": args.n, "d": args.d, "size": size,

@@ -1,10 +1,10 @@
 """Exact counting of h-Lipschitz functions and Ehrhart-polynomial fitting.
 
 An h-Lipschitz function assigns an integer to every vertex, differs by at
-most h across each edge, and sends the root of every component to 0.
-``count`` gives their number, pinned or not, by bucket elimination as an
-exact Python integer; ``reciprocal_fit`` interpolates the counting polynomial in exact
-rationals, and its ``c_estimate`` is the growth constant.
+most h across each edge, and sends the root of every component, its
+smallest vertex, to 0.  ``count`` gives their number by bucket elimination
+as an exact Python integer; ``reciprocal_fit`` interpolates the counting
+polynomial in exact rationals, and its ``c_estimate`` is the growth constant.
 """
 from __future__ import annotations
 
@@ -24,57 +24,28 @@ _LABELS = string.ascii_letters  # einsum's subscript alphabet: 52 axes per step
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
-class PinSpec:
-    """Vertices forced to given values (the component root must be pinned to 0)."""
+def _domains(graph: Graph, h: int) -> list[tuple[int, int]]:
+    """Interval [-h*d, h*d] of values each vertex can take, with d its BFS
+    distance from its component's root.
 
-    vertices: tuple[int, ...]
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.vertices) != len(self.values):
-            raise ValueError("vertices and values must have equal length")
-        if not self.vertices:
-            raise ValueError("pin set must be nonempty")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("repeated pinned vertex")
-
-    def negated(self) -> "PinSpec":
-        return PinSpec(self.vertices, tuple(-w for w in self.values))
-
-
-def _domains(graph: Graph, pin_value: dict[int, int],
-             h: int) -> list[tuple[int, int]] | None:
-    """Interval of values each vertex can take, or None if one is empty.
-
-    Every h-Lipschitz f has |f(v) - w_p| <= h * d(p, v) for each pinned p, so
-    v ranges over the intersection of [w_p - h*d, w_p + h*d], found by one
-    BFS per pinned vertex.  The bounds lo and hi are themselves h-Lipschitz
-    (d changes by at most 1 across an edge), so every edge constraint at a
-    vertex whose interval is one value already holds: such vertices, the
-    pinned ones included, are constants.  Conversely, when every interval is
-    nonempty the pins are h-Lipschitz in graph distance, and the extension
-    v -> min_p (w_p + h*d(p, v)) shows the count is positive.
+    Every h-Lipschitz f has |f(v)| <= h * d, since f(root) = 0.  The bounds
+    are themselves h-Lipschitz (d changes by at most 1 across an edge), so
+    every edge constraint at a vertex whose interval is one value already
+    holds: such vertices, the roots among them, are constants.
     """
-    lo = [-math.inf] * graph.n
-    hi = [math.inf] * graph.n
-    for p, w in pin_value.items():
-        dist = {p: 0}
-        frontier = [p]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for x in graph.adjacency[u]:
-                    if x not in dist:
-                        dist[x] = dist[u] + 1
-                        nxt.append(x)
-            frontier = nxt
-        for v, d in dist.items():
-            lo[v] = max(lo[v], w - h * d)
-            hi[v] = min(hi[v], w + h * d)
-    if any(a > b for a, b in zip(lo, hi)):
-        return None
-    return list(zip(lo, hi))
+    dist = [-1] * graph.n
+    frontier = list(graph.roots)
+    for r in frontier:
+        dist[r] = 0
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for x in graph.adjacency[u]:
+                if dist[x] < 0:
+                    dist[x] = dist[u] + 1
+                    nxt.append(x)
+        frontier = nxt
+    return [(-h * d, h * d) for d in dist]
 
 
 def _elimination_order(adjacency: dict[int, set[int]], size: dict[int, int],
@@ -120,43 +91,24 @@ def _elimination_order(adjacency: dict[int, set[int]], size: dict[int, int],
     return order, work
 
 
-def _plan(graph: Graph, h: int, budget: int, pin: PinSpec | None
-          ) -> tuple[list[tuple[int, int]], dict[int, int], list[int], int] | None:
+def _plan(graph: Graph, h: int, budget: int
+          ) -> tuple[list[tuple[int, int]], dict[int, int], list[int], int]:
     """Domains, variable sizes, elimination order and summed loop extents.
 
-    Returns None when some domain is empty (the count is 0).  Validates
-    ``pin`` and raises ``ResourceLimitError`` if the largest table exceeds
-    ``budget``; no table is allocated, so this is cheap at any h.
+    Raises ``ResourceLimitError`` if the largest table exceeds ``budget``;
+    no table is allocated, so this is cheap at any h.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
-    pin_value: dict[int, int] = {}
-    if pin is not None:
-        pin_value = dict(zip(pin.vertices, pin.values))
-        for v in pin.vertices:
-            if not (0 <= v < graph.n):
-                raise ValueError(f"pinned vertex {v} out of range")
-        touched = {graph.component_of[v] for v in pin.vertices}
-        for c in touched:
-            r = graph.root_of_component(c)
-            if r not in pin_value:
-                raise ValueError(f"pin set must contain the root {r} of its component")
-            if pin_value[r] != 0:
-                raise ValueError("the root pin must be 0")
-    for r in graph.roots:
-        pin_value.setdefault(r, 0)
-
-    domains = _domains(graph, pin_value, h)
-    if domains is None:
-        return None
+    domains = _domains(graph, h)
     size = {v: b - a + 1 for v, (a, b) in enumerate(domains) if b > a}
     adjacency = {v: {w for w in graph.adjacency[v] if w in size} for v in size}
     order, work = _elimination_order(adjacency, size, budget)
     return domains, size, order, work
 
 
-def count_with_stats(graph: Graph, h: int, budget: int = DEFAULT_BUDGET,
-                     pin: PinSpec | None = None) -> tuple[int, int]:
+def count_with_stats(graph: Graph, h: int,
+                     budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """Exact count by bucket elimination, plus the table cells evaluated.
 
     The count is a #CSP: each vertex with more than one admissible value
@@ -169,10 +121,7 @@ def count_with_stats(graph: Graph, h: int, budget: int = DEFAULT_BUDGET,
     of the largest table and is checked before anything is allocated.  The
     second value is the summed loop extents of the einsum steps.
     """
-    plan = _plan(graph, h, budget, pin)
-    if plan is None:
-        return 0, 0
-    domains, size, order, work = plan
+    domains, size, order, work = _plan(graph, h, budget)
 
     # Exactness: a table made by eliminating the set S holds, per assignment
     # of its scope, the number of Lipschitz assignments of S.  Every
@@ -211,15 +160,13 @@ def count_with_stats(graph: Graph, h: int, budget: int = DEFAULT_BUDGET,
     return total, work
 
 
-def count(graph: Graph, h: int, budget: int = DEFAULT_BUDGET,
-          pin: PinSpec | None = None) -> int:
-    """Exact count of h-Lipschitz functions, agreeing with ``pin`` if given.
+def count(graph: Graph, h: int, budget: int = DEFAULT_BUDGET) -> int:
+    """Exact count of h-Lipschitz functions.
 
     The engine is ``count_with_stats``; the pruned depth-first search it
-    replaced is the test oracle ``dfs_count`` in ``tests/helpers.py``.  An
-    infeasible pin counts zero functions; it is not an error.
+    replaced is the test oracle ``dfs_count`` in ``tests/helpers.py``.
     """
-    return count_with_stats(graph, h, budget, pin)[0]
+    return count_with_stats(graph, h, budget)[0]
 
 
 def count_closed_form(kind: str, n: int, h: int) -> int:
@@ -331,7 +278,7 @@ def counts_for_fit(graph: Graph, budget: int = DEFAULT_BUDGET,
     """
     hs = range(graph.n - graph.component_count + 1) if hs is None else list(hs)
     if hs:
-        _plan(graph, max(hs), budget, None)
+        _plan(graph, max(hs), budget)
     return [(h, count(graph, h, budget)) for h in hs]
 
 
@@ -363,18 +310,3 @@ def reciprocal_fit(graph: Graph, budget: int = DEFAULT_BUDGET
                              f"polynomial, which gives {fit.evaluate(h)}")
     return fit, counted
 
-
-def c_empirical(graph: Graph, h_list: Sequence[int],
-                budget: int = DEFAULT_BUDGET) -> list[float]:
-    """The finite-h growth sequence (1/h) count^(1/(n-k)) for h > 0 in
-    ``h_list``.  Its limit as h grows is the growth constant, which
-    ``reciprocal_fit(graph)[0].c_estimate`` takes from the exact leading
-    coefficient."""
-    nfree = graph.n - graph.component_count
-    if nfree == 0:
-        raise ValueError("graph with no free vertices has no growth constant")
-    hs = list(h_list)
-    if len(set(hs)) != len(hs):
-        raise ValueError("h values must be distinct")
-    return [_root(c, nfree) / h for h, c in counts_for_fit(graph, budget, hs)
-            if h > 0]

@@ -1,4 +1,5 @@
-"""Undirected simple graphs with one designated root per component.
+"""Undirected simple graphs whose components are rooted at their smallest
+vertex.
 
 Vertices are 0..n-1.  Graphs are immutable after construction; generators and
 the Erdos-Renyi sampler are pure functions of their arguments, so equal seeds
@@ -55,18 +56,17 @@ def _component_labels(n: int,
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph plus a chosen root in every component.
+    """Simple undirected graph; the root of each component is its smallest
+    vertex.
 
     ``edge_array`` is an int64 (E, 2) array with u < v in every row and the
     rows in strictly increasing lexicographic order, so a graph has one
-    stored form; the constructor keeps a read-only copy.  ``roots=None``
-    picks the lowest-index vertex of each component, which makes graphs a
-    pure function of (n, edges).  Graphs compare and hash by identity.
+    stored form; the constructor keeps a read-only copy.  Graphs compare and
+    hash by identity.
     """
 
     n: int
     edge_array: np.ndarray
-    roots: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -88,27 +88,11 @@ class Graph:
             (a, b), (c, d) = e[i:i + 2].tolist()
             raise ValueError(f"edge ({c}, {d}) does not follow ({a}, {b}): "
                              "rows must be sorted without repeats")
-        if self.roots is None:
-            object.__setattr__(self, "roots",
-                               tuple(self._labelling[1].tolist()))
-            return
-        comp = self.component_of
-        seen = set()
-        for r in self.roots:
-            if not (0 <= r < self.n):
-                raise ValueError(f"root {r} out of range")
-            if comp[r] in seen:
-                raise ValueError("more than one root in a component")
-            seen.add(comp[r])
-        if len(seen) != self.component_count:
-            raise ValueError("every component needs a root")
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
-                   roots: Iterable[int] | None = None) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from edges in any order and orientation, repeats
-        allowed; ``roots=None`` defaults each component's root to its
-        lowest-index vertex."""
+        allowed."""
         norm = set()
         for u, v in edges:
             if u == v:
@@ -117,7 +101,7 @@ class Graph:
                 raise ValueError(f"bad edge ({u}, {v}) for n={n}")
             norm.add((u, v) if u < v else (v, u))
         arr = np.array(sorted(norm), dtype=np.int64).reshape(-1, 2)
-        return cls(n, arr, None if roots is None else tuple(roots))
+        return cls(n, arr)
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -143,6 +127,11 @@ class Graph:
         return tuple(self._labelling[0].tolist())
 
     @property
+    def roots(self) -> tuple[int, ...]:
+        """Each component's smallest vertex, in label order."""
+        return tuple(self._labelling[1].tolist())
+
+    @property
     def component_count(self) -> int:
         return len(self._labelling[1])
 
@@ -162,19 +151,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.edge_array.ravel(),
                                  minlength=self.n).tolist())
-
-    def add_edge(self, u: int, v: int) -> "Graph":
-        """New graph with one extra edge; roots revert to the canonical rule."""
-        return Graph.from_edges(self.n, [*self.edge_array.tolist(), (u, v)])
-
-    def with_roots(self, roots: Iterable[int]) -> "Graph":
-        return Graph(self.n, self.edge_array, tuple(roots))
-
-    def root_of_component(self, c: int) -> int:
-        for r in self.roots:
-            if self.component_of[r] == c:
-                return r
-        raise ValueError(f"no root for component {c}")
 
 
 def make_grid(m: int, n: int) -> Graph:
@@ -297,11 +273,6 @@ def from_edgelist_str(text: str) -> Graph:
     if g.component_count != k:
         raise ValueError(f"file claims {k} components, graph has {g.component_count}")
     return g
-
-
-def write_edgelist(graph: Graph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_edgelist_str(graph))
 
 
 def read_edgelist(path) -> Graph:

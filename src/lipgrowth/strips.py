@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -269,14 +268,6 @@ def strip_count_exact(m: int, n: int, h: int,
         x = op.apply_exact(x)
     y = op.apply_exact(x) if steps % 2 else x
     return sum(map(operator.mul, x, y))
-
-
-def rayleigh_lower_bound(m: int, h: int,
-                         state_budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Certified bound lam >= (1^T W 1) / dim for free-strip(m), exact rational."""
-    op = FreeStripOperator(m, h, state_budget)
-    total = sum(op.apply_exact([1] * op.dim))
-    return Fraction(total, op.dim)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Shared test utilities: random trees, tiny-graph isomorphism, operator
-inspection tools (state indexing, free-strip weights from difference
-vectors, pinned-strip states, dense matrices), and the reference
-implementations the library is tested against: breadth-first component
-labels, the pruned depth-first count, the stepwise strip DP, a
+"""Shared test utilities: random trees, edge additions and relabellings,
+tiny-graph isomorphism, operator inspection tools (state indexing,
+free-strip weights from difference vectors, pinned-strip states, dense
+matrices), and the reference implementations the library is tested
+against: breadth-first component labels, the pruned depth-first count and
+the pinned counts it is checked against, the stepwise strip DP, a
 one-skip-at-a-time Erdos-Renyi walk, the exhaustive independent-pair scan
 and the every-edge random-construction sampler."""
 from collections import deque
@@ -11,7 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-from lipgrowth.counting import PinSpec
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.graphs import Graph
 from lipgrowth.randomlab import LllConfig, MonteCarloResult, wilson_interval
@@ -41,6 +41,17 @@ def random_tree(n: int, rng: np.random.Generator) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def with_edge(graph: Graph, u: int, v: int) -> Graph:
+    """The graph plus the edge (u, v)."""
+    return Graph.from_edges(graph.n, [*graph.edge_array.tolist(), (u, v)])
+
+
+def relabel(graph: Graph, perm: Sequence[int]) -> Graph:
+    """The graph with every vertex v renamed perm[v]."""
+    return Graph.from_edges(graph.n, [(perm[u], perm[v])
+                                      for u, v in graph.edge_array.tolist()])
+
+
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Exhaustive isomorphism test; only for very small graphs."""
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
@@ -58,23 +69,6 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
         if ok:
             return True
     return False
-
-
-def connected_fixture_graphs(max_n: int = 6) -> list[Graph]:
-    """Deterministic mix of sparse and dense small connected graphs."""
-    from lipgrowth.graphs import make_family, make_grid
-    out = [
-        make_family("path", 2),
-        make_family("path", 5),
-        make_family("star", 5),
-        make_family("cycle", 5),
-        make_family("complete", 4),
-        make_grid(2, 3),
-    ]
-    rng = np.random.default_rng(42)
-    tree = random_tree(6, rng)
-    out.append(tree.add_edge(0, 5) if (0, 5) not in tree.edges else tree)
-    return [g for g in out if g.n <= max_n]
 
 
 def bfs_component_labels(n: int, edges) -> list[int]:
@@ -187,23 +181,45 @@ def _guard(graph: Graph, h: int, n_pinned_nonroot: int, budget: int) -> None:
             f"(2h+1)^free = (2*{h}+1)^{free} exceeds budget {budget}")
 
 
-def dfs_count(graph: Graph, h: int, pin: PinSpec | None = None) -> int:
+def dfs_count(graph: Graph, h: int, pin: dict[int, int] | None = None) -> int:
     """Reference count of h-Lipschitz functions by pruned depth-first search.
 
     Independent of ``lipgrowth.counting``'s variable elimination: it walks
     every partial assignment in BFS order from each root, so it is only
-    practical for small graphs.  Pins follow ``lipgrowth.counting.count``'s
-    convention.
+    practical for small graphs.  ``pin`` maps vertices to the values they
+    are forced to; each component's root is pinned to 0 unless ``pin``
+    names it.  An infeasible pin set counts 0.
     """
-    pin_value = {} if pin is None else dict(zip(pin.vertices, pin.values))
+    pin_value = dict(pin or {})
     for r in graph.roots:
         pin_value.setdefault(r, 0)
     _guard(graph, h, len(pin_value) - graph.component_count, 10**9)
     total = 1
     for part in graph.parts:
-        root = next(r for r in graph.roots if r in part)
-        total *= _search_component(graph, _bfs_order(graph, root), pin_value, h)[0]
+        total *= _search_component(graph, _bfs_order(graph, part[0]),
+                                   pin_value, h)[0]
     return total
+
+
+def top_row_pinned_2x3(h: int) -> dict[tuple[int, int], int]:
+    """Counts on the 2x3 grid whose top row is pinned to (0, w1, w2), for
+    every (w1, w2) with |w1| <= h and |w2 - w1| <= h: the free-strip(3) row
+    sum (W 1) at the state (w1, w2 - w1), since the top row is one column
+    and the bottom row the next.  Every other pin counts 0."""
+    op = FreeStripOperator(3, h)
+    sums = op.apply_exact([1] * op.dim)
+    return {(d1, d1 + d2): sums[state_index((d1, d2), h)]
+            for d1 in range(-h, h + 1) for d2 in range(-h, h + 1)}
+
+
+def end_pinned_path4(h: int) -> dict[int, int]:
+    """Counts on the 4-vertex path whose far end is pinned to w, for every
+    |w| <= 3h: the three steps each lie in [-h, h] and sum to w, so the
+    count is the three-fold convolution of ones(2h + 1) at w.  Every other
+    pin counts 0."""
+    ones = np.ones(2 * h + 1, dtype=np.int64)
+    conv = np.convolve(np.convolve(ones, ones), ones)
+    return {i - 3 * h: int(c) for i, c in enumerate(conv.tolist())}
 
 
 def state_index(diffs: Sequence[int], h: int) -> int:

@@ -271,13 +271,26 @@ def test_exit_codes(capsys):
         code, out = run(capsys, ["strip", "--kind", "band", "--h", "3", *flags])
         assert (code, out) == (2, ""), flags
     # usage: a degree that is not a finite number in range
-    for argv in (["count", "--er", "10", "nan", "--h", "1"],
-                 ["count", "--er", "10", "inf", "--h", "1"],
-                 ["random-lab", "--mode", "giant", "--n", "10", "--d", "nan"],
-                 ["random-lab", "--mode", "lll", "--n", "10", "--d", "nan"],
-                 ["bounds", "--d", "nan"], ["bounds", "--d", "10", "inf"]):
+    for argv in (["bounds", "--d", "nan"], ["bounds", "--d", "10", "inf"]):
         code, out = run(capsys, argv)
         assert (code, out) == (2, ""), argv
+    # usage: an Erdos-Renyi size or degree out of range, and the message
+    # names the flag that set it
+    for argv, flag in ((["count", "--er", "10", "nan", "--h", "1"], "--er"),
+                       (["count", "--er", "10", "inf", "--h", "1"], "--er"),
+                       (["count", "--er", "0", "0", "--h", "1"], "--er"),
+                       (["random-lab", "--mode", "giant", "--n", "10",
+                         "--d", "nan"], "--d"),
+                       (["random-lab", "--mode", "lll", "--n", "10",
+                         "--d", "nan"], "--d"),
+                       (["random-lab", "--mode", "lll", "--n", "0"], "--n"),
+                       (["random-lab", "--mode", "lll", "--n", "1"], "--d"),
+                       (["random-lab", "--mode", "pairs", "--n", "0",
+                         "--size", "1"], "--n")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert flag in captured.err, argv
     # usage: without --size, pairs mode needs 1 < d < inf for its set size,
     # and the message names --d
     for d in ("nan", "inf", "0", "1"):

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -6,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_fixture_graphs, dfs_count
-from lipgrowth.counting import (EhrhartPoly, PinSpec, c_empirical, count,
-                                count_closed_form, count_with_stats,
-                                counts_for_fit, ehrhart_fit, reciprocal_fit)
+from helpers import (dfs_count, end_pinned_path4, relabel,
+                     top_row_pinned_2x3, with_edge)
+from lipgrowth.counting import (EhrhartPoly, _root, count, count_closed_form,
+                                count_with_stats, counts_for_fit, ehrhart_fit,
+                                reciprocal_fit)
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.graphs import Graph, make_family, make_grid
 from lipgrowth.strips import strip_count_exact
@@ -101,32 +101,19 @@ def test_fit_budget_checked_before_counting(monkeypatch):
 
 
 @st.composite
-def graphs_with_pins(draw):
-    """Graphs on <= 8 vertices, often disconnected, with optional pins whose
-    values reach past h * distance, so some pin sets are infeasible."""
+def small_graphs(draw):
+    """Graphs on <= 8 vertices, often disconnected."""
     n = draw(st.integers(1, 8))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) \
         if pairs else []
-    g = Graph.from_edges(n, edges)
-    h = draw(st.integers(0, 3))
-    free = [v for v in range(n) if v not in g.roots]
-    pinned = draw(st.lists(st.sampled_from(free), unique=True, max_size=3)) \
-        if free else []
-    if not pinned:
-        return g, h, None
-    roots = sorted({g.root_of_component(g.component_of[v]) for v in pinned})
-    values = draw(st.lists(st.integers(-3 * h - 1, 3 * h + 1),
-                           min_size=len(pinned), max_size=len(pinned)))
-    return g, h, PinSpec(tuple(roots + pinned),
-                         (0,) * len(roots) + tuple(values))
+    return Graph.from_edges(n, edges)
 
 
 @settings(max_examples=150, deadline=None)
-@given(graphs_with_pins())
-def test_elimination_matches_dfs_oracle(case):
-    g, h, pin = case
-    assert count_with_stats(g, h, pin=pin)[0] == dfs_count(g, h, pin)
+@given(small_graphs(), st.integers(0, 3))
+def test_elimination_matches_dfs_oracle(g, h):
+    assert count_with_stats(g, h)[0] == dfs_count(g, h)
 
 
 def test_int64_to_object_boundary(monkeypatch):
@@ -158,12 +145,6 @@ def test_pins_are_not_table_axes():
     assert c == count_closed_form("complete", 7, 4)
     with pytest.raises(ResourceLimitError):
         count_with_stats(k7, 4, budget=9**5 - 1)
-    # a PinSpec pin is a constant too
-    pin = PinSpec((0, 1), (0, 0))
-    assert count_with_stats(k7, 4, budget=9**4, pin=pin)[0] == \
-        dfs_count(k7, 4, pin)
-    with pytest.raises(ResourceLimitError):
-        count_with_stats(k7, 4, budget=9**4 - 1, pin=pin)
 
 
 def test_disconnected_counts_multiply():
@@ -174,26 +155,30 @@ def test_disconnected_counts_multiply():
 
 def test_pinned_examples():
     p3 = make_family("path", 3)
-    assert count(p3, 2, pin=PinSpec((0, 2), (0, 0))) == 5
-    assert count(p3, 2, pin=PinSpec((0, 2), (0, 1))) == 4
-    assert count(p3, 2, pin=PinSpec((0, 2), (0, 5))) == 0
+    assert dfs_count(p3, 2, {2: 0}) == 5
+    assert dfs_count(p3, 2, {2: 1}) == 4
+    assert dfs_count(p3, 2, {2: 5}) == 0
 
 
 def test_pinned_infeasible_edge_inside_t_returns_zero():
     p2 = make_family("path", 2)
-    assert count(p2, 1, pin=PinSpec((0, 1), (0, 5))) == 0
+    assert dfs_count(p2, 1, {1: 5}) == 0
 
 
-def test_pinned_validation():
-    p3 = make_family("path", 3)
-    with pytest.raises(ValueError):
-        count(p3, 2, pin=PinSpec((1, 2), (0, 0)))      # root missing
-    with pytest.raises(ValueError):
-        count(p3, 2, pin=PinSpec((0, 2), (1, 0)))      # root pin nonzero
-    with pytest.raises(ValueError):
-        PinSpec((0, 0), (0, 0))                           # repeated vertex
-    with pytest.raises(ValueError):
-        PinSpec((), ())
+def test_pinned_oracle_matches_strip_and_convolution():
+    # the 2x3 grid with its top row pinned is one free-strip(3) step from a
+    # fixed column, and the path with its far end pinned is a sum of three
+    # steps in [-h, h]; pins past those ranges count 0
+    grid, path = make_grid(2, 3), make_family("path", 4)
+    for h in range(5):
+        rows = top_row_pinned_2x3(h)
+        for w1 in range(-2 * h - 1, 2 * h + 2):
+            for w2 in range(-2 * h - 1, 2 * h + 2):
+                assert dfs_count(grid, h, {1: w1, 2: w2}) == \
+                    rows.get((w1, w2), 0), (h, w1, w2)
+        ends = end_pinned_path4(h)
+        for w in range(-3 * h - 1, 3 * h + 2):
+            assert dfs_count(path, h, {3: w}) == ends.get(w, 0), (h, w)
 
 
 def test_pinned_negation_symmetry():
@@ -202,25 +187,25 @@ def test_pinned_negation_symmetry():
     for _ in range(25):
         w1 = int(rng.integers(-4, 5))
         w2 = int(rng.integers(-4, 5))
-        pin = PinSpec((0, 2, 4), (0, w1, w2))
-        assert count(g, 2, pin=pin) == count(g, 2, pin=pin.negated())
+        assert dfs_count(g, 2, {2: w1, 4: w2}) == \
+            dfs_count(g, 2, {2: -w1, 4: -w2})
 
 
 def test_pinned_unpinned_consistency():
     # summing the pinned counts over one vertex's full range recovers the total
     g = make_family("cycle", 5)
     h = 2
-    total = sum(count(g, h, pin=PinSpec((0, 2), (0, w)))
-                for w in range(-2 * h, 2 * h + 1))
+    total = sum(dfs_count(g, h, {2: w}) for w in range(-2 * h, 2 * h + 1))
     assert total == count(g, h)
 
 
-def test_root_invariance():
-    for g in connected_fixture_graphs(max_n=6):
-        for h in (1, 3):
-            baseline = count(g, h)
-            for r in range(g.n):
-                assert count(g.with_roots((r,)), h) == baseline
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(), st.integers(0, 3), st.data())
+def test_root_invariance(g, h, data):
+    # renaming the vertices moves each component's root, its smallest
+    # vertex, to another vertex; the count stays the same
+    perm = data.draw(st.permutations(range(g.n)))
+    assert count(relabel(g, perm), h) == count(g, h)
 
 
 @settings(max_examples=40, deadline=None)
@@ -240,7 +225,7 @@ def test_edge_monotonicity(g, h, data):
         return
     e = data.draw(st.sampled_from(missing))
     before = count(g, h)
-    after = count(g.add_edge(*e), h)
+    after = count(with_edge(g, *e), h)
     assert after <= before
 
 
@@ -359,46 +344,42 @@ def test_reciprocal_fit_checks_budget_before_counting(monkeypatch):
     assert calls
 
 
-def _dominance_ratio(graph, pinned, h, w_ranges):
-    best, v0 = 0, None
-    for w in itertools.product(*w_ranges):
-        c = count(graph, h, pin=PinSpec(pinned, (0,) + w))
-        if all(x == 0 for x in w):
-            v0 = c
-        best = max(best, c)
-    return v0 / best
-
-
 def test_pinned_dominance_trend():
     """The all-zero pin dominates any pin, increasingly so as h grows."""
     schedule = (2, 4, 8, 16)
 
+    # the count tables hold every pin with a nonzero count
     ratios = []
     for h in schedule:
-        rng = range(-2 * h, 2 * h + 1)
-        ratios.append(_dominance_ratio(make_grid(2, 3), (0, 1, 2), h, [rng, rng]))
+        rows = top_row_pinned_2x3(h)
+        ratios.append(rows[0, 0] / max(rows.values()))
     assert all(a <= b or abs(a - b) < 1e-12 for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] >= 0.9
 
     ratios = []
     for h in schedule:
-        rng = range(-3 * h, 3 * h + 1)
-        ratios.append(_dominance_ratio(make_family("path", 4), (0, 3), h, [rng]))
+        ends = end_pinned_path4(h)
+        ratios.append(ends[0] / max(ends.values()))
     assert all(a <= b or abs(a - b) < 1e-12 for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] >= 0.9
+
+
+def _growth(g, hs):
+    """The finite-h growth sequence count^(1/(n-1)) / h of a connected g."""
+    return [_root(count(g, h), g.n - 1) / h for h in hs]
 
 
 def test_growth_roots_beyond_float_range():
     # counts and leading coefficients of 2^1024 and more overflow float(),
     # so the roots come from the exact values
-    assert c_empirical(make_family("star", 1100), [1, 2]) == [3.0, 2.5]
+    assert _growth(make_family("star", 1100), [1, 2]) == [3.0, 2.5]
     assert EhrhartPoly((Fraction(0),) * 1100
                        + (Fraction(2 ** 1100),)).c_estimate == 2.0
     # beyond 2^1000 above the nearest power 2^(kq), the rest is rooted apart
-    assert c_empirical(make_family("star", 2100), [1, 2]) == \
+    assert _growth(make_family("star", 2100), [1, 2]) == \
         pytest.approx([3.0, 2.5], rel=1e-15)
     # within float range the root is float(x) ** (1/k), bit for bit
-    assert c_empirical(make_family("star", 400), [1, 2]) == \
+    assert _growth(make_family("star", 400), [1, 2]) == \
         [float(3 ** 399) ** (1 / 399), float(5 ** 399) ** (1 / 399) / 2]
     leading = Fraction(2 ** 1100 - 1, 2 ** 77 + 1)
     assert EhrhartPoly((Fraction(1), leading)).c_estimate == float(leading)

@@ -19,8 +19,7 @@ from lipgrowth.graphs import make_grid
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
                               PinnedStripOperator, TentOperator,
                               extrapolate_limit, make_operator,
-                              rayleigh_lower_bound, strip_count_exact,
-                              top_eigenvalue)
+                              strip_count_exact, top_eigenvalue)
 
 BETA = 1.0 / math.atan(0.75)
 ALPHA_SQRT2 = 1.6437967
@@ -401,25 +400,31 @@ def test_extrapolate_validation():
         extrapolate_limit([(10, 1.0), (10, 1.0), (20, 1.0)])
 
 
+def _rayleigh(m, h):
+    """The certified bound lam >= (1^T W 1) / dim for free-strip(m), with
+    1^T W 1 the exact count of the two-column strip."""
+    return Fraction(strip_count_exact(m, 2, h), (2 * h + 1) ** (m - 1))
+
+
 def test_rayleigh_examples():
-    assert rayleigh_lower_bound(2, 1) == Fraction(19, 3)
-    bound = rayleigh_lower_bound(2, 200)
+    assert _rayleigh(2, 1) == Fraction(19, 3)
+    bound = _rayleigh(2, 200)
     assert math.sqrt(float(bound)) / 200 >= 1.351 - 0.01
 
 
 def test_rayleigh_below_top_eigenvalue():
     for m, h in ((2, 1), (2, 5), (3, 1), (3, 2)):
-        bound = float(rayleigh_lower_bound(m, h))
+        bound = float(_rayleigh(m, h))
         lam = top_eigenvalue(FreeStripOperator(m, h), 1e-12).eigenvalue
         assert bound <= lam * (1 + 1e-9)
 
 
 def test_rayleigh_numerator_is_two_column_count():
-    # 1^T W 1 counts the two-column strip exactly
+    # 1^T W 1, summed over the operator's states, counts the two-column strip
     for m, h in ((2, 1), (2, 2), (3, 1)):
-        bound = rayleigh_lower_bound(m, h)
-        assert bound == Fraction(strip_count_exact(m, 2, h),
-                                 (2 * h + 1) ** (m - 1))
+        op = FreeStripOperator(m, h)
+        assert _rayleigh(m, h) == Fraction(sum(op.apply_exact([1] * op.dim)),
+                                           op.dim)
 
 
 def test_growth_ratio_sandwich():
@@ -428,7 +433,7 @@ def test_growth_ratio_sandwich():
         ratios = [Fraction(counts[i + 1], counts[i]) for i in range(8)]
         est = top_eigenvalue(FreeStripOperator(m, h), 1e-12)
         dim = (2 * h + 1) ** (m - 1)
-        lo = float(rayleigh_lower_bound(m, h)) / dim
+        lo = float(_rayleigh(m, h)) / dim
         hi = est.eigenvalue * (1 + 1e-9) * dim
         assert all(lo <= r <= hi for r in ratios)
         # ratios increase monotonically toward the eigenvalue

@@ -20,8 +20,8 @@ from .counting import (EhrhartPoly, count, count_closed_form,
 from .strips import (BandOperator, FreeStripOperator, PinnedStripOperator,
                      SpectralEstimate, TentOperator, extrapolate_limit,
                      make_operator, strip_count_exact, top_eigenvalue)
-from .continuum import (Eigenpair, KernelLimit, kernel_limit, nystrom_top,
-                        solve_alpha, solve_beta, solve_psi, solve_zeta)
+from .continuum import (KernelLimit, kernel_limit, nystrom_top, solve_alpha,
+                        solve_beta)
 from .randomlab import (BoundReport, LllConfig, MarginReport,
                         MonteCarloResult, PairSearchResult, bound_report,
                         epsilon_upper_bound, giant_fraction_prediction,

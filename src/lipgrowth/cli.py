@@ -290,7 +290,10 @@ def _cmd_constants(args):
 def _cmd_bounds(args):
     records = []
     for d in args.d:
-        rep = randomlab.bound_report(d)
+        try:
+            rep = randomlab.bound_report(d)
+        except ValueError as exc:
+            raise ValueError(f"--d: {exc}") from exc
         rec = {"d": d,
                "lower_exact": rep.lower_exact,
                "lower_asymptotic": rep.lower_asymptotic,

@@ -8,32 +8,38 @@ size 2/n, so a kernel window |x - t| <= 1 is the index window |i - j| <= h
 and its edge falls midway between two nodes.  No node sits on an edge, so
 no covered-fraction boundary patch is needed (at even n a node on the edge
 is counted in full, an O(1/n) bias).  Each Nystrom matrix is thus a strip
-operator at h times the cell measure (2/n)^m, solved by one power iteration
-on that operator's ``apply``:
+operator at h times the cell measure (2/n)^m.  One table, ``_KERNELS``, gives
+each kernel its operator at h, the root taken of the scaled eigenvalue, its
+fewest mesh nodes per axis and its mesh ladder.  ``nystrom_top(kernel, n)``
+solves any of them by one power iteration on the operator's ``apply``, and
+``kernel_limit(kernel)`` extrapolates it along the ladder:
 
-  band-indicator  1[|x - t| <= 1]                 BandOperator(h)     m = 1
-  tent            2 - |x - t|                     TentOperator(h)     m = 2
-  zeta            1[|x-s| <= 1] 1[|x+y-s-t| <= 1] PinnedStripOperator(2, h)
-  psi             the same, summed over offsets k FreeStripOperator(3, h)
+  kernel          K                                operator at h   m  root
+  band-indicator  1[|x - t| <= 1]                  BandOperator    1  -
+  tent            2 - |x - t|                      TentOperator    2  -
+  zeta            1[|x-s| <= 1] 1[|x+y-s-t| <= 1]  PinnedStrip(2)  2  sqrt
+  psi             the same, summed over offsets k  FreeStrip(3)    3  cbrt
 
-Tent entries are (2 - |i-j| 2/n) 2/n = (2/n)^2 (2h+1 - |i-j|).  zeta's state
-(x, y), a first-row value and a within-column difference, is the pinned
-strip's pair of difference steps below its zero row, whose prefix sums are
-the absolute values (x, x + y), with m = 2; psi's state is the two
-within-column differences, with m = 3 for the offset.  A mesh argument n
-runs on 2*(n // 2) + 1 nodes, so an even n gains one node, and the
-operator's state budget bounds the mesh before allocation.
+band and tent need 8 nodes and use the ladder N = 251..2001; zeta and psi
+need 16 and use N = 17..129.  Tent entries are (2 - |i-j| 2/n) 2/n =
+(2/n)^2 (2h+1 - |i-j|).  zeta's state (x, y), a first-row value and a
+within-column difference, is the pinned strip's pair of difference steps
+below its zero row, whose prefix sums are the absolute values (x, x + y),
+with m = 2; psi's state is the two within-column differences, with m = 3 for
+the offset.  A mesh argument n runs on 2*(n // 2) + 1 nodes, so an even n
+gains one node, and the operator's state budget bounds the mesh before
+allocation.
 
-With no node on an edge, a solver's value v(N) = lambda^(1/m) / (h + 1/2)
-has no first-order error in 1/N.  ``kernel_limit`` fits a quadratic in 1/N
-to v on the three finest meshes of a doubling ladder of four; the fit's move
-from the three coarsest is its error estimate.  That one fit is both the
-kernel constant and the strip limit it equals.
+With no node on an edge, ``nystrom_top``'s value (lambda^(1/m) / (h + 1/2),
+squared for tent) has no first-order error in 1/N.  ``kernel_limit`` fits a
+quadratic in 1/N to it on the three finest meshes of the ladder of four; the
+fit's move from the three coarsest is its error estimate.  That one fit is
+both the kernel constant and the strip limit it equals.
 
   alpha: largest solution of tan(1/x) = x; the tent-kernel eigenvalue is
          2*alpha^2 and the two-row strip grows like alpha*sqrt(2) per vertex.
   beta:  1/r where r is the smallest positive root of cos x + 2 sin x = 2
-         (r = arctan(3/4)); the band-kernel eigenvalue.
+         (r = arctan(3/4) in closed form); the band-kernel eigenvalue.
   zeta:  sqrt of the top eigenvalue of the two-free-row operator below a
          pinned row; upper bound for the square-grid growth constant.
   psi:   cube root of the top eigenvalue of the offset-integrated three-row
@@ -44,43 +50,37 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
-
-import numpy as np
 
 from .iterate import power_iteration
 from .strips import (BandOperator, FreeStripOperator, PinnedStripOperator,
                      TentOperator, extrapolate_limit)
 
-_KERNELS = {"band-indicator": BandOperator, "tent": TentOperator}
-_LADDERS = {"band-indicator": (251, 501, 1001, 2001),
-            "tent": (251, 501, 1001, 2001),
-            "zeta": (17, 33, 65, 129), "psi": (17, 33, 65, 129)}
+# kernel -> (operator at h, root of the scaled eigenvalue, fewest mesh
+# nodes per axis, mesh ladder of kernel_limit)
+_KERNELS = {
+    "band-indicator": (BandOperator, None, 8, (251, 501, 1001, 2001)),
+    "tent": (TentOperator, None, 8, (251, 501, 1001, 2001)),
+    "zeta": (partial(PinnedStripOperator, 2), math.sqrt, 16,
+             (17, 33, 65, 129)),
+    "psi": (partial(FreeStripOperator, 3), lambda lam: lam ** (1.0 / 3.0),
+            16, (17, 33, 65, 129)),
+}
 
 
-@dataclass(frozen=True)
-class Eigenpair:
-    eigenvalue: float
-    eigenfunction: np.ndarray  # values on mesh nodes, sup-norm 1
-
-
-def _kernel_top(make_op: Callable[[int], FreeStripOperator], n: int,
-                min_nodes: int):
-    """Power iteration (relative tolerance 1e-12) on ``make_op(n // 2)``,
-    the mesh of n nodes per axis; eigenvalue scaled by the cell measure."""
+def nystrom_top(kernel: str, n: int) -> float:
+    """The kernel's Nystrom value on 2*(n//2)+1 nodes per axis: power
+    iteration (relative tolerance 1e-12) on its operator at h = n // 2,
+    the eigenvalue scaled by the cell measure (2/(2h+1))^m, then rooted
+    (square root for zeta, cube root for psi)."""
+    if kernel not in _KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}")
+    make_op, root, min_nodes, _ = _KERNELS[kernel]
     if n < min_nodes:
         raise ValueError(f"mesh needs at least {min_nodes} nodes per axis")
     op = make_op(n // 2)
-    lam, vec, _, _ = power_iteration(op.apply, op.ones(), 1e-12, 10**5)
-    return lam * (2.0 / (2 * op.h + 1)) ** op.m, vec
-
-
-def nystrom_top(kind: str, n: int) -> Eigenpair:
-    """Top eigenpair of the discretized 1D kernel operator on 2*(n//2)+1 nodes."""
-    if kind not in _KERNELS:
-        raise ValueError(f"unknown kernel {kind!r}")
-    lam, vec = _kernel_top(_KERNELS[kind], n, 8)
-    return Eigenpair(lam, vec / np.max(np.abs(vec)))
+    lam = power_iteration(op.apply, op.ones(), 1e-12, 10**5)[0]
+    lam *= (2.0 / (2 * op.h + 1)) ** op.m
+    return root(lam) if root else lam
 
 
 def _bisect(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -109,26 +109,14 @@ def solve_alpha() -> float:
 
 
 def solve_beta() -> float:
-    """1 over the smallest positive root of cos x + 2 sin x = 2.
+    """1 over the smallest positive root r of cos x + 2 sin x = 2.
 
-    The root equals arctan(3/4): cos r = 4/5 and sin r = 3/5 satisfy the
-    equation exactly, and the solver cross-checks that identity.
+    cos x + 2 sin x = sqrt(5) sin(x + atan(1/2)), and sin(atan 2) =
+    2/sqrt(5), so the positive roots are x = atan 2 - atan(1/2) = atan(3/4)
+    and x = pi - atan 2 - atan(1/2) = pi/2.  Hence r = atan(3/4), with
+    cos r = 4/5 and sin r = 3/5.
     """
-    root = _bisect(lambda x: math.cos(x) + 2.0 * math.sin(x) - 2.0,
-                   1e-6, math.pi / 2 - 1e-9, tol=1e-13)
-    if abs(root - math.atan(0.75)) > 1e-9:
-        raise ArithmeticError(f"root {root} does not match arctan(3/4)")
-    return 1.0 / root
-
-
-def solve_zeta(n: int) -> float:
-    """sqrt of the top eigenvalue of the pinned two-row limit operator."""
-    return math.sqrt(_kernel_top(partial(PinnedStripOperator, 2), n, 16)[0])
-
-
-def solve_psi(n: int) -> float:
-    """Cube root of the top eigenvalue of the offset-integrated operator."""
-    return _kernel_top(partial(FreeStripOperator, 3), n, 16)[0] ** (1.0 / 3.0)
+    return 1.0 / math.atan(0.75)
 
 
 @dataclass(frozen=True)
@@ -143,12 +131,11 @@ class KernelLimit:
 
 def kernel_limit(kernel: str) -> KernelLimit:
     """The constant of "band-indicator" or "tent" (Nystrom eigenvalues beta
-    and 2 alpha^2), "zeta" or "psi", from its solver on its mesh ladder."""
-    if kernel not in _LADDERS:
+    and 2 alpha^2), "zeta" or "psi", from ``nystrom_top`` on its ladder."""
+    if kernel not in _KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
-    solve = {"zeta": solve_zeta, "psi": solve_psi}.get(
-        kernel, lambda n: nystrom_top(kernel, n).eigenvalue)
-    pairs = [(n, solve(n)) for n in _LADDERS[kernel]]
+    ladder = _KERNELS[kernel][3]
+    pairs = [(n, nystrom_top(kernel, n)) for n in ladder]
     fine, coarse = extrapolate_limit(pairs[-3:]), extrapolate_limit(pairs[:3])
     return KernelLimit(fine.limit, abs(fine.limit - coarse.limit), fine.slope,
-                       _LADDERS[kernel])
+                       ladder)

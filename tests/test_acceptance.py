@@ -13,7 +13,7 @@ import numpy as np
 from helpers import (dense_matrix, dfs_count, end_pinned_path4, random_tree,
                      relabel, top_row_pinned_2x3, with_edge)
 from lipgrowth.cli import main as cli_main
-from lipgrowth.continuum import nystrom_top, solve_alpha, solve_psi, solve_zeta
+from lipgrowth.continuum import nystrom_top, solve_alpha
 from lipgrowth.counting import count, counts_for_fit, ehrhart_fit
 from lipgrowth.graphs import make_family, make_grid, sample_er
 from lipgrowth.randomlab import (bound_report, giant_fraction_prediction,
@@ -96,7 +96,7 @@ def test_criterion_4_beta_reproduction():
     pairs = [(h, top_eigenvalue(BandOperator(h), 1e-12).normalized)
              for h in (50, 100, 200, 400)]
     extrap = extrapolate_limit(pairs).limit
-    nystrom = nystrom_top("band-indicator", 2000).eigenvalue
+    nystrom = nystrom_top("band-indicator", 2000)
     elapsed = time.perf_counter() - t0
     ok = abs(extrap - BETA) <= 2e-3 and abs(nystrom - BETA) <= 5e-4 \
         and elapsed < 30
@@ -111,7 +111,7 @@ def test_criterion_5_alpha_sqrt2_reproduction():
     pairs = [(h, top_eigenvalue(FreeStripOperator(2, h), 1e-12).normalized)
              for h in (50, 100, 200, 400)]
     extrap = extrapolate_limit(pairs).limit
-    tent = nystrom_top("tent", 2000).eigenvalue
+    tent = nystrom_top("tent", 2000)
     ok = (abs(extrap - 1.6438) <= 2e-3
           and abs(tent - 2 * alpha * alpha) <= 5e-4
           and residual <= 1e-9)
@@ -123,8 +123,8 @@ def test_criterion_5_alpha_sqrt2_reproduction():
 
 def test_criterion_6_zeta_psi():
     t0 = time.perf_counter()
-    zeta = solve_zeta(64)
-    psi = solve_psi(32)
+    zeta = nystrom_top("zeta", 64)
+    psi = nystrom_top("psi", 32)
     pinned_pairs = [(h, top_eigenvalue(PinnedStripOperator(2, h),
                                        1e-12).normalized)
                     for h in (10, 15, 20)]

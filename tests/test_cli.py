@@ -270,10 +270,14 @@ def test_exit_codes(capsys):
     for flags in (["--tol", "nan"], ["--tol", "0"], ["--max-iter", "0"]):
         code, out = run(capsys, ["strip", "--kind", "band", "--h", "3", *flags])
         assert (code, out) == (2, ""), flags
-    # usage: a degree that is not a finite number in range
-    for argv in (["bounds", "--d", "nan"], ["bounds", "--d", "10", "inf"]):
-        code, out = run(capsys, argv)
-        assert (code, out) == (2, ""), argv
+    # usage: a degree that is not a positive finite number, and the message
+    # names --d
+    for argv in (["bounds", "--d", "nan"], ["bounds", "--d", "10", "inf"],
+                 ["bounds", "--d", "0"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert "error: --d: d must be positive and finite" in captured.err, argv
     # usage: an Erdos-Renyi size or degree out of range, and the message
     # names the flag that set it
     for argv, flag in ((["count", "--er", "10", "nan", "--h", "1"], "--er"),

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import dense_matrix
 from lipgrowth.continuum import (kernel_limit, nystrom_top, solve_alpha,
-                                 solve_beta, solve_psi, solve_zeta)
+                                 solve_beta)
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.iterate import power_iteration
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
@@ -33,14 +33,26 @@ def test_beta():
 
 def test_mesh():
     # an even mesh size runs on one node more; the state budget is the cap
-    assert len(nystrom_top("tent", 100).eigenfunction) == 101
-    assert len(nystrom_top("tent", 101).eigenfunction) == 101
+    assert nystrom_top("tent", 100) == nystrom_top("tent", 101)
     with pytest.raises(ValueError):
         nystrom_top("band-indicator", 4)
     with pytest.raises(ResourceLimitError):
         nystrom_top("band-indicator", 10**7)
     with pytest.raises(ValueError):
         nystrom_top("gauss", 100)
+
+
+def test_kernel_table_matches_hand_built_solve():
+    # each kernel is its operator at h = n // 2, power-iterated, scaled by
+    # the cell measure (2/n)^m and rooted; the table gives the same floats
+    n, h = 17, 8
+    for kernel, op, root in (
+            ("band-indicator", BandOperator(h), None),
+            ("tent", TentOperator(h), None),
+            ("zeta", PinnedStripOperator(2, h), math.sqrt),
+            ("psi", FreeStripOperator(3, h), lambda lam: lam ** (1.0 / 3.0))):
+        lam = power_iteration(op.apply, op.ones(), 1e-12)[0] * (2.0 / n) ** op.m
+        assert nystrom_top(kernel, n) == (root(lam) if root else lam), kernel
 
 
 def test_kernel_invariants():
@@ -58,26 +70,37 @@ def test_kernel_invariants():
                              - tent)) <= 1e-12
 
 
+def perron_pair(op):
+    """The operator's top eigenvalue and its eigenvector scaled to sup-norm
+    1, from the power iteration that ``nystrom_top`` runs."""
+    lam, vec, _, _ = power_iteration(op.apply, op.ones(), 1e-12)
+    return lam, vec / np.max(np.abs(vec))
+
+
 def test_nystrom_band():
-    beta = solve_beta()
-    pair = nystrom_top("band-indicator", 2000)
-    assert abs(pair.eigenvalue - beta) <= 5e-4
-    # Perron eigenfunction: strictly positive and even
-    f = pair.eigenfunction
+    band = nystrom_top("band-indicator", 2000)
+    assert abs(band - solve_beta()) <= 5e-4
+    # Perron eigenfunction on the same 2001 nodes: strictly positive, even,
+    # and an eigenvector of the operator
+    op = BandOperator(1000)
+    lam, f = perron_pair(op)
+    assert lam * (2.0 / 2001) == band
     assert np.all(f > 0)
     assert np.max(np.abs(f - f[::-1])) <= 1e-6
-    assert np.max(np.abs(f)) == pytest.approx(1.0)
+    assert np.max(np.abs(op.apply(f) - lam * f)) <= 1e-7 * lam
 
 
 def test_nystrom_tent():
     alpha = solve_alpha()
-    pair = nystrom_top("tent", 2000)
-    assert abs(pair.eigenvalue - 2 * alpha * alpha) <= 5e-4
+    tent = nystrom_top("tent", 2000)
+    assert abs(tent - 2 * alpha * alpha) <= 5e-4
     # closed-form relation lam = 2/gamma^2 with tan(gamma) = 1/gamma
-    gamma = math.sqrt(2.0 / pair.eigenvalue)
+    gamma = math.sqrt(2.0 / tent)
     assert abs(math.tan(gamma) - 1 / gamma) <= 1e-4
-    # cosine-shaped: even, positive, maximal at the centre
-    f = pair.eigenfunction
+    # cosine-shaped on the same 2001 nodes: even, positive, maximal at the
+    # centre
+    lam, f = perron_pair(TentOperator(1000))
+    assert lam * (2.0 / 2001) ** 2 == tent
     n = len(f)
     assert np.all(f > 0)
     assert np.max(np.abs(f - f[::-1])) <= 1e-6
@@ -95,12 +118,12 @@ def test_discrete_continuum_consistency():
     beta_pairs = [(h, top_eigenvalue(BandOperator(h), 1e-12).normalized)
                   for h in (100, 200, 400)]
     band_limit = extrapolate_limit(beta_pairs).limit
-    assert abs(band_limit - nystrom_top("band-indicator", 1000).eigenvalue) <= 1e-2
+    assert abs(band_limit - nystrom_top("band-indicator", 1000)) <= 1e-2
 
     tent_pairs = [(h, top_eigenvalue(FreeStripOperator(2, h), 1e-12).normalized)
                   for h in (100, 200, 400)]
     tent_limit = extrapolate_limit(tent_pairs).limit
-    lam = nystrom_top("tent", 1000).eigenvalue
+    lam = nystrom_top("tent", 1000)
     assert abs(tent_limit - math.sqrt(lam)) <= 1e-2
 
 
@@ -158,7 +181,7 @@ def test_psi_sweep_matches_naive_quadrature():
 
 
 def test_zeta_value_and_convergence():
-    z32, z64, z128 = solve_zeta(32), solve_zeta(64), solve_zeta(128)
+    z32, z64, z128 = (nystrom_top("zeta", n) for n in (32, 64, 128))
     assert abs(z64 - 1.4895) <= 0.02
     # odd meshes put no node on a window edge, so successive differences
     # shrink faster than first order (by about a quarter)
@@ -179,14 +202,14 @@ def test_zeta_cross_check_pinned_strip():
     pairs = [(h, top_eigenvalue(PinnedStripOperator(2, h), 1e-12).normalized)
              for h in (10, 15, 20)]
     limit = extrapolate_limit(pairs).limit
-    assert abs(solve_zeta(64) - limit) <= 0.02
+    assert abs(nystrom_top("zeta", 64) - limit) <= 0.02
 
 
 def test_zeta_mesh_parity_bias():
     # an even mesh puts nodes on the window edge |x - s| = 1 and biased
     # zeta(64) to 1.5027; on 65 nodes it agrees with the reference and with
     # the pinned-strip extrapolation
-    z64 = solve_zeta(64)
+    z64 = nystrom_top("zeta", 64)
     pairs = [(h, top_eigenvalue(PinnedStripOperator(2, h), 1e-12).normalized)
              for h in (10, 15, 20)]
     assert abs(z64 - 1.4895) <= 1e-3
@@ -194,7 +217,7 @@ def test_zeta_mesh_parity_bias():
 
 
 def test_psi_value_and_bound():
-    p32 = solve_psi(32)
+    p32 = nystrom_top("psi", 32)
     assert abs(p32 - 1.553) <= 0.02
     assert abs(p32 ** 1.5 / math.sqrt(2) - 1.3685) <= 0.02
 
@@ -203,7 +226,7 @@ def test_psi_cross_check_free_strip():
     pairs = [(h, top_eigenvalue(FreeStripOperator(3, h), 1e-12).normalized)
              for h in (10, 15, 20)]
     limit = extrapolate_limit(pairs).limit
-    assert abs(solve_psi(32) - limit) <= 0.02
+    assert abs(nystrom_top("psi", 32) - limit) <= 0.02
 
 
 def test_kernel_limit():
@@ -219,11 +242,11 @@ def test_kernel_limit():
         # coefficient of order one; the midpoint meshes have none
         assert abs(fit.slope) <= 1e-5
     # zeta and psi have no closed form; v(N) falls toward the limit
-    for kernel, solve in (("zeta", solve_zeta), ("psi", solve_psi)):
+    for kernel in ("zeta", "psi"):
         fit = kernel_limit(kernel)
         assert fit.meshes == (17, 33, 65, 129)
         assert fit.error <= 1e-6
-        assert fit.value < solve(fit.meshes[-1])
+        assert fit.value < nystrom_top(kernel, fit.meshes[-1])
         assert abs(fit.slope) <= 1e-5
     with pytest.raises(ValueError):
         kernel_limit("gauss")
@@ -231,16 +254,16 @@ def test_kernel_limit():
 
 def test_solver_preconditions():
     with pytest.raises(ValueError):
-        solve_zeta(8)
+        nystrom_top("zeta", 8)
     with pytest.raises(ValueError):
-        solve_psi(8)
+        nystrom_top("psi", 8)
     with pytest.raises(ResourceLimitError):
-        solve_psi(8192)
+        nystrom_top("psi", 8192)
 
 
 def test_constants_in_growth_window():
     alpha = solve_alpha()
     for value in (alpha * math.sqrt(2), solve_beta(), alpha * alpha,
-                  solve_zeta(32), solve_psi(16)):
+                  nystrom_top("zeta", 32), nystrom_top("psi", 16)):
         assert 1.0 <= value <= 2.0
 

@@ -111,9 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "strip", parents=[common], help="transfer-operator spectra",
         epilog="CSV columns: kind, m, h, lambda, normalized, residual, "
-               "iterations; with three or more h values, which must then be "
-               "distinct and increasing, the JSON payload adds the "
-               "extrapolated h->infinity limit and its 1/h slope.")
+               "iterations.  Every h must be at least 1; each solve starts "
+               "from the previous h's Perron vector.  With three or more h "
+               "values, which must then be distinct and increasing, the JSON "
+               "payload adds the extrapolated h->infinity limit and its 1/h "
+               "slope.")
     sp.add_argument("--kind", required=True,
                     choices=["band", "tent", "free-strip", "pinned-strip"])
     sp.add_argument("--m", type=int, default=None,
@@ -230,15 +232,21 @@ def _cmd_ehrhart(args):
 
 
 def _cmd_strip(args):
-    # checked before any solve: the extrapolation needs a 1/h ladder
+    # checked before any solve: the normalization divides by h, and the
+    # extrapolation needs a 1/h ladder
+    if min(args.h) < 1:
+        raise ValueError("--h values must be at least 1")
     if len(args.h) >= 3 and sorted(set(args.h)) != args.h:
         raise ValueError("--h values must be distinct and increasing "
                          "to extrapolate")
     records = []
     pairs = []
+    est = None
     for h in args.h:
+        # each solve starts from the previous h's Perron vector
         op = strips.make_operator(args.kind, h, args.m)
-        est = strips.top_eigenvalue(op, args.tol, args.max_iter)
+        start = None if est is None else op.prolong(est.vector, est.h)
+        est = strips.top_eigenvalue(op, args.tol, args.max_iter, start)
         pairs.append((h, est.normalized))
         records.append({"kind": est.kind, "m": est.m, "h": h,
                         "lambda": est.eigenvalue, "normalized": est.normalized,

@@ -11,8 +11,11 @@ is counted in full, an O(1/n) bias).  Each Nystrom matrix is thus a strip
 operator at h times the cell measure (2/n)^m.  One table, ``_KERNELS``, gives
 each kernel its operator at h, the root taken of the scaled eigenvalue, its
 fewest mesh nodes per axis and its mesh ladder.  ``nystrom_top(kernel, n)``
-solves any of them by one power iteration on the operator's ``apply``, and
-``kernel_limit(kernel)`` extrapolates it along the ladder:
+solves any of them by one power iteration on the operator's ``apply`` from
+all-ones, and ``kernel_limit(kernel)`` extrapolates it along the ladder,
+carrying the Perron vector: each mesh starts from the previous mesh's unit
+Perron vector, interpolated onto its nodes (``prolong``), the
+nested-iteration start of multigrid:
 
   kernel          K                                operator at h   m  root
   band-indicator  1[|x - t| <= 1]                  BandOperator    1  -
@@ -51,9 +54,9 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .iterate import power_iteration
 from .strips import (BandOperator, FreeStripOperator, PinnedStripOperator,
-                     TentOperator, extrapolate_limit)
+                     SpectralEstimate, TentOperator, extrapolate_limit,
+                     top_eigenvalue)
 
 # kernel -> (operator at h, root of the scaled eigenvalue, fewest mesh
 # nodes per axis, mesh ladder of kernel_limit)
@@ -72,15 +75,23 @@ def nystrom_top(kernel: str, n: int) -> float:
     iteration (relative tolerance 1e-12) on its operator at h = n // 2,
     the eigenvalue scaled by the cell measure (2/(2h+1))^m, then rooted
     (square root for zeta, cube root for psi)."""
+    return _nystrom(kernel, n)[0]
+
+
+def _nystrom(kernel: str, n: int, prev: SpectralEstimate | None = None
+             ) -> tuple[float, SpectralEstimate]:
+    """``nystrom_top``'s value and its solve, started from ``prev``'s Perron
+    vector prolonged to this mesh (from all-ones when ``prev`` is None)."""
     if kernel not in _KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     make_op, root, min_nodes, _ = _KERNELS[kernel]
     if n < min_nodes:
         raise ValueError(f"mesh needs at least {min_nodes} nodes per axis")
     op = make_op(n // 2)
-    lam = power_iteration(op.apply, op.ones(), 1e-12, 10**5)[0]
-    lam *= (2.0 / (2 * op.h + 1)) ** op.m
-    return root(lam) if root else lam
+    start = None if prev is None else op.prolong(prev.vector, prev.h)
+    est = top_eigenvalue(op, 1e-12, 10**5, start)
+    lam = est.eigenvalue * (2.0 / (2 * op.h + 1)) ** op.m
+    return (root(lam) if root else lam), est
 
 
 def _bisect(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -127,15 +138,21 @@ class KernelLimit:
     error: float    # |value - the same fit to the three coarsest|
     slope: float    # the fit's 1/N coefficient, near 0 on midpoint meshes
     meshes: tuple[int, ...]
+    iterations: tuple[int, ...]     # power iterations per mesh, warm-started
 
 
 def kernel_limit(kernel: str) -> KernelLimit:
     """The constant of "band-indicator" or "tent" (Nystrom eigenvalues beta
-    and 2 alpha^2), "zeta" or "psi", from ``nystrom_top`` on its ladder."""
+    and 2 alpha^2), "zeta" or "psi", from ``nystrom_top`` on its ladder;
+    each mesh's solve starts from the previous mesh's Perron vector."""
     if kernel not in _KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     ladder = _KERNELS[kernel][3]
-    pairs = [(n, nystrom_top(kernel, n)) for n in ladder]
+    pairs, iterations, est = [], [], None
+    for n in ladder:
+        value, est = _nystrom(kernel, n, est)
+        pairs.append((n, value))
+        iterations.append(est.iterations)
     fine, coarse = extrapolate_limit(pairs[-3:]), extrapolate_limit(pairs[:3])
     return KernelLimit(fine.limit, abs(fine.limit - coarse.limit), fine.slope,
-                       ladder)
+                       ladder, tuple(iterations))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -124,6 +124,37 @@ class FreeStripOperator:
 
     def ones(self) -> np.ndarray:
         return np.ones(self.dim)
+
+    def prolong(self, x: np.ndarray, h: int) -> np.ndarray:
+        """``x``, a vector over the states of this kind and m at ``h``,
+        interpolated onto this operator's states (a warm start for the
+        eigen-solve after a solve at ``h``).
+
+        Each difference step d in [-h, h] sits at the midpoint coordinate
+        t = d/(h + 1/2); the map is separable linear interpolation in t,
+        clamped at the ends, one gather-and-blend per axis.  A blend
+        a + w (b - a) keeps a constant vector exact and a positive one
+        positive, and a same-h map is the identity.  With no axis, or from
+        h = 0 (a one-point grid), it returns ``ones()``.
+        """
+        axes = len(self._shape)
+        if not axes or h == 0:
+            return self.ones()
+        # step d here (t = 2d/den) sits at source step d (2h+1)/den, i.e.
+        # source index num/den; integers keep a same-h map exact
+        den = 2 * self.h + 1
+        num = np.arange(-self.h, self.h + 1) * (2 * h + 1) + h * den
+        num = np.clip(num, 0, 2 * h * den)
+        lo = num // den
+        hi = np.minimum(lo + 1, 2 * h)
+        w = (num - lo * den) / den
+        y = np.reshape(x, (2 * h + 1,) * axes)
+        for axis in range(axes):
+            a = y.take(lo, axis)
+            shape = [1] * axes
+            shape[axis] = den
+            y = a + w.reshape(shape) * (y.take(hi, axis) - a)
+        return y.ravel()
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """y = W x in the dtype of x: float, int64 or object (Python ints)."""
@@ -225,18 +256,25 @@ class SpectralEstimate:
     normalized: float
     residual: float
     iterations: int
+    # the unit Perron vector, the warm start of the next solve on a ladder;
+    # never serialised
+    vector: np.ndarray = field(repr=False, compare=False)
 
 
 def top_eigenvalue(op: FreeStripOperator, tol: float = 1e-10,
-                   max_iter: int = 10**5) -> SpectralEstimate:
-    """Dominant eigenvalue by power iteration from the all-ones vector.
+                   max_iter: int = 10**5,
+                   start: np.ndarray | None = None) -> SpectralEstimate:
+    """Dominant eigenvalue by power iteration from ``start``, or from
+    ``op.ones()`` when it is None.
 
-    Converged when successive Rayleigh quotients agree to a relative ``tol``;
-    the all-ones start has positive overlap with the Perron vector.
+    Converged when successive Rayleigh quotients agree to a relative ``tol``.
+    A positive start (all-ones, or a Perron vector ``prolong``-ed from
+    another h) has positive overlap with the Perron vector.
     """
-    lam, _, residual, iters = power_iteration(op.apply, op.ones(), tol, max_iter)
+    x0 = op.ones() if start is None else start
+    lam, vec, residual, iters = power_iteration(op.apply, x0, tol, max_iter)
     return SpectralEstimate(op.kind, op.m, op.h, op.dim, lam,
-                            op.normalized(lam), residual, iters)
+                            op.normalized(lam), residual, iters, vec)
 
 
 def strip_count_exact(m: int, n: int, h: int,

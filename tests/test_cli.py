@@ -270,6 +270,12 @@ def test_exit_codes(capsys):
     for flags in (["--tol", "nan"], ["--tol", "0"], ["--max-iter", "0"]):
         code, out = run(capsys, ["strip", "--kind", "band", "--h", "3", *flags])
         assert (code, out) == (2, ""), flags
+    # usage: every strip --h must be at least 1, and the message names --h
+    for hs in (["20", "0"], ["0"], ["-1", "5"]):
+        code = main(["strip", "--kind", "band", "--h", *hs])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), hs
+        assert "error: --h values must be at least 1" in captured.err, hs
     # usage: a degree that is not a positive finite number, and the message
     # names --d
     for argv in (["bounds", "--d", "nan"], ["bounds", "--d", "10", "inf"],
@@ -372,17 +378,45 @@ def test_constants_rows_shared_with_reproduce_abstract(capsys):
 
 
 def test_strip_checks_h_list_before_solving(capsys, monkeypatch):
-    # three or more --h values feed the 1/h extrapolation, so they must be
-    # distinct and increasing; a bad list exits 2 before any operator is built
+    # every --h must be at least 1, and three or more feed the 1/h
+    # extrapolation, so they must be distinct and increasing; a bad list
+    # exits 2 before any operator is built
     def unreachable(*args):
         raise AssertionError("an operator was built")
 
     monkeypatch.setattr(strips, "make_operator", unreachable)
-    for hs in (["20", "15", "10"], ["3", "4", "4"]):
+    for hs in (["20", "15", "10"], ["3", "4", "4"], ["20", "0"]):
         code = main(["strip", "--kind", "pinned-strip", "--m", "3", "--h", *hs])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), hs
         assert "--h" in captured.err, hs
+
+
+def test_strip_warm_starts_match_cold_solves(capsys):
+    # each h starts from the previous h's Perron vector: the first runs the
+    # cold solve exactly, every eigenvalue is the cold one to 1e-10, and the
+    # list takes fewer iterations than cold solves (but for one free row,
+    # whose single state has nothing to carry)
+    for kind, m, hs in (("band", None, (50, 100, 200, 400)),
+                        ("tent", None, (10, 20, 30)),
+                        ("free-strip", 4, (3, 4, 5)),
+                        ("pinned-strip", 3, (10, 15, 20)),
+                        ("pinned-strip", 3, (20, 10)),
+                        ("free-strip", 1, (3, 5))):
+        argv = ["strip", "--kind", kind, "--h", *map(str, hs),
+                "--deterministic"] + (["--m", str(m)] if m else [])
+        code, out = run(capsys, argv)
+        assert code == 0, argv
+        records = json.loads(out)["records"]
+        cold = [strips.top_eigenvalue(strips.make_operator(kind, h, m))
+                for h in hs]
+        assert records[0]["lambda"] == cold[0].eigenvalue, argv
+        assert records[0]["iterations"] == cold[0].iterations, argv
+        for rec, est in zip(records, cold):
+            assert abs(rec["lambda"] - est.eigenvalue) <= 1e-10 * est.eigenvalue
+        warm_total = sum(r["iterations"] for r in records)
+        cold_total = sum(e.iterations for e in cold)
+        assert warm_total < cold_total or (m == 1 and warm_total == cold_total)
 
 
 def test_strip_fixed_rows_reject_m(capsys):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -42,17 +43,44 @@ def test_mesh():
         nystrom_top("gauss", 100)
 
 
+# kernel -> its operator at h and the root taken of its scaled eigenvalue,
+# built by hand
+KERNEL_OPERATORS = {
+    "band-indicator": (BandOperator, None),
+    "tent": (TentOperator, None),
+    "zeta": (functools.partial(PinnedStripOperator, 2), math.sqrt),
+    "psi": (functools.partial(FreeStripOperator, 3),
+            lambda lam: lam ** (1.0 / 3.0)),
+}
+
+
 def test_kernel_table_matches_hand_built_solve():
-    # each kernel is its operator at h = n // 2, power-iterated, scaled by
-    # the cell measure (2/n)^m and rooted; the table gives the same floats
+    # each kernel is its operator at h = n // 2, power-iterated from
+    # all-ones, scaled by the cell measure (2/n)^m and rooted; the table
+    # gives the same floats
     n, h = 17, 8
-    for kernel, op, root in (
-            ("band-indicator", BandOperator(h), None),
-            ("tent", TentOperator(h), None),
-            ("zeta", PinnedStripOperator(2, h), math.sqrt),
-            ("psi", FreeStripOperator(3, h), lambda lam: lam ** (1.0 / 3.0))):
+    for kernel, (make_op, root) in KERNEL_OPERATORS.items():
+        op = make_op(h)
         lam = power_iteration(op.apply, op.ones(), 1e-12)[0] * (2.0 / n) ** op.m
         assert nystrom_top(kernel, n) == (root(lam) if root else lam), kernel
+
+
+def test_kernel_ladders_warm_start():
+    # kernel_limit starts each mesh from the previous mesh's Perron vector:
+    # the first mesh runs the cold solve, the ladder takes fewer iterations
+    # in total than cold solves, and the limit is the cold ladder's
+    for kernel, (make_op, root) in KERNEL_OPERATORS.items():
+        fit = kernel_limit(kernel)
+        assert len(fit.iterations) == len(fit.meshes)
+        cold = [top_eigenvalue(make_op(n // 2), 1e-12) for n in fit.meshes]
+        assert fit.iterations[0] == cold[0].iterations, kernel
+        assert sum(fit.iterations) < sum(e.iterations for e in cold), kernel
+        values = []
+        for n, est in zip(fit.meshes, cold):
+            lam = est.eigenvalue * (2.0 / n) ** est.m
+            values.append(root(lam) if root else lam)
+        limit = extrapolate_limit(list(zip(fit.meshes, values))[-3:]).limit
+        assert abs(fit.value - limit) <= 1e-13 * limit, kernel
 
 
 def test_kernel_invariants():

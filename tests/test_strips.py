@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -361,6 +362,69 @@ def test_non_convergence_error():
     with pytest.raises(ConvergenceError) as err:
         top_eigenvalue(BandOperator(50), tol=1e-16, max_iter=2)
     assert err.value.iterations == 2
+
+
+def test_prolong_premises():
+    # the warm start of a solve on an h ladder: all-ones maps to all-ones
+    # exactly, a positive vector to a positive one (so the start keeps its
+    # overlap with the Perron vector), a same-h map is the identity, and the
+    # length is the new state count
+    rng = np.random.default_rng(5)
+    for kind, m in (("band", 1), ("tent", 2), ("free-strip", 3),
+                    ("free-strip", 4), ("pinned-strip", 2),
+                    ("pinned-strip", 3)):
+        for src, dst in ((1, 3), (3, 2), (2, 5), (4, 4)):
+            old, new = make_operator(kind, src, m), make_operator(kind, dst, m)
+            assert np.array_equal(new.prolong(old.ones(), src), new.ones())
+            x = rng.random(old.dim) + 1e-3
+            y = new.prolong(x, src)
+            assert y.shape == (new.dim,), (kind, m, src, dst)
+            assert np.all(y > 0), (kind, m, src, dst)
+            assert np.array_equal(old.prolong(x, src), x), (kind, m, src)
+    # no axis (one free row), or a one-point source grid: all-ones
+    assert np.array_equal(FreeStripOperator(1, 4).prolong(np.full(1, 2.0), 2),
+                          np.ones(1))
+    assert np.array_equal(PinnedStripOperator(2, 3).prolong(np.full(1, 2.0), 0),
+                          np.ones(49))
+
+
+def test_prolong_interpolates_on_midpoint_coordinates():
+    # a vector affine in the midpoint coordinates t = d/(h + 1/2) of its
+    # difference steps (d_1, d_2), in C order, is reproduced where the new
+    # grid lies inside the old one and held at the edge value beyond it
+    def coords(h):
+        return np.arange(-h, h + 1) / (h + 0.5)
+
+    def affine(t1, t2):
+        return 3 + t1 - 2 * t2
+
+    for make in (functools.partial(PinnedStripOperator, 2),
+                 functools.partial(FreeStripOperator, 3)):
+        for src, dst in ((3, 5), (5, 2)):
+            ts = coords(src)
+            x = affine(ts[:, None], ts[None, :]).ravel()
+            td = np.clip(coords(dst), ts[0], ts[-1])
+            expect = affine(td[:, None], td[None, :]).ravel()
+            y = make(dst).prolong(x, src)
+            assert np.max(np.abs(y - expect)) <= 1e-12, (make, src, dst)
+
+
+def test_warm_start_matches_cold_solve():
+    # a solve started from the previous h's Perron vector converges to the
+    # same eigenvalue in fewer iterations; the vector is carried, unit and
+    # positive, but not compared
+    for kind, m, hs in (("band", 1, (50, 100)), ("free-strip", 4, (3, 4)),
+                        ("pinned-strip", 3, (10, 15))):
+        prev = top_eigenvalue(make_operator(kind, hs[0], m), 1e-12)
+        assert np.all(prev.vector > 0)
+        assert abs(np.linalg.norm(prev.vector) - 1) <= 1e-12
+        op = make_operator(kind, hs[1], m)
+        cold = top_eigenvalue(op, 1e-12)
+        warm = top_eigenvalue(op, 1e-12, start=op.prolong(prev.vector, prev.h))
+        assert abs(warm.eigenvalue - cold.eigenvalue) <= 1e-12 * cold.eigenvalue
+        assert warm.iterations < cold.iterations, kind
+    assert cold == dataclasses.replace(cold, vector=None)
+    assert "vector" not in repr(cold)
 
 
 def test_extrapolate_band():

@@ -111,7 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "strip", parents=[common], help="transfer-operator spectra",
         epilog="CSV columns: kind, m, h, lambda, normalized, residual, "
-               "iterations.  Every h must be at least 1; each solve starts "
+               "iterations.  lambda is a Lanczos solve's top Ritz value, "
+               "residual the relative change of its last two estimates "
+               "(stop at --tol, positive and finite; 0 when the Krylov "
+               "basis spans an invariant subspace) and iterations its "
+               "operator applies (at most --max-iter, at least 1).  Every "
+               "h must be at least 1; each solve starts "
                "from the previous h's Perron vector.  With three or more h "
                "values, which must then be distinct and increasing, the JSON "
                "payload adds the extrapolated h->infinity limit and its 1/h "
@@ -232,8 +237,13 @@ def _cmd_ehrhart(args):
 
 
 def _cmd_strip(args):
-    # checked before any solve: the normalization divides by h, and the
-    # extrapolation needs a 1/h ladder
+    # checked before any solve: the solver's own checks would name no
+    # flag, the normalization divides by h, and the extrapolation needs a
+    # 1/h ladder
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        raise ValueError("--tol must be positive and finite")
+    if args.max_iter < 1:
+        raise ValueError("--max-iter must be at least 1")
     if min(args.h) < 1:
         raise ValueError("--h values must be at least 1")
     if len(args.h) >= 3 and sorted(set(args.h)) != args.h:

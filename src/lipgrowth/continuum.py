@@ -11,10 +11,11 @@ is counted in full, an O(1/n) bias).  Each Nystrom matrix is thus a strip
 operator at h times the cell measure (2/n)^m.  One table, ``_KERNELS``, gives
 each kernel its operator at h, the root taken of the scaled eigenvalue, its
 fewest mesh nodes per axis and its mesh ladder.  ``nystrom_top(kernel, n)``
-solves any of them by one power iteration on the operator's ``apply`` from
+solves any of them by one Lanczos solve (``iterate.power_iteration``, its
+basis capped at ``_BASIS_CAP`` vectors) on the operator's ``apply`` from
 all-ones, and ``kernel_limit(kernel)`` extrapolates it along the ladder,
 carrying the Perron vector: each mesh starts from the previous mesh's unit
-Perron vector, interpolated onto its nodes (``prolong``), the
+Ritz vector, interpolated onto its nodes (``prolong``), the
 nested-iteration start of multigrid:
 
   kernel          K                                operator at h   m  root
@@ -71,8 +72,8 @@ _KERNELS = {
 
 
 def nystrom_top(kernel: str, n: int) -> float:
-    """The kernel's Nystrom value on 2*(n//2)+1 nodes per axis: power
-    iteration (relative tolerance 1e-12) on its operator at h = n // 2,
+    """The kernel's Nystrom value on 2*(n//2)+1 nodes per axis: a Lanczos
+    solve (relative tolerance 1e-12) on its operator at h = n // 2,
     the eigenvalue scaled by the cell measure (2/(2h+1))^m, then rooted
     (square root for zeta, cube root for psi)."""
     return _nystrom(kernel, n)[0]
@@ -138,7 +139,7 @@ class KernelLimit:
     error: float    # |value - the same fit to the three coarsest|
     slope: float    # the fit's 1/N coefficient, near 0 on midpoint meshes
     meshes: tuple[int, ...]
-    iterations: tuple[int, ...]     # power iterations per mesh, warm-started
+    iterations: tuple[int, ...]     # Lanczos applies per mesh, warm-started
 
 
 def kernel_limit(kernel: str) -> KernelLimit:

@@ -256,20 +256,22 @@ class SpectralEstimate:
     normalized: float
     residual: float
     iterations: int
-    # the unit Perron vector, the warm start of the next solve on a ladder;
-    # never serialised
+    # the unit Ritz vector approximating the Perron vector, the warm start
+    # of the next solve on a ladder; never serialised
     vector: np.ndarray = field(repr=False, compare=False)
 
 
 def top_eigenvalue(op: FreeStripOperator, tol: float = 1e-10,
                    max_iter: int = 10**5,
                    start: np.ndarray | None = None) -> SpectralEstimate:
-    """Dominant eigenvalue by power iteration from ``start``, or from
-    ``op.ones()`` when it is None.
+    """Dominant eigenvalue by a Lanczos solve (``power_iteration``) from
+    ``start``, or from ``op.ones()`` when it is None.
 
-    Converged when successive Rayleigh quotients agree to a relative ``tol``.
-    A positive start (all-ones, or a Perron vector ``prolong``-ed from
-    another h) has positive overlap with the Perron vector.
+    Converged when successive Ritz values, each the Rayleigh quotient of
+    its Ritz vector, agree to a relative ``tol``; ``iterations`` counts
+    applies.  A positive start (all-ones, or a Perron vector ``prolong``-ed
+    from another h) has positive overlap with the Perron vector, and the
+    returned ``vector`` is the unit Ritz vector with positive sum.
     """
     x0 = op.ones() if start is None else start
     lam, vec, residual, iters = power_iteration(op.apply, x0, tol, max_iter)

@@ -266,10 +266,24 @@ def test_exit_codes(capsys):
     code, _ = run(capsys, ["strip", "--kind", "band", "--h", "60",
                            "--tol", "1e-15", "--max-iter", "2"])
     assert code == 4
-    # usage: a tolerance that is not positive, or no iteration at all
-    for flags in (["--tol", "nan"], ["--tol", "0"], ["--max-iter", "0"]):
-        code, out = run(capsys, ["strip", "--kind", "band", "--h", "3", *flags])
-        assert (code, out) == (2, ""), flags
+    # one apply makes one estimate: the message says so, with no residual
+    code = main(["strip", "--kind", "band", "--h", "10", "--max-iter", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == ("no convergence: no convergence within 1 "
+                            "iterations (no second estimate was made)\n")
+    # usage: a tolerance that is not positive and finite, or no iteration at
+    # all, and the message names the flag
+    for flags, message in (
+            (["--tol", "nan"], "error: --tol must be positive and finite"),
+            (["--tol", "0"], "error: --tol must be positive and finite"),
+            (["--tol", "-1"], "error: --tol must be positive and finite"),
+            (["--tol", "inf"], "error: --tol must be positive and finite"),
+            (["--max-iter", "0"], "error: --max-iter must be at least 1")):
+        code = main(["strip", "--kind", "band", "--h", "10", "20", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), flags
+        assert captured.err == message + "\n", flags
     # usage: every strip --h must be at least 1, and the message names --h
     for hs in (["20", "0"], ["0"], ["-1", "5"]):
         code = main(["strip", "--kind", "band", "--h", *hs])
@@ -379,8 +393,8 @@ def test_constants_rows_shared_with_reproduce_abstract(capsys):
 
 def test_strip_checks_h_list_before_solving(capsys, monkeypatch):
     # every --h must be at least 1, and three or more feed the 1/h
-    # extrapolation, so they must be distinct and increasing; a bad list
-    # exits 2 before any operator is built
+    # extrapolation, so they must be distinct and increasing; a bad list,
+    # --tol or --max-iter exits 2 before any operator is built
     def unreachable(*args):
         raise AssertionError("an operator was built")
 
@@ -390,6 +404,12 @@ def test_strip_checks_h_list_before_solving(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), hs
         assert "--h" in captured.err, hs
+    for flags in (["--tol", "inf"], ["--tol", "0"], ["--max-iter", "0"]):
+        code = main(["strip", "--kind", "pinned-strip", "--m", "3",
+                     "--h", "10", "15", "20", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), flags
+        assert flags[0] in captured.err, flags
 
 
 def test_strip_warm_starts_match_cold_solves(capsys):

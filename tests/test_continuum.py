@@ -55,8 +55,8 @@ KERNEL_OPERATORS = {
 
 
 def test_kernel_table_matches_hand_built_solve():
-    # each kernel is its operator at h = n // 2, power-iterated from
-    # all-ones, scaled by the cell measure (2/n)^m and rooted; the table
+    # each kernel is its operator at h = n // 2, solved by
+    # ``power_iteration`` from all-ones, scaled by the cell measure (2/n)^m and rooted; the table
     # gives the same floats
     n, h = 17, 8
     for kernel, (make_op, root) in KERNEL_OPERATORS.items():
@@ -100,7 +100,7 @@ def test_kernel_invariants():
 
 def perron_pair(op):
     """The operator's top eigenvalue and its eigenvector scaled to sup-norm
-    1, from the power iteration that ``nystrom_top`` runs."""
+    1, from the eigen-solve that ``nystrom_top`` runs."""
     lam, vec, _, _ = power_iteration(op.apply, op.ones(), 1e-12)
     return lam, vec / np.max(np.abs(vec))
 

@@ -1,11 +1,133 @@
-"""The in-place window sum behind every strip ``apply``, and the contract
-that no ``apply`` writes into the caller's vector."""
+"""The Lanczos eigen-solve, the in-place window sum behind every strip
+``apply``, and the contract that no ``apply`` writes into the caller's
+vector."""
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lipgrowth.iterate import _window_sum
+from helpers import dense_matrix
+from lipgrowth.errors import ConvergenceError
+from lipgrowth.iterate import _BASIS_CAP, _window_sum, power_iteration
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
                               PinnedStripOperator, TentOperator)
+
+
+def op_id(op):
+    return f"{op.kind}-{op.m}-{op.h}"
+
+
+DENSE_OPERATORS = [BandOperator(40), TentOperator(40),
+                   FreeStripOperator(3, 10), FreeStripOperator(4, 3),
+                   PinnedStripOperator(2, 15), PinnedStripOperator(3, 5)]
+
+
+@pytest.mark.parametrize("op", DENSE_OPERATORS, ids=op_id)
+def test_solve_matches_dense_eigvalsh(op):
+    # at tol 1e-10 the Ritz value is the top eigenvalue to rounding; an
+    # estimate one step behind misses this bound
+    lam, vec, residual, iterations = power_iteration(op.apply, op.ones(), 1e-10)
+    top = np.linalg.eigvalsh(dense_matrix(op))[-1]
+    assert abs(lam - top) <= 1e-13 * top
+    assert residual <= 1e-10
+    assert 2 <= iterations <= 20
+
+
+@pytest.mark.parametrize("op", [BandOperator(5), TentOperator(5),
+                                FreeStripOperator(3, 4),
+                                PinnedStripOperator(2, 3)], ids=op_id)
+def test_solve_vector_is_unit_and_positive(op):
+    # the premise of every warm start: the returned Ritz vector is a unit,
+    # entrywise positive approximation of the Perron vector
+    lam, vec, _, _ = power_iteration(op.apply, op.ones(), 1e-10)
+    assert abs(np.linalg.norm(vec) - 1) <= 1e-12
+    assert np.all(vec > 0)
+    assert np.linalg.norm(op.apply(vec) - lam * vec) <= 1e-4 * lam
+    # a start of the other sign gives the same vector
+    neg, flipped, _, _ = power_iteration(op.apply, -op.ones(), 1e-10)
+    assert neg == lam and np.array_equal(flipped, vec)
+
+
+def test_solve_breakdown_returns_exact_eigenvalue():
+    # from all-ones, BandOperator(1)'s Krylov space is the two-dimensional
+    # space of symmetric vectors: the second step spans an invariant
+    # subspace and returns its top eigenvalue, 1 + sqrt(2), with residual 0
+    lam, vec, residual, iterations = power_iteration(BandOperator(1).apply,
+                                                     np.ones(3), 1e-12)
+    assert (residual, iterations) == (0.0, 2)
+    assert abs(lam - (1 + math.sqrt(2))) <= 1e-15 * lam
+    assert np.allclose(vec, [0.5, math.sqrt(0.5), 0.5], rtol=0, atol=1e-15)
+    # one state: the first step is already invariant
+    assert power_iteration(lambda x: 3 * x, np.ones(1))[2:] == (0.0, 1)
+
+
+def slow_spectrum(n=20000):
+    """A diagonal operator's spectrum: the top eigenvalue 1 just above a
+    dense cluster in [0, 0.99], and one isolated eigenvalue at -0.9, which
+    converges long before the top does."""
+    return np.concatenate([[1.0], 0.99 * np.linspace(1, 0, n - 2) ** 4,
+                           [-0.9]])
+
+
+def test_solve_restarts_within_basis_cap():
+    # convergence needs several times _BASIS_CAP steps, so the basis fills
+    # and restarts from its Ritz vector; the solve still finds the top
+    # eigenpair, and never holds more than _BASIS_CAP vectors of length n
+    # (plus a few temporaries)
+    d = slow_spectrum()
+    x0 = np.ones(d.size)
+    tracemalloc.start()
+    try:
+        lam, vec, residual, iterations = power_iteration(lambda x: d * x, x0,
+                                                         1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iterations > 2 * _BASIS_CAP
+    assert abs(lam - 1) <= 1e-10
+    assert residual <= 1e-12
+    assert abs(vec[0]) >= 1 - 1e-8
+    assert peak <= (_BASIS_CAP + 5) * d.size * 8
+
+
+def test_solve_basis_stays_orthonormal():
+    # the vectors applied before the first restart are the Lanczos basis;
+    # once the isolated bottom eigenvalue converges, the three-term
+    # recurrence alone would lose their orthogonality to it
+    d = slow_spectrum()
+    basis = []
+
+    def apply_fn(x):
+        if len(basis) < _BASIS_CAP:
+            basis.append(x.copy())
+        return d * x
+
+    power_iteration(apply_fn, np.ones(d.size), 1e-12)
+    q = np.array(basis)
+    assert len(q) == _BASIS_CAP
+    assert np.max(np.abs(q @ q.T - np.eye(_BASIS_CAP))) <= 1e-12
+
+
+def test_solve_argument_checks_and_errors():
+    op = BandOperator(10)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            power_iteration(op.apply, op.ones(), tol)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        power_iteration(op.apply, op.ones(), 1e-10, 0)
+    with pytest.raises(ValueError, match="nonzero"):
+        power_iteration(op.apply, np.zeros(op.dim))
+    # one apply makes one estimate, so there is no residual to report
+    with pytest.raises(ConvergenceError,
+                       match="no second estimate was made") as err:
+        power_iteration(op.apply, op.ones(), 1e-10, 1)
+    assert (err.value.residual, err.value.iterations) == (None, 1)
+    with pytest.raises(ConvergenceError, match="last residual") as err:
+        power_iteration(op.apply, op.ones(), 1e-16, 2)
+    assert err.value.residual > 1e-16 and err.value.iterations == 2
+    with pytest.raises(ConvergenceError, match="annihilated"):
+        power_iteration(np.zeros_like, op.ones())
 
 
 def naive_window(a, half, axis):
@@ -84,8 +206,8 @@ APPLY_OPERATORS = [PinnedStripOperator(1, 2), PinnedStripOperator(2, 2),
 
 @pytest.mark.parametrize("op", APPLY_OPERATORS, ids=lambda op: f"{op.kind}-{op.m}")
 def test_apply_leaves_input_unchanged(op):
-    # power_iteration takes vdot(x, apply(x)): an apply that wrote into x
-    # would corrupt every eigenvalue
+    # power_iteration takes dot(q, apply(q)) and keeps q in its basis: an
+    # apply that wrote into q would corrupt every eigenvalue
     rng = np.random.default_rng(3)
     x = op.ones() * rng.random(op.ones().shape)
     before = x.copy()

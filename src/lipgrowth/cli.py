@@ -340,8 +340,12 @@ def _cmd_random_lab(args):
     if args.trials < 1:
         raise ValueError("--trials must be positive")
     if args.mode == "lll":
+        # checked before sampling; LllConfig checks h first
+        try:
+            cfg = randomlab.LllConfig(h=args.h, d=args.d)
+        except ValueError as exc:
+            raise ValueError(f"{'--h' if args.h < 0 else '--d'}: {exc}") from exc
         g = _lab_graph(args, args.seed)
-        cfg = randomlab.LllConfig(h=args.h, d=args.d)
         res = randomlab.lll_sampler(g, cfg, args.trials, args.seed)
         rec = {"mode": "lll", "n": args.n, "d": args.d, "h": args.h,
                "trials": res.trials, "successes": res.successes,

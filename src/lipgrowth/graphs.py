@@ -12,14 +12,17 @@ whole-array numpy operations on it.  Only the ``edges`` set and the sorted
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-# Geometric skips drawn per block.  The generator consumes its stream one
-# skip at a time, so the block size only affects batching, never the graph.
+# Most geometric skips drawn per block.  Each block is sized from the
+# expected number of edges still to come, so one block usually ends the
+# walk; the generator consumes its stream one skip at a time, so the block
+# size only affects batching, never the graph.
 _SKIP_BLOCK = 1 << 16
 
 
@@ -225,7 +228,11 @@ def sample_er(n: int, d: float, seed: int) -> Graph:
     found: list[np.ndarray] = []
     last = -1  # linear index of the latest present pair
     while p > 0 and last < total - 1:
-        skips = rng.geometric(p, size=min(_SKIP_BLOCK, total))
+        # the edges still to come, four standard deviations over, plus the
+        # skip that passes the end
+        left = (total - 1 - last) * p
+        size = min(_SKIP_BLOCK, math.ceil(left + 4 * math.sqrt(left)) + 1)
+        skips = rng.geometric(p, size=size)
         # At tiny p a skip saturates at 2**63 - 1.  A skip of total + 1
         # already passes the end from any start, so clipping there changes no
         # edge, and every partial sum up to the first one past the end is

@@ -218,6 +218,29 @@ class MonteCarloResult:
     edge_failure_rate: float  # failing edges per edge per trial
 
 
+def _uniform_cuts(width: float, ks: np.ndarray) -> np.ndarray:
+    """For each integer k >= 0 in ``ks``, the least double c with
+    fl(c * width) >= k.
+
+    fl(u * width) never decreases as u grows, so for every double u,
+    floor(fl(u * width)) >= k holds exactly when u >= c.  The walk starts
+    from fl(k / width), which is within a few doubles of c.
+    """
+    c = ks / width
+    while True:
+        down = np.nextafter(c, -np.inf)
+        step = down * width >= ks
+        if not step.any():
+            break
+        c = np.where(step, down, c)
+    while True:
+        step = c * width < ks
+        if not step.any():
+            break
+        c = np.where(step, np.nextafter(c, np.inf), c)
+    return c
+
+
 def lll_sampler(graph: Graph, cfg: LllConfig, trials: int,
                 seed: int) -> MonteCarloResult:
     """Estimate how often the random construction lands on a valid function.
@@ -235,50 +258,56 @@ def lll_sampler(graph: Graph, cfg: LllConfig, trials: int,
     f(v) - f(u) > h and no value exceeds the top of the low range, f(u) is
     at most ``thr`` = low_range[1] - h - 1.  High-range vertices are never
     that endpoint, because every high value is at least
-    low_range[1] - h > thr; so only low-degree vertices get a row in the
-    neighbour table, which is at most ceil(2d) - 1 wide and padded with a
-    sentinel vertex whose value 0 fails no edge.  A trial scans the vertices
-    with f <= thr and their rows only.
+    low_range[1] - h > thr, and never the upper one either, because no
+    high value exceeds h.  So the neighbour table keeps low-low edges only;
+    its rows are padded with a sentinel vertex that fails no edge.
+
+    A low vertex with uniform u takes f = floor(fl(u * w)) over the w
+    values of its range (which starts at 0), and that never decreases as u
+    grows.  So f >= k holds exactly when u >= c_k, the least double with
+    fl(c_k * w) >= k (``_uniform_cuts``), and a trial decides in uniform
+    space: the vertices with u below their cut (c_{thr+1} when low, 0 when
+    high) are the lower endpoints, each gets its f, and its neighbour v
+    fails the edge when u_v >= c_{f+h+1}.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     n = graph.n
-    degrees = np.array(graph.degrees())
-    low = degrees < cfg.degree_threshold
-    lo_a, lo_b = cfg.low_range
-    hi_a, hi_b = cfg.high_range
-    base = np.where(low, lo_a, hi_a).astype(np.float64)
-    width = np.where(low, lo_b - lo_a + 1, hi_b - hi_a + 1).astype(np.float64)
-    # hi_b = h <= lo_b, so lo_b is the largest drawable value
-    thr = lo_b - cfg.h - 1
-
-    # One row per vertex listing its neighbours, filled for low vertices
-    # only; empty slots hold the sentinel vertex n.
     e = graph.edge_array
+    low = np.bincount(e.ravel(), minlength=n) < cfg.degree_threshold
+    _, lo_b = cfg.low_range  # the low range starts at 0
+    width = float(lo_b + 1)
+    # cuts[k] = c_k for every value k of the low range; thr + 1 >= 0
+    cuts = _uniform_cuts(width, np.arange(lo_b + 1))
+    thr = lo_b - cfg.h - 1
+    cut = np.where(low, cuts[thr + 1], 0.0)
+    top = cuts[cfg.h + 1:]  # top[f] = c_{f+h+1} for f in 0..thr
+
+    # One row per vertex listing its low neighbours, filled for low
+    # vertices only; empty slots hold the sentinel vertex n.
     src = np.concatenate((e[:, 0], e[:, 1]))
     dst = np.concatenate((e[:, 1], e[:, 0]))
-    keep = low[src]
+    keep = low[src] & low[dst]
     order = np.argsort(src[keep], kind="stable")
     src, dst = src[keep][order], dst[keep][order]
-    row_len = np.where(low, degrees, 0)
+    row_len = np.bincount(src, minlength=n)
     slot = np.arange(src.size) - (np.cumsum(row_len) - row_len)[src]
     pad = np.full((n, row_len.max()), n, dtype=np.int64)
     pad[src, slot] = dst
 
-    buf = np.zeros(n + 1)  # buf[n] is the sentinel's value, always 0
-    f = buf[:n]
+    buf = np.zeros(n + 1)  # buf[n] is the sentinel's uniform, 0 < top
+    u = buf[:n]
+    bottom = np.empty(n, dtype=bool)
     successes = 0
     failing_edges = 0
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        rng.random(out=f)
-        # f = floor(u * width) + base: small integers, exact as floats
-        np.multiply(f, width, out=f)
-        np.floor(f, out=f)
-        np.add(f, base, out=f)
-        b = np.flatnonzero(f <= thr)
-        nbr_values = buf.take(pad.take(b, axis=0))
-        nbad = int(np.count_nonzero(nbr_values > (f[b] + cfg.h)[:, None]))
+        rng.random(out=u)
+        np.less(u, cut, out=bottom)
+        b = bottom.nonzero()[0]
+        f_b = (u.take(b) * width).astype(np.intp)  # floor, as u >= 0
+        nbad = int(np.count_nonzero(
+            buf.take(pad.take(b, axis=0)) >= top.take(f_b)[:, None]))
         failing_edges += nbad
         successes += nbad == 0
     lo_ci, hi_ci = wilson_interval(successes, trials)

@@ -295,22 +295,27 @@ def strip_count_stepwise(m: int, n: int, h: int) -> int:
 def er_reference_edges(n: int, d: float, seed: int) -> set[tuple[int, int]]:
     """Edges of ``sample_er(n, d, seed)`` by a pure-Python geometric walk.
 
-    Pairs (i, j), i < j, are listed lexicographically; starting before the
+    Pairs (i, j), i < j, are ordered lexicographically; starting before the
     first, each ``default_rng(seed).geometric(d/n)`` draw, taken one at a
     time, advances to the next present pair until the walk passes the end.
+    Row i holds the n - 1 - i pairs (i, i+1) .. (i, n-1); the walk steps
+    from row to row, so it never lists the n(n-1)/2 pairs.
     """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     p = d / n
     if p == 0:
         return set()
     rng = np.random.default_rng(seed)
     edges = set()
     pos = -1
+    i, row_start = 0, 0  # pairs before row i
     while True:
         pos += int(rng.geometric(p))
-        if pos >= len(pairs):
+        while i < n - 1 and pos >= row_start + n - 1 - i:
+            row_start += n - 1 - i
+            i += 1
+        if i == n - 1:
             return edges
-        edges.add(pairs[pos])
+        edges.add((i, i + 1 + pos - row_start))
 
 
 def pair_scan(graph: Graph, size: int) -> tuple[int, ...] | None:

@@ -315,6 +315,17 @@ def test_exit_codes(capsys):
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), argv
         assert flag in captured.err, argv
+    # usage: lll mode checks --h and --d before it samples a graph (this n
+    # would take seconds to sample), and the message names the flag
+    for args, message in (
+            (["--d", "3"], "error: --d: d must be finite and exceed 4"),
+            (["--d", "inf"], "error: --d: d must be finite and exceed 4"),
+            (["--d", "6", "--h", "-1"], "error: --h: h must be nonnegative"),
+            (["--d", "3", "--h", "-1"], "error: --h: h must be nonnegative")):
+        code = main(["random-lab", "--mode", "lll", "--n", "2000000", *args])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), args
+        assert message in captured.err, args
     # usage: without --size, pairs mode needs 1 < d < inf for its set size,
     # and the message names --d
     for d in ("nan", "inf", "0", "1"):

@@ -98,7 +98,8 @@ def test_sample_er_edge_cases():
 
 @pytest.mark.parametrize("block", [1, 7, None])
 @pytest.mark.parametrize("n, d, seed", [(2, 2, 0), (9, 9, 4), (30, 0.5, 3),
-                                        (60, 3.0, 1), (120, 40.0, 5)])
+                                        (60, 3.0, 1), (120, 40.0, 5),
+                                        (5000, 6.0, 7)])
 def test_sample_er_matches_reference_walk(monkeypatch, block, n, d, seed):
     # small blocks make the first block of skips fall short of n(n-1)/2, so
     # the walk continues across blocks

@@ -11,7 +11,8 @@ from helpers import lll_reference, lll_trial_failures, pair_scan, with_edge
 from lipgrowth.counting import _root, count, reciprocal_fit
 from lipgrowth.errors import ConvergenceError
 from lipgrowth.graphs import Graph, make_family, sample_er
-from lipgrowth.randomlab import (LllConfig, PairSearchResult, bound_report,
+from lipgrowth.randomlab import (LllConfig, PairSearchResult, _uniform_cuts,
+                                 bound_report,
                                  epsilon_upper_bound, flatness_parameter,
                                  giant_fraction_prediction,
                                  independent_pair_margin,
@@ -330,6 +331,31 @@ def test_lll_sampler_matches_reference(case, trials, seed):
     graph, cfg = case
     assert lll_sampler(graph, cfg, trials, seed) == \
         lll_reference(graph, cfg, trials, seed)
+
+
+def test_uniform_cuts_decide_the_floor_of_the_product():
+    # the premise of lll_sampler's uniform-space trial: c_k is the least
+    # double with fl(c_k * w) >= k, so at c_k and at both neighbouring
+    # doubles, u >= c_k agrees with floor(fl(u * w)) >= k
+    for width in (*range(1, 301), 1009, 10007, 123457, 1000003):
+        ks = np.arange(1, width + 1)
+        c = _uniform_cuts(float(width), ks)
+        below, above = np.nextafter(c, 0), np.nextafter(c, np.inf)
+        assert (below * width < ks).all() and (ks <= c * width).all(), width
+        for u in (below, c, above):
+            assert ((u >= c) == (np.floor(u * width) >= ks)).all(), width
+        # k = 0 cuts at 0, below which no uniform lies
+        assert _uniform_cuts(float(width), np.arange(1))[0] == 0.0
+
+
+@pytest.mark.parametrize("seed", [7, 1601])
+def test_lll_sampler_matches_reference_at_benchmark_shape(seed):
+    # the benchmark's n, d and h, far past the property test's graphs
+    graph = sample_er(5000, 6, seed)
+    cfg = LllConfig(h=100, d=6)
+    res = lll_sampler(graph, cfg, 20, seed)
+    assert res == lll_reference(graph, cfg, 20, seed)
+    assert res.edge_failure_rate > 0
 
 
 def test_lll_trial_reads_its_own_slice_of_one_stream():

@@ -15,8 +15,7 @@ from .errors import ConvergenceError, ResourceLimitError
 from .graphs import (Graph, from_edgelist_str, graph_hash, make_family,
                      make_grid, read_edgelist, sample_er, to_edgelist_str)
 from .counting import (EhrhartPoly, count, count_closed_form,
-                       count_with_stats, counts_for_fit, ehrhart_fit,
-                       reciprocal_fit)
+                       count_with_stats, ehrhart_fit, reciprocal_fit)
 from .strips import (BandOperator, FreeStripOperator, PinnedStripOperator,
                      SpectralEstimate, TentOperator, extrapolate_limit,
                      make_operator, strip_count_exact, top_eigenvalue)

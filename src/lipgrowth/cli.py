@@ -165,6 +165,8 @@ def _grid_shape(text: str) -> tuple[int, int]:
         m, n = (int(x) for x in text.lower().split("x"))
     except ValueError as exc:
         raise ValueError(f"bad --grid {text!r}, expected MxN") from exc
+    if m < 1 or n < 1:
+        raise ValueError("--grid dimensions must be at least 1")
     return m, n
 
 
@@ -173,7 +175,10 @@ def _build_graph(args) -> graphs.Graph:
         if args.n is None:
             raise ValueError("--family needs --n")
         kind = "path" if args.family == "tree" else args.family
-        return graphs.make_family(kind, args.n)
+        try:
+            return graphs.make_family(kind, args.n)
+        except ValueError as exc:
+            raise ValueError(f"--n: {exc}") from exc
     if args.grid:
         return graphs.make_grid(*_grid_shape(args.grid))
     if args.er:
@@ -191,6 +196,9 @@ def _cmd_generate(args):
 
 
 def _cmd_count(args):
+    # checked before a graph is built: sampling --er can take seconds
+    if args.h < 0:
+        raise ValueError("--h must be nonnegative")
     g = _build_graph(args)
     t0 = time.perf_counter()
     method = args.method
@@ -246,6 +254,8 @@ def _cmd_strip(args):
         raise ValueError("--max-iter must be at least 1")
     if min(args.h) < 1:
         raise ValueError("--h values must be at least 1")
+    if args.m is not None and args.m < 1:
+        raise ValueError("--m must be at least 1")
     if len(args.h) >= 3 and sorted(set(args.h)) != args.h:
         raise ValueError("--h values must be distinct and increasing "
                          "to extrapolate")
@@ -255,8 +265,7 @@ def _cmd_strip(args):
     for h in args.h:
         # each solve starts from the previous h's Perron vector
         op = strips.make_operator(args.kind, h, args.m)
-        start = None if est is None else op.prolong(est.vector, est.h)
-        est = strips.top_eigenvalue(op, args.tol, args.max_iter, start)
+        est = strips.top_eigenvalue(op, args.tol, args.max_iter, est)
         pairs.append((h, est.normalized))
         records.append({"kind": est.kind, "m": est.m, "h": h,
                         "lambda": est.eigenvalue, "normalized": est.normalized,
@@ -373,6 +382,8 @@ def _cmd_random_lab(args):
             raise ValueError("--d must be finite and above 1 to set the "
                              "pairs size (or pass --size)")
         size = math.ceil(randomlab.flatness_parameter(args.d) * args.n)
+    elif size < 1:
+        raise ValueError("--size must be positive")
     found = 0
     records = []
     for t in range(args.trials):

@@ -55,6 +55,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
+from .iterate import _bisect
 from .strips import (BandOperator, FreeStripOperator, PinnedStripOperator,
                      SpectralEstimate, TentOperator, extrapolate_limit,
                      top_eigenvalue)
@@ -81,43 +82,21 @@ def nystrom_top(kernel: str, n: int) -> float:
 
 def _nystrom(kernel: str, n: int, prev: SpectralEstimate | None = None
              ) -> tuple[float, SpectralEstimate]:
-    """``nystrom_top``'s value and its solve, started from ``prev``'s Perron
-    vector prolonged to this mesh (from all-ones when ``prev`` is None)."""
+    """``nystrom_top``'s value and its solve, warm-started from ``prev``."""
     if kernel not in _KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     make_op, root, min_nodes, _ = _KERNELS[kernel]
     if n < min_nodes:
         raise ValueError(f"mesh needs at least {min_nodes} nodes per axis")
     op = make_op(n // 2)
-    start = None if prev is None else op.prolong(prev.vector, prev.h)
-    est = top_eigenvalue(op, 1e-12, 10**5, start)
+    est = top_eigenvalue(op, 1e-12, 10**5, prev)
     lam = est.eigenvalue * (2.0 / (2 * op.h + 1)) ** op.m
     return (root(lam) if root else lam), est
 
 
-def _bisect(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def solve_alpha() -> float:
     """Largest solution of tan(1/x) = x, by bisection on [1.0, 1.5]."""
-    return _bisect(lambda x: math.tan(1.0 / x) - x, 1.0, 1.5, tol=1e-12)
+    return _bisect(lambda x: math.tan(1.0 / x) - x, 1.0, 1.5)
 
 
 def solve_beta() -> float:

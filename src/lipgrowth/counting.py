@@ -13,7 +13,7 @@ import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -268,20 +268,6 @@ def ehrhart_fit(graph: Graph, counts: Sequence[tuple[int, int]]) -> EhrhartPoly:
     return fit
 
 
-def counts_for_fit(graph: Graph, budget: int = DEFAULT_BUDGET,
-                   hs: Iterable[int] | None = None) -> list[tuple[int, int]]:
-    """Exact counts at the interpolation nodes.
-
-    The budget is checked at the largest node before any node is counted,
-    so a fit that cannot finish fails at once instead of after its cheaper
-    nodes.
-    """
-    hs = range(graph.n - graph.component_count + 1) if hs is None else list(hs)
-    if hs:
-        _plan(graph, max(hs), budget)
-    return [(h, count(graph, h, budget)) for h in hs]
-
-
 def reciprocal_fit(graph: Graph, budget: int = DEFAULT_BUDGET
                    ) -> tuple[EhrhartPoly, list[tuple[int, int]]]:
     """The counting polynomial from exact counts at h = 0..d//2 + 1 only.
@@ -294,13 +280,14 @@ def reciprocal_fit(graph: Graph, budget: int = DEFAULT_BUDGET
     counts at h = 0..d//2 and the reflections of the first ceil(d/2) of
     them.  Every known value left over, the count at d//2 + 1 and for even d
     one more reflection, is checked against the fit, so the fit checks
-    itself: a mismatch raises ValueError.  ``counts_for_fit`` checks the
-    budget at the largest counted h before any count.  Returns the fit and
-    the counted (h, count) pairs.
+    itself: a mismatch raises ValueError.  The budget is checked at the
+    largest counted h before any count, so a fit that cannot finish fails
+    at once.  Returns the fit and the counted (h, count) pairs.
     """
     d = graph.n - graph.component_count
     half = d // 2
-    counted = counts_for_fit(graph, budget, range(half + 2))
+    _plan(graph, half + 1, budget)
+    counted = [(h, count(graph, h, budget)) for h in range(half + 2)]
     sign = -1 if d % 2 else 1
     mirrored = [(-1 - h, sign * c) for h, c in counted[:half + 1]]
     fit = ehrhart_fit(graph, counted[:half + 1] + mirrored[:d - half])

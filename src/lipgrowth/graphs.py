@@ -5,8 +5,8 @@ Vertices are 0..n-1.  Graphs are immutable after construction; generators and
 the Erdos-Renyi sampler are pure functions of their arguments, so equal seeds
 give equal graphs.  A graph stores its edges as one read-only int64 (E, 2)
 array with u < v in each row and rows in strictly increasing lexicographic
-order; validation, component labels, component parts and degrees are
-whole-array numpy operations on it.  Only the ``edges`` set and the sorted
+order; validation, component labels and component parts are whole-array
+numpy operations on it.  Only the ``edges`` set and the sorted
 ``adjacency`` lists, each built on first use, are Python-level.
 """
 from __future__ import annotations
@@ -150,10 +150,6 @@ class Graph:
         order = np.argsort(labels, kind="stable").tolist()
         ends = np.cumsum(np.bincount(labels)).tolist()
         return tuple(tuple(order[a:b]) for a, b in zip([0, *ends], ends))
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.edge_array.ravel(),
-                                 minlength=self.n).tolist())
 
 
 def make_grid(m: int, n: int) -> Graph:

@@ -1,5 +1,6 @@
 """The eigen-solve shared by the strip operators and the continuum solvers,
-and the window sum behind every strip ``apply``.
+the scalar root finder behind alpha and the giant fraction, and the window
+sum behind every strip ``apply``.
 
 The eigen-solve is a Lanczos iteration with full reorthogonalization
 (Lanczos 1950; Saad, Numerical Methods for Large Eigenvalue Problems, ch. 6):
@@ -112,6 +113,23 @@ def _ritz_vector(basis, t: np.ndarray) -> np.ndarray:
         y += c * v
     y /= np.linalg.norm(y)
     return -y if y.sum() < 0 else y
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """A root of ``f`` on [lo, hi], given f(lo) >= 0: hi when f(hi) >= 0,
+    else halving while f(lo) >= 0 >= f(hi) until lo and hi are adjacent
+    doubles (about 1100 halvings from [0, 1]), then whichever has the
+    smaller |f|, so the error is the rounding of f alone."""
+    if f(hi) >= 0:
+        return hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi if abs(f(hi)) <= abs(f(lo)) else lo
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _running_sum(a: np.ndarray, axis: int) -> None:

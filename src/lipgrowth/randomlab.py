@@ -16,8 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .graphs import Graph
+from .iterate import _bisect
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -125,38 +125,19 @@ def independent_pair_margin(d: float) -> MarginReport:
     return MarginReport(d=d, margin=margin, chain_value=chain)
 
 
-def giant_fraction_prediction(d: float, max_iter: int = 2000) -> float:
+def giant_fraction_prediction(d: float) -> float:
     """Limiting giant-component fraction: the root y in (0, 1] of
     1 - y = e^(-d y).
 
     f(y) = 1 - y - e^(-d y) is concave with f(0) = 0, f'(0) = d - 1 > 0 and
-    f(1) = -e^(-d) < 0, so for d > 1 it has one root in (0, 1].  Bisection
-    keeps f(lo) >= 0 >= f(hi) (f(1) rounding to 0 means y rounds to 1) and
-    stops when lo and hi are adjacent doubles, so the error is the rounding
-    of f alone; the root's relative condition number is about 1/(d - 1),
-    which bounds the accuracy near d = 1.  Bisection from [0, 1] reaches
-    adjacent doubles within about 1100 halvings; a cap below that raises
-    ``ConvergenceError``.
+    f(1) = -e^(-d) < 0, so for d > 1 it has one root in (0, 1], which
+    ``iterate._bisect`` brackets to adjacent doubles on [0, 1] (f(1)
+    rounding to 0 means y rounds to 1).  The root's relative condition
+    number is about 1/(d - 1), which bounds the accuracy near d = 1.
     """
     if not d > 1:
         raise ValueError("giant component needs d > 1")
-
-    def f(y):
-        return -math.expm1(-d * y) - y
-
-    lo, hi = 0.0, 1.0
-    if f(hi) >= 0:
-        return hi
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return hi if abs(f(hi)) <= abs(f(lo)) else lo
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError("giant-fraction bisection hit its iteration cap",
-                           residual=hi - lo, iterations=max_iter)
+    return _bisect(lambda y: -math.expm1(-d * y) - y, 0.0, 1.0)
 
 
 def poisson_tail_bound(d: float, x: float) -> float:

@@ -232,17 +232,16 @@ class BandOperator(PinnedStripOperator):
         super().__init__(1, h)
 
 
-def make_operator(kind: str, h: int, m: int | None = None,
-                  state_budget: int = DEFAULT_BUDGET) -> FreeStripOperator:
+def make_operator(kind: str, h: int, m: int | None = None) -> FreeStripOperator:
     if kind in ("band", "tent"):
         rows = 1 if kind == "band" else 2
         if m not in (None, rows):
             raise ValueError(f"{kind} operator has m = {rows}, not {m}")
         return BandOperator(h) if kind == "band" else TentOperator(h)
     if kind == "free-strip":
-        return FreeStripOperator(m if m is not None else 2, h, state_budget)
+        return FreeStripOperator(m if m is not None else 2, h)
     if kind == "pinned-strip":
-        return PinnedStripOperator(m if m is not None else 1, h, state_budget)
+        return PinnedStripOperator(m if m is not None else 1, h)
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
@@ -251,7 +250,6 @@ class SpectralEstimate:
     kind: str
     m: int
     h: int
-    dim: int
     eigenvalue: float
     normalized: float
     residual: float
@@ -263,20 +261,21 @@ class SpectralEstimate:
 
 def top_eigenvalue(op: FreeStripOperator, tol: float = 1e-10,
                    max_iter: int = 10**5,
-                   start: np.ndarray | None = None) -> SpectralEstimate:
+                   prev: SpectralEstimate | None = None) -> SpectralEstimate:
     """Dominant eigenvalue by a Lanczos solve (``power_iteration``) from
-    ``start``, or from ``op.ones()`` when it is None.
+    ``prev``'s Perron vector ``prolong``-ed to ``op``, or from
+    ``op.ones()`` when ``prev`` is None.
 
     Converged when successive Ritz values, each the Rayleigh quotient of
     its Ritz vector, agree to a relative ``tol``; ``iterations`` counts
-    applies.  A positive start (all-ones, or a Perron vector ``prolong``-ed
-    from another h) has positive overlap with the Perron vector, and the
-    returned ``vector`` is the unit Ritz vector with positive sum.
+    applies.  Either start is positive, so it has positive overlap with the
+    Perron vector, and the returned ``vector`` is the unit Ritz vector with
+    positive sum.
     """
-    x0 = op.ones() if start is None else start
+    x0 = op.ones() if prev is None else op.prolong(prev.vector, prev.h)
     lam, vec, residual, iters = power_iteration(op.apply, x0, tol, max_iter)
-    return SpectralEstimate(op.kind, op.m, op.h, op.dim, lam,
-                            op.normalized(lam), residual, iters, vec)
+    return SpectralEstimate(op.kind, op.m, op.h, lam, op.normalized(lam),
+                            residual, iters, vec)
 
 
 def strip_count_exact(m: int, n: int, h: int,

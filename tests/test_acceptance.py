@@ -10,11 +10,11 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from helpers import (dense_matrix, dfs_count, end_pinned_path4, random_tree,
-                     relabel, top_row_pinned_2x3, with_edge)
+from helpers import (dense_matrix, dfs_count, end_pinned_path4, full_counts,
+                     random_tree, relabel, top_row_pinned_2x3, with_edge)
 from lipgrowth.cli import main as cli_main
 from lipgrowth.continuum import nystrom_top, solve_alpha
-from lipgrowth.counting import count, counts_for_fit, ehrhart_fit
+from lipgrowth.counting import count, ehrhart_fit
 from lipgrowth.graphs import make_family, make_grid, sample_er
 from lipgrowth.randomlab import (bound_report, giant_fraction_prediction,
                                  independent_pair_margin, triple_sum_success)
@@ -64,7 +64,7 @@ def test_criterion_2_ehrhart_prediction():
     ok = True
     for g in fixtures:
         assert g.component_count == 1 and g.n <= 7
-        fit = ehrhart_fit(g, counts_for_fit(g))
+        fit = ehrhart_fit(g, full_counts(g))
         held_out = g.n
         ok &= fit.evaluate(held_out) == count(g, held_out)
     report(2, ok, f"degree-(n-1) interpolant exact at h=n for "

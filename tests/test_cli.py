@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from lipgrowth import strips
+from lipgrowth import graphs, strips
 from lipgrowth.cli import main
 from lipgrowth.continuum import solve_alpha
 from lipgrowth.graphs import from_edgelist_str, make_grid, sample_er
@@ -247,7 +247,7 @@ def test_seed_controls_er(capsys):
     assert a != c
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, monkeypatch):
     # usage: unknown flag, and the removed --threads
     assert main(["count", "--nope"]) == 2
     assert main(["count", "--grid", "2x2", "--h", "1", "--threads", "1"]) == 2
@@ -351,6 +351,35 @@ def test_exit_codes(capsys):
             code, out = run(capsys, ["random-lab", "--mode", mode, "--n", "20",
                                      "--d", "10", "--trials", trials])
             assert (code, out) == (2, ""), (mode, trials)
+    # usage: each of these is caught before a graph is built or sampled,
+    # and the message names its flag
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(graphs, "sample_er", no_graph)
+        mp.setattr(graphs.Graph, "from_edges", no_graph)
+        for argv, message in (
+                (["count", "--er", "2000000", "3", "--h", "-1"],
+                 "--h must be nonnegative"),
+                (["count", "--grid", "2x2", "--h", "-1", "--method", "strip"],
+                 "--h must be nonnegative"),
+                (["random-lab", "--mode", "pairs", "--n", "20", "--d", "10",
+                  "--size", "0"], "--size must be positive"),
+                (["random-lab", "--mode", "pairs", "--n", "20", "--d", "10",
+                  "--size", "-3"], "--size must be positive"),
+                (["count", "--family", "path", "--n", "0", "--h", "1"],
+                 "--n: size must be at least 1"),
+                (["count", "--grid", "0x3", "--h", "1"],
+                 "--grid dimensions must be at least 1"),
+                (["count", "--grid", "3x-1", "--h", "1", "--method", "strip"],
+                 "--grid dimensions must be at least 1"),
+                (["strip", "--kind", "free-strip", "--m", "0", "--h", "3"],
+                 "--m must be at least 1")):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, ""), argv
+            assert captured.err == f"error: {message}\n", argv
 
 
 def test_count_strip_honours_budget(capsys):

@@ -1,6 +1,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,10 @@ def test_alpha():
     assert abs(a - 1.16234) <= 1e-5
     assert abs(a * a - 1.351) <= 1e-3
     assert abs(math.tan(1 / a) - a) <= 1e-9
+    # bisection to adjacent doubles leaves only the rounding of tan(1/x) - x
+    with mpmath.workdps(50):
+        root = mpmath.findroot(lambda x: mpmath.tan(1 / x) - x, 1.16)
+        assert abs(mpmath.mpf(a) - root) <= math.ulp(a)
 
 
 def test_beta():

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (dfs_count, end_pinned_path4, relabel,
+from helpers import (dfs_count, end_pinned_path4, full_counts, relabel,
                      top_row_pinned_2x3, with_edge)
 from lipgrowth.counting import (EhrhartPoly, _root, count, count_closed_form,
-                                count_with_stats, counts_for_fit, ehrhart_fit,
-                                reciprocal_fit)
+                                count_with_stats, ehrhart_fit, reciprocal_fit)
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.graphs import Graph, make_family, make_grid
 from lipgrowth.strips import strip_count_exact
@@ -82,7 +81,7 @@ def test_budget_guard():
 
 
 def test_fit_budget_checked_before_counting(monkeypatch):
-    # the 4x5 fit needs h = 0..19, and h = 19 needs a table far past the
+    # the 4x5 fit counts h = 0..10, and h = 10 needs a table far past the
     # budget, so the fit is rejected before any node, h = 0 included, runs
     calls = []
     einsum = np.einsum
@@ -93,10 +92,10 @@ def test_fit_budget_checked_before_counting(monkeypatch):
 
     monkeypatch.setattr(np, "einsum", spy)
     with pytest.raises(ResourceLimitError):
-        counts_for_fit(make_grid(4, 5))
+        reciprocal_fit(make_grid(4, 5))
     assert calls == []
-    # a fit that fits the budget still counts every node
-    assert [h for h, _ in counts_for_fit(make_grid(2, 2))] == [0, 1, 2, 3]
+    # a fit within the budget counts h = 0..d//2 + 1
+    assert reciprocal_fit(make_grid(2, 2))[1] == full_counts(make_grid(2, 2))[:3]
     assert calls
 
 
@@ -241,7 +240,7 @@ def test_ehrhart_examples():
     assert fit.c_estimate == pytest.approx(3 ** 0.5, abs=1e-12)
 
     c4 = make_family("cycle", 4)
-    fit = ehrhart_fit(c4, counts_for_fit(c4))
+    fit = ehrhart_fit(c4, full_counts(c4))
     assert 1 <= fit.leading <= 2 ** 3
     assert fit.evaluate(4) == count(c4, 4)
 
@@ -258,14 +257,14 @@ def test_ehrhart_validation():
 
 def test_ehrhart_polynomiality_holdout():
     for g in (make_family("cycle", 5), make_grid(2, 3)):
-        fit = ehrhart_fit(g, counts_for_fit(g))
+        fit = ehrhart_fit(g, full_counts(g))
         held_out = g.n - g.component_count + 1
         assert fit.evaluate(held_out) == count(g, held_out)
 
 
 def test_ehrhart_evaluate_matches_nodes():
     g = make_grid(2, 2)
-    counts = counts_for_fit(g)
+    counts = full_counts(g)
     fit = ehrhart_fit(g, counts)
     for h, c in counts:
         assert fit.evaluate(h) == c
@@ -273,7 +272,7 @@ def test_ehrhart_evaluate_matches_nodes():
 
 def test_ehrhart_disconnected_degree():
     g = Graph.from_edges(5, [(0, 1), (2, 3)])   # n=5, k=3 -> degree 2
-    fit = ehrhart_fit(g, counts_for_fit(g))
+    fit = ehrhart_fit(g, full_counts(g))
     assert fit.degree == 2
     assert fit.coeffs == (Fraction(1), Fraction(4), Fraction(4))
 
@@ -281,7 +280,7 @@ def test_ehrhart_disconnected_degree():
 def _assert_reciprocal_fit_matches_full_fit(g):
     fit, counted = reciprocal_fit(g)
     d = g.n - g.component_count
-    assert fit == ehrhart_fit(g, counts_for_fit(g))
+    assert fit == ehrhart_fit(g, full_counts(g))
     assert [h for h, _ in counted] == list(range(d // 2 + 2))
     assert all(fit.evaluate(h) == c for h, c in counted)
 

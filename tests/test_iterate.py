@@ -1,6 +1,6 @@
-"""The Lanczos eigen-solve, the in-place window sum behind every strip
-``apply``, and the contract that no ``apply`` writes into the caller's
-vector."""
+"""The Lanczos eigen-solve, the one bisection, the in-place window sum
+behind every strip ``apply``, and the contract that no ``apply`` writes
+into the caller's vector."""
 import math
 import tracemalloc
 
@@ -9,7 +9,8 @@ import pytest
 
 from helpers import dense_matrix
 from lipgrowth.errors import ConvergenceError
-from lipgrowth.iterate import _BASIS_CAP, _window_sum, power_iteration
+from lipgrowth.iterate import (_BASIS_CAP, _bisect, _window_sum,
+                               power_iteration)
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
                               PinnedStripOperator, TentOperator)
 
@@ -128,6 +129,24 @@ def test_solve_argument_checks_and_errors():
     assert err.value.residual > 1e-16 and err.value.iterations == 2
     with pytest.raises(ConvergenceError, match="annihilated"):
         power_iteration(np.zeros_like, op.ones())
+
+
+def test_bisect():
+    # f(hi) >= 0 returns hi at once, which for a function positive
+    # everywhere ends the search on [0, 1] at 1
+    for f in (lambda y: 1.0 - y, lambda y: 2.0 - y, lambda y: 1.0):
+        seen = []
+        assert _bisect(lambda y: seen.append(y) or f(y), 0.0, 1.0) == 1.0
+        assert seen == [1.0]
+    # f(lo) = 0 and f < 0 above it: the bracket closes on lo
+    assert _bisect(lambda y: -y, 0.0, 1.0) == 0.0
+    # for f(y) = c - y the sign of f is exact, so bisection to adjacent
+    # doubles ends with hi = c, where f is 0
+    for c, lo, hi in ((0.1, 0.0, 1.0), (1 / 3, 0.0, 1.0), (0.7, 0.0, 1.0),
+                      (2.0 ** -1000, 0.0, 1.0), (5e-324, 0.0, 1.0),
+                      (math.nextafter(1.0, 0.0), 0.0, 1.0),
+                      (1.2345, 1.0, 1.5)):
+        assert _bisect(lambda y: c - y, lo, hi) == c, c
 
 
 def naive_window(a, half, axis):

@@ -423,7 +423,7 @@ def test_warm_start_matches_cold_solve():
         assert abs(np.linalg.norm(prev.vector) - 1) <= 1e-12
         op = make_operator(kind, hs[1], m)
         cold = top_eigenvalue(op, 1e-12)
-        warm = top_eigenvalue(op, 1e-12, start=op.prolong(prev.vector, prev.h))
+        warm = top_eigenvalue(op, 1e-12, prev=prev)
         assert abs(warm.eigenvalue - cold.eigenvalue) <= 1e-12 * cold.eigenvalue
         if kind == "free-strip":
             assert warm.iterations <= cold.iterations, kind

@@ -10,6 +10,8 @@ Exit codes: 0 success, 2 usage error, 3 resource limit, 4 non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -41,21 +43,51 @@ _ROWS = {
 }
 
 
-def _seed(text: str) -> int:
-    """--seed: a non-negative integer, as numpy's generators take."""
-    if not text.isdecimal():
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ``ValueError``, so ``main`` reports it in the
+    same one-line format as a handler's."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _at_least(lo: int):
+    """argparse type: an integer of at least ``lo``."""
+    def at_least(text: str) -> int:
+        with contextlib.suppress(ValueError):
+            if (value := int(text)) >= lo:
+                return value
         raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return int(text)
+            f"must be an integer of at least {lo}, got {text!r}")
+    return at_least
+
+
+def _positive_finite(text: str) -> float:
+    """argparse type: a positive finite number."""
+    with contextlib.suppress(ValueError):
+        if 0 < (value := float(text)) < math.inf:
+            return value
+    raise argparse.ArgumentTypeError(
+        f"must be positive and finite, got {text!r}")
+
+
+def _grid_shape(text: str) -> tuple[int, int]:
+    """argparse type for --grid: MxN, both at least 1."""
+    with contextlib.suppress(ValueError):
+        m, n = (int(x) for x in text.lower().split("x"))
+        if m >= 1 and n >= 1:
+            return m, n
+    raise argparse.ArgumentTypeError(
+        f"expected MxN with both at least 1, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="lipgrowth",
         description="Count h-Lipschitz integer functions on graphs and "
                     "compute their growth constants.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_seed, default=0,
+    common.add_argument("--seed", type=_at_least(0), default=0,
                         help="seed for all randomness (default 0)")
     common.add_argument("--format", choices=["json", "csv", "table"],
                         default=None,
@@ -71,11 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
         g = sp.add_mutually_exclusive_group(required=True)
         g.add_argument("--family",
                        choices=["path", "cycle", "complete", "star", "tree"])
-        g.add_argument("--grid", metavar="MxN")
+        g.add_argument("--grid", type=_grid_shape, metavar="MxN")
         g.add_argument("--er", nargs=2, metavar=("N", "D"))
         if not for_generate:
             g.add_argument("--load", metavar="FILE")
-        sp.add_argument("--n", type=int, help="size for --family")
+        sp.add_argument("--n", type=_at_least(1), help="size for --family")
 
     sp = sub.add_parser("generate", parents=[common], help="write a graph as edge-list text")
     add_graph_args(sp, for_generate=True)
@@ -88,12 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
                "--deterministic).  method \"brute\" names the general-graph "
                "exact engine, bucket elimination, which auto selects.")
     add_graph_args(sp)
-    sp.add_argument("--h", type=int, required=True)
+    sp.add_argument("--h", type=_at_least(0), required=True)
     sp.add_argument("--method", choices=["auto", "brute", "closed", "strip"],
                     default="auto")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    sp.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET,
                     help="cells of the largest elimination table (brute) or "
-                         "prefix lattice (strip)")
+                         "prefix lattice (strip), at least 1")
 
     sp = sub.add_parser(
         "ehrhart", parents=[common], help="fit the counting polynomial",
@@ -105,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
                "(exact rationals, constant term first), degree, c_estimate "
                "(leading^(1/degree); null at degree 0).")
     add_graph_args(sp)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="cells of the largest elimination table")
+    sp.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET,
+                    help="cells of the largest elimination table, at least 1")
 
     sp = sub.add_parser(
         "strip", parents=[common], help="transfer-operator spectra",
@@ -123,11 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
                "slope.")
     sp.add_argument("--kind", required=True,
                     choices=["band", "tent", "free-strip", "pinned-strip"])
-    sp.add_argument("--m", type=int, default=None,
+    sp.add_argument("--m", type=_at_least(1), default=None,
                     help="rows (free/pinned strips; band has 1, tent 2)")
-    sp.add_argument("--h", type=int, nargs="+", required=True)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", type=int, default=10**5)
+    sp.add_argument("--h", type=_at_least(1), nargs="+", required=True)
+    sp.add_argument("--tol", type=_positive_finite, default=1e-10)
+    sp.add_argument("--max-iter", type=_at_least(1), default=10**5)
 
     sub.add_parser("constants", parents=[common], help="solve for the growth constants")
 
@@ -137,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                "upper_asymptotic, lower_valid, upper_valid, "
                "upper_exact_below_two, pair_margin, giant_fraction.  A "
                "value outside its validity range is null (an empty cell).")
-    sp.add_argument("--d", type=float, nargs="+", required=True)
+    sp.add_argument("--d", type=_positive_finite, nargs="+", required=True)
 
     sp = sub.add_parser(
         "random-lab", parents=[common], help="Monte-Carlo experiments",
@@ -147,11 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
                "pairs: mode, n, d, size, seed, found, definitive.  A search "
                "that finds nothing still exits 0: absence is data.")
     sp.add_argument("--mode", choices=["lll", "giant", "pairs"], required=True)
-    sp.add_argument("--n", type=int, default=1000)
+    sp.add_argument("--n", type=_at_least(1), default=1000)
     sp.add_argument("--d", type=float, default=5.0)
-    sp.add_argument("--h", type=int, default=100)
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--size", type=int, default=None,
+    sp.add_argument("--h", type=_at_least(0), default=100)
+    sp.add_argument("--trials", type=_at_least(1), default=100)
+    sp.add_argument("--size", type=_at_least(1), default=None,
                     help="set size for pairs mode (default: "
                          "ceil(2 ln(d)/d * n), which needs 1 < d < inf)")
 
@@ -160,35 +192,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _grid_shape(text: str) -> tuple[int, int]:
-    try:
-        m, n = (int(x) for x in text.lower().split("x"))
-    except ValueError as exc:
-        raise ValueError(f"bad --grid {text!r}, expected MxN") from exc
-    if m < 1 or n < 1:
-        raise ValueError("--grid dimensions must be at least 1")
-    return m, n
-
-
 def _build_graph(args) -> graphs.Graph:
     if args.family:
         if args.n is None:
-            raise ValueError("--family needs --n")
+            raise ValueError("--family: needs --n")
         kind = "path" if args.family == "tree" else args.family
         try:
             return graphs.make_family(kind, args.n)
         except ValueError as exc:
             raise ValueError(f"--n: {exc}") from exc
     if args.grid:
-        return graphs.make_grid(*_grid_shape(args.grid))
+        return graphs.make_grid(*args.grid)
     if args.er:
         try:
             return graphs.sample_er(int(args.er[0]), float(args.er[1]), args.seed)
         except ValueError as exc:
             raise ValueError(f"--er: {exc}") from exc
-    if getattr(args, "load", None):
+    try:
         return graphs.read_edgelist(args.load)
-    raise ValueError("no graph specified")
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"--load: {exc}") from exc
 
 
 def _cmd_generate(args):
@@ -196,9 +219,6 @@ def _cmd_generate(args):
 
 
 def _cmd_count(args):
-    # checked before a graph is built: sampling --er can take seconds
-    if args.h < 0:
-        raise ValueError("--h must be nonnegative")
     g = _build_graph(args)
     t0 = time.perf_counter()
     method = args.method
@@ -211,13 +231,12 @@ def _cmd_count(args):
         elif args.family == "complete":
             value = counting.count_closed_form("complete", g.n, args.h)
         else:
-            raise ValueError("--method closed needs a tree or complete family")
+            raise ValueError("--method: closed needs a tree or complete family")
         expansions = 0
     else:  # strip
         if not args.grid:
-            raise ValueError("--method strip needs --grid")
-        m, n = _grid_shape(args.grid)
-        value = strips.strip_count_exact(m, n, args.h, args.budget)
+            raise ValueError("--method: strip needs --grid")
+        value = strips.strip_count_exact(*args.grid, args.h, args.budget)
         expansions = 0
     elapsed = time.perf_counter() - t0
     rec = {"graph_hash": graphs.graph_hash(g), "h": args.h,
@@ -245,26 +264,18 @@ def _cmd_ehrhart(args):
 
 
 def _cmd_strip(args):
-    # checked before any solve: the solver's own checks would name no
-    # flag, the normalization divides by h, and the extrapolation needs a
-    # 1/h ladder
-    if not (args.tol > 0 and math.isfinite(args.tol)):
-        raise ValueError("--tol must be positive and finite")
-    if args.max_iter < 1:
-        raise ValueError("--max-iter must be at least 1")
-    if min(args.h) < 1:
-        raise ValueError("--h values must be at least 1")
-    if args.m is not None and args.m < 1:
-        raise ValueError("--m must be at least 1")
     if len(args.h) >= 3 and sorted(set(args.h)) != args.h:
-        raise ValueError("--h values must be distinct and increasing "
+        raise ValueError("--h: values must be distinct and increasing "
                          "to extrapolate")
     records = []
     pairs = []
     est = None
     for h in args.h:
+        try:
+            op = strips.make_operator(args.kind, h, args.m)
+        except ValueError as exc:  # band and tent have fixed rows
+            raise ValueError(f"--m: {exc}") from exc
         # each solve starts from the previous h's Perron vector
-        op = strips.make_operator(args.kind, h, args.m)
         est = strips.top_eigenvalue(op, args.tol, args.max_iter, est)
         pairs.append((h, est.normalized))
         records.append({"kind": est.kind, "m": est.m, "h": h,
@@ -317,18 +328,7 @@ def _cmd_constants(args):
 def _cmd_bounds(args):
     records = []
     for d in args.d:
-        try:
-            rep = randomlab.bound_report(d)
-        except ValueError as exc:
-            raise ValueError(f"--d: {exc}") from exc
-        rec = {"d": d,
-               "lower_exact": rep.lower_exact,
-               "lower_asymptotic": rep.lower_asymptotic,
-               "upper_exact": rep.upper_exact,
-               "upper_asymptotic": rep.upper_asymptotic,
-               "lower_valid": rep.lower_valid,
-               "upper_valid": rep.upper_valid,
-               "upper_exact_below_two": rep.upper_exact_below_two}
+        rec = dataclasses.asdict(randomlab.bound_report(d))
         rec["pair_margin"] = (randomlab.independent_pair_margin(d).margin
                               if d >= 9 else None)
         rec["giant_fraction"] = (randomlab.giant_fraction_prediction(d)
@@ -338,30 +338,23 @@ def _cmd_bounds(args):
 
 
 def _lab_graph(args, seed: int) -> graphs.Graph:
-    """``sample_er(args.n, args.d, seed)``; its usage error names the flag."""
+    """``sample_er(args.n, args.d, seed)``; --n is in range, so --d erred."""
     try:
         return graphs.sample_er(args.n, args.d, seed)
     except ValueError as exc:
-        raise ValueError(f"{'--n' if args.n < 1 else '--d'}: {exc}") from exc
+        raise ValueError(f"--d: {exc}") from exc
 
 
 def _cmd_random_lab(args):
-    if args.trials < 1:
-        raise ValueError("--trials must be positive")
     if args.mode == "lll":
-        # checked before sampling; LllConfig checks h first
         try:
             cfg = randomlab.LllConfig(h=args.h, d=args.d)
         except ValueError as exc:
-            raise ValueError(f"{'--h' if args.h < 0 else '--d'}: {exc}") from exc
+            raise ValueError(f"--d: {exc}") from exc
         g = _lab_graph(args, args.seed)
         res = randomlab.lll_sampler(g, cfg, args.trials, args.seed)
-        rec = {"mode": "lll", "n": args.n, "d": args.d, "h": args.h,
-               "trials": res.trials, "successes": res.successes,
-               "estimate": res.estimate, "ci_low": res.ci_low,
-               "ci_high": res.ci_high, "edge_failure_rate": res.edge_failure_rate,
-               "seed": res.seed}
-        return {"records": [rec]}
+        return {"records": [{"mode": "lll", "n": args.n, "d": args.d,
+                             "h": args.h, **dataclasses.asdict(res)}]}
     if args.mode == "giant":
         predicted = (randomlab.giant_fraction_prediction(args.d)
                      if args.d > 1 else None)
@@ -379,11 +372,9 @@ def _cmd_random_lab(args):
     if size is None:
         # the size 2 ln(d)/d * n is positive and finite only for 1 < d < inf
         if not 1 < args.d < math.inf:
-            raise ValueError("--d must be finite and above 1 to set the "
+            raise ValueError("--d: must be finite and above 1 to set the "
                              "pairs size (or pass --size)")
         size = math.ceil(randomlab.flatness_parameter(args.d) * args.n)
-    elif size < 1:
-        raise ValueError("--size must be positive")
     found = 0
     records = []
     for t in range(args.trials):
@@ -456,16 +447,19 @@ def _dumps(body: dict) -> str:
                       allow_nan=False) + "\n"
 
 
+def _body(payload: dict, args) -> dict:
+    """The JSON body of stdout and of --out."""
+    return {**payload, "schema": SCHEMA, "command": args.command}
+
+
 def _emit(payload: dict, args) -> str:
     if "text" in payload:
         return payload["text"]
     fmt = args.format or ("table" if args.command in _TABLE_DEFAULT else "json")
-    body = dict(payload)
-    body["schema"] = SCHEMA
-    body["command"] = args.command
-    if not args.deterministic:
-        body["timestamp"] = datetime.now(timezone.utc).isoformat()
     if fmt == "json":
+        body = _body(payload, args)
+        if not args.deterministic:
+            body["timestamp"] = datetime.now(timezone.utc).isoformat()
         return _dumps(body)
     records = payload.get("records", [])
     if fmt == "csv":
@@ -482,11 +476,10 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         payload = _DISPATCH[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
@@ -497,11 +490,12 @@ def main(argv=None) -> int:
         return 4
     text = _emit(payload, args)
     if args.out:
-        body = dict(payload)
-        body["schema"] = SCHEMA
-        body["command"] = args.command
-        with open(args.out, "w") as fh:
-            fh.write(_dumps(body))
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(_dumps(_body(payload, args)))
+        except OSError as exc:
+            print(f"error: --out: {exc}", file=sys.stderr)
+            return 2
     sys.stdout.write(text)
     return 0
 

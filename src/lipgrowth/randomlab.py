@@ -41,16 +41,18 @@ class BoundReport:
 
     ``lower_valid`` needs d > 4 (real stretch parameter); ``upper_valid``
     needs d >= 9 so twice the flatness parameter 2*ln(d)/d stays within the
-    entropy domain.  Each exact expression is None where it is not valid.
+    entropy domain.  Each exact expression is None where it is not valid,
+    and each asymptotic form is None where it overflows (d below about
+    1e-302 for the upper, 2.8e-309 for the lower).
     The exact upper expression exceeds 2 for moderate d;
     ``upper_exact_below_two`` flags when it is informative.
     """
 
     d: float
     lower_exact: float | None
-    lower_asymptotic: float
+    lower_asymptotic: float | None
     upper_exact: float | None
-    upper_asymptotic: float
+    upper_asymptotic: float | None
     lower_valid: bool
     upper_valid: bool
     upper_exact_below_two: bool
@@ -68,6 +70,10 @@ def flatness_parameter(d: float) -> float:
     return 2.0 * math.log(d) / d
 
 
+def _finite_or_none(x: float) -> float | None:
+    return x if x < math.inf else None
+
+
 def bound_report(d: float) -> BoundReport:
     """Evaluate both displayed bound expressions and their asymptotic forms."""
     if not 0 < d < math.inf:
@@ -79,21 +85,19 @@ def bound_report(d: float) -> BoundReport:
         lower_exact = ((1.0 + c)
                        * (1.0 - c) ** (5.0 * math.exp(-d / 4.0))
                        * math.sqrt(1.0 - 1.0 / (d - 1.0)))
-    lower_asymptotic = 1.0 + 1.0 / (2.0 * d)
 
     a = flatness_parameter(d)
     upper_valid = d >= 9
     if upper_valid:
         upper_exact = (2.0 ** math.exp(-d / 4.0)
                        * math.exp(d * a * a / (1.0 - math.exp(-d / 4.0))))
-    upper_asymptotic = 1.0 + 4.0 * math.log(d) ** 2 / d
 
     return BoundReport(
         d=d,
         lower_exact=lower_exact,
-        lower_asymptotic=lower_asymptotic,
+        lower_asymptotic=_finite_or_none(1.0 + 1.0 / (2.0 * d)),
         upper_exact=upper_exact,
-        upper_asymptotic=upper_asymptotic,
+        upper_asymptotic=_finite_or_none(1.0 + 4.0 * math.log(d) ** 2 / d),
         lower_valid=lower_valid,
         upper_valid=upper_valid,
         upper_exact_below_two=bool(upper_valid and upper_exact < 2.0),
@@ -195,8 +199,8 @@ class MonteCarloResult:
     estimate: float
     ci_low: float
     ci_high: float
-    seed: int
     edge_failure_rate: float  # failing edges per edge per trial
+    seed: int
 
 
 def _uniform_cuts(width: float, ks: np.ndarray) -> np.ndarray:
@@ -294,7 +298,7 @@ def lll_sampler(graph: Graph, cfg: LllConfig, trials: int,
     lo_ci, hi_ci = wilson_interval(successes, trials)
     rate = failing_edges / (trials * len(e)) if len(e) else 0.0
     return MonteCarloResult(trials, successes, successes / trials,
-                            lo_ci, hi_ci, seed, rate)
+                            lo_ci, hi_ci, rate, seed)
 
 
 @dataclass(frozen=True)

@@ -379,4 +379,4 @@ def lll_reference(graph: Graph, cfg: LllConfig, trials: int,
     n_edges = len(graph.edges)
     rate = failing_edges / (trials * n_edges) if n_edges else 0.0
     return MonteCarloResult(trials, successes, successes / trials,
-                            lo_ci, hi_ci, seed, rate)
+                            lo_ci, hi_ci, rate, seed)

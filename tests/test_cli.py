@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from lipgrowth import graphs, strips
+from lipgrowth import cli, graphs, strips
 from lipgrowth.cli import main
 from lipgrowth.continuum import solve_alpha
 from lipgrowth.graphs import from_edgelist_str, make_grid, sample_er
@@ -275,11 +275,16 @@ def test_exit_codes(capsys, monkeypatch):
     # usage: a tolerance that is not positive and finite, or no iteration at
     # all, and the message names the flag
     for flags, message in (
-            (["--tol", "nan"], "error: --tol must be positive and finite"),
-            (["--tol", "0"], "error: --tol must be positive and finite"),
-            (["--tol", "-1"], "error: --tol must be positive and finite"),
-            (["--tol", "inf"], "error: --tol must be positive and finite"),
-            (["--max-iter", "0"], "error: --max-iter must be at least 1")):
+            (["--tol", "nan"],
+             "error: argument --tol: must be positive and finite, got 'nan'"),
+            (["--tol", "0"],
+             "error: argument --tol: must be positive and finite, got '0'"),
+            (["--tol", "-1"],
+             "error: argument --tol: must be positive and finite, got '-1'"),
+            (["--tol", "inf"],
+             "error: argument --tol: must be positive and finite, got 'inf'"),
+            (["--max-iter", "0"], "error: argument --max-iter: must be an "
+                                  "integer of at least 1, got '0'")):
         code = main(["strip", "--kind", "band", "--h", "10", "20", *flags])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), flags
@@ -289,7 +294,8 @@ def test_exit_codes(capsys, monkeypatch):
         code = main(["strip", "--kind", "band", "--h", *hs])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), hs
-        assert "error: --h values must be at least 1" in captured.err, hs
+        assert ("error: argument --h: must be an integer of at least 1"
+                in captured.err), hs
     # usage: a degree that is not a positive finite number, and the message
     # names --d
     for argv in (["bounds", "--d", "nan"], ["bounds", "--d", "10", "inf"],
@@ -297,7 +303,8 @@ def test_exit_codes(capsys, monkeypatch):
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), argv
-        assert "error: --d: d must be positive and finite" in captured.err, argv
+        assert ("error: argument --d: must be positive and finite"
+                in captured.err), argv
     # usage: an Erdos-Renyi size or degree out of range, and the message
     # names the flag that set it
     for argv, flag in ((["count", "--er", "10", "nan", "--h", "1"], "--er"),
@@ -320,8 +327,10 @@ def test_exit_codes(capsys, monkeypatch):
     for args, message in (
             (["--d", "3"], "error: --d: d must be finite and exceed 4"),
             (["--d", "inf"], "error: --d: d must be finite and exceed 4"),
-            (["--d", "6", "--h", "-1"], "error: --h: h must be nonnegative"),
-            (["--d", "3", "--h", "-1"], "error: --h: h must be nonnegative")):
+            (["--d", "6", "--h", "-1"], "error: argument --h: must be an "
+                                        "integer of at least 0, got '-1'"),
+            (["--d", "3", "--h", "-1"], "error: argument --h: must be an "
+                                        "integer of at least 0, got '-1'")):
         code = main(["random-lab", "--mode", "lll", "--n", "2000000", *args])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), args
@@ -361,21 +370,25 @@ def test_exit_codes(capsys, monkeypatch):
         mp.setattr(graphs.Graph, "from_edges", no_graph)
         for argv, message in (
                 (["count", "--er", "2000000", "3", "--h", "-1"],
-                 "--h must be nonnegative"),
+                 "argument --h: must be an integer of at least 0, got '-1'"),
                 (["count", "--grid", "2x2", "--h", "-1", "--method", "strip"],
-                 "--h must be nonnegative"),
+                 "argument --h: must be an integer of at least 0, got '-1'"),
                 (["random-lab", "--mode", "pairs", "--n", "20", "--d", "10",
-                  "--size", "0"], "--size must be positive"),
+                  "--size", "0"],
+                 "argument --size: must be an integer of at least 1, got '0'"),
                 (["random-lab", "--mode", "pairs", "--n", "20", "--d", "10",
-                  "--size", "-3"], "--size must be positive"),
+                  "--size", "-3"],
+                 "argument --size: must be an integer of at least 1, got '-3'"),
                 (["count", "--family", "path", "--n", "0", "--h", "1"],
-                 "--n: size must be at least 1"),
+                 "argument --n: must be an integer of at least 1, got '0'"),
                 (["count", "--grid", "0x3", "--h", "1"],
-                 "--grid dimensions must be at least 1"),
+                 "argument --grid: expected MxN with both at least 1, "
+                 "got '0x3'"),
                 (["count", "--grid", "3x-1", "--h", "1", "--method", "strip"],
-                 "--grid dimensions must be at least 1"),
+                 "argument --grid: expected MxN with both at least 1, "
+                 "got '3x-1'"),
                 (["strip", "--kind", "free-strip", "--m", "0", "--h", "3"],
-                 "--m must be at least 1")):
+                 "argument --m: must be an integer of at least 1, got '0'")):
             code = main(argv)
             captured = capsys.readouterr()
             assert (code, captured.out) == (2, ""), argv
@@ -481,8 +494,11 @@ def test_strip_warm_starts_match_cold_solves(capsys):
 
 def test_strip_fixed_rows_reject_m(capsys):
     for kind, rows in (("band", 1), ("tent", 2)):
-        code, _ = run(capsys, ["strip", "--kind", kind, "--m", "3", "--h", "2"])
-        assert code == 2
+        code = main(["strip", "--kind", kind, "--m", "3", "--h", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (f"error: --m: {kind} operator has "
+                                f"m = {rows}, not 3\n")
         code, out = run(capsys, ["strip", "--kind", kind, "--m", str(rows),
                                  "--h", "2", "--format", "json"])
         assert code == 0
@@ -496,6 +512,122 @@ def test_out_file(capsys, tmp_path):
     assert code == 0
     payload = json.loads(path.read_text())
     assert payload["records"][0]["count"] == "19"
+
+
+def test_out_into_missing_directory(capsys, tmp_path):
+    # the write fails after the work: a usage error naming --out, and
+    # nothing on stdout
+    path = tmp_path / "missing" / "report.json"
+    code = main(["count", "--grid", "2x2", "--h", "1", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: --out: ")
+    assert captured.err.count("\n") == 1
+    assert not path.parent.exists()
+
+
+def test_bounds_overflowing_asymptotic_forms_are_null(capsys, tmp_path):
+    # 1 + 4 ln^2(d)/d overflows below about d = 1e-302 and 1 + 1/(2d) below
+    # about 2.8e-309; a form that overflows does not exist, so it is null
+    path = tmp_path / "out.json"
+    code, out = run(capsys, ["bounds", "--d", "1e-300", "1e-302", "2e-309",
+                             "--deterministic", "--out", str(path)])
+    assert code == 0
+    for text in (out, path.read_text()):
+        recs = json.loads(text, parse_constant=_reject_constant)["records"]
+        assert [(r["lower_asymptotic"] is None, r["upper_asymptotic"] is None)
+                for r in recs] == [(False, False), (False, True), (True, True)]
+        d = 1e-300
+        assert recs[0]["lower_asymptotic"] == 1.0 + 1.0 / (2.0 * d)
+        assert recs[0]["upper_asymptotic"] == 1.0 + 4.0 * math.log(d) ** 2 / d
+    code, out = run(capsys, ["bounds", "--d", "1e-302", "2e-309",
+                             "--format", "csv"])
+    assert code == 0
+    assert [line.split(",")[2:5:2] for line in out.splitlines()[1:]] == [
+        ["5e+301", ""], ["", ""]]
+
+
+# one bad value for each flag whose range depends on no other flag
+@pytest.mark.parametrize("argv, flag", [
+    (["count", "--grid", "2x2", "--h", "1", "--seed", "-1"], "--seed"),
+    (["generate", "--er", "10", "2", "--seed", "x"], "--seed"),
+    (["count", "--family", "path", "--n", "0", "--h", "1"], "--n"),
+    (["random-lab", "--mode", "giant", "--n", "0"], "--n"),
+    (["count", "--grid", "2x2", "--h", "-1"], "--h"),
+    (["random-lab", "--mode", "lll", "--h", "-1"], "--h"),
+    # no table or lattice fits in fewer than one cell: not a resource limit
+    (["count", "--grid", "2x2", "--h", "1", "--budget", "-5"], "--budget"),
+    (["count", "--grid", "2x2", "--h", "1", "--budget", "0"], "--budget"),
+    (["ehrhart", "--grid", "2x2", "--budget", "0"], "--budget"),
+    (["count", "--method", "strip", "--grid", "3x40", "--h", "10",
+      "--budget", "0"], "--budget"),
+    (["strip", "--kind", "free-strip", "--m", "0", "--h", "3"], "--m"),
+    (["strip", "--kind", "band", "--h", "5", "0"], "--h"),
+    (["strip", "--kind", "band", "--h", "5", "--max-iter", "0"], "--max-iter"),
+    (["strip", "--kind", "band", "--h", "5", "--tol", "-1"], "--tol"),
+    (["strip", "--kind", "band", "--h", "5", "--tol", "inf"], "--tol"),
+    (["bounds", "--d", "5", "0"], "--d"),
+    (["bounds", "--d", "nan"], "--d"),
+    (["random-lab", "--mode", "pairs", "--trials", "0"], "--trials"),
+    (["random-lab", "--mode", "pairs", "--size", "0"], "--size"),
+    (["count", "--grid", "2y2", "--h", "1"], "--grid"),
+    (["generate", "--grid", "0x2"], "--grid"),
+])
+def test_flag_ranges_checked_by_parser(capsys, monkeypatch, argv, flag):
+    def no_handler(args):
+        raise AssertionError("a handler ran")
+
+    monkeypatch.setattr(cli, "_DISPATCH", dict.fromkeys(cli._DISPATCH,
+                                                        no_handler))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: argument {flag}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_checks_between_values_name_their_flag(capsys, tmp_path):
+    # what involves two values, the mode or a file is checked by the
+    # subcommand
+    missing = tmp_path / "missing.edges"
+    bad = tmp_path / "bad.edges"
+    bad.write_text("x y\n")
+    er = "need 0 <= d <= n so the edge probability is in [0, 1]"
+    for argv, message in (
+            (["count", "--family", "path", "--h", "1"], "--family: needs --n"),
+            (["count", "--family", "cycle", "--n", "2", "--h", "1"],
+             "--n: cycle needs at least 3 vertices"),
+            (["count", "--grid", "2x2", "--h", "1", "--method", "closed"],
+             "--method: closed needs a tree or complete family"),
+            (["count", "--family", "path", "--n", "3", "--h", "1",
+              "--method", "strip"], "--method: strip needs --grid"),
+            (["strip", "--kind", "band", "--h", "3", "2", "1"],
+             "--h: values must be distinct and increasing to extrapolate"),
+            (["count", "--er", "5", "10", "--h", "1"], f"--er: {er}"),
+            (["random-lab", "--mode", "lll", "--n", "50", "--d", "3"],
+             "--d: d must be finite and exceed 4 for a real stretch "
+             "parameter"),
+            (["random-lab", "--mode", "pairs", "--n", "20", "--d", "1"],
+             "--d: must be finite and above 1 to set the pairs size "
+             "(or pass --size)"),
+            (["random-lab", "--mode", "giant", "--n", "20", "--d", "30"],
+             f"--d: {er}"),
+            (["count", "--load", str(tmp_path), "--h", "1"],
+             f"--load: [Errno 21] Is a directory: '{tmp_path}'"),
+            (["count", "--load", str(missing), "--h", "1"],
+             f"--load: [Errno 2] No such file or directory: '{missing}'"),
+            (["ehrhart", "--load", str(bad)],
+             "--load: invalid literal for int() with base 10: 'x'")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err == f"error: {message}\n", argv
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["strip", "--help"]) == 0
+    assert "--max-iter" in capsys.readouterr().out
 
 
 def test_load_graph_file(capsys, tmp_path):

@@ -81,6 +81,18 @@ def _grid_shape(text: str) -> tuple[int, int]:
         f"expected MxN with both at least 1, got {text!r}")
 
 
+class _ErShape(argparse.Action):
+    """--er N D: an integer N of at least 1 and a finite D of at least 0."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        with contextlib.suppress(ValueError):
+            n, d = int(values[0]), float(values[1])
+            if n >= 1 and 0 <= d < math.inf:
+                return setattr(namespace, self.dest, (n, d))
+        raise argparse.ArgumentError(self, "expected integer N >= 1 and finite "
+                                     f"D >= 0, got {' '.join(values)!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="lipgrowth",
@@ -104,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("--family",
                        choices=["path", "cycle", "complete", "star", "tree"])
         g.add_argument("--grid", type=_grid_shape, metavar="MxN")
-        g.add_argument("--er", nargs=2, metavar=("N", "D"))
+        g.add_argument("--er", nargs=2, action=_ErShape, metavar=("N", "D"))
         if not for_generate:
             g.add_argument("--load", metavar="FILE")
         sp.add_argument("--n", type=_at_least(1), help="size for --family")
@@ -205,12 +217,12 @@ def _build_graph(args) -> graphs.Graph:
         return graphs.make_grid(*args.grid)
     if args.er:
         try:
-            return graphs.sample_er(int(args.er[0]), float(args.er[1]), args.seed)
+            return graphs.sample_er(*args.er, args.seed)
         except ValueError as exc:
             raise ValueError(f"--er: {exc}") from exc
     try:
         return graphs.read_edgelist(args.load)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         raise ValueError(f"--load: {exc}") from exc
 
 
@@ -326,15 +338,8 @@ def _cmd_constants(args):
 
 
 def _cmd_bounds(args):
-    records = []
-    for d in args.d:
-        rec = dataclasses.asdict(randomlab.bound_report(d))
-        rec["pair_margin"] = (randomlab.independent_pair_margin(d).margin
-                              if d >= 9 else None)
-        rec["giant_fraction"] = (randomlab.giant_fraction_prediction(d)
-                                 if d > 1 else None)
-        records.append(rec)
-    return {"records": records}
+    return {"records": [dataclasses.asdict(randomlab.bound_report(d))
+                        for d in args.d]}
 
 
 def _lab_graph(args, seed: int) -> graphs.Graph:

@@ -48,17 +48,15 @@ def _domains(graph: Graph, h: int) -> list[tuple[int, int]]:
     return [(-h * d, h * d) for d in dist]
 
 
-def _elimination_order(adjacency: dict[int, set[int]], size: dict[int, int],
+def _elimination_order(nbrs: dict[int, set[int]], size: dict[int, int],
                        budget: int) -> tuple[list[int], int]:
     """Greedy min-degree order, checked against ``budget`` before any work.
 
-    Eliminating v leaves a table over its current neighbours (its scope),
-    and the neighbours become a clique.  Ties go to the fewest table cells,
+    Eliminating v pops its neighbours (its scope) from ``nbrs``, which is
+    consumed, and makes them a clique.  Ties go to the fewest table cells,
     then to the lowest vertex index, so the order is deterministic.  Returns
     the order and the summed einsum loop extents, prod(size over scope + v).
     """
-    nbrs = {v: set(ws) for v, ws in adjacency.items()}
-
     def key(u: int) -> tuple[int, int, int]:
         return len(nbrs[u]), math.prod(size[w] for w in nbrs[u]), u
 
@@ -91,22 +89,6 @@ def _elimination_order(adjacency: dict[int, set[int]], size: dict[int, int],
     return order, work
 
 
-def _plan(graph: Graph, h: int, budget: int
-          ) -> tuple[list[tuple[int, int]], dict[int, int], list[int], int]:
-    """Domains, variable sizes, elimination order and summed loop extents.
-
-    Raises ``ResourceLimitError`` if the largest table exceeds ``budget``;
-    no table is allocated, so this is cheap at any h.
-    """
-    if h < 0:
-        raise ValueError("h must be nonnegative")
-    domains = _domains(graph, h)
-    size = {v: b - a + 1 for v, (a, b) in enumerate(domains) if b > a}
-    adjacency = {v: {w for w in graph.adjacency[v] if w in size} for v in size}
-    order, work = _elimination_order(adjacency, size, budget)
-    return domains, size, order, work
-
-
 def count_with_stats(graph: Graph, h: int,
                      budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """Exact count by bucket elimination, plus the table cells evaluated.
@@ -117,11 +99,16 @@ def count_with_stats(graph: Graph, h: int,
     one at a time in min-degree order (Dechter, Bucket elimination, AI 1999);
     each step is one fused ``np.einsum`` over the factors that mention the
     variable, so the product that still includes it is never built.  Work is
-    polynomial in h for graphs of bounded width.  ``budget`` bounds the cells
-    of the largest table and is checked before anything is allocated.  The
-    second value is the summed loop extents of the einsum steps.
+    polynomial in h for graphs of bounded width.  Planning the order raises
+    ``ResourceLimitError`` at a table over ``budget`` cells, before any
+    table exists; the second value is the summed einsum loop extents.
     """
-    domains, size, order, work = _plan(graph, h, budget)
+    if h < 0:
+        raise ValueError("h must be nonnegative")
+    domains = _domains(graph, h)
+    size = {v: b - a + 1 for v, (a, b) in enumerate(domains) if b > a}
+    adjacency = {v: {w for w in graph.adjacency[v] if w in size} for v in size}
+    order, work = _elimination_order(adjacency, size, budget)
 
     # Exactness: a table made by eliminating the set S holds, per assignment
     # of its scope, the number of Lipschitz assignments of S.  Every
@@ -280,14 +267,14 @@ def reciprocal_fit(graph: Graph, budget: int = DEFAULT_BUDGET
     counts at h = 0..d//2 and the reflections of the first ceil(d/2) of
     them.  Every known value left over, the count at d//2 + 1 and for even d
     one more reflection, is checked against the fit, so the fit checks
-    itself: a mismatch raises ValueError.  The budget is checked at the
-    largest counted h before any count, so a fit that cannot finish fails
-    at once.  Returns the fit and the counted (h, count) pairs.
+    itself: a mismatch raises ValueError.  Counting runs from the top node,
+    h = d//2 + 1, down, so a fit over the budget fails in its first count,
+    before any table is built.  Returns the fit and the counted pairs.
     """
     d = graph.n - graph.component_count
     half = d // 2
-    _plan(graph, half + 1, budget)
-    counted = [(h, count(graph, h, budget)) for h in range(half + 2)]
+    counted = [(h, count(graph, h, budget)) for h in range(half + 1, -1, -1)]
+    counted.reverse()
     sign = -1 if d % 2 else 1
     mirrored = [(-1 - h, sign * c) for h, c in counted[:half + 1]]
     fit = ehrhart_fit(graph, counted[:half + 1] + mirrored[:d - half])

@@ -95,14 +95,8 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from edges in any order and orientation, repeats
-        allowed."""
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"bad edge ({u}, {v}) for n={n}")
-            norm.add((u, v) if u < v else (v, u))
+        allowed; the constructor rejects self-loops and ids outside 0..n-1."""
+        norm = {(u, v) if u < v else (v, u) for u, v in edges}
         arr = np.array(sorted(norm), dtype=np.int64).reshape(-1, 2)
         return cls(n, arr)
 
@@ -122,12 +116,6 @@ class Graph:
     @cached_property
     def _labelling(self) -> tuple[np.ndarray, np.ndarray]:
         return _component_labels(self.n, self.edge_array)
-
-    @cached_property
-    def component_of(self) -> tuple[int, ...]:
-        """Component label per vertex; labels are ordered by smallest member
-        (computed once per graph by ``_component_labels``)."""
-        return tuple(self._labelling[0].tolist())
 
     @property
     def roots(self) -> tuple[int, ...]:
@@ -169,8 +157,6 @@ def make_grid(m: int, n: int) -> Graph:
 
 def make_family(kind: str, n: int) -> Graph:
     """Named graph (path | cycle | complete | star) on vertices 0..n-1."""
-    if n < 1:
-        raise ValueError("size must be at least 1")
     if kind == "path":
         edges = [(i, i + 1) for i in range(n - 1)]
     elif kind == "cycle":

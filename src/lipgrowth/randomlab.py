@@ -45,7 +45,9 @@ class BoundReport:
     and each asymptotic form is None where it overflows (d below about
     1e-302 for the upper, 2.8e-309 for the lower).
     The exact upper expression exceeds 2 for moderate d;
-    ``upper_exact_below_two`` flags when it is informative.
+    ``upper_exact_below_two`` flags when it is informative.  ``pair_margin``
+    shares the upper range and ``giant_fraction`` needs d > 1; each is None
+    outside it.
     """
 
     d: float
@@ -56,6 +58,8 @@ class BoundReport:
     lower_valid: bool
     upper_valid: bool
     upper_exact_below_two: bool
+    pair_margin: float | None
+    giant_fraction: float | None
 
 
 def stretch_parameter(d: float) -> float:
@@ -101,6 +105,8 @@ def bound_report(d: float) -> BoundReport:
         lower_valid=lower_valid,
         upper_valid=upper_valid,
         upper_exact_below_two=bool(upper_valid and upper_exact < 2.0),
+        pair_margin=independent_pair_margin(d).margin if upper_valid else None,
+        giant_fraction=giant_fraction_prediction(d) if d > 1 else None,
     )
 
 
@@ -117,13 +123,12 @@ def independent_pair_margin(d: float) -> MarginReport:
     """Margin showing two disjoint alpha*n vertex sets almost surely touch.
 
     Positive margin means the first-moment bound on edge-free set pairs
-    vanishes.  Requires d >= 9 so that 2a <= 1 keeps the entropy defined.
+    vanishes.  Requires d >= 9, where 2a <= 4 ln(9)/9 < 0.98 keeps H(2a) real.
     """
     if not 9 <= d < math.inf:
         raise ValueError("margin needs finite d >= 9 (entropy domain)")
     a = flatness_parameter(d)
-    h2 = -2 * a * math.log2(2 * a) - (1 - 2 * a) * math.log2(1 - 2 * a) \
-        if 2 * a < 1 else 0.0
+    h2 = -2 * a * math.log2(2 * a) - (1 - 2 * a) * math.log2(1 - 2 * a)
     margin = d * a * a - 2 * a * math.log(2) - h2 * math.log(2)
     chain = (4.0 * math.log(d) / d) * math.log(math.e * d / (2.0 * math.log(d)))
     return MarginReport(d=d, margin=margin, chain_value=chain)
@@ -150,8 +155,6 @@ def poisson_tail_bound(d: float, x: float) -> float:
         raise ValueError("d must be positive")
     if not x >= 0:
         raise ValueError("x must be nonnegative")
-    if x == 0:
-        return 1.0
     return math.exp(-x * x / (2.0 * (x + d)))
 
 
@@ -315,10 +318,10 @@ def independent_pair_search(graph: Graph, size: int,
 
     When 2*size == n the two sets cover every vertex, so each component
     lies wholly in one of them: the search is a subset sum over component
-    sizes and definitive at any n.  Otherwise, for n <= 20, it scans
-    candidate sets A and takes B from the non-neighbours of A, which is
-    also definitive: "not found" means no such pair exists.  Above n = 20
-    it tries 200 random A sets and is inconclusive on failure.
+    sizes and definitive at any n.  Otherwise one loop takes B from the
+    non-neighbours of each candidate A: every size-``size`` set for n <= 20,
+    which is definitive ("not found" means no such pair exists), else 200
+    random sets from ``default_rng(seed)``, inconclusive on failure.
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -349,20 +352,15 @@ def independent_pair_search(graph: Graph, size: int,
             free ^= b
         return tuple(picked)
 
-    if exhaustive:
-        for a_set in combinations(range(n), size):
-            b_set = complement_pick(a_set)
-            if b_set is not None:
-                return PairSearchResult(True, a_set, b_set, True)
-        return PairSearchResult(False, None, None, True)
-
     rng = np.random.default_rng(seed)
-    for _ in range(200):
-        a_set = tuple(int(v) for v in rng.choice(n, size=size, replace=False))
+    candidates = combinations(range(n), size) if exhaustive else (
+        tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+        for _ in range(200))
+    for a_set in candidates:
         b_set = complement_pick(a_set)
         if b_set is not None:
-            return PairSearchResult(True, tuple(sorted(a_set)), b_set, False)
-    return PairSearchResult(False, None, None, False)
+            return PairSearchResult(True, a_set, b_set, exhaustive)
+    return PairSearchResult(False, None, None, exhaustive)
 
 
 def _cover_split(graph: Graph, size: int) -> PairSearchResult:
@@ -420,12 +418,10 @@ def triple_sum_success(h: int) -> Fraction:
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
-    if h == 0:
-        return Fraction(1)
     span = 2 * h + 1
     good = 0
     for s in range(-2 * h, 2 * h + 1):
-        pairs = span - abs(s) if abs(s) <= 2 * h else 0
+        pairs = span - abs(s)
         lo = max(-h, -2 * h - s)
         hi = min(h, 2 * h - s)
         good += pairs * max(0, hi - lo + 1)

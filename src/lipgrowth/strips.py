@@ -296,10 +296,6 @@ def strip_count_exact(m: int, n: int, h: int,
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if h < 0:
-        raise ValueError("h must be nonnegative")
     op = FreeStripOperator(min(m, n), h, state_budget)
     steps = max(m, n) - 1
     x = [1] * op.dim

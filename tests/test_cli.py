@@ -388,7 +388,12 @@ def test_exit_codes(capsys, monkeypatch):
                  "argument --grid: expected MxN with both at least 1, "
                  "got '3x-1'"),
                 (["strip", "--kind", "free-strip", "--m", "0", "--h", "3"],
-                 "argument --m: must be an integer of at least 1, got '0'")):
+                 "argument --m: must be an integer of at least 1, got '0'"),
+                *((["count", "--er", *er, "--h", "1"],
+                   "argument --er: expected integer N >= 1 and finite D >= 0, "
+                   f"got {' '.join(er)!r}")
+                  for er in (("2.5", "1"), ("0", "1"), ("10", "nan"),
+                             ("10", "-1")))):
             code = main(argv)
             captured = capsys.readouterr()
             assert (code, captured.out) == (2, ""), argv
@@ -572,6 +577,7 @@ def test_bounds_overflowing_asymptotic_forms_are_null(capsys, tmp_path):
     (["random-lab", "--mode", "pairs", "--size", "0"], "--size"),
     (["count", "--grid", "2y2", "--h", "1"], "--grid"),
     (["generate", "--grid", "0x2"], "--grid"),
+    (["count", "--er", "2.5", "1", "--h", "1"], "--er"),
 ])
 def test_flag_ranges_checked_by_parser(capsys, monkeypatch, argv, flag):
     def no_handler(args):
@@ -592,6 +598,8 @@ def test_checks_between_values_name_their_flag(capsys, tmp_path):
     missing = tmp_path / "missing.edges"
     bad = tmp_path / "bad.edges"
     bad.write_text("x y\n")
+    loop = tmp_path / "loop.edges"
+    loop.write_text("2 1\n1 1\n")
     er = "need 0 <= d <= n so the edge probability is in [0, 1]"
     for argv, message in (
             (["count", "--family", "path", "--h", "1"], "--family: needs --n"),
@@ -617,11 +625,20 @@ def test_checks_between_values_name_their_flag(capsys, tmp_path):
             (["count", "--load", str(missing), "--h", "1"],
              f"--load: [Errno 2] No such file or directory: '{missing}'"),
             (["ehrhart", "--load", str(bad)],
-             "--load: invalid literal for int() with base 10: 'x'")):
+             "--load: invalid literal for int() with base 10: 'x'"),
+            (["count", "--load", str(loop), "--h", "1"],
+             "--load: bad edge (1, 1) for n=2")):
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), argv
         assert captured.err == f"error: {message}\n", argv
+    # a vertex id beyond int64 is a usage error too, not a crash
+    huge = tmp_path / "huge.edges"
+    huge.write_text(f"2 1\n0 {2 ** 64}\n")
+    code = main(["count", "--load", str(huge), "--h", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: --load: ")
 
 
 def test_help_exits_zero(capsys):

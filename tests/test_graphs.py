@@ -186,14 +186,13 @@ def test_handshake_identity(g):
 @settings(max_examples=50, deadline=None)
 @given(small_graphs())
 def test_roots_one_per_component(g):
-    comp_of = g.component_of
-    assert sorted({comp_of[r] for r in g.roots}) == list(range(g.component_count))
+    assert [part[0] for part in g.parts] == list(g.roots)
+    assert len(g.roots) == g.component_count
 
 
 def assert_components_match_oracle(g, labels):
-    """Labels, count, default roots, parts, giant size and degrees of ``g``
-    against the breadth-first ``labels`` and the adjacency lists."""
-    assert list(g.component_of) == labels
+    """Count, roots, parts, giant size and degrees of ``g`` against the
+    breadth-first ``labels`` and the adjacency lists."""
     k = max(labels) + 1
     assert g.component_count == k
     firsts = {}
@@ -224,7 +223,7 @@ def test_long_path_components_match_bfs_oracle(order):
         seq = np.random.default_rng(5).permutation(n)
     g = Graph.from_edges(n, zip(seq[:-1].tolist(), seq[1:].tolist()))
     assert_components_match_oracle(g, bfs_component_labels(n, g.edges))
-    assert g.component_of == (0,) * n
+    assert g.roots == (0,) and g.component_count == 1
 
 
 @pytest.mark.parametrize("edges, n", [
@@ -279,6 +278,9 @@ def test_graph_validation():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 5)])
+    # the constructor's range check rejects a self-loop too
+    with pytest.raises(ValueError, match=r"^bad edge \(1, 1\) for n=3$"):
+        Graph.from_edges(3, [(1, 1)])
 
 
 def test_edgelist_round_trip(tmp_path):

@@ -62,6 +62,12 @@ def test_bound_report_domain_edges():
 
     rep4 = bound_report(4)
     assert not rep4.lower_valid and rep4.lower_exact is None
+    # the pair margin shares the upper range; the giant fraction needs d > 1
+    assert rep.pair_margin is None and rep.giant_fraction is not None
+    assert bound_report(1).giant_fraction is None
+    rep9 = bound_report(9)
+    assert rep9.pair_margin == independent_pair_margin(9).margin
+    assert rep9.giant_fraction == giant_fraction_prediction(9)
     for d in (0, math.nan, math.inf):
         with pytest.raises(ValueError):
             bound_report(d)

@@ -361,8 +361,7 @@ def _cmd_random_lab(args):
         return {"records": [{"mode": "lll", "n": args.n, "d": args.d,
                              "h": args.h, **dataclasses.asdict(res)}]}
     if args.mode == "giant":
-        predicted = (randomlab.giant_fraction_prediction(args.d)
-                     if args.d > 1 else None)
+        predicted = randomlab.giant_fraction_or_none(args.d)
         records = []
         for t in range(args.trials):
             g = _lab_graph(args, args.seed + t)

@@ -254,7 +254,8 @@ def from_edgelist_str(text: str) -> Graph:
         if e in edges:
             raise ValueError(f"duplicate edge {e}")
         edges.add(e)
-    g = Graph.from_edges(n, edges)
+    # the edges are already normalised and distinct: no from_edges pass
+    g = Graph(n, np.array(sorted(edges), dtype=np.int64).reshape(-1, 2))
     if g.component_count != k:
         raise ValueError(f"file claims {k} components, graph has {g.component_count}")
     return g

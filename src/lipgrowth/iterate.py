@@ -8,7 +8,9 @@ one operator apply per step, the estimate the top eigenvalue of the small
 tridiagonal matrix of the basis so far, and the stop when successive
 estimates agree to a relative tolerance.  The basis grows on demand up to
 ``_BASIS_CAP`` vectors; a solve that fills it restarts from its Ritz vector,
-so memory stays bounded at that many state vectors.  Every operator here is
+so memory stays bounded at that many vectors of the solve's length: for a
+strip operator that is its (dim + 1)/2 folded representatives, not its dim
+states (``strips.top_eigenvalue``).  Every operator here is
 symmetric, with its second eigenvalue 0.4-0.7 of its first, where this
 takes far fewer applies than power iteration.
 

@@ -106,7 +106,7 @@ def bound_report(d: float) -> BoundReport:
         upper_valid=upper_valid,
         upper_exact_below_two=bool(upper_valid and upper_exact < 2.0),
         pair_margin=independent_pair_margin(d).margin if upper_valid else None,
-        giant_fraction=giant_fraction_prediction(d) if d > 1 else None,
+        giant_fraction=giant_fraction_or_none(d),
     )
 
 
@@ -147,6 +147,11 @@ def giant_fraction_prediction(d: float) -> float:
     if not d > 1:
         raise ValueError("giant component needs d > 1")
     return _bisect(lambda y: -math.expm1(-d * y) - y, 0.0, 1.0)
+
+
+def giant_fraction_or_none(d: float) -> float | None:
+    """``giant_fraction_prediction(d)`` in its domain d > 1, else None."""
+    return giant_fraction_prediction(d) if d > 1 else None
 
 
 def poisson_tail_bound(d: float, x: float) -> float:

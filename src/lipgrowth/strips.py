@@ -16,18 +16,30 @@ Every apply is matrix-free: separable window sums (running-sum
 differences) on an embedded lattice, O(cells) per apply.  Each window turns
 one buffer into its running sum in place and writes the window into the
 other, swapping the two after every window; an operator allocates its two
-lattice-sized buffers on its first apply in a dtype and reuses them after.
-The last window is never written out: its buffer becomes the running sum
-along that axis, read as one difference at each state.  Every kind
-scatters onto the lattice of prefix vectors,
-since its weight depends only on the difference of two columns' prefix
-vectors: a half-width-h box window on every axis, then, for free strips
-(and tent), one more along the diagonal (1, ..., 1) for the column offset.
-A pinned strip of m rows is the free strip of m+1 rows with its top row
-fixed, so its states are the prefix vectors of m difference steps and it
-needs no offset window.  One code path serves spectra (float) and exact
-counts (int64 while a bound on every output fits, Python ints above), and the
-state budget bounds the cells of the lattice before anything is allocated.
+buffers on its first apply in a dtype and reuses them after.  The last
+window is never written out: its buffer becomes the running sum along that
+axis, read as one difference at each state.  Every kind scatters onto the
+lattice of prefix vectors, since its weight depends only on the difference
+of two columns' prefix vectors: a half-width-h box window on every axis,
+then, for free strips (and tent), one more along the diagonal (1, ..., 1)
+for the column offset.  A pinned strip of m rows is the free strip of m+1
+rows with its top row fixed, so its states are the prefix vectors of m
+difference steps and it needs no offset window.
+
+Every kind is folded by its negation symmetry.  Negating a state,
+d -> -d, reverses the state order and reflects the lattice through its
+centre cell, and W commutes with it, so the Perron vector and every
+W^k 1 are even.  The one lattice path runs on the (dim + 1)/2 orbit
+representatives and on the lattice up to its centre slab, reading a
+reflected copy of the cells below the centre wherever a window reaches past
+it (the block decomposition of a representation by a symmetry group:
+Serre, Linear Representations of Finite Groups, 1977, section 2.6).  The
+eigen-solve works in sqrt(orbit)-scaled coordinates, where the folded
+operator is symmetric, and the strip DP on plain representative values;
+a full vector is applied as its even and odd parts.  One code path serves
+spectra (float) and exact counts (int64 while a bound on every output
+fits, Python ints above), and the state budget bounds the cells of the
+full lattice before anything is allocated.
 """
 from __future__ import annotations
 
@@ -42,6 +54,26 @@ from .errors import DEFAULT_BUDGET, ResourceLimitError
 from .iterate import _running_sum, _window_sum, power_iteration
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
+def _fold(x: np.ndarray) -> np.ndarray:
+    """An even state vector on its orbit representatives under negation:
+    the first (dim + 1)/2 states, the zero state last, each scaled by the
+    square root of its orbit size (sqrt 2, or 1 for the zero state), so
+    that dot products, and with them the Lanczos solve, are unchanged."""
+    z = x[:(x.size + 1) // 2] * _SQRT2
+    z[-1] = x[x.size // 2]
+    return z
+
+
+def _unfold(z: np.ndarray) -> np.ndarray:
+    """The even state vector whose ``_fold`` is ``z``."""
+    v = z / _SQRT2
+    v[-1] = z[-1]
+    return np.concatenate([v, v[-2::-1]])
+
+
 class FreeStripOperator:
     """Transfer over m free rows; states are within-column difference vectors.
 
@@ -51,20 +83,37 @@ class FreeStripOperator:
     max(0, 2h+1 - (max_i D_i - min_i D_i)) with D = P(V) - P(U).
 
     Since the weight depends on D only, ``apply`` works on the prefix
-    lattice: x is scattered to the points P(U), whose axis i (prefix
-    P_{i+2}) spans [-(i+1)h, (i+1)h] and is padded by h at both ends.  A
-    window of half-width h along every axis sums x over the box
-    |r_i - P_i(U)| <= h; one more half-width-h window along the diagonal
-    (1, ..., 1) sums that box over the offsets |delta| <= h, and reading it at
-    P(V) gives y(V).  The diagonal window runs down the columns of the flat
-    lattice reshaped to rows of one diagonal step (the sum of the strides);
-    the padding keeps every step taken from a state inside the lattice, so
-    no window wraps.  Every window is a running-sum difference, so one
-    apply costs O(cells), and the last one is taken only at the states:
-    y(V) = R[hi] - R[lo] for the running sum R along the last window's
-    axis.  ``state_budget`` bounds ``cells``, the size of that padded
-    lattice, before anything is allocated; the two lattice buffers are
-    kept, one pair per dtype, for the operator's lifetime.
+    lattice: x is scattered to the points P(U), whose axis for the prefix
+    P_{i+2} spans [-(i+1)h, (i+1)h] and is padded by h at both ends; the
+    longest axis leads.  A window of half-width h along every axis sums x
+    over the box |r_i - P_i(U)| <= h; one more half-width-h window along the
+    diagonal (1, ..., 1) sums that box over the offsets |delta| <= h, and
+    reading it at P(V) gives y(V).  The diagonal window runs down the
+    columns of the flat lattice reshaped to rows of one diagonal step (the
+    sum of the strides); the padding keeps every step taken from a state
+    inside the lattice, so no window wraps.  Every window is a running-sum
+    difference, so one apply costs O(cells), and the last one is taken only
+    at the states: y(V) = R[hi] - R[lo] for the running sum R along the last
+    window's axis.  ``state_budget`` bounds ``cells``, the size of that
+    padded lattice, before anything is allocated.
+
+    The lattice is folded.  Negating a state reverses both its index and its
+    site, and W commutes with it, so W maps even vectors (x(-U) = x(U)) to
+    even ones and odd to odd.  ``_fold_apply`` takes the values of such a
+    vector at the orbit representatives, the first ``half`` = (dim + 1)/2
+    states, and keeps only the flat prefix of the lattice up to the end of
+    the leading axis's centre slab.  Windows along the other axes run on it
+    unchanged; a window whose reach crosses the centre reads a reflected
+    copy of the cells below the centre (negated for an odd vector) appended
+    after it: h slabs for the leading axis, up to the last state's h-th
+    diagonal step for the diagonal.  The two buffers that hold it are kept,
+    one pair per dtype, for the operator's lifetime.
+
+    ``apply`` and ``apply_exact`` take a vector of ``dim`` states, run as
+    its even and odd parts, or an even one folded to its ``half``
+    representatives and return the result in the same form: ``_fold``'s
+    sqrt(orbit)-scaled values for ``apply`` (the eigen-solve's vectors),
+    plain values for ``apply_exact`` (the strip DP's).
 
     A ``pinned`` kind fixes the top row at 0: its m rows are the m
     difference steps below that row, so it runs on the m axes of the free
@@ -84,62 +133,87 @@ class FreeStripOperator:
         axes = m if self.pinned else m - 1
         pad = 0 if self.pinned else h
         self.dim = (2 * h + 1) ** axes
-        self._shape = tuple(2 * ((i + 1) * h + pad) + 1 for i in range(axes))
-        strides = [math.prod(self._shape[i + 1:]) for i in range(axes)]
+        self.half = (self.dim + 1) // 2
+        # axis k holds the prefix of the first axes - k difference steps
+        self._shape = tuple(2 * (i * h + pad) + 1 for i in range(axes, 0, -1))
+        strides = [math.prod(self._shape[k + 1:]) for k in range(axes)]
         self._step = 1 if self.pinned else max(sum(strides), 1)
-        self.cells = -(-math.prod(self._shape) // self._step) * self._step
+        self._size = math.prod(self._shape)
+        self.cells = -(-self._size // self._step) * self._step
         if self.cells > state_budget:
             raise ResourceLimitError(
                 f"prefix lattice of {self.cells} cells exceeds budget {state_budget}")
-        # A state's site is linear in its difference steps: from the site
-        # of the all-zero state, step t moves prefix axes t.. by d_t, so it
-        # adds d_t times their stride sum.  States run in C order over
-        # (d_1, ..., d_axes), each in [-h, h].
-        reach = np.cumsum(strides[::-1], dtype=np.int64)[::-1]
+        self._buffers: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
+        # Every step of _fold_apply is a copy, negation, add, subtract or
+        # multiply, which int64 arrays wrap modulo 2^64, so an int64 result
+        # is congruent to W x and equals it whenever each |(W x)_i| fits,
+        # however large the running sums grow on the way.  A weight is at
+        # most 2h+1 (1 when pinned), so |(W x)_i| <= that times sum|x| over
+        # all states (the folded lattice holds the full one's values): int64
+        # is exact while sum|x| <= cap.
+        self._int64_cap = np.iinfo(np.int64).max // (1 if self.pinned
+                                                     else 2 * h + 1)
+        # A state's site is linear in its difference steps: from the centre
+        # cell, the site of the all-zero state, step t moves prefix axes
+        # 0..axes-1-t by d_t, so it adds d_t times their stride sum.  States
+        # run in C order over (d_1, ..., d_axes), each in [-h, h].
+        reach = np.cumsum(strides, dtype=np.int64)[::-1]
         steps = np.arange(-h, h + 1, dtype=np.int64)
-        sites = np.int64(sum(((i + 1) * h + pad) * stride
-                             for i, stride in enumerate(strides)))
+        sites = np.int64(self._size // 2)
         for t in range(axes):
             sites = np.add.outer(sites, steps * reach[t])
         self._sites = np.ravel(sites)
+        if not axes:
+            return
+        # A representative is scattered to whichever of its site and the
+        # mirror site (size - 1 - site, its negation's) is not past the
+        # centre cell; ``_flip`` marks the mirrors, whose odd values negate.
+        rep = self._sites[:self.half]
+        self._rep = np.minimum(rep, self._size - 1 - rep)
+        self._flip = self._rep != rep
+        self._slab = self._size // self._shape[0]
+        self._half_cells = (self._shape[0] // 2 + 1) * self._slab
+        # the leading axis's window reads h slabs past the half
+        self._fold_reach = self._half_cells + h * self._slab
         # The last window (the last box axis when pinned, else the diagonal
         # as the leading axis of rows of one step) at coordinate j of n is
         # run[min(j + h, n - 1)] - run[j - h - 1], the second term only
-        # where j > h; hi and lo index those two cells of the running sum.
-        stride = 1 if self.pinned else self._step
-        n = self._shape[-1] if self.pinned else self.cells // stride
-        j = self._sites // stride % n
-        self._hi = self._sites + (np.minimum(j + h, n - 1) - j) * stride
+        # where j > h; hi and lo index those two cells of the running sum at
+        # the representative sites, which it covers up to ``_last``.
+        if self.pinned:
+            stride, n = 1, self._shape[-1]
+            self._last = self._fold_reach if axes == 1 else self._half_cells
+        else:
+            stride, n = self._step, self.cells // self._step
+            self._last = (self._size // 2 // stride + h + 1) * stride
+        j = self._rep // stride % n
+        self._hi = self._rep + (np.minimum(j + h, n - 1) - j) * stride
         self._has_lo = j > h
-        self._lo = np.where(self._has_lo, self._sites - (h + 1) * stride, 0)
-        self._buffers: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
-        # Every step of _apply is a copy, add, subtract or multiply, which
-        # int64 arrays wrap modulo 2^64, so an int64 result is congruent to
-        # W x and equals it whenever each |(W x)_i| fits, however large the
-        # running sums grow on the way.  A weight is at most 2h+1 (1 when
-        # pinned), so |(W x)_i| <= that times sum|x|: int64 is exact while
-        # sum|x| <= cap.
-        self._int64_cap = np.iinfo(np.int64).max // (1 if self.pinned
-                                                     else 2 * h + 1)
+        self._lo = np.where(self._has_lo, self._rep - (h + 1) * stride, 0)
 
     def ones(self) -> np.ndarray:
         return np.ones(self.dim)
 
     def prolong(self, x: np.ndarray, h: int) -> np.ndarray:
-        """``x``, a vector over the states of this kind and m at ``h``,
-        interpolated onto this operator's states (a warm start for the
-        eigen-solve after a solve at ``h``).
+        """``x``, a vector over the states of this kind and m at ``h`` or its
+        ``_fold``, interpolated onto this operator's states in the same form
+        (a warm start for the eigen-solve after a solve at ``h``).
 
         Each difference step d in [-h, h] sits at the midpoint coordinate
         t = d/(h + 1/2); the map is separable linear interpolation in t,
         clamped at the ends, one gather-and-blend per axis.  A blend
         a + w (b - a) keeps a constant vector exact and a positive one
-        positive, and a same-h map is the identity.  With no axis, or from
-        h = 0 (a one-point grid), it returns ``ones()``.
+        positive, and a same-h map is the identity.  Each axis's map
+        commutes with negating t, so an even vector stays even, and a folded
+        one is unfolded, interpolated and folded again.  With no axis, or
+        from h = 0 (a one-point grid), it returns ``ones()``.
         """
         axes = len(self._shape)
         if not axes or h == 0:
             return self.ones()
+        folded = x.size != (2 * h + 1) ** axes
+        if folded:
+            x = _unfold(x)
         # step d here (t = 2d/den) sits at source step d (2h+1)/den, i.e.
         # source index num/den; integers keep a same-h map exact
         den = 2 * self.h + 1
@@ -154,45 +228,103 @@ class FreeStripOperator:
             shape = [1] * axes
             shape[axis] = den
             y = a + w.reshape(shape) * (y.take(hi, axis) - a)
-        return y.ravel()
+        return _fold(y.ravel()) if folded else y.ravel()
 
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        """y = W x in the dtype of x: float, int64 or object (Python ints)."""
+    def _reflect(self, buf: np.ndarray, start: int, stop: int,
+                 parity: int) -> None:
+        """Fill ``buf[start:stop]``, past the centre cell, with the lattice's
+        values there: parity times those of the mirror cells below the
+        centre, and 0 past the lattice's end."""
+        end = min(stop, self._size)
+        seg = buf[start:end]
+        seg[...] = buf[self._size - end:self._size - start][::-1]
+        if parity < 0:
+            np.negative(seg, out=seg)
+        buf[end:stop] = 0
+
+    def _fold_apply(self, v: np.ndarray, parity: int) -> np.ndarray:
+        """W x at the representatives, in the dtype of v, for the even
+        (``parity`` 1) or odd (-1, with v[-1] = 0) x whose representatives
+        hold the values v."""
         if not self._shape:
-            return x * (2 * self.h + 1)
-        if x.dtype not in self._buffers:
-            self._buffers[x.dtype] = (np.empty(self.cells, dtype=x.dtype),
-                                      np.empty(self.cells, dtype=x.dtype))
-        src, dst = self._buffers[x.dtype]
-        size = math.prod(self._shape)
-        # The box windows write only the first ``size`` cells of dst; the
-        # diagonal window reads the whole buffer, so both tails start at 0.
-        src.fill(0)
-        if not self.pinned:
-            dst[size:] = 0
-        src[self._sites] = x
+            return v * (2 * self.h + 1)
+        if v.dtype not in self._buffers:
+            size = max(self._fold_reach, self._last)
+            self._buffers[v.dtype] = (np.zeros(size, dtype=v.dtype),
+                                      np.zeros(size, dtype=v.dtype))
+        src, dst = self._buffers[v.dtype]
+        half = self._half_cells
+        src[:half] = 0
+        src[self._rep] = v if parity > 0 else np.where(self._flip, -v, v)
+        # the centre slab holds both members of its orbits
+        self._reflect(src, self._size // 2 + 1, half, parity)
         for axis in range(len(self._shape) - self.pinned):
-            _window_sum(src[:size].reshape(self._shape), self.h, axis,
-                        dst[:size].reshape(self._shape))
+            stop = half
+            if axis == 0:
+                stop = self._fold_reach
+                self._reflect(src, half, stop, parity)
+            shape = (stop // self._slab,) + self._shape[1:]
+            _window_sum(src[:stop].reshape(shape), self.h, axis,
+                        dst[:stop].reshape(shape))
             src, dst = dst, src
-        if self.pinned:
-            _running_sum(src[:size].reshape(self._shape), len(self._shape) - 1)
-        else:
-            _running_sum(src.reshape(-1, self._step), 0)
+        self._reflect(src, half, self._last, parity)
+        rows = src[:self._last].reshape(
+            -1, self._shape[-1] if self.pinned else self._step)
+        _running_sum(rows, 1 if self.pinned else 0)
         # fancy indexing copies, so the result never aliases a buffer
         y = src[self._hi]
         np.subtract(y, src[self._lo], out=y, where=self._has_lo)
-        return y
+        return y if parity > 0 else np.where(self._flip, -y, y)
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """W x for a vector of ``dim`` states: in float, or for integers
+        (int64 or object) in int64 while exact and in Python ints above.
+
+        With R the state reversal, x + R x is even and x - R x odd, and both
+        stay integral: 2 W x = W(x + R x) + W(x - R x), whose two folded
+        results give W x at the representatives, and with the odd one
+        negated, R-reversed, at the other states."""
+        if x.dtype != float:
+            # sum|x + R x| and sum|x - R x| are at most 2 sum|x|
+            exact = 2 * sum(map(abs, x.tolist())) <= self._int64_cap
+            x = x.astype(np.int64 if exact else object)
+        r = x[::-1]
+        even = self._fold_apply(x[:self.half] + r[:self.half], 1)
+        odd = self._fold_apply(x[:self.half] - r[:self.half], -1)
+        y = np.concatenate([even + odd, (even - odd)[-2::-1]])
+        return y / 2 if x.dtype == float else y // 2
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}")
-        return self._apply(np.asarray(x, dtype=float))
+        """W x for a vector of ``dim`` states, or for the ``_fold`` of an
+        even one, ``half`` long, whose result is folded too."""
+        x = np.asarray(x, dtype=float)
+        if x.shape == (self.dim,):
+            return self._apply(x)
+        if x.shape != (self.half,):
+            raise ValueError(
+                f"expected vector of length {self.dim} or {self.half}")
+        # the representatives' plain values times sqrt 2: only the zero
+        # state, whose orbit has one member, changes
+        v = x.copy()
+        v[-1] *= _SQRT2
+        y = self._fold_apply(v, 1)
+        y[-1] /= _SQRT2
+        return y
 
     def apply_exact(self, xs: Sequence[int]) -> list[int]:
-        """Exact integer application: int64 while provably safe, else Python ints."""
-        dtype = np.int64 if sum(map(abs, xs)) <= self._int64_cap else object
-        return self._apply(np.array(xs, dtype=dtype)).tolist()
+        """Exact integer W x for ``dim`` states, or for an even vector's
+        plain values at its ``half`` representatives, whose result is folded
+        too: int64 while provably safe, else Python ints."""
+        if len(xs) == self.dim:
+            return self._apply(np.array(xs, dtype=object)).tolist()
+        if len(xs) != self.half:
+            raise ValueError(
+                f"expected vector of length {self.dim} or {self.half}")
+        # sum|x| over all states: each representative but the zero state
+        # (the last) stands for two
+        total = 2 * sum(map(abs, xs)) - abs(xs[-1])
+        dtype = np.int64 if total <= self._int64_cap else object
+        return self._fold_apply(np.array(xs, dtype=dtype), 1).tolist()
 
     def normalized(self, eigenvalue: float) -> float:
         """Per-vertex growth scale lam^(1/m)/h (band, with m = 1: lam/h)."""
@@ -254,8 +386,9 @@ class SpectralEstimate:
     normalized: float
     residual: float
     iterations: int
-    # the unit Ritz vector approximating the Perron vector, the warm start
-    # of the next solve on a ladder; never serialised
+    # the unit Ritz vector approximating the Perron vector, folded to the
+    # representatives (``_fold``), the warm start of the next solve on a
+    # ladder; never serialised
     vector: np.ndarray = field(repr=False, compare=False)
 
 
@@ -266,13 +399,21 @@ def top_eigenvalue(op: FreeStripOperator, tol: float = 1e-10,
     ``prev``'s Perron vector ``prolong``-ed to ``op``, or from
     ``op.ones()`` when ``prev`` is None.
 
+    The solve runs on folded vectors (``_fold``), the ``half`` orbit
+    representatives in sqrt(orbit)-scaled coordinates, where the folded
+    operator is symmetric and has W's eigenvalues on even vectors.  Both
+    starts are even, and Lanczos from an even start stays in the even
+    subspace, which holds the Perron vector; so the Ritz values, and the
+    number of applies, are those of the unfolded solve.
+
     Converged when successive Ritz values, each the Rayleigh quotient of
     its Ritz vector, agree to a relative ``tol``; ``iterations`` counts
     applies.  Either start is positive, so it has positive overlap with the
-    Perron vector, and the returned ``vector`` is the unit Ritz vector with
-    positive sum.
+    Perron vector, and the returned ``vector`` is the folded unit Ritz
+    vector with positive sum.
     """
-    x0 = op.ones() if prev is None else op.prolong(prev.vector, prev.h)
+    x0 = (_fold(op.ones()) if prev is None
+          else op.prolong(prev.vector, prev.h))
     lam, vec, residual, iters = power_iteration(op.apply, x0, tol, max_iter)
     return SpectralEstimate(op.kind, op.m, op.h, lam, op.normalized(lam),
                             residual, iters, vec)
@@ -292,17 +433,20 @@ def strip_count_exact(m: int, n: int, h: int,
     which negation keeps), so the DP meets in the middle: with
     x = W^(s//2) 1 and y = W^(s - s//2) 1, the count is x . y.  That takes
     s - s//2 applies instead of s, and the ones skipped are those on the
-    largest integers.
+    largest integers.  W also commutes with negation and 1 is even, so
+    every W^k 1 is even: the DP runs on the ``half`` orbit representatives
+    (``apply_exact``'s folded form), and x . y weights each product by its
+    orbit size, 2 for every representative but the zero state (the last).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     op = FreeStripOperator(min(m, n), h, state_budget)
     steps = max(m, n) - 1
-    x = [1] * op.dim
+    x = [1] * op.half
     for _ in range(steps // 2):
         x = op.apply_exact(x)
     y = op.apply_exact(x) if steps % 2 else x
-    return sum(map(operator.mul, x, y))
+    return 2 * sum(map(operator.mul, x, y)) - x[-1] * y[-1]
 
 
 @dataclass(frozen=True)

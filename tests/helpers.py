@@ -275,15 +275,17 @@ def pinned_states(op: PinnedStripOperator) -> list[tuple[int, ...]]:
 def prefix_sites(m: int, h: int, pinned: bool) -> list[int]:
     """Flat lattice site of every strip state, in state order: the prefix
     sums of each difference vector, offset into the padded box and
-    flattened row-major.  A free m-row strip has m - 1 difference steps
-    and pads every axis by h; a pinned one has m steps and no padding."""
+    flattened row-major with the longest prefix (the sum of all steps)
+    leading.  A free m-row strip has m - 1 difference steps and pads every
+    axis by h; a pinned one has m steps and no padding."""
     axes = m if pinned else m - 1
     pad = 0 if pinned else h
     sizes = [2 * ((i + 1) * h + pad) + 1 for i in range(axes)]
     sites = []
     for diffs in product(range(-h, h + 1), repeat=axes):
         site = 0
-        for i, (p, size) in enumerate(zip(accumulate(diffs), sizes)):
+        prefixes = list(enumerate(zip(accumulate(diffs), sizes)))
+        for i, (p, size) in reversed(prefixes):
             site = site * size + p + (i + 1) * h + pad
         sites.append(site)
     return sites

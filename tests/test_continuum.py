@@ -11,8 +11,8 @@ from lipgrowth.continuum import (kernel_limit, nystrom_top, solve_alpha,
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.iterate import power_iteration
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
-                              PinnedStripOperator, TentOperator,
-                              extrapolate_limit, top_eigenvalue)
+                              PinnedStripOperator, TentOperator, _fold,
+                              _unfold, extrapolate_limit, top_eigenvalue)
 
 
 def test_alpha():
@@ -61,12 +61,13 @@ KERNEL_OPERATORS = {
 
 def test_kernel_table_matches_hand_built_solve():
     # each kernel is its operator at h = n // 2, solved by
-    # ``power_iteration`` from all-ones, scaled by the cell measure (2/n)^m and rooted; the table
-    # gives the same floats
+    # ``power_iteration`` from folded all-ones, scaled by the cell measure
+    # (2/n)^m and rooted; the table gives the same floats
     n, h = 17, 8
     for kernel, (make_op, root) in KERNEL_OPERATORS.items():
         op = make_op(h)
-        lam = power_iteration(op.apply, op.ones(), 1e-12)[0] * (2.0 / n) ** op.m
+        lam = power_iteration(op.apply, _fold(op.ones()), 1e-12)[0] \
+            * (2.0 / n) ** op.m
         assert nystrom_top(kernel, n) == (root(lam) if root else lam), kernel
 
 
@@ -104,9 +105,10 @@ def test_kernel_invariants():
 
 
 def perron_pair(op):
-    """The operator's top eigenvalue and its eigenvector scaled to sup-norm
-    1, from the eigen-solve that ``nystrom_top`` runs."""
-    lam, vec, _, _ = power_iteration(op.apply, op.ones(), 1e-12)
+    """The operator's top eigenvalue and its eigenvector, unfolded and
+    scaled to sup-norm 1, from the eigen-solve that ``nystrom_top`` runs."""
+    lam, vec, _, _ = power_iteration(op.apply, _fold(op.ones()), 1e-12)
+    vec = _unfold(vec)
     return lam, vec / np.max(np.abs(vec))
 
 

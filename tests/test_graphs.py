@@ -307,6 +307,14 @@ def test_edgelist_reader_rejections():
         from_edgelist_str("")
 
 
+def test_edgelist_duplicate_in_either_orientation():
+    # a repeated edge is caught by its normalised form, whichever way round
+    # either line writes it
+    for text in ("3 1\n1 2\n1 2\n", "3 1\n1 2\n2 1\n", "3 1\n2 1\n1 2\n"):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
+            from_edgelist_str(text)
+
+
 def test_graph_hash_stable_and_distinct():
     a = make_grid(2, 3)
     assert graph_hash(a) == graph_hash(make_grid(2, 3))

@@ -18,8 +18,8 @@ from lipgrowth.counting import count
 from lipgrowth.errors import ConvergenceError, ResourceLimitError
 from lipgrowth.graphs import make_grid
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
-                              PinnedStripOperator, TentOperator,
-                              extrapolate_limit, make_operator,
+                              PinnedStripOperator, TentOperator, _fold,
+                              _unfold, extrapolate_limit, make_operator,
                               strip_count_exact, top_eigenvalue)
 
 BETA = 1.0 / math.atan(0.75)
@@ -323,7 +323,10 @@ def test_pinned_apply_exact_at_int64_cap():
             assert sum(xs) == total
             assert op.apply_exact(xs) == dense_int_product(W, xs), (m, h)
     # int64 arrays wrap modulo 2^64, so an int64 apply is exact whenever its
-    # outputs fit, even when a running sum does not: here one reaches 2M
+    # outputs fit, even when a running sum does not: here one reaches 2M.
+    # A full vector runs as doubled even and odd parts, which would not fit,
+    # so _apply takes this one in Python ints; test_fold_int64_wraps_exactly
+    # runs the folded int64 path on such a vector
     big = int(np.iinfo(np.int64).max)
     xs = [big, big, -big, -big, big]
     assert max(itertools.accumulate(xs)) > big
@@ -582,3 +585,127 @@ def test_warm_buffers_match_fresh_operator(kind, m, h):
             y = op.apply_exact(xs)
             assert y == fresh.apply_exact(xs) == dense_int_product(W, xs), step
     assert len(op._buffers) == (3 if op._shape else 0)
+
+
+FOLD_CASES = [("band", None, 3), ("tent", None, 3), ("free-strip", 3, 3),
+              ("free-strip", 4, 2), ("pinned-strip", 2, 3),
+              ("pinned-strip", 3, 2)]
+
+
+def fold_case_id(case):
+    kind, m, h = case
+    return f"{kind}-{m}-{h}"
+
+
+def parity_vector(rng, dim, parity, high=10):
+    """A random integer vector with x reversed = parity * x (0 at the
+    centre state when odd)."""
+    x = rng.integers(-high, high + 1, dim)
+    return x + parity * x[::-1]
+
+
+@pytest.mark.parametrize("case", FOLD_CASES, ids=fold_case_id)
+def test_w_commutes_with_state_reversal(case):
+    # the premise of the fold: negating a state reverses its index, and the
+    # weight rule's W is unchanged by reversing both axes
+    kind, m, h = case
+    W = np.array(oracle_matrix(make_operator(kind, h, m)))
+    assert np.array_equal(W, W[::-1, ::-1])
+
+
+@pytest.mark.parametrize("case", FOLD_CASES, ids=fold_case_id)
+def test_fold_apply_matches_full_apply(case):
+    # on an even vector the folded lattice gives W x at the representatives,
+    # and on an odd one the odd half does; in float, int64 and Python ints
+    kind, m, h = case
+    op = make_operator(kind, h, m)
+    W = np.array(oracle_matrix(op), dtype=object)
+    rng = np.random.default_rng(h + 10 * (m or 0))
+    for parity in (1, -1):
+        for _ in range(3):
+            x = parity_vector(rng, op.dim, parity)
+            y = W.dot(x.astype(object))
+            half = x[:op.half]
+            assert np.array_equal(y[::-1], parity * y)
+            got = op._fold_apply(half.astype(np.int64), parity)
+            assert got.dtype == np.int64 and got.tolist() == y[:op.half].tolist()
+            big = half.astype(object) * 2**70
+            assert op._fold_apply(big, parity).tolist() == \
+                (y[:op.half] * 2**70).tolist()
+            # quarters: every float sum is exact
+            got = op._fold_apply(half / 4, parity)
+            assert got.tolist() == [v / 4 for v in y[:op.half].tolist()]
+            assert op.apply(x / 4).tolist() == [v / 4 for v in y.tolist()]
+        # the folded forms of apply and apply_exact, on an even vector
+        if parity == 1:
+            assert op.apply_exact(half.tolist()) == y[:op.half].tolist()
+            assert op.apply_exact((big * 2).tolist()) == \
+                (y[:op.half] * 2**71).tolist()
+            xf = x.astype(float)
+            expect = _fold(y.astype(float))
+            assert np.max(np.abs(op.apply(_fold(xf)) - expect)) <= \
+                1e-13 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("case", FOLD_CASES, ids=fold_case_id)
+def test_scaled_fold_is_symmetric_with_top_eigenvalue(case):
+    # in sqrt(orbit) coordinates the folded operator is symmetric, and its
+    # top eigenvalue is W's, which the folded solve finds
+    kind, m, h = case
+    op = make_operator(kind, h, m)
+    F = np.column_stack([op.apply(e) for e in np.eye(op.half)])
+    assert np.max(np.abs(F - F.T)) <= 1e-14 * np.max(np.abs(F))
+    top = np.linalg.eigvalsh(np.array(oracle_matrix(op), dtype=float))[-1]
+    assert abs(np.linalg.eigvalsh(F)[-1] - top) <= 1e-12 * top
+    est = top_eigenvalue(op, 1e-12)
+    assert est.vector.shape == (op.half,)
+    assert abs(est.eigenvalue - top) <= 1e-12 * top
+    # the folded Ritz vector unfolds to a unit, positive approximation of
+    # the Perron vector of the full W (a Ritz vector converges only like
+    # the square root of its Ritz value's tolerance)
+    full = _unfold(est.vector)
+    assert abs(np.linalg.norm(full) - 1) <= 1e-12 and np.all(full > 0)
+    assert np.linalg.norm(dense_matrix(op) @ full - top * full) <= 1e-5 * top
+
+
+def test_fold_round_trip():
+    # _fold keeps the 2-norm of an even vector, and _unfold inverts it
+    rng = np.random.default_rng(4)
+    for dim in (1, 3, 25):
+        x = rng.random(dim)
+        x = x + x[::-1]
+        z = _fold(x)
+        assert z.shape == ((dim + 1) // 2,)
+        assert abs(np.linalg.norm(z) - np.linalg.norm(x)) <= 1e-14 * np.linalg.norm(x)
+        assert np.allclose(_unfold(z), x, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("case", FOLD_CASES, ids=fold_case_id)
+def test_prolong_keeps_even_vectors_even(case):
+    # the warm start's fold is safe: an even vector maps to an even one, and
+    # a folded vector maps to the fold of the full map
+    kind, m, h = case
+    rng = np.random.default_rng(7)
+    for src in (1, 2, 4):
+        old = make_operator(kind, src, m)
+        x = rng.random(old.dim) + 0.5
+        x = x + x[::-1]
+        y = make_operator(kind, h, m).prolong(x, src)
+        assert np.allclose(y, y[::-1], rtol=1e-14, atol=0), (kind, src)
+        z = make_operator(kind, h, m).prolong(_fold(x), src)
+        assert z.shape == ((y.size + 1) // 2,)
+        assert np.allclose(z, _fold(y), rtol=1e-14, atol=0), (kind, src)
+
+
+def test_fold_int64_wraps_exactly():
+    # the folded int64 path wraps modulo 2^64, so it is exact whenever its
+    # outputs fit, even when a running sum does not: on band(3) the even
+    # vector (M, M, -M, -M, -M, M, M) has running sum 2M at its second state
+    big = int(np.iinfo(np.int64).max)
+    op = BandOperator(3)
+    xs = [big, big, -big, -big]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = op._fold_apply(np.array(xs, dtype=np.int64), 1).tolist()
+    assert y == op._fold_apply(np.array(xs, dtype=object), 1).tolist() \
+        == [0, -big, 0, big]

@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="auto")
     sp.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET,
                     help="cells of the largest elimination table (brute) or "
-                         "prefix lattice (strip), at least 1")
+                         "of each folded lattice buffer (strip), at least 1")
 
     sp = sub.add_parser(
         "ehrhart", parents=[common], help="fit the counting polynomial",

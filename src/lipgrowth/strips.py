@@ -36,10 +36,10 @@ it (the block decomposition of a representation by a symmetry group:
 Serre, Linear Representations of Finite Groups, 1977, section 2.6).  The
 eigen-solve works in sqrt(orbit)-scaled coordinates, where the folded
 operator is symmetric, and the strip DP on plain representative values;
-a full vector is applied as its even and odd parts.  One code path serves
+those are the only vectors an operator takes.  One code path serves
 spectra (float) and exact counts (int64 while a bound on every output
-fits, Python ints above), and the state budget bounds the cells of the
-full lattice before anything is allocated.
+fits, Python ints above), and the state budget bounds the cells of an
+operator's lattice buffers before anything is allocated.
 """
 from __future__ import annotations
 
@@ -74,6 +74,12 @@ def _unfold(z: np.ndarray) -> np.ndarray:
     return np.concatenate([v, v[-2::-1]])
 
 
+def _folded_ones(half: int) -> np.ndarray:
+    """``_fold`` of the all-ones vector on 2 half - 1 states, the cold
+    start of the eigen-solve."""
+    return _fold(np.ones(2 * half - 1))
+
+
 class FreeStripOperator:
     """Transfer over m free rows; states are within-column difference vectors.
 
@@ -94,24 +100,23 @@ class FreeStripOperator:
     inside the lattice, so no window wraps.  Every window is a running-sum
     difference, so one apply costs O(cells), and the last one is taken only
     at the states: y(V) = R[hi] - R[lo] for the running sum R along the last
-    window's axis.  ``state_budget`` bounds ``cells``, the size of that
-    padded lattice, before anything is allocated.
+    window's axis.
 
     The lattice is folded.  Negating a state reverses both its index and its
     site, and W commutes with it, so W maps even vectors (x(-U) = x(U)) to
-    even ones and odd to odd.  ``_fold_apply`` takes the values of such a
-    vector at the orbit representatives, the first ``half`` = (dim + 1)/2
-    states, and keeps only the flat prefix of the lattice up to the end of
-    the leading axis's centre slab.  Windows along the other axes run on it
-    unchanged; a window whose reach crosses the centre reads a reflected
-    copy of the cells below the centre (negated for an odd vector) appended
-    after it: h slabs for the leading axis, up to the last state's h-th
-    diagonal step for the diagonal.  The two buffers that hold it are kept,
-    one pair per dtype, for the operator's lifetime.
+    even ones.  ``_fold_apply`` takes the values of such a vector at the
+    orbit representatives, the first ``half`` = (dim + 1)/2 states, and
+    keeps only the flat prefix of the lattice up to the end of the leading
+    axis's centre slab.  Windows along the other axes run on it unchanged;
+    a window whose reach crosses the centre reads a reflected copy of the
+    cells below the centre appended after it: h slabs for the leading axis,
+    up to the last state's h-th diagonal step for the diagonal.  The two
+    buffers that hold it, ``buffer_cells`` each, are kept, one pair per
+    dtype, for the operator's lifetime; ``state_budget`` bounds
+    ``buffer_cells`` before anything is allocated.
 
-    ``apply`` and ``apply_exact`` take a vector of ``dim`` states, run as
-    its even and odd parts, or an even one folded to its ``half``
-    representatives and return the result in the same form: ``_fold``'s
+    ``apply`` and ``apply_exact`` take an even vector folded to its ``half``
+    representatives and return W x in the same form: ``_fold``'s
     sqrt(orbit)-scaled values for ``apply`` (the eigen-solve's vectors),
     plain values for ``apply_exact`` (the strip DP's).
 
@@ -139,14 +144,31 @@ class FreeStripOperator:
         strides = [math.prod(self._shape[k + 1:]) for k in range(axes)]
         self._step = 1 if self.pinned else max(sum(strides), 1)
         self._size = math.prod(self._shape)
-        self.cells = -(-self._size // self._step) * self._step
-        if self.cells > state_budget:
+        self.buffer_cells = 0
+        if axes:
+            self._slab = self._size // self._shape[0]
+            self._half_cells = (self._shape[0] // 2 + 1) * self._slab
+            # the leading axis's window reads h slabs past the half
+            self._fold_reach = self._half_cells + h * self._slab
+            # the last window's running sum reaches every representative's
+            # ``_hi`` cell: h diagonal steps past the centre state's step
+            # (free), h slabs past the half (pinned, one axis), or the half
+            # (pinned, the last axis innermost)
+            if not self.pinned:
+                self._last = (self._size // 2 // self._step + h + 1) * self._step
+            elif axes == 1:
+                self._last = self._fold_reach
+            else:
+                self._last = self._half_cells
+            self.buffer_cells = max(self._fold_reach, self._last)
+        if self.buffer_cells > state_budget:
             raise ResourceLimitError(
-                f"prefix lattice of {self.cells} cells exceeds budget {state_budget}")
+                f"folded lattice buffers of {self.buffer_cells} cells exceed "
+                f"budget {state_budget}")
         self._buffers: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
-        # Every step of _fold_apply is a copy, negation, add, subtract or
-        # multiply, which int64 arrays wrap modulo 2^64, so an int64 result
-        # is congruent to W x and equals it whenever each |(W x)_i| fits,
+        # Every step of _fold_apply is a copy, add, subtract or multiply,
+        # which int64 arrays wrap modulo 2^64, so an int64 result is
+        # congruent to W x and equals it whenever each |(W x)_i| fits,
         # however large the running sums grow on the way.  A weight is at
         # most 2h+1 (1 when pinned), so |(W x)_i| <= that times sum|x| over
         # all states (the folded lattice holds the full one's values): int64
@@ -167,36 +189,26 @@ class FreeStripOperator:
             return
         # A representative is scattered to whichever of its site and the
         # mirror site (size - 1 - site, its negation's) is not past the
-        # centre cell; ``_flip`` marks the mirrors, whose odd values negate.
+        # centre cell.
         rep = self._sites[:self.half]
         self._rep = np.minimum(rep, self._size - 1 - rep)
-        self._flip = self._rep != rep
-        self._slab = self._size // self._shape[0]
-        self._half_cells = (self._shape[0] // 2 + 1) * self._slab
-        # the leading axis's window reads h slabs past the half
-        self._fold_reach = self._half_cells + h * self._slab
         # The last window (the last box axis when pinned, else the diagonal
         # as the leading axis of rows of one step) at coordinate j of n is
         # run[min(j + h, n - 1)] - run[j - h - 1], the second term only
         # where j > h; hi and lo index those two cells of the running sum at
-        # the representative sites, which it covers up to ``_last``.
+        # the representative sites.
         if self.pinned:
             stride, n = 1, self._shape[-1]
-            self._last = self._fold_reach if axes == 1 else self._half_cells
         else:
-            stride, n = self._step, self.cells // self._step
-            self._last = (self._size // 2 // stride + h + 1) * stride
+            stride, n = self._step, -(-self._size // self._step)
         j = self._rep // stride % n
         self._hi = self._rep + (np.minimum(j + h, n - 1) - j) * stride
         self._has_lo = j > h
         self._lo = np.where(self._has_lo, self._rep - (h + 1) * stride, 0)
 
-    def ones(self) -> np.ndarray:
-        return np.ones(self.dim)
-
     def prolong(self, x: np.ndarray, h: int) -> np.ndarray:
-        """``x``, a vector over the states of this kind and m at ``h`` or its
-        ``_fold``, interpolated onto this operator's states in the same form
+        """``x``, the ``_fold`` of an even vector over the states of this kind
+        and m at ``h``, interpolated onto this operator's states and folded
         (a warm start for the eigen-solve after a solve at ``h``).
 
         Each difference step d in [-h, h] sits at the midpoint coordinate
@@ -204,16 +216,14 @@ class FreeStripOperator:
         clamped at the ends, one gather-and-blend per axis.  A blend
         a + w (b - a) keeps a constant vector exact and a positive one
         positive, and a same-h map is the identity.  Each axis's map
-        commutes with negating t, so an even vector stays even, and a folded
-        one is unfolded, interpolated and folded again.  With no axis, or
-        from h = 0 (a one-point grid), it returns ``ones()``.
+        commutes with negating t, so the unfolded vector stays even and is
+        folded again.  With no axis, or from h = 0 (a one-point grid), it
+        returns the folded all-ones vector, the cold start.
         """
         axes = len(self._shape)
         if not axes or h == 0:
-            return self.ones()
-        folded = x.size != (2 * h + 1) ** axes
-        if folded:
-            x = _unfold(x)
+            return _folded_ones(self.half)
+        x = _unfold(x)
         # step d here (t = 2d/den) sits at source step d (2h+1)/den, i.e.
         # source index num/den; integers keep a same-h map exact
         den = 2 * self.h + 1
@@ -228,103 +238,75 @@ class FreeStripOperator:
             shape = [1] * axes
             shape[axis] = den
             y = a + w.reshape(shape) * (y.take(hi, axis) - a)
-        return _fold(y.ravel()) if folded else y.ravel()
+        return _fold(y.ravel())
 
-    def _reflect(self, buf: np.ndarray, start: int, stop: int,
-                 parity: int) -> None:
+    def _reflect(self, buf: np.ndarray, start: int, stop: int) -> None:
         """Fill ``buf[start:stop]``, past the centre cell, with the lattice's
-        values there: parity times those of the mirror cells below the
-        centre, and 0 past the lattice's end."""
+        values there: those of the mirror cells below the centre, and 0 past
+        the lattice's end."""
         end = min(stop, self._size)
-        seg = buf[start:end]
-        seg[...] = buf[self._size - end:self._size - start][::-1]
-        if parity < 0:
-            np.negative(seg, out=seg)
+        buf[start:end] = buf[self._size - end:self._size - start][::-1]
         buf[end:stop] = 0
 
-    def _fold_apply(self, v: np.ndarray, parity: int) -> np.ndarray:
-        """W x at the representatives, in the dtype of v, for the even
-        (``parity`` 1) or odd (-1, with v[-1] = 0) x whose representatives
-        hold the values v."""
+    def _fold_apply(self, v: np.ndarray) -> np.ndarray:
+        """W x at the representatives, in the dtype of v, for the even x
+        whose representatives hold the values v."""
         if not self._shape:
             return v * (2 * self.h + 1)
         if v.dtype not in self._buffers:
-            size = max(self._fold_reach, self._last)
-            self._buffers[v.dtype] = (np.zeros(size, dtype=v.dtype),
-                                      np.zeros(size, dtype=v.dtype))
+            self._buffers[v.dtype] = (
+                np.zeros(self.buffer_cells, dtype=v.dtype),
+                np.zeros(self.buffer_cells, dtype=v.dtype))
         src, dst = self._buffers[v.dtype]
         half = self._half_cells
         src[:half] = 0
-        src[self._rep] = v if parity > 0 else np.where(self._flip, -v, v)
+        src[self._rep] = v
         # the centre slab holds both members of its orbits
-        self._reflect(src, self._size // 2 + 1, half, parity)
+        self._reflect(src, self._size // 2 + 1, half)
         for axis in range(len(self._shape) - self.pinned):
             stop = half
             if axis == 0:
                 stop = self._fold_reach
-                self._reflect(src, half, stop, parity)
+                self._reflect(src, half, stop)
             shape = (stop // self._slab,) + self._shape[1:]
             _window_sum(src[:stop].reshape(shape), self.h, axis,
                         dst[:stop].reshape(shape))
             src, dst = dst, src
-        self._reflect(src, half, self._last, parity)
+        self._reflect(src, half, self._last)
         rows = src[:self._last].reshape(
             -1, self._shape[-1] if self.pinned else self._step)
         _running_sum(rows, 1 if self.pinned else 0)
         # fancy indexing copies, so the result never aliases a buffer
         y = src[self._hi]
         np.subtract(y, src[self._lo], out=y, where=self._has_lo)
-        return y if parity > 0 else np.where(self._flip, -y, y)
-
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        """W x for a vector of ``dim`` states: in float, or for integers
-        (int64 or object) in int64 while exact and in Python ints above.
-
-        With R the state reversal, x + R x is even and x - R x odd, and both
-        stay integral: 2 W x = W(x + R x) + W(x - R x), whose two folded
-        results give W x at the representatives, and with the odd one
-        negated, R-reversed, at the other states."""
-        if x.dtype != float:
-            # sum|x + R x| and sum|x - R x| are at most 2 sum|x|
-            exact = 2 * sum(map(abs, x.tolist())) <= self._int64_cap
-            x = x.astype(np.int64 if exact else object)
-        r = x[::-1]
-        even = self._fold_apply(x[:self.half] + r[:self.half], 1)
-        odd = self._fold_apply(x[:self.half] - r[:self.half], -1)
-        y = np.concatenate([even + odd, (even - odd)[-2::-1]])
-        return y / 2 if x.dtype == float else y // 2
+        return y
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """W x for a vector of ``dim`` states, or for the ``_fold`` of an
-        even one, ``half`` long, whose result is folded too."""
+        """Folded W x for the ``_fold`` of an even vector x, ``half`` long."""
         x = np.asarray(x, dtype=float)
-        if x.shape == (self.dim,):
-            return self._apply(x)
         if x.shape != (self.half,):
-            raise ValueError(
-                f"expected vector of length {self.dim} or {self.half}")
+            raise ValueError(f"expected the half = {self.half} folded "
+                             f"values, got shape {x.shape}")
         # the representatives' plain values times sqrt 2: only the zero
         # state, whose orbit has one member, changes
         v = x.copy()
         v[-1] *= _SQRT2
-        y = self._fold_apply(v, 1)
+        y = self._fold_apply(v)
         y[-1] /= _SQRT2
         return y
 
     def apply_exact(self, xs: Sequence[int]) -> list[int]:
-        """Exact integer W x for ``dim`` states, or for an even vector's
-        plain values at its ``half`` representatives, whose result is folded
-        too: int64 while provably safe, else Python ints."""
-        if len(xs) == self.dim:
-            return self._apply(np.array(xs, dtype=object)).tolist()
+        """Exact integer W x at the ``half`` representatives, for an even
+        vector x given by its plain values there: int64 while provably safe,
+        else Python ints."""
         if len(xs) != self.half:
-            raise ValueError(
-                f"expected vector of length {self.dim} or {self.half}")
+            raise ValueError(f"expected the half = {self.half} folded "
+                             f"values, got {len(xs)}")
         # sum|x| over all states: each representative but the zero state
         # (the last) stands for two
         total = 2 * sum(map(abs, xs)) - abs(xs[-1])
         dtype = np.int64 if total <= self._int64_cap else object
-        return self._fold_apply(np.array(xs, dtype=dtype), 1).tolist()
+        return self._fold_apply(np.array(xs, dtype=dtype)).tolist()
 
     def normalized(self, eigenvalue: float) -> float:
         """Per-vertex growth scale lam^(1/m)/h (band, with m = 1: lam/h)."""
@@ -396,8 +378,8 @@ def top_eigenvalue(op: FreeStripOperator, tol: float = 1e-10,
                    max_iter: int = 10**5,
                    prev: SpectralEstimate | None = None) -> SpectralEstimate:
     """Dominant eigenvalue by a Lanczos solve (``power_iteration``) from
-    ``prev``'s Perron vector ``prolong``-ed to ``op``, or from
-    ``op.ones()`` when ``prev`` is None.
+    ``prev``'s Perron vector ``prolong``-ed to ``op``, or from the all-ones
+    vector when ``prev`` is None.
 
     The solve runs on folded vectors (``_fold``), the ``half`` orbit
     representatives in sqrt(orbit)-scaled coordinates, where the folded
@@ -412,7 +394,7 @@ def top_eigenvalue(op: FreeStripOperator, tol: float = 1e-10,
     Perron vector, and the returned ``vector`` is the folded unit Ritz
     vector with positive sum.
     """
-    x0 = (_fold(op.ones()) if prev is None
+    x0 = (_folded_ones(op.half) if prev is None
           else op.prolong(prev.vector, prev.h))
     lam, vec, residual, iters = power_iteration(op.apply, x0, tol, max_iter)
     return SpectralEstimate(op.kind, op.m, op.h, lam, op.normalized(lam),

@@ -1,12 +1,14 @@
 """Shared test utilities: random trees, edge additions and relabellings,
 degrees, exact counts at every node of a full Ehrhart fit, tiny-graph
 isomorphism, operator inspection tools (state indexing,
-free-strip weights from difference vectors, pinned-strip states, dense
-matrices), and the reference implementations the library is tested
-against: breadth-first component labels, the pruned depth-first count and
-the pinned counts it is checked against, the stepwise strip DP, a
+free-strip weights from difference vectors, pinned-strip states), and the
+reference implementations the library is tested against: breadth-first
+component labels, the pruned depth-first count and the pinned counts it is
+checked against, each strip operator's dense matrix straight from its rule
+and that matrix on even vectors, the stepwise strip DP, a
 one-skip-at-a-time Erdos-Renyi walk, the exhaustive independent-pair scan
 and the every-edge random-construction sampler."""
+import functools
 from collections import deque
 from itertools import accumulate, combinations, permutations, product
 from typing import Sequence
@@ -219,8 +221,7 @@ def top_row_pinned_2x3(h: int) -> dict[tuple[int, int], int]:
     every (w1, w2) with |w1| <= h and |w2 - w1| <= h: the free-strip(3) row
     sum (W 1) at the state (w1, w2 - w1), since the top row is one column
     and the bottom row the next.  Every other pin counts 0."""
-    op = FreeStripOperator(3, h)
-    sums = op.apply_exact([1] * op.dim)
+    sums = weight_matrix(3, h).sum(axis=1).tolist()
     return {(d1, d1 + d2): sums[state_index((d1, d2), h)]
             for d1 in range(-h, h + 1) for d2 in range(-h, h + 1)}
 
@@ -291,20 +292,66 @@ def prefix_sites(m: int, h: int, pinned: bool) -> list[int]:
     return sites
 
 
-def dense_matrix(op: FreeStripOperator) -> np.ndarray:
-    """Materialize a small operator column by column."""
-    return np.column_stack([op.apply(e) for e in np.eye(op.dim)])
+@functools.lru_cache(maxsize=None)
+def weight_matrix(m: int, h: int) -> np.ndarray:
+    """Free-strip(m) W in int64 (read-only), entry by entry from the weight
+    rule max(0, 2h+1 - spread(P(V) - P(U))) of ``free_strip_weight``: row V,
+    column U, both in state order."""
+    diffs = list(product(range(-h, h + 1), repeat=m - 1))
+    prefix = np.array([list(accumulate(d, initial=0)) for d in diffs])
+    delta = prefix[:, None, :] - prefix[None, :, :]
+    W = np.maximum(0, 2 * h + 1 - (delta.max(axis=2) - delta.min(axis=2)))
+    W.flags.writeable = False
+    return W
+
+
+def pinned_transition_matrix(m: int, h: int) -> tuple[list, np.ndarray]:
+    """Pinned-strip states and 0/1 matrix straight from the transition rule.
+
+    States are (y_1..y_m) with |y_1| <= h and |y_(i+1) - y_i| <= h, listed
+    lexicographically; z follows y iff |z_i - y_i| <= h for every row i.
+    """
+    states = [y for y in product(range(-m * h, m * h + 1), repeat=m)
+              if abs(y[0]) <= h
+              and all(abs(y[i + 1] - y[i]) <= h for i in range(m - 1))]
+    ys = np.array(states)
+    matrix = np.all(np.abs(ys[:, None, :] - ys[None, :, :]) <= h, axis=2)
+    return states, matrix.astype(float)
+
+
+def oracle_matrix(op: FreeStripOperator) -> np.ndarray:
+    """The operator's matrix in int64, straight from its rule and in its
+    state order: ``weight_matrix`` for free kinds (tent too), the
+    transition rule for pinned ones (band too)."""
+    if not op.pinned:
+        return weight_matrix(op.m, op.h)
+    states, matrix = pinned_transition_matrix(op.m, op.h)
+    index = {y: i for i, y in enumerate(states)}
+    perm = [index[y] for y in pinned_states(op)]
+    return matrix[np.ix_(perm, perm)].astype(np.int64)
+
+
+def fold_matrix(W: np.ndarray) -> np.ndarray:
+    """W on even vectors (x reversed = x), for a W that commutes with
+    reversing the state order: the half x half matrix F, half = (dim + 1)/2,
+    with F x[:half] = (W x)[:half].  An even x holds x[j] at state j and at
+    its mirror dim - 1 - j, so column j of F adds those two columns of W;
+    the centre state, the last of the half, is its own mirror."""
+    W = np.asarray(W)
+    half = (len(W) + 1) // 2
+    F = W[:half, :half].copy()
+    F[:, :-1] += W[:half, ::-1][:, :half - 1]
+    return F
 
 
 def strip_count_stepwise(m: int, n: int, h: int) -> int:
-    """Reference strip count 1^T W^(max(m, n) - 1) 1, one apply per column
-    over free-strip(min(m, n)) states, as the DP ran before it met in the
-    middle."""
-    op = FreeStripOperator(min(m, n), h)
-    xs = [1] * op.dim
+    """Reference strip count 1^T W^(max(m, n) - 1) 1, one dense product per
+    column in Python ints over free-strip(min(m, n)) states."""
+    W = weight_matrix(min(m, n), h).astype(object)
+    xs = np.ones(len(W), dtype=object)
     for _ in range(max(m, n) - 1):
-        xs = op.apply_exact(xs)
-    return sum(xs)
+        xs = W.dot(xs)
+    return int(sum(xs))
 
 
 def er_reference_edges(n: int, d: float, seed: int) -> set[tuple[int, int]]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from helpers import (dense_matrix, dfs_count, end_pinned_path4, full_counts,
+from helpers import (dfs_count, end_pinned_path4, full_counts, oracle_matrix,
                      random_tree, relabel, top_row_pinned_2x3, with_edge)
 from lipgrowth.cli import main as cli_main
 from lipgrowth.continuum import nystrom_top, solve_alpha
@@ -255,7 +255,7 @@ def _suite_w_symmetry():
     # negating a difference vector reverses its mixed-radix index, so
     # W(-u, -v) = W(u, v) reads as W equal to itself reversed on both axes
     for m, h in ((2, 2), (3, 1), (3, 2)):
-        W = dense_matrix(FreeStripOperator(m, h))
+        W = oracle_matrix(FreeStripOperator(m, h))
         assert np.array_equal(W, W.T)
         assert np.array_equal(W, W[::-1, ::-1])
 

@@ -5,7 +5,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import dense_matrix
 from lipgrowth.continuum import (kernel_limit, nystrom_top, solve_alpha,
                                  solve_beta)
 from lipgrowth.errors import ResourceLimitError
@@ -66,7 +65,7 @@ def test_kernel_table_matches_hand_built_solve():
     n, h = 17, 8
     for kernel, (make_op, root) in KERNEL_OPERATORS.items():
         op = make_op(h)
-        lam = power_iteration(op.apply, _fold(op.ones()), 1e-12)[0] \
+        lam = power_iteration(op.apply, _fold(np.ones(op.dim)), 1e-12)[0] \
             * (2.0 / n) ** op.m
         assert nystrom_top(kernel, n) == (root(lam) if root else lam), kernel
 
@@ -91,23 +90,28 @@ def test_kernel_ladders_warm_start():
 
 def test_kernel_invariants():
     # on the midpoint mesh of n = 2h+1 nodes the Nystrom matrices K(x, t) *
-    # step are the band and tent operators scaled by step^m
+    # step are the band and tent operators scaled by step^m, checked on
+    # even vectors, the ones the operators take
+    rng = np.random.default_rng(3)
     for h in (4, 8, 16):
         n = 2 * h + 1
         step = 2.0 / n
         dist = np.abs(nodes_of(n)[:, None] - nodes_of(n)[None, :])
         band = (dist <= 1.0) * step
         tent = (2.0 - dist) * step
-        assert np.max(np.abs(dense_matrix(BandOperator(h)) * step - band)) \
-            <= 1e-12
-        assert np.max(np.abs(dense_matrix(TentOperator(h)) * step ** 2
-                             - tent)) <= 1e-12
+        for _ in range(3):
+            x = rng.random(n)
+            x = _fold(x + x[::-1])
+            assert np.max(np.abs(BandOperator(h).apply(x) * step
+                                 - _fold(band @ _unfold(x)))) <= 1e-12
+            assert np.max(np.abs(TentOperator(h).apply(x) * step ** 2
+                                 - _fold(tent @ _unfold(x)))) <= 1e-12
 
 
 def perron_pair(op):
     """The operator's top eigenvalue and its eigenvector, unfolded and
     scaled to sup-norm 1, from the eigen-solve that ``nystrom_top`` runs."""
-    lam, vec, _, _ = power_iteration(op.apply, _fold(op.ones()), 1e-12)
+    lam, vec, _, _ = power_iteration(op.apply, _fold(np.ones(op.dim)), 1e-12)
     vec = _unfold(vec)
     return lam, vec / np.max(np.abs(vec))
 
@@ -122,7 +126,7 @@ def test_nystrom_band():
     assert lam * (2.0 / 2001) == band
     assert np.all(f > 0)
     assert np.max(np.abs(f - f[::-1])) <= 1e-6
-    assert np.max(np.abs(op.apply(f) - lam * f)) <= 1e-7 * lam
+    assert np.max(np.abs(op.apply(_fold(f)) - lam * _fold(f))) <= 1e-7 * lam
 
 
 def test_nystrom_tent():
@@ -162,20 +166,30 @@ def test_discrete_continuum_consistency():
     assert abs(tent_limit - math.sqrt(lam)) <= 1e-2
 
 
+def even_mesh(n, rng):
+    """A random function on the n x n mesh that negation, b[u, v] ->
+    b[-u, -v], keeps: even in the strip states, which it reverses."""
+    b = rng.random((n, n))
+    return b + b[::-1, ::-1]
+
+
+def strip_apply(op, b):
+    """The operator on the even function b over its states, unfolded."""
+    return _unfold(op.apply(_fold(b.ravel()))).reshape(b.shape)
+
+
 def pinned_pair_apply(b):
     """The zeta quadrature on the pinned strip: b[u, v] holds first-row
     value u and difference v, which is the C order of the strip's states."""
     n = b.shape[0]
-    op = PinnedStripOperator(2, n // 2)
-    return op.apply(b.ravel()).reshape(n, n) * (2.0 / n) ** 2
+    return strip_apply(PinnedStripOperator(2, n // 2), b) * (2.0 / n) ** 2
 
 
 def test_zeta_sweep_matches_naive_quadrature():
     n = 17
     step = 2.0 / n
     nodes = nodes_of(n)
-    rng = np.random.default_rng(1)
-    b = rng.random((n, n))
+    b = even_mesh(n, np.random.default_rng(1))
     naive = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
@@ -194,8 +208,7 @@ def test_psi_sweep_matches_naive_quadrature():
     n = 17
     step = 2.0 / n
     nodes = nodes_of(n)
-    rng = np.random.default_rng(2)
-    b = rng.random((n, n))
+    b = even_mesh(n, np.random.default_rng(2))
     naive = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
@@ -211,7 +224,7 @@ def test_psi_sweep_matches_naive_quadrature():
             naive[i, j] = acc * step ** 3
     # the offset-integrated quadrature is free-strip(3) on difference states
     op = FreeStripOperator(3, n // 2)
-    fast = op.apply(b.ravel()).reshape(n, n) * step ** 3
+    fast = strip_apply(op, b) * step ** 3
     assert np.max(np.abs(fast - naive)) <= 1e-12
 
 
@@ -224,13 +237,13 @@ def test_zeta_value_and_convergence():
 
 
 def test_zeta_eigenfunction_posteriori_checks():
-    # no symmetry is imposed by the solver; the converged Perron vector is
-    # checked afterwards on every state: strictly positive and invariant
-    # under full negation, which reverses the state order
+    # the solve runs on even vectors, so the Perron vector's invariance
+    # under full negation holds by construction; checked afterwards on every
+    # state: strictly positive, and an eigenvector of the folded operator
     op = PinnedStripOperator(2, 24)
-    _, vec, _, _ = power_iteration(op.apply, op.ones(), 1e-13)
-    assert np.all(vec > 0)
-    assert np.max(np.abs(vec - vec[::-1])) <= 1e-8
+    lam, vec, _, _ = power_iteration(op.apply, _fold(np.ones(op.dim)), 1e-13)
+    assert np.all(_unfold(vec) > 0)
+    assert np.linalg.norm(op.apply(vec) - lam * vec) <= 1e-5 * lam
 
 
 def test_zeta_cross_check_pinned_strip():

@@ -7,16 +7,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import dense_matrix
+from helpers import oracle_matrix
 from lipgrowth.errors import ConvergenceError
 from lipgrowth.iterate import (_BASIS_CAP, _bisect, _window_sum,
                                power_iteration)
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
-                              PinnedStripOperator, TentOperator)
+                              PinnedStripOperator, TentOperator, _fold,
+                              _unfold)
 
 
 def op_id(op):
     return f"{op.kind}-{op.m}-{op.h}"
+
+
+def ones(op):
+    """The folded all-ones vector, the cold start of the strip solves."""
+    return _fold(np.ones(op.dim))
 
 
 DENSE_OPERATORS = [BandOperator(40), TentOperator(40),
@@ -28,8 +34,8 @@ DENSE_OPERATORS = [BandOperator(40), TentOperator(40),
 def test_solve_matches_dense_eigvalsh(op):
     # at tol 1e-10 the Ritz value is the top eigenvalue to rounding; an
     # estimate one step behind misses this bound
-    lam, vec, residual, iterations = power_iteration(op.apply, op.ones(), 1e-10)
-    top = np.linalg.eigvalsh(dense_matrix(op))[-1]
+    lam, vec, residual, iterations = power_iteration(op.apply, ones(op), 1e-10)
+    top = np.linalg.eigvalsh(oracle_matrix(op))[-1]
     assert abs(lam - top) <= 1e-13 * top
     assert residual <= 1e-10
     assert 2 <= iterations <= 20
@@ -41,24 +47,25 @@ def test_solve_matches_dense_eigvalsh(op):
 def test_solve_vector_is_unit_and_positive(op):
     # the premise of every warm start: the returned Ritz vector is a unit,
     # entrywise positive approximation of the Perron vector
-    lam, vec, _, _ = power_iteration(op.apply, op.ones(), 1e-10)
+    lam, vec, _, _ = power_iteration(op.apply, ones(op), 1e-10)
     assert abs(np.linalg.norm(vec) - 1) <= 1e-12
     assert np.all(vec > 0)
     assert np.linalg.norm(op.apply(vec) - lam * vec) <= 1e-4 * lam
     # a start of the other sign gives the same vector
-    neg, flipped, _, _ = power_iteration(op.apply, -op.ones(), 1e-10)
+    neg, flipped, _, _ = power_iteration(op.apply, -ones(op), 1e-10)
     assert neg == lam and np.array_equal(flipped, vec)
 
 
 def test_solve_breakdown_returns_exact_eigenvalue():
-    # from all-ones, BandOperator(1)'s Krylov space is the two-dimensional
-    # space of symmetric vectors: the second step spans an invariant
-    # subspace and returns its top eigenvalue, 1 + sqrt(2), with residual 0
-    lam, vec, residual, iterations = power_iteration(BandOperator(1).apply,
-                                                     np.ones(3), 1e-12)
+    # BandOperator(1) on even vectors is two-dimensional: from folded
+    # all-ones the second step spans the whole space and returns its top
+    # eigenvalue, 1 + sqrt(2), with residual 0
+    op = BandOperator(1)
+    lam, vec, residual, iterations = power_iteration(op.apply, ones(op), 1e-12)
     assert (residual, iterations) == (0.0, 2)
     assert abs(lam - (1 + math.sqrt(2))) <= 1e-15 * lam
-    assert np.allclose(vec, [0.5, math.sqrt(0.5), 0.5], rtol=0, atol=1e-15)
+    assert np.allclose(_unfold(vec), [0.5, math.sqrt(0.5), 0.5], rtol=0,
+                       atol=1e-15)
     # one state: the first step is already invariant
     assert power_iteration(lambda x: 3 * x, np.ones(1))[2:] == (0.0, 1)
 
@@ -114,21 +121,21 @@ def test_solve_argument_checks_and_errors():
     op = BandOperator(10)
     for tol in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
-            power_iteration(op.apply, op.ones(), tol)
+            power_iteration(op.apply, ones(op), tol)
     with pytest.raises(ValueError, match="max_iter must be at least 1"):
-        power_iteration(op.apply, op.ones(), 1e-10, 0)
+        power_iteration(op.apply, ones(op), 1e-10, 0)
     with pytest.raises(ValueError, match="nonzero"):
-        power_iteration(op.apply, np.zeros(op.dim))
+        power_iteration(op.apply, np.zeros(op.half))
     # one apply makes one estimate, so there is no residual to report
     with pytest.raises(ConvergenceError,
                        match="no second estimate was made") as err:
-        power_iteration(op.apply, op.ones(), 1e-10, 1)
+        power_iteration(op.apply, ones(op), 1e-10, 1)
     assert (err.value.residual, err.value.iterations) == (None, 1)
     with pytest.raises(ConvergenceError, match="last residual") as err:
-        power_iteration(op.apply, op.ones(), 1e-16, 2)
+        power_iteration(op.apply, ones(op), 1e-16, 2)
     assert err.value.residual > 1e-16 and err.value.iterations == 2
     with pytest.raises(ConvergenceError, match="annihilated"):
-        power_iteration(np.zeros_like, op.ones())
+        power_iteration(np.zeros_like, ones(op))
 
 
 def test_bisect():
@@ -228,7 +235,7 @@ def test_apply_leaves_input_unchanged(op):
     # power_iteration takes dot(q, apply(q)) and keeps q in its basis: an
     # apply that wrote into q would corrupt every eigenvalue
     rng = np.random.default_rng(3)
-    x = op.ones() * rng.random(op.ones().shape)
+    x = rng.random(op.half)
     before = x.copy()
     y = op.apply(x)
     assert np.array_equal(x, before)
@@ -247,7 +254,7 @@ def test_apply_leaves_input_unchanged(op):
 
 @pytest.mark.parametrize("op", APPLY_OPERATORS, ids=lambda op: f"{op.kind}-{op.m}")
 def test_apply_exact_leaves_input_unchanged(op):
-    for xs in ([1] * op.dim, [2**70 + k for k in range(op.dim)]):
+    for xs in ([1] * op.half, [2**70 + k for k in range(op.half)]):
         before = list(xs)
         y = op.apply_exact(xs)
         assert xs == before

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (dense_matrix, free_strip_weight, index_state,
-                     pinned_states, prefix_sites, state_index,
-                     strip_count_stepwise)
+from helpers import (fold_matrix, free_strip_weight, index_state,
+                     oracle_matrix, pinned_states, pinned_transition_matrix,
+                     prefix_sites, state_index, strip_count_stepwise,
+                     weight_matrix)
 from lipgrowth.counting import count
-from lipgrowth.errors import ConvergenceError, ResourceLimitError
+from lipgrowth.errors import DEFAULT_BUDGET, ConvergenceError, ResourceLimitError
 from lipgrowth.graphs import make_grid
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
                               PinnedStripOperator, TentOperator, _fold,
@@ -24,6 +25,24 @@ from lipgrowth.strips import (BandOperator, FreeStripOperator,
 
 BETA = 1.0 / math.atan(0.75)
 ALPHA_SQRT2 = 1.6437967
+
+
+def even(v):
+    """The even vector (x reversed = x) whose first (dim + 1)/2 entries,
+    the orbit representatives, are v: a list (of Python ints, kept exact)
+    for a list, an array for an array."""
+    if isinstance(v, list):
+        return v + v[-2::-1]
+    return np.concatenate([v, v[-2::-1]])
+
+
+def folded_exact(op):
+    """The operator on even vectors in Python ints: column j is
+    ``apply_exact`` of the even indicator of representative j, so it equals
+    ``fold_matrix`` of the operator's W."""
+    return np.array([op.apply_exact(e) for e in
+                     np.eye(op.half, dtype=np.int64).tolist()],
+                    dtype=object).T
 
 
 def test_state_index_round_trip():
@@ -57,10 +76,26 @@ def test_weight_matches_offset_enumeration():
 
 
 def test_band_apply_examples():
+    # W 1 = (2, 3, 2), at the representatives (2, 3)
     b = BandOperator(1)
-    assert np.allclose(b.apply(np.ones(3)), [2, 3, 2])
+    assert b.apply_exact([1, 1]) == [2, 3]
+    assert np.allclose(b.apply(_fold(np.ones(3))), _fold(np.array([2., 3, 2])))
     with pytest.raises(ValueError):
         b.apply(np.ones(4))
+
+
+@pytest.mark.parametrize("kind, m, h", [("band", None, 1), ("tent", None, 2),
+                                        ("free-strip", 3, 1),
+                                        ("pinned-strip", 2, 1)])
+def test_apply_takes_only_the_folded_form(kind, m, h):
+    # a vector over all dim > 1 states is refused by both applies, and the
+    # message names the folded length
+    op = make_operator(kind, h, m)
+    assert op.dim > 1
+    with pytest.raises(ValueError, match=f"half = {op.half}"):
+        op.apply(np.ones(op.dim))
+    with pytest.raises(ValueError, match=f"half = {op.half}"):
+        op.apply_exact([1] * op.dim)
 
 
 def test_tent_apply_matches_direct_matrix():
@@ -69,32 +104,40 @@ def test_tent_apply_matches_direct_matrix():
         dim = 2 * h + 1
         direct = np.array([[2 * h + 1 - abs(i - j) for j in range(dim)]
                            for i in range(dim)], dtype=float)
-        x = np.arange(dim, dtype=float) + 0.5
-        assert np.allclose(op.apply(x), direct @ x)
+        x = np.abs(np.arange(dim) - h) + 0.5
+        assert np.allclose(op.apply(_fold(x)), _fold(direct @ x))
 
 
 def test_free_strip2_equals_tent_entries():
     for h in (1, 2, 3):
-        W = dense_matrix(FreeStripOperator(2, h))
+        tent = np.array([[2 * h + 1 - abs(u - v) for u in range(-h, h + 1)]
+                         for v in range(-h, h + 1)])
         for u in range(-h, h + 1):
             for v in range(-h, h + 1):
                 assert free_strip_weight(h, (u,), (v,)) == 2 * h + 1 - abs(u - v)
-                assert W[v + h, u + h] == 2 * h + 1 - abs(u - v)
+        assert np.array_equal(weight_matrix(2, h), tent)
+        assert np.array_equal(folded_exact(FreeStripOperator(2, h)),
+                              fold_matrix(tent))
 
 
 def test_pinned_strip1_equals_band():
     for h in (1, 2, 3):
-        assert np.array_equal(dense_matrix(PinnedStripOperator(1, h)),
-                              dense_matrix(BandOperator(h)))
+        band = np.array([[int(abs(i - j) <= h) for j in range(2 * h + 1)]
+                         for i in range(2 * h + 1)])
+        assert np.array_equal(folded_exact(PinnedStripOperator(1, h)),
+                              fold_matrix(band))
+        assert np.array_equal(folded_exact(BandOperator(h)), fold_matrix(band))
 
 
 def test_w_symmetry():
     for m in (2, 3):
         for h in (1, 2):
             states = list(itertools.product(range(-h, h + 1), repeat=m - 1))
-            for u in states:
-                for v in states:
+            W = weight_matrix(m, h)
+            for j, u in enumerate(states):
+                for i, v in enumerate(states):
                     w = free_strip_weight(h, u, v)
+                    assert W[i, j] == w
                     assert w == free_strip_weight(h, v, u)
                     neg_u = tuple(-d for d in u)
                     neg_v = tuple(-d for d in v)
@@ -119,11 +162,14 @@ def test_strip_count_big_integers():
 
 
 def test_free_strip_matrix_symmetric():
-    # the premise of the meet-in-the-middle strip DP: W = W^T
+    # the premise of the meet-in-the-middle strip DP: W = W^T, and the
+    # operator is W on even vectors
     for m in range(1, 5):
         for h in range(4):
-            W = dense_matrix(FreeStripOperator(m, h))
+            W = weight_matrix(m, h)
             assert np.array_equal(W, W.T), (m, h)
+            assert np.array_equal(folded_exact(FreeStripOperator(m, h)),
+                                  fold_matrix(W)), (m, h)
 
 
 def test_strip_count_meets_stepwise_oracle():
@@ -162,12 +208,22 @@ def test_state_budget():
         FreeStripOperator(4, 10, state_budget=1000)
     with pytest.raises(ResourceLimitError):
         strip_count_exact(5, 5, 3, state_budget=100)
-    # the budget counts the padded prefix lattice, not the 25 states
+    # the budget counts the cells of each of the two folded lattice
+    # buffers, not the 25 states nor the 9 x 13 padded prefix lattice
     op = FreeStripOperator(3, 2)
-    assert op.dim == 25 and op.cells >= 9 * 13
+    assert op.dim < op.buffer_cells < 9 * 13
     with pytest.raises(ResourceLimitError):
-        FreeStripOperator(3, 2, state_budget=op.cells - 1)
-    assert FreeStripOperator(3, 2, state_budget=op.cells).cells == op.cells
+        FreeStripOperator(3, 2, state_budget=op.buffer_cells - 1)
+    assert FreeStripOperator(3, 2, state_budget=op.buffer_cells) \
+        .buffer_cells == op.buffer_cells
+    # the top node of a 4x20 strip fit: its buffers fit the default budget,
+    # though its padded lattice would not (constructed, never applied)
+    op = FreeStripOperator(4, 40)
+    assert op.buffer_cells == 7_799_001 < DEFAULT_BUDGET < op._size
+    with pytest.raises(ResourceLimitError, match=f"{op.buffer_cells} cells"):
+        FreeStripOperator(4, 40, state_budget=op.buffer_cells - 1)
+    # with no axis there is no buffer
+    assert FreeStripOperator(1, 10**6, state_budget=1).buffer_cells == 0
 
 
 def test_strip_count_transpose():
@@ -184,25 +240,18 @@ WEIGHT_ORACLE_CASES = [(1, h) for h in range(4)] + [(2, h) for h in range(4)] \
     + [(5, h) for h in range(2)]
 
 
-@functools.lru_cache(maxsize=None)
-def weight_matrix(m, h):
-    """Dense W built entry by entry from free_strip_weight (Python ints)."""
-    states = list(itertools.product(range(-h, h + 1), repeat=m - 1))
-    return tuple(tuple(free_strip_weight(h, u, v) for u in states)
-                 for v in states)
-
-
-def dense_int_product(W, xs):
-    return [sum(w * x for w, x in zip(row, xs)) for row in W]
+def exact_product(W, x):
+    """W x in Python ints."""
+    return np.asarray(W).astype(object).dot(np.asarray(x, dtype=object)).tolist()
 
 
 def test_apply_matches_weight_oracle():
     for m, h in WEIGHT_ORACLE_CASES:
         op = FreeStripOperator(m, h)
         W = weight_matrix(m, h)
-        assert np.array_equal(dense_matrix(op), np.array(W, dtype=float)), (m, h)
-        assert op.apply_exact([1] * op.dim) == \
-            dense_int_product(W, [1] * op.dim), (m, h)
+        assert np.array_equal(folded_exact(op), fold_matrix(W)), (m, h)
+        assert op.apply_exact([1] * op.half) == \
+            exact_product(W, [1] * op.dim)[:op.half], (m, h)
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,16 +260,37 @@ def test_apply_weight_oracle_property(case, data):
     m, h = case
     op = FreeStripOperator(m, h)
     W = weight_matrix(m, h)
-    xs = data.draw(st.lists(st.integers(0, 2**70), min_size=op.dim,
-                            max_size=op.dim))
-    assert op.apply_exact(xs) == dense_int_product(W, xs)
-    xf = np.array(data.draw(st.lists(st.floats(0, 1e6), min_size=op.dim,
-                                     max_size=op.dim)))
-    expect = np.array(W, dtype=float) @ xf
+    xs = data.draw(st.lists(st.integers(0, 2**70), min_size=op.half,
+                            max_size=op.half))
+    assert op.apply_exact(xs) == exact_product(W, even(xs))[:op.half]
+    xf = even(np.array(data.draw(st.lists(st.floats(0, 1e6),
+                                          min_size=op.half,
+                                          max_size=op.half))))
+    expect = _fold(W @ xf)
     # cumulative-sum differences err relative to the largest partial sum,
     # (2h+1)^(m-1) * sum(x), not to each output entry
     scale = (2 * h + 1) ** (m - 1) * xf.sum()
-    assert np.max(np.abs(op.apply(xf) - expect)) <= 1e-12 * scale
+    assert np.max(np.abs(op.apply(_fold(xf)) - expect)) <= 1e-12 * scale
+
+
+def at_total(op, total):
+    """Nonnegative representative values whose even vector has
+    sum|x| = 2 sum(v) - v[-1] = total (the zero state, last, counts once)."""
+    v = [total // op.dim] * op.half
+    v[-1] += total - (2 * sum(v) - v[-1])
+    return v
+
+
+def assert_int64_boundary(op):
+    """``apply_exact`` runs in int64 while the even vector's sum|x| is at
+    most the cap and in Python ints one past it, exact both ways: a fresh
+    operator allocates only the buffers of the dtype it ran in."""
+    W = oracle_matrix(op)
+    for total, dtype in ((op._int64_cap, np.int64), (op._int64_cap + 1, object)):
+        v = at_total(op, total)
+        fresh = make_operator(op.kind, op.h, op.m)
+        assert fresh.apply_exact(v) == exact_product(W, even(v))[:op.half]
+        assert list(fresh._buffers) == [np.dtype(dtype)], (op.kind, total)
 
 
 def test_int64_guard_edge():
@@ -228,35 +298,39 @@ def test_int64_guard_edge():
     # divides by the largest weight, 2h+1, whatever the number of rows
     assert FreeStripOperator(1, 3)._int64_cap == np.iinfo(np.int64).max // 7
     op = FreeStripOperator(3, 1)
-    W = weight_matrix(3, 1)
     cap = op._int64_cap
     assert cap == np.iinfo(np.int64).max // 3
+    assert_int64_boundary(op)
     # int64 at the cap, Python ints above it, and back again: the operator
     # keeps one buffer pair per dtype
+    W = weight_matrix(3, 1)
     for total in (cap, cap + 1, cap, cap + 1):
-        xs = [total // op.dim] * op.dim
-        xs[0] += total - sum(xs)
-        assert sum(xs) == total
-        y = op.apply_exact(xs)   # int64 at the cap, Python ints above it
-        assert y == dense_int_product(W, xs)
-        assert y == op._apply(np.array(xs, dtype=object)).tolist()
-    # signed vectors with sum|x| at the cap of each kind: the int64 path
-    # agrees with Python ints and raises no overflow warning
+        v = at_total(op, total)
+        assert op.apply_exact(v) == exact_product(W, even(v))[:op.half]
+    assert len(op._buffers) == 2
+    # signed even vectors with sum|x| at the cap of each kind: the int64
+    # path agrees with Python ints and raises no overflow warning
     rng = np.random.default_rng(0)
     for other in (FreeStripOperator(1, 3), FreeStripOperator(2, 2), op,
                   FreeStripOperator(4, 1), TentOperator(3), BandOperator(3),
                   PinnedStripOperator(2, 2)):
         top = other._int64_cap
+        F = fold_matrix(oracle_matrix(other))
         for _ in range(6):
-            cuts = sorted(rng.integers(0, top, other.dim - 1).tolist())
-            parts = map(operator.sub, [*cuts, top], [0, *cuts])
-            signs = rng.choice([-1, 1], other.dim).tolist()
+            # sum|x| = 2 sum|v| - |v[-1]|: the zero state (the last) counts
+            # once, so it takes top - 2 rest and the others split rest
+            rest = int(rng.integers(0, top // 2 + 1)) if other.half > 1 else 0
+            cuts = sorted(rng.integers(0, rest + 1,
+                                       max(other.half - 2, 0)).tolist())
+            parts = list(map(operator.sub, [*cuts, rest], [0, *cuts]))
+            parts = parts[:other.half - 1] + [top - 2 * rest]
+            signs = rng.choice([-1, 1], other.half).tolist()
             xs = list(map(operator.mul, parts, signs))
-            assert sum(map(abs, xs)) == top
+            assert 2 * sum(map(abs, xs)) - abs(xs[-1]) == top
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 y = other.apply_exact(xs)
-            assert y == other._apply(np.array(xs, dtype=object)).tolist()
+            assert y == exact_product(F, xs)
     # a strip DP whose totals cross the cap between two steps
     k = 1
     while strip_count_exact(3, k + 1, 1) <= cap:
@@ -269,7 +343,7 @@ def test_band_eigenvalue_h1():
     est = top_eigenvalue(BandOperator(1), tol=1e-12)
     assert est.eigenvalue == pytest.approx(1 + math.sqrt(2), abs=1e-9)
     # independent check: direct dense eigensolve
-    dense = np.linalg.eigvalsh(dense_matrix(BandOperator(1)))
+    dense = np.linalg.eigvalsh(oracle_matrix(BandOperator(1)))
     assert est.eigenvalue == pytest.approx(dense.max(), abs=1e-9)
     assert est.residual <= 1e-12
     assert est.eigenvalue > 0
@@ -278,7 +352,7 @@ def test_band_eigenvalue_h1():
 def test_tent_eigenvalue_h1():
     est = top_eigenvalue(TentOperator(1), tol=1e-12)
     assert est.eigenvalue == pytest.approx((7 + math.sqrt(33)) / 2, abs=1e-9)
-    dense = np.linalg.eigvalsh(dense_matrix(TentOperator(1)))
+    dense = np.linalg.eigvalsh(oracle_matrix(TentOperator(1)))
     assert est.eigenvalue == pytest.approx(dense.max(), abs=1e-9)
 
 
@@ -304,36 +378,19 @@ def test_pinned_strip_dense_matches_transition_rule():
         assert sorted(order) == states, (m, h)
         assert len(states) == op.dim
         perm = [states.index(y) for y in order]
-        assert np.array_equal(dense_matrix(op), matrix[np.ix_(perm, perm)]), (m, h)
+        W = matrix[np.ix_(perm, perm)].astype(np.int64)
+        assert np.array_equal(folded_exact(op), fold_matrix(W)), (m, h)
 
 
 def test_pinned_apply_exact_at_int64_cap():
     # pinned weights are 0 or 1, so the int64 cap is int64 max itself;
-    # int64 runs at the cap and Python ints just above it
+    # int64 runs at the cap and Python ints just above it (an int64 run
+    # whose running sums pass the cap: test_fold_int64_wraps_exactly)
     for m, h in ((1, 1), (2, 1), (2, 2), (3, 1)):
         op = PinnedStripOperator(m, h)
-        cap = op._int64_cap
-        assert cap == np.iinfo(np.int64).max, (m, h)
-        states, matrix = pinned_transition_matrix(m, h)
-        perm = [states.index(y) for y in pinned_states(op)]
-        W = matrix[np.ix_(perm, perm)].astype(int).tolist()
-        for total in (cap, cap + 1, cap, cap + 1):
-            xs = [total // op.dim + k for k in range(op.dim)]
-            xs[0] += total - sum(xs)
-            assert sum(xs) == total
-            assert op.apply_exact(xs) == dense_int_product(W, xs), (m, h)
-    # int64 arrays wrap modulo 2^64, so an int64 apply is exact whenever its
-    # outputs fit, even when a running sum does not: here one reaches 2M.
-    # A full vector runs as doubled even and odd parts, which would not fit,
-    # so _apply takes this one in Python ints; test_fold_int64_wraps_exactly
-    # runs the folded int64 path on such a vector
-    big = int(np.iinfo(np.int64).max)
-    xs = [big, big, -big, -big, big]
-    assert max(itertools.accumulate(xs)) > big
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        y = BandOperator(2)._apply(np.array(xs, dtype=np.int64)).tolist()
-    assert y == [big, 0, big, 0, -big] == BandOperator(2).apply_exact(xs)
+        assert op._int64_cap == np.iinfo(np.int64).max, (m, h)
+        assert_int64_boundary(op)
+    assert_int64_boundary(BandOperator(2))
 
 
 def test_pinned_strip_eigenvalue_matches_dense():
@@ -347,7 +404,7 @@ def test_pinned_strip_eigenvalue_matches_dense():
 def test_free_strip3_eigenvalue_matches_dense():
     op = FreeStripOperator(3, 2)
     est = top_eigenvalue(op, tol=1e-12)
-    dense = np.linalg.eigvalsh(dense_matrix(op))
+    dense = np.linalg.eigvalsh(oracle_matrix(op))
     assert est.eigenvalue == pytest.approx(dense.max(), rel=1e-9)
 
 
@@ -368,48 +425,54 @@ def test_non_convergence_error():
 
 
 def test_prolong_premises():
-    # the warm start of a solve on an h ladder: all-ones maps to all-ones
-    # exactly, a positive vector to a positive one (so the start keeps its
-    # overlap with the Perron vector), a same-h map is the identity, and the
-    # length is the new state count
+    # the warm start of a solve on an h ladder, on folded vectors: all-ones
+    # maps to all-ones exactly, a positive vector to a positive one (so the
+    # start keeps its overlap with the Perron vector), a same-h map is the
+    # identity on the unfolded vector, and the length is the new half
     rng = np.random.default_rng(5)
     for kind, m in (("band", 1), ("tent", 2), ("free-strip", 3),
                     ("free-strip", 4), ("pinned-strip", 2),
                     ("pinned-strip", 3)):
         for src, dst in ((1, 3), (3, 2), (2, 5), (4, 4)):
             old, new = make_operator(kind, src, m), make_operator(kind, dst, m)
-            assert np.array_equal(new.prolong(old.ones(), src), new.ones())
-            x = rng.random(old.dim) + 1e-3
+            assert np.array_equal(new.prolong(_fold(np.ones(old.dim)), src),
+                                  _fold(np.ones(new.dim)))
+            x = rng.random(old.half) + 1e-3
             y = new.prolong(x, src)
-            assert y.shape == (new.dim,), (kind, m, src, dst)
+            assert y.shape == (new.half,), (kind, m, src, dst)
             assert np.all(y > 0), (kind, m, src, dst)
-            assert np.array_equal(old.prolong(x, src), x), (kind, m, src)
-    # no axis (one free row), or a one-point source grid: all-ones
+            assert np.array_equal(old.prolong(x, src), _fold(_unfold(x))), \
+                (kind, m, src)
+    # no axis (one free row), or a one-point source grid: the folded
+    # all-ones cold start, half long
     assert np.array_equal(FreeStripOperator(1, 4).prolong(np.full(1, 2.0), 2),
                           np.ones(1))
-    assert np.array_equal(PinnedStripOperator(2, 3).prolong(np.full(1, 2.0), 0),
-                          np.ones(49))
+    op = PinnedStripOperator(2, 3)
+    y = op.prolong(np.full(1, 2.0), 0)
+    assert y.shape == (op.half,) == (25,)
+    assert np.array_equal(y, _fold(np.ones(op.dim)))
 
 
 def test_prolong_interpolates_on_midpoint_coordinates():
-    # a vector affine in the midpoint coordinates t = d/(h + 1/2) of its
-    # difference steps (d_1, d_2), in C order, is reproduced where the new
-    # grid lies inside the old one and held at the edge value beyond it
+    # a vector bilinear in the midpoint coordinates t = d/(h + 1/2) of its
+    # difference steps (d_1, d_2), in C order, and even, is reproduced where
+    # the new grid lies inside the old one and held at the edge value
+    # beyond it
     def coords(h):
         return np.arange(-h, h + 1) / (h + 0.5)
 
-    def affine(t1, t2):
-        return 3 + t1 - 2 * t2
+    def bilinear(t1, t2):
+        return 3 + t1 * t2
 
     for make in (functools.partial(PinnedStripOperator, 2),
                  functools.partial(FreeStripOperator, 3)):
         for src, dst in ((3, 5), (5, 2)):
             ts = coords(src)
-            x = affine(ts[:, None], ts[None, :]).ravel()
+            x = bilinear(ts[:, None], ts[None, :]).ravel()
             td = np.clip(coords(dst), ts[0], ts[-1])
-            expect = affine(td[:, None], td[None, :]).ravel()
-            y = make(dst).prolong(x, src)
-            assert np.max(np.abs(y - expect)) <= 1e-12, (make, src, dst)
+            expect = bilinear(td[:, None], td[None, :]).ravel()
+            y = make(dst).prolong(_fold(x), src)
+            assert np.max(np.abs(y - _fold(expect))) <= 1e-12, (make, src, dst)
 
 
 def test_warm_start_matches_cold_solve():
@@ -496,11 +559,15 @@ def test_rayleigh_below_top_eigenvalue():
 
 
 def test_rayleigh_numerator_is_two_column_count():
-    # 1^T W 1, summed over the operator's states, counts the two-column strip
+    # 1^T W 1 counts the two-column strip: summed over W's entries, and
+    # over the operator's W 1 at the representatives, each but the zero
+    # state (the last) standing for two states
     for m, h in ((2, 1), (2, 2), (3, 1)):
         op = FreeStripOperator(m, h)
-        assert _rayleigh(m, h) == Fraction(sum(op.apply_exact([1] * op.dim)),
+        y = op.apply_exact([1] * op.half)
+        assert _rayleigh(m, h) == Fraction(int(weight_matrix(m, h).sum()),
                                            op.dim)
+        assert _rayleigh(m, h) == Fraction(2 * sum(y) - y[-1], op.dim)
 
 
 def test_growth_ratio_sandwich():
@@ -538,17 +605,6 @@ def test_normalization_rules():
         BandOperator(0).normalized(1.0)
 
 
-def oracle_matrix(op):
-    """The operator's matrix in Python ints, straight from its weight rule
-    and in its state order: ``weight_matrix`` for free kinds (tent too),
-    the transition rule for pinned ones (band too)."""
-    if not op.pinned:
-        return weight_matrix(op.m, op.h)
-    states, matrix = pinned_transition_matrix(op.m, op.h)
-    perm = [states.index(y) for y in pinned_states(op)]
-    return tuple(map(tuple, matrix[np.ix_(perm, perm)].astype(int).tolist()))
-
-
 WARM_CASES = [(kind, m, h) for h in range(4)
               for kind, ms in (("free-strip", (1, 2, 3, 4)),
                                ("pinned-strip", (1, 2, 3)),
@@ -571,19 +627,21 @@ def test_warm_buffers_match_fresh_operator(kind, m, h):
     W = oracle_matrix(op)
     rng = np.random.default_rng(10 * h + (m or 0))
     for step in range(7):
-        ints = rng.integers(-9, 10, op.dim).tolist()
+        ints = rng.integers(-9, 10, op.half).tolist()
         fresh = make_operator(kind, h, m)
         if step % 3 == 0:
-            # quarters: every sum is exact in float, in any order
-            x = np.asarray(ints) / 4
-            y = op.apply(x)
-            assert np.array_equal(y, fresh.apply(x)), step
-            assert y.tolist() == [v / 4 for v in dense_int_product(W, ints)]
+            x = even(np.array(ints)) / 4
+            y = op.apply(_fold(x))
+            assert np.array_equal(y, fresh.apply(_fold(x))), step
+            assert np.allclose(y, _fold(W @ x), rtol=0,
+                               atol=1e-13 * op.dim * np.abs(x).sum())
         else:
             xs = ints if step % 3 == 1 else [2**70 + v for v in ints]
-            assert (sum(map(abs, xs)) > op._int64_cap) == (step % 3 == 2)
+            total = 2 * sum(map(abs, xs)) - abs(xs[-1])
+            assert (total > op._int64_cap) == (step % 3 == 2)
             y = op.apply_exact(xs)
-            assert y == fresh.apply_exact(xs) == dense_int_product(W, xs), step
+            assert y == fresh.apply_exact(xs), step
+            assert y == exact_product(W, even(xs))[:op.half], step
     assert len(op._buffers) == (3 if op._shape else 0)
 
 
@@ -597,13 +655,6 @@ def fold_case_id(case):
     return f"{kind}-{m}-{h}"
 
 
-def parity_vector(rng, dim, parity, high=10):
-    """A random integer vector with x reversed = parity * x (0 at the
-    centre state when odd)."""
-    x = rng.integers(-high, high + 1, dim)
-    return x + parity * x[::-1]
-
-
 @pytest.mark.parametrize("case", FOLD_CASES, ids=fold_case_id)
 def test_w_commutes_with_state_reversal(case):
     # the premise of the fold: negating a state reverses its index, and the
@@ -615,36 +666,33 @@ def test_w_commutes_with_state_reversal(case):
 
 @pytest.mark.parametrize("case", FOLD_CASES, ids=fold_case_id)
 def test_fold_apply_matches_full_apply(case):
-    # on an even vector the folded lattice gives W x at the representatives,
-    # and on an odd one the odd half does; in float, int64 and Python ints
+    # on an even vector x the folded lattice gives W x at the
+    # representatives, in float, int64 and Python ints, as fold_matrix
+    # states it; apply takes and returns the sqrt(orbit)-scaled _fold
     kind, m, h = case
     op = make_operator(kind, h, m)
-    W = np.array(oracle_matrix(op), dtype=object)
+    W = oracle_matrix(op).astype(object)
+    F = fold_matrix(W)
     rng = np.random.default_rng(h + 10 * (m or 0))
-    for parity in (1, -1):
-        for _ in range(3):
-            x = parity_vector(rng, op.dim, parity)
-            y = W.dot(x.astype(object))
-            half = x[:op.half]
-            assert np.array_equal(y[::-1], parity * y)
-            got = op._fold_apply(half.astype(np.int64), parity)
-            assert got.dtype == np.int64 and got.tolist() == y[:op.half].tolist()
-            big = half.astype(object) * 2**70
-            assert op._fold_apply(big, parity).tolist() == \
-                (y[:op.half] * 2**70).tolist()
-            # quarters: every float sum is exact
-            got = op._fold_apply(half / 4, parity)
-            assert got.tolist() == [v / 4 for v in y[:op.half].tolist()]
-            assert op.apply(x / 4).tolist() == [v / 4 for v in y.tolist()]
-        # the folded forms of apply and apply_exact, on an even vector
-        if parity == 1:
-            assert op.apply_exact(half.tolist()) == y[:op.half].tolist()
-            assert op.apply_exact((big * 2).tolist()) == \
-                (y[:op.half] * 2**71).tolist()
-            xf = x.astype(float)
-            expect = _fold(y.astype(float))
-            assert np.max(np.abs(op.apply(_fold(xf)) - expect)) <= \
-                1e-13 * np.max(np.abs(expect))
+    for _ in range(3):
+        half = rng.integers(-10, 11, op.half)
+        x = even(half)
+        y = W.dot(x.astype(object))
+        assert np.array_equal(y[::-1], y)
+        assert F.dot(half.astype(object)).tolist() == y[:op.half].tolist()
+        got = op._fold_apply(half.astype(np.int64))
+        assert got.dtype == np.int64 and got.tolist() == y[:op.half].tolist()
+        big = half.astype(object) * 2**70
+        assert op._fold_apply(big).tolist() == (y[:op.half] * 2**70).tolist()
+        # quarters: every float sum is exact
+        got = op._fold_apply(half / 4)
+        assert got.tolist() == [v / 4 for v in y[:op.half].tolist()]
+        assert op.apply_exact(half.tolist()) == y[:op.half].tolist()
+        assert op.apply_exact((big * 2).tolist()) == \
+            (y[:op.half] * 2**71).tolist()
+        expect = _fold(y.astype(float))
+        assert np.max(np.abs(op.apply(_fold(x.astype(float))) - expect)) <= \
+            1e-13 * np.max(np.abs(expect))
 
 
 @pytest.mark.parametrize("case", FOLD_CASES, ids=fold_case_id)
@@ -655,7 +703,11 @@ def test_scaled_fold_is_symmetric_with_top_eigenvalue(case):
     op = make_operator(kind, h, m)
     F = np.column_stack([op.apply(e) for e in np.eye(op.half)])
     assert np.max(np.abs(F - F.T)) <= 1e-14 * np.max(np.abs(F))
-    top = np.linalg.eigvalsh(np.array(oracle_matrix(op), dtype=float))[-1]
+    W = oracle_matrix(op)
+    s = _fold(np.ones(op.dim))
+    scaled = s[:, None] * fold_matrix(W) / s
+    assert np.max(np.abs(F - scaled)) <= 1e-14 * np.max(np.abs(F))
+    top = np.linalg.eigvalsh(W)[-1]
     assert abs(np.linalg.eigvalsh(F)[-1] - top) <= 1e-12 * top
     est = top_eigenvalue(op, 1e-12)
     assert est.vector.shape == (op.half,)
@@ -665,7 +717,7 @@ def test_scaled_fold_is_symmetric_with_top_eigenvalue(case):
     # the square root of its Ritz value's tolerance)
     full = _unfold(est.vector)
     assert abs(np.linalg.norm(full) - 1) <= 1e-12 and np.all(full > 0)
-    assert np.linalg.norm(dense_matrix(op) @ full - top * full) <= 1e-5 * top
+    assert np.linalg.norm(W @ full - top * full) <= 1e-5 * top
 
 
 def test_fold_round_trip():
@@ -682,18 +734,24 @@ def test_fold_round_trip():
 
 @pytest.mark.parametrize("case", FOLD_CASES, ids=fold_case_id)
 def test_prolong_keeps_even_vectors_even(case):
-    # the warm start's fold is safe: an even vector maps to an even one, and
-    # a folded vector maps to the fold of the full map
+    # the warm start's fold is safe: separable linear interpolation (np.interp
+    # along each axis, in the midpoint coordinates t = d/(h + 1/2), held at
+    # the edge values beyond the old grid) maps an even vector to an even
+    # one, and prolong gives its fold
     kind, m, h = case
+    new = make_operator(kind, h, m)
+    axes = new.m - (not new.pinned)
     rng = np.random.default_rng(7)
     for src in (1, 2, 4):
-        old = make_operator(kind, src, m)
-        x = rng.random(old.dim) + 0.5
-        x = x + x[::-1]
-        y = make_operator(kind, h, m).prolong(x, src)
+        x = even(rng.random(make_operator(kind, src, m).half) + 0.5)
+        ts = np.arange(-src, src + 1) / (src + 0.5)
+        td = np.arange(-h, h + 1) / (h + 0.5)
+        y = x.reshape((2 * src + 1,) * axes)
+        for axis in range(axes):
+            y = np.apply_along_axis(lambda r: np.interp(td, ts, r), axis, y)
+        y = y.ravel()
         assert np.allclose(y, y[::-1], rtol=1e-14, atol=0), (kind, src)
-        z = make_operator(kind, h, m).prolong(_fold(x), src)
-        assert z.shape == ((y.size + 1) // 2,)
+        z = new.prolong(_fold(x), src)
         assert np.allclose(z, _fold(y), rtol=1e-14, atol=0), (kind, src)
 
 
@@ -706,6 +764,6 @@ def test_fold_int64_wraps_exactly():
     xs = [big, big, -big, -big]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        y = op._fold_apply(np.array(xs, dtype=np.int64), 1).tolist()
-    assert y == op._fold_apply(np.array(xs, dtype=object), 1).tolist() \
+        y = op._fold_apply(np.array(xs, dtype=np.int64)).tolist()
+    assert y == op._fold_apply(np.array(xs, dtype=object)).tolist() \
         == [0, -big, 0, big]

@@ -136,8 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=["auto", "brute", "closed", "strip"],
                     default="auto")
     sp.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET,
-                    help="cells of the largest elimination table (brute) or "
-                         "of each folded lattice buffer (strip), at least 1")
+                    help="cells, not bytes, of the largest elimination table "
+                         "(brute) or of each folded lattice buffer (strip; a "
+                         "big-int DP holds a Python int per cell), at least 1")
 
     sp = sub.add_parser(
         "ehrhart", parents=[common], help="fit the counting polynomial",
@@ -164,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                "from the previous h's Perron vector.  With three or more h "
                "values, which must then be distinct and increasing, the JSON "
                "payload adds the extrapolated h->infinity limit and its 1/h "
-               "slope.")
+               "and 1/h^2 coefficients, slope and curvature.")
     sp.add_argument("--kind", required=True,
                     choices=["band", "tent", "free-strip", "pinned-strip"])
     sp.add_argument("--m", type=_at_least(1), default=None,

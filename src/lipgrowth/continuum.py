@@ -34,11 +34,13 @@ the offset.  A mesh argument n runs on 2*(n // 2) + 1 nodes, so an even n
 gains one node, and the operator's state budget bounds the mesh before
 allocation.
 
-With no node on an edge, ``nystrom_top``'s value (lambda^(1/m) / (h + 1/2),
-squared for tent) has no first-order error in 1/N.  ``kernel_limit`` fits a
-quadratic in 1/N to it on the three finest meshes of the ladder of four; the
-fit's move from the three coarsest is its error estimate.  That one fit is
-both the kernel constant and the strip limit it equals.
+With no node on an edge, the error of ``nystrom_top``'s value
+(lambda^(1/m) / (h + 1/2), squared for tent) has even powers of 1/N only
+(Atkinson, Numerical Solution of Integral Equations, 1997, ch. 4).
+``kernel_limit`` fits a quadratic in 1/N^2 to it on the three finest meshes
+of the ladder of four; the fit's move from the three coarsest, at least
+``_SOLVE_TOL`` relative, is its error estimate.  That one fit is both the
+kernel constant and the strip limit it equals.
 
   alpha: largest solution of tan(1/x) = x; the tent-kernel eigenvalue is
          2*alpha^2 and the two-row strip grows like alpha*sqrt(2) per vertex.
@@ -71,10 +73,12 @@ _KERNELS = {
             16, (17, 33, 65, 129)),
 }
 
+_SOLVE_TOL = 1e-12  # each solve's relative tolerance, the least stated error
+
 
 def nystrom_top(kernel: str, n: int) -> float:
     """The kernel's Nystrom value on 2*(n//2)+1 nodes per axis: a Lanczos
-    solve (relative tolerance 1e-12) on its operator at h = n // 2,
+    solve (relative tolerance ``_SOLVE_TOL``) on its operator at h = n // 2,
     the eigenvalue scaled by the cell measure (2/(2h+1))^m, then rooted
     (square root for zeta, cube root for psi)."""
     return _nystrom(kernel, n)[0]
@@ -89,7 +93,7 @@ def _nystrom(kernel: str, n: int, prev: SpectralEstimate | None = None
     if n < min_nodes:
         raise ValueError(f"mesh needs at least {min_nodes} nodes per axis")
     op = make_op(n // 2)
-    est = top_eigenvalue(op, 1e-12, 10**5, prev)
+    est = top_eigenvalue(op, _SOLVE_TOL, 10**5, prev)
     lam = est.eigenvalue * (2.0 / (2 * op.h + 1)) ** op.m
     return (root(lam) if root else lam), est
 
@@ -114,9 +118,8 @@ def solve_beta() -> float:
 class KernelLimit:
     """A kernel constant extrapolated N -> infinity on a mesh ladder."""
 
-    value: float    # quadratic fit in 1/N to the three finest meshes
-    error: float    # |value - the same fit to the three coarsest|
-    slope: float    # the fit's 1/N coefficient, near 0 on midpoint meshes
+    value: float    # quadratic fit in 1/N^2 to the three finest meshes
+    error: float    # its move from the coarse fit, >= _SOLVE_TOL * value
     meshes: tuple[int, ...]
     iterations: tuple[int, ...]     # Lanczos applies per mesh, warm-started
 
@@ -131,8 +134,9 @@ def kernel_limit(kernel: str) -> KernelLimit:
     pairs, iterations, est = [], [], None
     for n in ladder:
         value, est = _nystrom(kernel, n, est)
-        pairs.append((n, value))
+        pairs.append((n * n, value))
         iterations.append(est.iterations)
-    fine, coarse = extrapolate_limit(pairs[-3:]), extrapolate_limit(pairs[:3])
-    return KernelLimit(fine.limit, abs(fine.limit - coarse.limit), fine.slope,
-                       ladder, tuple(iterations))
+    fine = extrapolate_limit(pairs[-3:]).limit
+    move = abs(fine - extrapolate_limit(pairs[:3]).limit)
+    return KernelLimit(fine, max(move, _SOLVE_TOL * abs(fine)), ladder,
+                       tuple(iterations))

@@ -12,34 +12,30 @@ Operator kinds
   free-strip(m)   m free rows, weight max(0, 2h+1 - spread of prefix offsets)
   pinned-strip(m) m free rows below an all-zero row, 0/1 transitions
 
-Every apply is matrix-free: separable window sums (running-sum
-differences) on an embedded lattice, O(cells) per apply.  Each window turns
-one buffer into its running sum in place and writes the window into the
-other, swapping the two after every window; an operator allocates its two
-buffers on its first apply in a dtype and reuses them after.  The last
-window is never written out: its buffer becomes the running sum along that
-axis, read as one difference at each state.  Every kind scatters onto the
-lattice of prefix vectors, since its weight depends only on the difference
-of two columns' prefix vectors: a half-width-h box window on every axis,
-then, for free strips (and tent), one more along the diagonal (1, ..., 1)
-for the column offset.  A pinned strip of m rows is the free strip of m+1
-rows with its top row fixed, so its states are the prefix vectors of m
-difference steps and it needs no offset window.
+Every apply is matrix-free: separable window sums (running-sum differences)
+on an embedded lattice, O(cells) per apply.  Each window turns one buffer
+into its running sum in place and writes the window into the other,
+swapping the two after every window; an operator keeps one buffer pair,
+reallocated only when the dtype changes.  The last window is never written
+out: its buffer becomes the running sum along that axis, read as one
+difference at each state.  Every kind scatters onto the lattice of prefix
+vectors, since its weight depends only on the difference of two columns'
+prefix vectors: a half-width-h box window on every axis, then, for free
+strips (and tent), one more along the diagonal (1, ..., 1) for the column
+offset.  A pinned strip of m rows is the free strip of m+1 rows with its
+top row fixed, so its states are the prefix vectors of m difference steps
+and it needs no offset window.
 
-Every kind is folded by its negation symmetry.  Negating a state,
-d -> -d, reverses the state order and reflects the lattice through its
-centre cell, and W commutes with it, so the Perron vector and every
-W^k 1 are even.  The one lattice path runs on the (dim + 1)/2 orbit
-representatives and on the lattice up to its centre slab, reading a
-reflected copy of the cells below the centre wherever a window reaches past
-it (the block decomposition of a representation by a symmetry group:
+Every kind is folded by its negation symmetry d -> -d, which W commutes
+with, so the Perron vector and every W^k 1 are even: an operator runs on
+the (dim + 1)/2 orbit representatives and the lattice up to its centre
+slab (the block decomposition of a representation by a symmetry group:
 Serre, Linear Representations of Finite Groups, 1977, section 2.6).  The
 eigen-solve works in sqrt(orbit)-scaled coordinates, where the folded
-operator is symmetric, and the strip DP on plain representative values;
-those are the only vectors an operator takes.  One code path serves
-spectra (float) and exact counts (int64 while a bound on every output
-fits, Python ints above), and the state budget bounds the cells of an
-operator's lattice buffers before anything is allocated.
+operator is symmetric, and the strip DP on plain representative values.
+One code path serves spectra (float) and exact counts (int64 while a bound
+on every output fits, Python ints above), and the state budget bounds the
+cells of an operator's lattice buffers before anything is allocated.
 """
 from __future__ import annotations
 
@@ -111,9 +107,10 @@ class FreeStripOperator:
     a window whose reach crosses the centre reads a reflected copy of the
     cells below the centre appended after it: h slabs for the leading axis,
     up to the last state's h-th diagonal step for the diagonal.  The two
-    buffers that hold it, ``buffer_cells`` each, are kept, one pair per
-    dtype, for the operator's lifetime; ``state_budget`` bounds
-    ``buffer_cells`` before anything is allocated.
+    buffers that hold it, ``buffer_cells`` each, are kept in the dtype of
+    the last apply (a strip DP switches once, int64 to Python ints).
+    ``state_budget`` bounds ``buffer_cells`` before anything is allocated:
+    cells, not bytes, as a big-int DP holds one Python int per cell.
 
     ``apply`` and ``apply_exact`` take an even vector folded to its ``half``
     representatives and return W x in the same form: ``_fold``'s
@@ -165,7 +162,7 @@ class FreeStripOperator:
             raise ResourceLimitError(
                 f"folded lattice buffers of {self.buffer_cells} cells exceed "
                 f"budget {state_budget}")
-        self._buffers: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
+        self._buffers: np.ndarray | None = None
         # Every step of _fold_apply is a copy, add, subtract or multiply,
         # which int64 arrays wrap modulo 2^64, so an int64 result is
         # congruent to W x and equals it whenever each |(W x)_i| fits,
@@ -184,14 +181,13 @@ class FreeStripOperator:
         sites = np.int64(self._size // 2)
         for t in range(axes):
             sites = np.add.outer(sites, steps * reach[t])
-        self._sites = np.ravel(sites)
-        if not axes:
-            return
         # A representative is scattered to whichever of its site and the
         # mirror site (size - 1 - site, its negation's) is not past the
         # centre cell.
-        rep = self._sites[:self.half]
+        rep = np.ravel(sites)[:self.half]
         self._rep = np.minimum(rep, self._size - 1 - rep)
+        if not axes:
+            return
         # The last window (the last box axis when pinned, else the diagonal
         # as the leading axis of rows of one step) at coordinate j of n is
         # run[min(j + h, n - 1)] - run[j - h - 1], the second term only
@@ -235,9 +231,8 @@ class FreeStripOperator:
         y = np.reshape(x, (2 * h + 1,) * axes)
         for axis in range(axes):
             a = y.take(lo, axis)
-            shape = [1] * axes
-            shape[axis] = den
-            y = a + w.reshape(shape) * (y.take(hi, axis) - a)
+            wk = w.reshape((den,) + (1,) * (axes - 1 - axis))
+            y = a + wk * (y.take(hi, axis) - a)
         return _fold(y.ravel())
 
     def _reflect(self, buf: np.ndarray, start: int, stop: int) -> None:
@@ -253,11 +248,10 @@ class FreeStripOperator:
         whose representatives hold the values v."""
         if not self._shape:
             return v * (2 * self.h + 1)
-        if v.dtype not in self._buffers:
-            self._buffers[v.dtype] = (
-                np.zeros(self.buffer_cells, dtype=v.dtype),
-                np.zeros(self.buffer_cells, dtype=v.dtype))
-        src, dst = self._buffers[v.dtype]
+        if self._buffers is None or self._buffers.dtype != v.dtype:
+            self._buffers = None  # free the old pair before allocating
+            self._buffers = np.zeros((2, self.buffer_cells), v.dtype)
+        src, dst = self._buffers
         half = self._half_cells
         src[:half] = 0
         src[self._rep] = v
@@ -442,11 +436,11 @@ class ExtrapolationFit:
 
 def extrapolate_limit(estimates: Sequence[tuple[float, float]]) -> ExtrapolationFit:
     """Richardson-style limit from (h, value) pairs: a user's h list
-    (``strip``) or a mesh ladder of (N, v(N)) (``continuum.kernel_limit``).
+    (``strip``) or a mesh ladder of (N^2, v(N)) (``continuum.kernel_limit``).
 
     Fits a quadratic in 1/h (least squares when more than three points): a
-    first-order error plus one correction term.  The fitted 1/h coefficient
-    is reported so the model stays auditable; on a mesh ladder it is ~0.
+    first-order error plus one correction term, both reported so the model
+    stays auditable.
     """
     if len(estimates) < 3:
         raise ValueError("need at least 3 points")

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from lipgrowth import cli, graphs, strips
@@ -125,6 +126,24 @@ def test_strip_extrapolation_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["extrapolated"]["limit"] - 1.554) < 2e-3
+
+
+def test_strip_extrapolation_least_squares(capsys):
+    # four h values take the least-squares branch of the quadratic fit in
+    # 1/h: the limit is the lstsq solution on the Vandermonde matrix
+    code, out = run(capsys, ["strip", "--kind", "band",
+                             "--h", "50", "100", "200", "400",
+                             "--deterministic"])
+    assert code == 0
+    payload = json.loads(out)
+    z = 1.0 / np.array([r["h"] for r in payload["records"]], dtype=float)
+    values = [r["normalized"] for r in payload["records"]]
+    coeffs = np.linalg.lstsq(np.vander(z, 3, increasing=True), values,
+                             rcond=None)[0]
+    fit = payload["extrapolated"]
+    assert abs(fit["limit"] - coeffs[0]) <= 1e-12
+    assert abs(fit["slope"] - coeffs[1]) <= 1e-12 * abs(coeffs[1])
+    assert abs(fit["curvature"] - coeffs[2]) <= 1e-12 * abs(coeffs[2])
 
 
 def test_constants_table(capsys):

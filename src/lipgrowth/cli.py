@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every subcommand emits a machine-readable report (JSON by default, CSV or an
-aligned table on request).  All randomness flows from --seed (default 0), so
-default runs are reproducible; --deterministic additionally drops timing
-fields, making repeated runs byte-identical.
+Every subcommand emits a machine-readable report: JSON by default (an
+aligned table for reproduce-abstract), and JSON, CSV or a table on request.
+All randomness flows from --seed (default 0), so default runs are
+reproducible; --deterministic additionally drops timing fields, making
+repeated runs byte-identical.
 
 Exit codes: 0 success, 2 usage error, 3 resource limit, 4 non-convergence.
 """
@@ -103,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for all randomness (default 0)")
     common.add_argument("--format", choices=["json", "csv", "table"],
                         default=None,
-                        help="output format (default: json; table for constants)")
+                        help="output format (default: json; table for "
+                             "reproduce-abstract)")
     common.add_argument("--deterministic", action="store_true",
                         help="suppress timestamp/elapsed fields for "
                              "byte-identical runs")
@@ -114,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_graph_args(sp, for_generate=False):
         g = sp.add_mutually_exclusive_group(required=True)
         g.add_argument("--family",
-                       choices=["path", "cycle", "complete", "star", "tree"])
+                       choices=["path", "cycle", "complete", "star"])
         g.add_argument("--grid", type=_grid_shape, metavar="MxN")
         g.add_argument("--er", nargs=2, action=_ErShape, metavar=("N", "D"))
         if not for_generate:
@@ -129,12 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Record fields: graph_hash, h, count (decimal string), "
                "node_expansions (table cells evaluated by the elimination; "
                "0 for closed and strip), method, elapsed (dropped under "
-               "--deterministic).  method \"brute\" names the general-graph "
-               "exact engine, bucket elimination, which auto selects.")
+               "--deterministic).  method \"brute\", the default, names the "
+               "general-graph exact engine, bucket elimination; \"closed\" "
+               "needs every component a tree or a complete graph.")
     add_graph_args(sp)
     sp.add_argument("--h", type=_at_least(0), required=True)
-    sp.add_argument("--method", choices=["auto", "brute", "closed", "strip"],
-                    default="auto")
+    sp.add_argument("--method", choices=["brute", "closed", "strip"],
+                    default="brute")
     sp.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET,
                     help="cells, not bytes, of the largest elimination table "
                          "(brute) or of each folded lattice buffer (strip; a "
@@ -174,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=_positive_finite, default=1e-10)
     sp.add_argument("--max-iter", type=_at_least(1), default=10**5)
 
-    sub.add_parser("constants", parents=[common], help="solve for the growth constants")
-
     sp = sub.add_parser(
         "bounds", parents=[common], help="random-graph bound expressions",
         epilog="CSV columns: d, lower_exact, lower_asymptotic, upper_exact, "
@@ -209,9 +210,8 @@ def _build_graph(args) -> graphs.Graph:
     if args.family:
         if args.n is None:
             raise ValueError("--family: needs --n")
-        kind = "path" if args.family == "tree" else args.family
         try:
-            return graphs.make_family(kind, args.n)
+            return graphs.make_family(args.family, args.n)
         except ValueError as exc:
             raise ValueError(f"--n: {exc}") from exc
     if args.grid:
@@ -234,27 +234,22 @@ def _cmd_generate(args):
 def _cmd_count(args):
     g = _build_graph(args)
     t0 = time.perf_counter()
-    method = args.method
-    if method in ("auto", "brute"):
+    expansions = 0
+    if args.method == "brute":
         value, expansions = counting.count_with_stats(g, args.h, args.budget)
-        method = "brute"
-    elif method == "closed":
-        if args.family in ("tree", "path", "star"):
-            value = counting.count_closed_form("tree", g.n, args.h)
-        elif args.family == "complete":
-            value = counting.count_closed_form("complete", g.n, args.h)
-        else:
-            raise ValueError("--method: closed needs a tree or complete family")
-        expansions = 0
+    elif args.method == "closed":
+        try:
+            value = counting.count_closed_form(g, args.h)
+        except ValueError as exc:
+            raise ValueError(f"--method: {exc}") from exc
     else:  # strip
         if not args.grid:
             raise ValueError("--method: strip needs --grid")
         value = strips.strip_count_exact(*args.grid, args.h, args.budget)
-        expansions = 0
     elapsed = time.perf_counter() - t0
     rec = {"graph_hash": graphs.graph_hash(g), "h": args.h,
            "count": str(value), "node_expansions": expansions,
-           "method": method}
+           "method": args.method}
     if not args.deterministic:
         rec["elapsed"] = elapsed
     return {"records": [rec]}
@@ -307,8 +302,8 @@ def _ladder(fit: continuum.KernelLimit, scale: float = 1.0) -> str:
 
 
 def _abstract_records():
-    """Every constants row, the eight of ``constants`` first; a strip row
-    is its kernel's ladder limit, the kernel being the scaled operator."""
+    """Every constants row; a strip row is its kernel's ladder limit, the
+    kernel being the scaled operator."""
     alpha = continuum.solve_alpha()
     band, tent, zeta, psi = (continuum.kernel_limit(k) for k in
                              ("band-indicator", "tent", "zeta", "psi"))
@@ -332,10 +327,6 @@ def _abstract_records():
     return [{"name": name, "value": value, "reference": _ROWS[name][0],
              "equation": _ROWS[name][1], "metadata": meta}
             for name, value, meta in rows]
-
-
-def _cmd_constants(args):
-    return {"records": _abstract_records()[:8]}
 
 
 def _cmd_bounds(args):
@@ -402,13 +393,10 @@ _DISPATCH = {
     "count": _cmd_count,
     "ehrhart": _cmd_ehrhart,
     "strip": _cmd_strip,
-    "constants": _cmd_constants,
     "bounds": _cmd_bounds,
     "random-lab": _cmd_random_lab,
     "reproduce-abstract": _cmd_reproduce_abstract,
 }
-
-_TABLE_DEFAULT = {"constants", "reproduce-abstract"}
 
 
 def _format_cell(v) -> str:
@@ -460,7 +448,8 @@ def _body(payload: dict, args) -> dict:
 def _emit(payload: dict, args) -> str:
     if "text" in payload:
         return payload["text"]
-    fmt = args.format or ("table" if args.command in _TABLE_DEFAULT else "json")
+    fmt = args.format or ("table" if args.command == "reproduce-abstract"
+                          else "json")
     if fmt == "json":
         body = _body(payload, args)
         if not args.deterministic:

@@ -156,17 +156,24 @@ def count(graph: Graph, h: int, budget: int = DEFAULT_BUDGET) -> int:
     return count_with_stats(graph, h, budget)[0]
 
 
-def count_closed_form(kind: str, n: int, h: int) -> int:
-    """Closed-form counts: (2h+1)^(n-1) for any tree, (h+1)^n - h^n for K_n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+def count_closed_form(graph: Graph, h: int) -> int:
+    """Exact count as a product over components: (2h+1)^(s-1) for a tree of
+    s vertices, (h+1)^s - h^s for K_s (K_1 and K_2 are both, and the two
+    agree on them).  Any other component raises ValueError."""
     if h < 0:
         raise ValueError("h must be nonnegative")
-    if kind == "tree":
-        return (2 * h + 1) ** (n - 1)
-    if kind == "complete":
-        return (h + 1) ** n - h ** n
-    raise ValueError(f"unknown closed form {kind!r}")
+    total = 1
+    for part in graph.parts:
+        s = len(part)
+        e = sum(len(graph.adjacency[v]) for v in part) // 2
+        if e == s - 1:
+            total *= (2 * h + 1) ** (s - 1)
+        elif e == s * (s - 1) // 2:
+            total *= (h + 1) ** s - h ** s
+        else:
+            raise ValueError("closed forms need trees or complete graphs, "
+                             f"not a component of {s} vertices and {e} edges")
+    return total
 
 
 def _root(x: int | Fraction, k: int) -> float:

@@ -1,6 +1,5 @@
 """The eigen-solve shared by the strip operators and the continuum solvers,
-the scalar root finder behind alpha and the giant fraction, and the window
-sum behind every strip ``apply``.
+and the scalar root finder behind alpha and the giant fraction.
 
 The eigen-solve is a Lanczos iteration with full reorthogonalization
 (Lanczos 1950; Saad, Numerical Methods for Large Eigenvalue Problems, ch. 6):
@@ -13,12 +12,6 @@ strip operator that is its (dim + 1)/2 folded representatives, not its dim
 states (``strips.top_eigenvalue``).  Every operator here is
 symmetric, with its second eigenvalue 0.4-0.7 of its first, where this
 takes far fewer applies than power iteration.
-
-The window sum runs in place: it turns its source into a running sum along
-one axis and writes the window into a second buffer, so an ``apply`` that
-chains windows ping-pongs between two buffers that its operator keeps.
-``_running_sum`` alone serves the last window, which an ``apply`` reads
-only at its states.
 """
 from __future__ import annotations
 
@@ -132,48 +125,3 @@ def _bisect(f, lo: float, hi: float) -> float:
             lo = mid
         else:
             hi = mid
-
-
-def _running_sum(a: np.ndarray, axis: int) -> None:
-    """Overwrite ``a`` with its running sum along ``axis``.
-
-    Along a leading axis this is one vectorised row add per index:
-    ``np.cumsum`` would run that axis as its strided inner loop.  Along the
-    last axis, or when each index holds a single element, it is
-    ``np.cumsum`` itself.  Both add in the same order, so results do not
-    depend on which one runs.
-    """
-    n = a.shape[axis]
-    if axis == a.ndim - 1 or a.size == n:
-        np.cumsum(a, axis=axis, out=a)
-    else:
-        s = a.swapaxes(0, axis)
-        for i in range(1, n):
-            np.add(s[i - 1], s[i], out=s[i])
-
-
-def _window_sum(src: np.ndarray, half: int, axis: int, out: np.ndarray) -> None:
-    """Write into ``out`` the sum of ``src`` over [j - half, j + half] along
-    ``axis``, zero outside.
-
-    ``src`` is overwritten with its running sum along ``axis``
-    (``_running_sum``); ``out`` has the shape and dtype of ``src`` and shares
-    no memory with it.  The window is then two slice copies and one in-place
-    subtraction, so the call allocates no full-size temporary.  The dtype is
-    kept, so float, int64 and object (Python int) arrays all run the same
-    code.  Every step is elementwise over the slabs of one index, so both
-    arrays are viewed with ``axis`` swapped to the front, whatever order the
-    other axes then take.
-    """
-    _running_sum(src, axis)
-    n = src.shape[axis]
-    s = src.swapaxes(0, axis)
-    o = out.swapaxes(0, axis)
-    # out[j] = run[min(j + half, n - 1)] - run[j - half - 1], the second
-    # term only where j > half.
-    if half < n:
-        o[:n - half] = s[half:]
-        o[n - half:] = s[n - 1]
-        np.subtract(o[half + 1:], s[:n - half - 1], out=o[half + 1:])
-    else:
-        o[...] = s[n - 1]

@@ -408,29 +408,21 @@ def _cover_split(graph: Graph, size: int) -> PairSearchResult:
 
 
 def triple_sum_success(h: int) -> Fraction:
-    """Exact Pr(|X1 + X2 + X3| <= 2h) for independent uniforms on {-h..h}.
+    """Exact Pr(|X1 + X2 + X3| <= 2h) for independent uniforms on {-h..h}:
+    p(h) = 1 - h(h+1)(h+2) / (3(2h+1)^3), with p(0) = 1.
 
-    Counted by summing the two-fold convolution against the admissible window
-    of the third variable; the count of failing lattice points per sign is
-    the tetrahedral number C(h+2, 3), approaching the corner-tetrahedra
-    volume 1/24 of the cube as h grows.
-
-    Closed form: p(h) = 1 - h(h+1)(h+2) / (3(2h+1)^3), with p(0) = 1.
-    For h >= 1 the failing count exceeds the limiting corner volume, since
-    8h(h+1)(h+2) > (2h+1)^3, so p(h) stays strictly below 23/24 and rises
-    strictly toward it; only the step from h = 0 to h = 1 goes down, and
-    the gap |p(h) - 23/24| shrinks strictly for every h >= 0.
+    The sum passes 2h only in a corner of the cube: with x_i = h - X_i >= 0,
+    X1 + X2 + X3 > 2h reads x1 + x2 + x3 <= h - 1, so the failing lattice
+    points per sign are the tetrahedral number C(h+2, 3), approaching the
+    corner-tetrahedra volume 1/24 of the cube as h grows.  For h >= 1 the
+    failing count exceeds the limiting corner volume, since 8h(h+1)(h+2) >
+    (2h+1)^3, so p(h) stays strictly below 23/24 and rises strictly toward
+    it; only the step from h = 0 to h = 1 goes down, and the gap
+    |p(h) - 23/24| shrinks strictly for every h >= 0.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
-    span = 2 * h + 1
-    good = 0
-    for s in range(-2 * h, 2 * h + 1):
-        pairs = span - abs(s)
-        lo = max(-h, -2 * h - s)
-        hi = min(h, 2 * h - s)
-        good += pairs * max(0, hi - lo + 1)
-    return Fraction(good, span ** 3)
+    return 1 - Fraction(h * (h + 1) * (h + 2), 3 * (2 * h + 1) ** 3)
 
 
 def epsilon_upper_bound(eps: float) -> float:

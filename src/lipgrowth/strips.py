@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, ResourceLimitError
-from .iterate import _running_sum, _window_sum, power_iteration
+from .iterate import power_iteration
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -74,6 +74,51 @@ def _folded_ones(half: int) -> np.ndarray:
     """``_fold`` of the all-ones vector on 2 half - 1 states, the cold
     start of the eigen-solve."""
     return _fold(np.ones(2 * half - 1))
+
+
+def _running_sum(a: np.ndarray, axis: int) -> None:
+    """Overwrite ``a`` with its running sum along ``axis``.
+
+    Along a leading axis this is one vectorised row add per index:
+    ``np.cumsum`` would run that axis as its strided inner loop.  Along the
+    last axis, or when each index holds a single element, it is
+    ``np.cumsum`` itself.  Both add in the same order, so results do not
+    depend on which one runs.
+    """
+    n = a.shape[axis]
+    if axis == a.ndim - 1 or a.size == n:
+        np.cumsum(a, axis=axis, out=a)
+    else:
+        s = a.swapaxes(0, axis)
+        for i in range(1, n):
+            np.add(s[i - 1], s[i], out=s[i])
+
+
+def _window_sum(src: np.ndarray, half: int, axis: int, out: np.ndarray) -> None:
+    """Write into ``out`` the sum of ``src`` over [j - half, j + half] along
+    ``axis``, zero outside.
+
+    ``src`` is overwritten with its running sum along ``axis``
+    (``_running_sum``); ``out`` has the shape and dtype of ``src`` and shares
+    no memory with it.  The window is then two slice copies and one in-place
+    subtraction, so the call allocates no full-size temporary.  The dtype is
+    kept, so float, int64 and object (Python int) arrays all run the same
+    code.  Every step is elementwise over the slabs of one index, so both
+    arrays are viewed with ``axis`` swapped to the front, whatever order the
+    other axes then take.
+    """
+    _running_sum(src, axis)
+    n = src.shape[axis]
+    s = src.swapaxes(0, axis)
+    o = out.swapaxes(0, axis)
+    # out[j] = run[min(j + half, n - 1)] - run[j - half - 1], the second
+    # term only where j > half.
+    if half < n:
+        o[:n - half] = s[half:]
+        o[n - half:] = s[n - 1]
+        np.subtract(o[half + 1:], s[:n - half - 1], out=o[half + 1:])
+    else:
+        o[...] = s[n - 1]
 
 
 class FreeStripOperator:

@@ -18,7 +18,7 @@ def run(capsys, argv):
 
 
 def test_count_family_tree(capsys):
-    code, out = run(capsys, ["count", "--family", "tree", "--n", "4",
+    code, out = run(capsys, ["count", "--family", "star", "--n", "4",
                              "--h", "3", "--deterministic"])
     assert code == 0
     payload = json.loads(out)
@@ -52,6 +52,26 @@ def test_count_methods_agree(capsys):
                              "--deterministic"])
     assert code == 0
     assert json.loads(out)["records"][0]["count"] == str(9 ** 5)
+
+
+def test_count_closed_decides_from_the_graph(capsys, tmp_path):
+    # a 1xN grid is a path: (2h + 1)^(N - 1)
+    code, out = run(capsys, ["count", "--grid", "1x6", "--h", "3",
+                             "--method", "closed", "--deterministic"])
+    assert code == 0
+    rec = json.loads(out)["records"][0]
+    assert (rec["count"], rec["method"]) == ("16807", "closed")
+    # K3, K2 and two isolated vertices: a product of per-component forms
+    path = tmp_path / "mixed.edges"
+    path.write_text("7 4\n0 1\n0 2\n1 2\n3 4\n")
+    for h in range(4):
+        counts = {}
+        for method in ("brute", "closed"):
+            code, out = run(capsys, ["count", "--load", str(path), "--h",
+                                     str(h), "--method", method])
+            assert code == 0
+            counts[method] = json.loads(out)["records"][0]["count"]
+        assert counts["closed"] == counts["brute"], h
 
 
 def test_generate_round_trip(capsys, tmp_path):
@@ -147,7 +167,7 @@ def test_strip_extrapolation_least_squares(capsys):
 
 
 def test_constants_table(capsys):
-    code, out = run(capsys, ["constants", "--deterministic"])
+    code, out = run(capsys, ["reproduce-abstract", "--deterministic"])
     assert code == 0
     for ref in ("1.16234", "1.554", "1.6438", "1.351", "1.4895", "1.553"):
         assert ref in out
@@ -179,7 +199,7 @@ def _reject_constant(name):
     ["count", "--grid", "2x3", "--h", "2"],
     ["ehrhart", "--family", "cycle", "--n", "5"],
     ["strip", "--kind", "band", "--h", "3", "4", "5"],
-    ["constants", "--format", "json"],
+    ["count", "--grid", "1x6", "--h", "3", "--method", "closed"],
     ["bounds", "--d", "3", "5", "9", "100"],
     ["random-lab", "--mode", "lll", "--n", "50", "--d", "6", "--h", "5",
      "--trials", "3"],
@@ -441,20 +461,7 @@ def test_reproduce_abstract_grid_bounds_match_table(capsys):
     # the headline: the improved pair lies strictly inside the base pair
     assert (values["alpha_sq"] < values["square_grid_lower"]
             < values["square_grid_upper"] < values["beta"])
-
-
-def test_constants_rows_shared_with_reproduce_abstract(capsys):
-    argv = ["--format", "json", "--deterministic"]
-    _, out = run(capsys, ["constants", *argv])
-    constants = json.loads(out)["records"]
-    _, out = run(capsys, ["reproduce-abstract", *argv])
-    records = json.loads(out)["records"]
-    assert [r["name"] for r in constants] == [
-        "alpha", "alpha_sq", "alpha_sqrt2", "beta", "nystrom_band",
-        "nystrom_tent", "zeta", "psi"]
-    assert records[:8] == constants
-    values = {r["name"]: r["value"] for r in records}
-    meta = {r["name"]: r["metadata"] for r in records}
+    meta = {r["name"]: r["metadata"] for r in json.loads(out)["records"]}
     # each strip row is its kernel's one ladder limit
     assert values["strip_band"] == values["nystrom_band"]
     assert values["strip_two_rows"] == math.sqrt(values["nystrom_tent"])
@@ -597,6 +604,10 @@ def test_bounds_overflowing_asymptotic_forms_are_null(capsys, tmp_path):
     (["count", "--grid", "2y2", "--h", "1"], "--grid"),
     (["generate", "--grid", "0x2"], "--grid"),
     (["count", "--er", "2.5", "1", "--h", "1"], "--er"),
+    # second names for path, brute and the first rows of reproduce-abstract
+    (["count", "--family", "tree", "--n", "4", "--h", "1"], "--family"),
+    (["count", "--grid", "2x2", "--h", "1", "--method", "auto"], "--method"),
+    (["constants"], "command"),
 ])
 def test_flag_ranges_checked_by_parser(capsys, monkeypatch, argv, flag):
     def no_handler(args):
@@ -625,7 +636,8 @@ def test_checks_between_values_name_their_flag(capsys, tmp_path):
             (["count", "--family", "cycle", "--n", "2", "--h", "1"],
              "--n: cycle needs at least 3 vertices"),
             (["count", "--grid", "2x2", "--h", "1", "--method", "closed"],
-             "--method: closed needs a tree or complete family"),
+             "--method: closed forms need trees or complete graphs, not a "
+             "component of 4 vertices and 4 edges"),
             (["count", "--family", "path", "--n", "3", "--h", "1",
               "--method", "strip"], "--method: strip needs --grid"),
             (["strip", "--kind", "band", "--h", "3", "2", "1"],

@@ -10,7 +10,7 @@ from helpers import (dfs_count, end_pinned_path4, full_counts, relabel,
 from lipgrowth.counting import (EhrhartPoly, _root, count, count_closed_form,
                                 count_with_stats, ehrhart_fit, reciprocal_fit)
 from lipgrowth.errors import ResourceLimitError
-from lipgrowth.graphs import Graph, make_family, make_grid
+from lipgrowth.graphs import Graph, make_family, make_grid, sample_er
 from lipgrowth.strips import strip_count_exact
 
 
@@ -53,22 +53,43 @@ def test_bruteforce_c4_against_direct_enumeration():
 def test_bruteforce_matches_closed_forms():
     for n in range(1, 6):
         for h in range(4):
-            assert count(make_family("path", n), h) == \
-                count_closed_form("tree", n, h)
-            assert count(make_family("complete", n), h) == \
-                count_closed_form("complete", n, h)
+            for kind in ("path", "complete"):
+                g = make_family(kind, n)
+                assert count(g, h) == count_closed_form(g, h)
     for n in range(2, 6):
         for h in range(4):
-            assert count(make_family("star", n), h) == \
-                count_closed_form("tree", n, h)
+            g = make_family("star", n)
+            assert count(g, h) == count_closed_form(g, h)
 
 
 def test_closed_form_examples():
-    assert count_closed_form("tree", 4, 3) == 343
-    assert count_closed_form("complete", 2, 5) == 11 == count_closed_form("tree", 2, 5)
-    assert count_closed_form("complete", 4, 1) == 15
-    with pytest.raises(ValueError):
-        count_closed_form("cycle", 4, 1)
+    assert count_closed_form(make_family("path", 4), 3) == 343
+    # K_2 is a tree and complete: both factors give 2h + 1
+    assert count_closed_form(make_family("complete", 2), 5) == 11
+    assert count_closed_form(make_family("complete", 4), 1) == 15
+    with pytest.raises(ValueError, match="4 vertices and 4 edges"):
+        count_closed_form(make_family("cycle", 4), 1)
+
+
+def test_closed_form_matches_elimination():
+    # seeded ER(12, 1) graphs are mostly forests, now and then with a
+    # triangle; each whose components are all trees or complete graphs gets
+    # the elimination's count from its closed form
+    closed = 0
+    for seed in range(200):
+        g = sample_er(12, 1, seed)
+        try:
+            value = count_closed_form(g, 2)
+        except ValueError:
+            continue
+        closed += 1
+        assert value == count(g, 2), seed
+    assert closed >= 150
+    # K4, K3, a star and an isolated vertex
+    g = Graph.from_edges(12, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                              (4, 5), (4, 6), (5, 6), (7, 8), (7, 9), (7, 10)])
+    for h in range(4):
+        assert count_closed_form(g, h) == count(g, h), h
 
 
 def test_budget_guard():
@@ -141,7 +162,7 @@ def test_pins_are_not_table_axes():
     # 9^5 table over the other five, and the pinned root adds no axis
     k7 = make_family("complete", 7)
     c, _ = count_with_stats(k7, 4, budget=9**5)
-    assert c == count_closed_form("complete", 7, 4)
+    assert c == count_closed_form(k7, 4)
     with pytest.raises(ResourceLimitError):
         count_with_stats(k7, 4, budget=9**5 - 1)
 

@@ -9,11 +9,10 @@ import pytest
 
 from helpers import oracle_matrix
 from lipgrowth.errors import ConvergenceError
-from lipgrowth.iterate import (_BASIS_CAP, _bisect, _window_sum,
-                               power_iteration)
+from lipgrowth.iterate import _BASIS_CAP, _bisect, power_iteration
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
                               PinnedStripOperator, TentOperator, _fold,
-                              _unfold)
+                              _unfold, _window_sum)
 
 
 def op_id(op):

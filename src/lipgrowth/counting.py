@@ -101,7 +101,9 @@ def count_with_stats(graph: Graph, h: int,
     variable, so the product that still includes it is never built.  Work is
     polynomial in h for graphs of bounded width.  Planning the order raises
     ``ResourceLimitError`` at a table over ``budget`` cells, before any
-    table exists; the second value is the summed einsum loop extents.
+    table exists; the second value is the summed einsum loop extents.  The
+    budget counts cells, not bytes: a table past int64 holds one Python int
+    per cell.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")

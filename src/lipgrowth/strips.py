@@ -16,7 +16,9 @@ Every apply is matrix-free: separable window sums (running-sum differences)
 on an embedded lattice, O(cells) per apply.  Each window turns one buffer
 into its running sum in place and writes the window into the other,
 swapping the two after every window; an operator keeps one buffer pair,
-reallocated only when the dtype changes.  The last window is never written
+float or int64, reallocated only when the dtype changes.  A running sum is
+one ``np.cumsum``, or a row add per index along a leading axis whose slabs
+are large enough to pay for the calls.  The last window is never written
 out: its buffer becomes the running sum along that axis, read as one
 difference at each state.  Every kind scatters onto the lattice of prefix
 vectors, since its weight depends only on the difference of two columns'
@@ -33,9 +35,11 @@ slab (the block decomposition of a representation by a symmetry group:
 Serre, Linear Representations of Finite Groups, 1977, section 2.6).  The
 eigen-solve works in sqrt(orbit)-scaled coordinates, where the folded
 operator is symmetric, and the strip DP on plain representative values.
-One code path serves spectra (float) and exact counts (int64 while a bound
-on every output fits, Python ints above), and the state budget bounds the
-cells of an operator's lattice buffers before anything is allocated.
+One code path serves spectra (float) and exact counts (int64 limbs: a
+count of any size is held as base-2^B digits, each run through the int64
+lattice and carried at the representatives; Knuth, TAOCP vol. 2, section
+4.3.1), and the state budget bounds the cells, and so the memory, of an
+operator's lattice buffers before anything is allocated.
 """
 from __future__ import annotations
 
@@ -76,17 +80,24 @@ def _folded_ones(half: int) -> np.ndarray:
     return _fold(np.ones(2 * half - 1))
 
 
+# Elements per index along an axis, below which a running sum takes one
+# ``np.cumsum`` instead of a Python-level row add per index: on smaller
+# slabs the calls cost more than the arithmetic (cumsum won by 3x at 123
+# elements, row adds by 1.7x at 1,000).
+_ROW_ADD_MIN = 512
+
+
 def _running_sum(a: np.ndarray, axis: int) -> None:
     """Overwrite ``a`` with its running sum along ``axis``.
 
-    Along a leading axis this is one vectorised row add per index:
-    ``np.cumsum`` would run that axis as its strided inner loop.  Along the
-    last axis, or when each index holds a single element, it is
-    ``np.cumsum`` itself.  Both add in the same order, so results do not
-    depend on which one runs.
+    Along a leading axis whose index slabs hold at least ``_ROW_ADD_MIN``
+    elements this is one vectorised row add per index: ``np.cumsum`` would
+    run that axis as its strided inner loop.  Along the last axis, or on
+    smaller slabs, it is one ``np.cumsum``.  Both add in the same order, so
+    results do not depend on which one runs.
     """
     n = a.shape[axis]
-    if axis == a.ndim - 1 or a.size == n:
+    if axis == a.ndim - 1 or a.size < _ROW_ADD_MIN * n:
         np.cumsum(a, axis=axis, out=a)
     else:
         s = a.swapaxes(0, axis)
@@ -102,7 +113,7 @@ def _window_sum(src: np.ndarray, half: int, axis: int, out: np.ndarray) -> None:
     (``_running_sum``); ``out`` has the shape and dtype of ``src`` and shares
     no memory with it.  The window is then two slice copies and one in-place
     subtraction, so the call allocates no full-size temporary.  The dtype is
-    kept, so float, int64 and object (Python int) arrays all run the same
+    kept, so the float and int64 lattices of strip applies run the same
     code.  Every step is elementwise over the slabs of one index, so both
     arrays are viewed with ``axis`` swapped to the front, whatever order the
     other axes then take.
@@ -153,9 +164,10 @@ class FreeStripOperator:
     cells below the centre appended after it: h slabs for the leading axis,
     up to the last state's h-th diagonal step for the diagonal.  The two
     buffers that hold it, ``buffer_cells`` each, are kept in the dtype of
-    the last apply (a strip DP switches once, int64 to Python ints).
-    ``state_budget`` bounds ``buffer_cells`` before anything is allocated:
-    cells, not bytes, as a big-int DP holds one Python int per cell.
+    the last apply, float or int64.  ``state_budget`` bounds
+    ``buffer_cells`` before anything is allocated, so an operator holds 16
+    bytes per budget cell whatever the size of the integers it counts:
+    exact applies run on int64 limbs, one limb to an apply.
 
     ``apply`` and ``apply_exact`` take an even vector folded to its ``half``
     representatives and return W x in the same form: ``_fold``'s
@@ -212,11 +224,11 @@ class FreeStripOperator:
         # which int64 arrays wrap modulo 2^64, so an int64 result is
         # congruent to W x and equals it whenever each |(W x)_i| fits,
         # however large the running sums grow on the way.  A weight is at
-        # most 2h+1 (1 when pinned), so |(W x)_i| <= that times sum|x| over
-        # all states (the folded lattice holds the full one's values): int64
-        # is exact while sum|x| <= cap.
-        self._int64_cap = np.iinfo(np.int64).max // (1 if self.pinned
-                                                     else 2 * h + 1)
+        # most 2h+1 (1 when pinned), so a row of W sums to at most that
+        # times dim: for |x| < 2^B on every state, with B this limb width,
+        # |(W x)_i| < 2^62, and a carry added to it still fits in int64.
+        self._limb_bits = 62 - (self.dim * (1 if self.pinned
+                                            else 2 * h + 1)).bit_length()
         # A state's site is linear in its difference steps: from the centre
         # cell, the site of the all-zero state, step t moves prefix axes
         # 0..axes-1-t by d_t, so it adds d_t times their stride sum.  States
@@ -336,16 +348,41 @@ class FreeStripOperator:
 
     def apply_exact(self, xs: Sequence[int]) -> list[int]:
         """Exact integer W x at the ``half`` representatives, for an even
-        vector x given by its plain values there: int64 while provably safe,
-        else Python ints."""
+        vector x given by its plain values there.
+
+        |x| is split into limbs of ``_limb_bits`` bits, each signed like
+        x and run through the int64 lattice, and W x is recombined from
+        them in Python ints: sum over k of 2^(B k) W x_k.
+        """
         if len(xs) != self.half:
             raise ValueError(f"expected the half = {self.half} folded "
                              f"values, got {len(xs)}")
-        # sum|x| over all states: each representative but the zero state
-        # (the last) stands for two
-        total = 2 * sum(map(abs, xs)) - abs(xs[-1])
-        dtype = np.int64 if total <= self._int64_cap else object
-        return self._fold_apply(np.array(xs, dtype=dtype)).tolist()
+        bits = self._limb_bits
+        mask = (1 << bits) - 1
+        signs = [-1 if v < 0 else 1 for v in xs]
+        mags = list(map(abs, xs))
+        limbs = max(-(-int(max(mags)).bit_length() // bits), 1)
+        x = np.array([[s * (a >> bits * k & mask) for s, a in zip(signs, mags)]
+                      for k in range(limbs)], dtype=np.int64)
+        return _join_limbs(np.array([self._fold_apply(limb) for limb in x]),
+                           bits)
+
+    def _limb_apply(self, x: np.ndarray) -> np.ndarray:
+        """W x for a nonnegative x held as limbs: row k of ``x`` holds digit
+        k, of ``_limb_bits`` bits, of the values at the representatives,
+        least significant first.  Each limb runs through the int64 lattice,
+        and the results are carried back into limbs, with a row appended for
+        each carry out of the top."""
+        bits = self._limb_bits
+        mask = (1 << bits) - 1
+        y = [self._fold_apply(limb) for limb in x]
+        for k in range(len(y) - 1):
+            y[k + 1] += y[k] >> bits
+            y[k] &= mask
+        while (carry := y[-1] >> bits).any():
+            y[-1] &= mask
+            y.append(carry)
+        return np.array(y)
 
     def normalized(self, eigenvalue: float) -> float:
         """Per-vertex growth scale lam^(1/m)/h (band, with m = 1: lam/h)."""
@@ -458,16 +495,30 @@ def strip_count_exact(m: int, n: int, h: int,
     every W^k 1 is even: the DP runs on the ``half`` orbit representatives
     (``apply_exact``'s folded form), and x . y weights each product by its
     orbit size, 2 for every representative but the zero state (the last).
+
+    x and y are held as int64 limbs of ``_limb_bits`` bits, one row per
+    limb (``_limb_apply``), so every apply runs on the int64 lattice
+    however large the count; Python ints appear only for x . y.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     op = FreeStripOperator(min(m, n), h, state_budget)
     steps = max(m, n) - 1
-    x = [1] * op.half
+    x = np.ones((1, op.half), dtype=np.int64)
     for _ in range(steps // 2):
-        x = op.apply_exact(x)
-    y = op.apply_exact(x) if steps % 2 else x
+        x = op._limb_apply(x)
+    y = op._limb_apply(x) if steps % 2 else x
+    x, y = _join_limbs(x, op._limb_bits), _join_limbs(y, op._limb_bits)
     return 2 * sum(map(operator.mul, x, y)) - x[-1] * y[-1]
+
+
+def _join_limbs(x: np.ndarray, bits: int) -> list[int]:
+    """The Python ints sum over k of 2^(bits k) x[k]: those whose limbs,
+    least significant first, are the rows of ``x``."""
+    vals = x[-1].tolist()
+    for row in x[-2::-1]:
+        vals = [(v << bits) + r for v, r in zip(vals, row.tolist())]
+    return vals
 
 
 @dataclass(frozen=True)

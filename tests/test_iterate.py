@@ -11,8 +11,8 @@ from helpers import oracle_matrix
 from lipgrowth.errors import ConvergenceError
 from lipgrowth.iterate import _BASIS_CAP, _bisect, power_iteration
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
-                              PinnedStripOperator, TentOperator, _fold,
-                              _unfold, _window_sum)
+                              PinnedStripOperator, TentOperator,
+                              _ROW_ADD_MIN, _fold, _unfold, _window_sum)
 
 
 def op_id(op):
@@ -180,10 +180,19 @@ def cumsum_window(a, half, axis):
             - np.take(c, np.maximum(j - half, 0), axis))
 
 
-# (shape, axis): leading axes run the row-add loop, the last axis and
-# single-element slabs run np.cumsum, plus n = 1 on either path.
+# (shape, axis): the last axis and slabs under _ROW_ADD_MIN elements run
+# np.cumsum (the first nine, n = 1 among them); a leading axis with larger
+# slabs runs the row-add loop (the first axis, a middle one, and n = 1).
 LAYOUTS = [((5, 4, 3), 0), ((5, 4, 3), 1), ((5, 4, 3), 2), ((7, 1), 0),
-           ((6,), 0), ((1,), 0), ((1, 4), 0), ((4, 1, 3), 0), ((3, 1), 1)]
+           ((6,), 0), ((1,), 0), ((1, 4), 0), ((4, 1, 3), 0), ((3, 1), 1),
+           ((3, 40, 40), 0), ((20, 3, 30), 1), ((1, 600), 0)]
+
+
+def test_layouts_cover_both_running_sum_branches():
+    row_adds = [axis < len(shape) - 1
+                and math.prod(shape) >= _ROW_ADD_MIN * shape[axis]
+                for shape, axis in LAYOUTS]
+    assert any(row_adds) and not all(row_adds)
 
 
 def sample(shape, dtype, rng):

@@ -20,8 +20,9 @@ from lipgrowth.errors import DEFAULT_BUDGET, ConvergenceError, ResourceLimitErro
 from lipgrowth.graphs import make_grid
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
                               PinnedStripOperator, TentOperator, _fold,
-                              _unfold, extrapolate_limit, make_operator,
-                              strip_count_exact, top_eigenvalue)
+                              _join_limbs, _unfold, extrapolate_limit,
+                              make_operator, strip_count_exact,
+                              top_eigenvalue)
 
 BETA = 1.0 / math.atan(0.75)
 ALPHA_SQRT2 = 1.6437967
@@ -161,6 +162,96 @@ def test_strip_count_big_integers():
     assert val == count_via_dense_int(2, 40, 2)
 
 
+def test_limb_dp_steps_match_exact_powers():
+    # every step of the limb DP holds W^k 1 at the representatives as
+    # limbs in [0, 2^B), least significant first, and appends a limb at
+    # each carry out of the top, up to three limbs and more
+    for m, h, steps in ((1, 3, 70), (2, 3, 45), (3, 2, 40), (4, 1, 60)):
+        op = FreeStripOperator(m, h)
+        F = fold_matrix(weight_matrix(m, h)).astype(object)
+        bits = op._limb_bits
+        x = np.ones((1, op.half), dtype=np.int64)
+        want = np.ones(op.half, dtype=object)
+        limbs = [1]
+        for _ in range(steps):
+            x = op._limb_apply(x)
+            want = F.dot(want)
+            assert x.dtype == np.int64
+            assert x.min() >= 0 and x.max() >> bits == 0 and x[-1].any()
+            assert _join_limbs(x, bits) == want.tolist(), (m, h)
+            limbs.append(len(x))
+        assert limbs[-1] >= 3 and set(np.diff(limbs)) == {0, 1}, (m, h)
+
+
+def test_multi_limb_counts_match_dense_and_elimination():
+    # counts of three limbs and more, the DP vectors going from one limb to
+    # two and three on the way, against a dense Python-int DP and, on two
+    # of them, bucket elimination
+    for m, h, ns in ((2, 3, range(24, 46, 3)), (3, 2, (30, 41)),
+                     (1, 3, (50, 51))):
+        bits = FreeStripOperator(m, h)._limb_bits
+        for n in ns:
+            got = strip_count_exact(m, n, h)
+            assert got == count_via_dense_int(m, n, h), (m, n, h)
+            assert got.bit_length() > 2 * bits, (m, n, h)
+    assert strip_count_exact(2, 24, 4) == count(make_grid(2, 24), 4)
+    assert strip_count_exact(50, 1, 3) == count(make_grid(1, 50), 3)
+
+
+def test_limb_dp_within_state_budget(monkeypatch):
+    # the budget bounds the int64 buffers whatever the count's size, so a
+    # budget one cell above them still gives the exact multi-limb count,
+    # and no apply holds more than its two buffers of 8-byte cells
+    op = FreeStripOperator(3, 4)
+    held = []
+    fold_apply = FreeStripOperator._fold_apply
+
+    def recording(self, v):
+        y = fold_apply(self, v)
+        held.append(self._buffers.nbytes)
+        return y
+
+    monkeypatch.setattr(FreeStripOperator, "_fold_apply", recording)
+    assert strip_count_exact(3, 40, 4, state_budget=op.buffer_cells + 1) \
+        == count_via_dense_int(3, 40, 4)
+    assert len(held) > 20 and set(held) == {16 * op.buffer_cells}
+    with pytest.raises(ResourceLimitError):
+        strip_count_exact(3, 40, 4, state_budget=op.buffer_cells - 1)
+
+
+def test_exact_paths_keep_int64_buffers(monkeypatch):
+    # neither a big-int strip DP nor apply_exact on 2^70-sized signed values
+    # leaves anything but int64 in an operator's buffers
+    seen = []
+    fold_apply = FreeStripOperator._fold_apply
+
+    def recording(self, v):
+        y = fold_apply(self, v)
+        seen.append((v.dtype, y.dtype, self._buffers.dtype))
+        return y
+
+    monkeypatch.setattr(FreeStripOperator, "_fold_apply", recording)
+    assert strip_count_exact(3, 40, 10).bit_length() > 400
+    assert set(seen) == {(np.dtype(np.int64),) * 3}
+    op = FreeStripOperator(3, 2)
+    xs = [(-1) ** i * (2**70 + i) for i in range(op.half)]
+    assert op.apply_exact(xs) == \
+        exact_product(weight_matrix(3, 2), even(xs))[:op.half]
+    assert op._buffers.dtype == np.int64
+
+
+def test_strip_count_without_axes_or_spread():
+    # one row has no lattice axis (W is the scalar 2h+1), and h = 0 leaves
+    # one state: both are (2h+1)^(n-1) on every length, many limbs long
+    for n in (2, 61, 200):
+        for h in (1, 3, 50):
+            expect = (2 * h + 1) ** (n - 1)
+            assert strip_count_exact(1, n, h) == expect == \
+                strip_count_exact(n, 1, h), (n, h)
+        for m in (1, 2, 4):
+            assert strip_count_exact(m, n, 0) == 1, (m, n)
+
+
 def test_free_strip_matrix_symmetric():
     # the premise of the meet-in-the-middle strip DP: W = W^T, and the
     # operator is W on even vectors
@@ -296,40 +387,56 @@ def at_total(op, total):
     return v
 
 
-def assert_int64_boundary(op):
-    """``apply_exact`` runs in int64 while the even vector's sum|x| is at
-    most the cap and in Python ints one past it, exact both ways: a fresh
-    operator's one buffer pair is in the dtype it ran in."""
+def int64_cap(op):
+    """int64 max over the largest weight (2h+1, or 1 when pinned): the
+    largest sum|x| at which every |(W x)_i| provably fits one int64."""
+    return np.iinfo(np.int64).max // (1 if op.pinned else 2 * op.h + 1)
+
+
+def assert_limb_width(op):
+    """The limb width B is the largest for which the static row-sum bound,
+    the largest weight times dim, keeps W x below 2^62 on limbs under 2^B;
+    ``apply_exact`` is exact at the int64 cap and one past it, on full
+    limbs (2^B - 1), at 2^B and on three full limbs, and a fresh
+    operator's one buffer pair is int64 after any of them."""
+    bound = (1 if op.pinned else 2 * op.h + 1) * op.dim
+    bits = op._limb_bits
+    assert bound << bits < 2**62 <= bound << (bits + 1), (op.kind, bits)
     W = oracle_matrix(op)
-    for total, dtype in ((op._int64_cap, np.int64), (op._int64_cap + 1, object)):
-        v = at_total(op, total)
+    cap = int64_cap(op)
+    for v in (at_total(op, cap), at_total(op, cap + 1),
+              [2**bits - 1] * op.half, [2**bits] * op.half,
+              [2**(3 * bits) - 1] * op.half):
         fresh = make_operator(op.kind, op.h, op.m)
         assert fresh.apply_exact(v) == exact_product(W, even(v))[:op.half]
-        assert fresh._buffers.dtype == dtype, (op.kind, total)
+        assert fresh._buffers.dtype == np.int64, op.kind
 
 
 def test_int64_guard_edge():
-    # int64 is used up to sum|x| = _int64_cap, Python ints above it; the cap
-    # divides by the largest weight, 2h+1, whatever the number of rows
-    assert FreeStripOperator(1, 3)._int64_cap == np.iinfo(np.int64).max // 7
+    # the limb width divides 2^62 by the largest weight, 2h+1, times dim
+    assert FreeStripOperator(1, 3)._limb_bits == 62 - 3
     op = FreeStripOperator(3, 1)
-    cap = op._int64_cap
+    cap = int64_cap(op)
     assert cap == np.iinfo(np.int64).max // 3
-    assert_int64_boundary(op)
-    # int64 at the cap, Python ints above it, and back again: the operator
-    # keeps one buffer pair, in the dtype of its last apply
+    assert op._limb_bits == 62 - (3 * 9).bit_length()
+    assert_limb_width(op)
+    # at the cap, above it, and back again: the operator keeps its one
+    # int64 buffer pair
     W = weight_matrix(3, 1)
+    op.apply_exact([1] * op.half)
+    buffers = op._buffers
     for total in (cap, cap + 1, cap, cap + 1):
         v = at_total(op, total)
         assert op.apply_exact(v) == exact_product(W, even(v))[:op.half]
-        assert op._buffers.dtype == (np.int64 if total == cap else object)
-    # signed even vectors with sum|x| at the cap of each kind: the int64
-    # path agrees with Python ints and raises no overflow warning
+        assert op._buffers is buffers
+    # signed even vectors with sum|x| at the cap of each kind, and the same
+    # times 2^70 + 1: the limbs agree with Python ints and raise no
+    # overflow warning
     rng = np.random.default_rng(0)
     for other in (FreeStripOperator(1, 3), FreeStripOperator(2, 2), op,
                   FreeStripOperator(4, 1), TentOperator(3), BandOperator(3),
                   PinnedStripOperator(2, 2)):
-        top = other._int64_cap
+        top = int64_cap(other)
         F = fold_matrix(oracle_matrix(other))
         for _ in range(6):
             # sum|x| = 2 sum|v| - |v[-1]|: the zero state (the last) counts
@@ -342,10 +449,12 @@ def test_int64_guard_edge():
             signs = rng.choice([-1, 1], other.half).tolist()
             xs = list(map(operator.mul, parts, signs))
             assert 2 * sum(map(abs, xs)) - abs(xs[-1]) == top
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                y = other.apply_exact(xs)
-            assert y == exact_product(F, xs)
+            for scale in (1, 2**70 + 1):
+                big = [v * scale for v in xs]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    y = other.apply_exact(big)
+                assert y == exact_product(F, big)
     # a strip DP whose totals cross the cap between two steps
     k = 1
     while strip_count_exact(3, k + 1, 1) <= cap:
@@ -398,14 +507,15 @@ def test_pinned_strip_dense_matches_transition_rule():
 
 
 def test_pinned_apply_exact_at_int64_cap():
-    # pinned weights are 0 or 1, so the int64 cap is int64 max itself;
-    # int64 runs at the cap and Python ints just above it (an int64 run
-    # whose running sums pass the cap: test_fold_int64_wraps_exactly)
+    # pinned weights are 0 or 1, so the int64 cap is int64 max itself and
+    # the limb width leaves room for dim alone (an int64 run whose running
+    # sums pass the cap: test_fold_int64_wraps_exactly)
     for m, h in ((1, 1), (2, 1), (2, 2), (3, 1)):
         op = PinnedStripOperator(m, h)
-        assert op._int64_cap == np.iinfo(np.int64).max, (m, h)
-        assert_int64_boundary(op)
-    assert_int64_boundary(BandOperator(2))
+        assert int64_cap(op) == np.iinfo(np.int64).max, (m, h)
+        assert op._limb_bits == 62 - op.dim.bit_length(), (m, h)
+        assert_limb_width(op)
+    assert_limb_width(BandOperator(2))
 
 
 def test_pinned_strip_eigenvalue_matches_dense():
@@ -638,9 +748,9 @@ def test_sites_match_prefix_sum_reference(kind, m, h):
 
 @pytest.mark.parametrize("kind, m, h", WARM_CASES)
 def test_warm_buffers_match_fresh_operator(kind, m, h):
-    # one operator runs applies in float, int64 and Python ints, in turn:
-    # each result equals a fresh operator's and the weight rule's product,
-    # and its one buffer pair is in the dtype of the last apply
+    # one operator runs applies in float, on one limb and on several, in
+    # turn: each result equals a fresh operator's and the weight rule's
+    # product, and its one buffer pair is float or int64, as the last apply
     op = make_operator(kind, h, m)
     W = oracle_matrix(op)
     rng = np.random.default_rng(10 * h + (m or 0))
@@ -655,13 +765,13 @@ def test_warm_buffers_match_fresh_operator(kind, m, h):
                                atol=1e-13 * op.dim * np.abs(x).sum())
         else:
             xs = ints if step % 3 == 1 else [2**70 + v for v in ints]
-            total = 2 * sum(map(abs, xs)) - abs(xs[-1])
-            assert (total > op._int64_cap) == (step % 3 == 2)
+            limbs = max(map(abs, xs)) >> op._limb_bits
+            assert bool(limbs) == (step % 3 == 2)
             y = op.apply_exact(xs)
             assert y == fresh.apply_exact(xs), step
             assert y == exact_product(W, even(xs))[:op.half], step
         if op._shape:
-            assert op._buffers.dtype == (float, np.int64, object)[step % 3]
+            assert op._buffers.dtype == (float, np.int64, np.int64)[step % 3]
         else:
             assert op._buffers is None
 
@@ -688,8 +798,9 @@ def test_w_commutes_with_state_reversal(case):
 @pytest.mark.parametrize("case", FOLD_CASES, ids=fold_case_id)
 def test_fold_apply_matches_full_apply(case):
     # on an even vector x the folded lattice gives W x at the
-    # representatives, in float, int64 and Python ints, as fold_matrix
-    # states it; apply takes and returns the sqrt(orbit)-scaled _fold
+    # representatives, in float and int64, and apply_exact in Python ints,
+    # as fold_matrix states it; apply takes and returns the
+    # sqrt(orbit)-scaled _fold
     kind, m, h = case
     op = make_operator(kind, h, m)
     W = oracle_matrix(op).astype(object)
@@ -704,7 +815,7 @@ def test_fold_apply_matches_full_apply(case):
         got = op._fold_apply(half.astype(np.int64))
         assert got.dtype == np.int64 and got.tolist() == y[:op.half].tolist()
         big = half.astype(object) * 2**70
-        assert op._fold_apply(big).tolist() == (y[:op.half] * 2**70).tolist()
+        assert op.apply_exact(big.tolist()) == (y[:op.half] * 2**70).tolist()
         # quarters: every float sum is exact
         got = op._fold_apply(half / 4)
         assert got.tolist() == [v / 4 for v in y[:op.half].tolist()]
@@ -786,5 +897,5 @@ def test_fold_int64_wraps_exactly():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         y = op._fold_apply(np.array(xs, dtype=np.int64)).tolist()
-    assert y == op._fold_apply(np.array(xs, dtype=object)).tolist() \
+    assert y == op.apply_exact(xs) \
         == [0, -big, 0, big]

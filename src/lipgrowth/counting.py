@@ -5,9 +5,16 @@ most h across each edge, and sends the root of every component, its
 smallest vertex, to 0.  ``count`` gives their number by bucket elimination
 as an exact Python integer; ``reciprocal_fit`` interpolates the counting
 polynomial in exact rationals, and its ``c_estimate`` is the growth constant.
+
+Each edge is a window 1[|f(u) - f(v)| <= h].  Summing out a variable held
+only by such windows needs no product: over f(v) in [lo, hi] they give the
+length of [lo, hi] & [max_j x_j - h, min_j x_j + h], the identity the strip
+operators' window sums rest on, here with a constant table.  Band matrices
+are built only inside the ``np.einsum`` steps that also take a table.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import string
@@ -55,7 +62,11 @@ def _elimination_order(nbrs: dict[int, set[int]], size: dict[int, int],
     Eliminating v pops its neighbours (its scope) from ``nbrs``, which is
     consumed, and makes them a clique.  Ties go to the fewest table cells,
     then to the lowest vertex index, so the order is deterministic.  Returns
-    the order and the summed einsum loop extents, prod(size over scope + v).
+    the order and the cells evaluated: prod(size over scope + v), the einsum
+    loop extents, for a step whose bucket holds a table, and the output
+    cells, prod(size over scope), for one whose bucket holds band factors
+    only.  That is a v in no earlier scope, since every table's scope is
+    the scope of some step.
     """
     def key(u: int) -> tuple[int, int, int]:
         return len(nbrs[u]), math.prod(size[w] for w in nbrs[u]), u
@@ -65,6 +76,7 @@ def _elimination_order(nbrs: dict[int, set[int]], size: dict[int, int],
     heap = [key(u) for u in nbrs]
     heapq.heapify(heap)
     order: list[int] = []
+    touched: set[int] = set()
     work = 0
     # the edge factors are tables too
     largest = max((size[v] * size[w] for v in nbrs for w in nbrs[v]), default=1)
@@ -80,13 +92,39 @@ def _elimination_order(nbrs: dict[int, set[int]], size: dict[int, int],
             raise ResourceLimitError(
                 f"elimination needs a table of {largest} cells (budget "
                 f"{budget}), {len(scope)} axes at vertex {v}")
-        work += cells * size[v]
+        work += cells * size[v] if v in touched else cells
+        touched |= scope
         for w in scope:
             nbrs[w] |= scope
             nbrs[w] -= {v, w}
             heapq.heappush(heap, key(w))
         order.append(v)
     return order, work
+
+
+def _band_sum(partners: list[np.ndarray], lo: int, hi: int,
+              h: int) -> np.ndarray:
+    """The int64 table of a bucket of band factors only: over y in [lo, hi],
+    prod_j 1[|y - x_j| <= h] sums to the length of [lo, hi] & [max_j x_j - h,
+    min_j x_j + h], or 0, with partner j's values x_j along axis j.
+
+    With c the last partner's values, a = min(hi - h, the others' min) and
+    b = max(lo + h, the others' max), the length is min(a, c) - max(b, c)
+    + 2h + 1 = min(a - b, a - c, c - b, 0) + 2h + 1.  a and b span the other
+    axes only, and the rest is formed in place in the table, so no other
+    array of its size exists.
+    """
+    *rest, c = [x.reshape([-1 if j == i else 1 for j in range(len(partners))])
+                for i, x in enumerate(partners)]
+    a = functools.reduce(np.minimum, rest, hi - h)
+    b = functools.reduce(np.maximum, rest, lo + h)
+    table = a - c
+    np.minimum(table, np.minimum(a - b, 0), out=table)
+    table += b  # min(t, c - b) = min(t + b, c) - b
+    np.minimum(table, c, out=table)
+    table -= b - (2 * h + 1)
+    np.maximum(table, 0, out=table)
+    return table
 
 
 def count_with_stats(graph: Graph, h: int,
@@ -96,54 +134,67 @@ def count_with_stats(graph: Graph, h: int,
     The count is a #CSP: each vertex with more than one admissible value
     (see ``_domains``) is a variable, and each edge between two variables is
     a band-indicator factor 1[|f(u) - f(v)| <= h].  Variables are summed out
-    one at a time in min-degree order (Dechter, Bucket elimination, AI 1999);
-    each step is one fused ``np.einsum`` over the factors that mention the
-    variable, so the product that still includes it is never built.  Work is
-    polynomial in h for graphs of bounded width.  Planning the order raises
-    ``ResourceLimitError`` at a table over ``budget`` cells, before any
-    table exists; the second value is the summed einsum loop extents.  The
-    budget counts cells, not bytes: a table past int64 holds one Python int
-    per cell.
+    one at a time in min-degree order (Dechter, Bucket elimination, AI 1999).
+    A variable whose bucket holds band factors only is summed in closed
+    form: its windows' intersection length (``_band_sum``, the identity
+    behind the strip operators' window sums).  Every other step is one fused
+    ``np.einsum`` over the tables and band matrices that mention the
+    variable, so the product that still includes it is never built; band
+    factors are partner sets, and their matrices exist only inside such a
+    step.  Work is polynomial in h for graphs of bounded width.  Planning
+    the order raises ``ResourceLimitError`` at a table over ``budget``
+    cells, before any table exists; the second value is the cells the steps
+    evaluate (see ``_elimination_order``).  The budget counts cells, not
+    bytes: a table past int64 holds one Python int per cell.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
     domains = _domains(graph, h)
-    size = {v: b - a + 1 for v, (a, b) in enumerate(domains) if b > a}
-    adjacency = {v: {w for w in graph.adjacency[v] if w in size} for v in size}
-    order, work = _elimination_order(adjacency, size, budget)
+    values = {v: np.arange(a, b + 1, dtype=np.int64)
+              for v, (a, b) in enumerate(domains) if b > a}
+    size = {v: len(x) for v, x in values.items()}
+    # the band factors stay partner sets; the planner consumes its own copy
+    partners = {v: {w for w in graph.adjacency[v] if w in size} for v in size}
+    order, work = _elimination_order({v: set(p) for v, p in partners.items()},
+                                     size, budget)
 
     # Exactness: a table made by eliminating the set S holds, per assignment
     # of its scope, the number of Lipschitz assignments of S.  Every
     # connected piece of S touches a vertex that is fixed in that entry (a
     # scope variable or a constant), so walking each piece outward from it
-    # gives each x in S at most min(2h+1, size[x]) choices.  Each factor
+    # gives each x in S at most min(2h+1, size[x]) choices.  Each table
     # carries that product as its bound; entries, and the partial sums einsum
     # forms on the way to them, stay below it.  A step runs in int64 while
     # its bound fits, otherwise on object arrays of Python ints.
-    factors = []
-    for u, v in graph.edge_array.tolist():
-        if u in size and v in size:
-            # value difference between cells (i, j): i - j + (lo_u - lo_v)
-            diff = np.subtract.outer(np.arange(size[u]), np.arange(size[v]))
-            band = np.abs(diff + (domains[u][0] - domains[v][0])) <= h
-            factors.append(((u, v), band.astype(np.int64), 1))
+    tables = []
     total = 1
     for v in order:
-        bucket = [f for f in factors if v in f[0]]
+        band = sorted(partners.pop(v))
+        for w in band:
+            partners[w].remove(v)
+        bucket = [t for t in tables if v in t[0]]
         if not bucket:
-            total *= size[v]
+            if band:
+                table = _band_sum([values[w] for w in band], *domains[v], h)
+                tables.append((tuple(band), table, min(2 * h + 1, size[v])))
+            else:
+                total *= size[v]
             continue
-        factors = [f for f in factors if v not in f[0]]
-        scope = sorted(set().union(*(f[0] for f in bucket)) - {v})
-        bound = min(2 * h + 1, size[v]) * math.prod(f[2] for f in bucket)
+        tables = [t for t in tables if v not in t[0]]
+        scope = sorted(set(band).union(*(t[0] for t in bucket)) - {v})
+        bound = min(2 * h + 1, size[v]) * math.prod(t[2] for t in bucket)
         dtype = np.int64 if bound <= _INT64_MAX else object
+        for w in band:
+            # v's axis is last, so einsum sums along contiguous rows
+            diff = np.subtract.outer(values[w], values[v])
+            bucket.append(((w, v), np.abs(diff) <= h))
         label = dict(zip(scope + [v], _LABELS))
         spec = (",".join("".join(label[u] for u in f[0]) for f in bucket)
                 + "->" + "".join(label[u] for u in scope))
         table = np.einsum(spec, *(f[1].astype(dtype, copy=False) for f in bucket),
                           optimize=False)
         if scope:
-            factors.append((tuple(scope), table, bound))
+            tables.append((tuple(scope), table, bound))
         else:
             total *= int(table)
     return total, work

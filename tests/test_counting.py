@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from helpers import (dfs_count, end_pinned_path4, full_counts, relabel,
                      top_row_pinned_2x3, with_edge)
-from lipgrowth.counting import (EhrhartPoly, _root, count, count_closed_form,
-                                count_with_stats, ehrhart_fit, reciprocal_fit)
+from lipgrowth.counting import (EhrhartPoly, _domains, _root, count,
+                                count_closed_form, count_with_stats,
+                                ehrhart_fit, reciprocal_fit)
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.graphs import Graph, make_family, make_grid, sample_er
 from lipgrowth.strips import strip_count_exact
@@ -155,6 +156,83 @@ def test_int64_to_object_boundary(monkeypatch):
     # set passes 39 vertices run on Python ints
     assert count(make_grid(2, 21), 1) == expected[21]
     assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}
+
+
+def _clique(vs):
+    return [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]]
+
+
+# Each graph's first eliminated vertex has a bucket of 3 or more band
+# factors only.  In the first three its partners sit at BFS distances 1 and
+# 2 from the root, so their domains [-h d, h d] differ in width and offset;
+# in two-hubs two vertices at distance 1 each have partners at distance 2.
+BAND_ONLY_GRAPHS = {
+    "root-two-K6": Graph.from_edges(
+        7, [(0, 1), (0, 2)] + _clique([1, 2, 3, 4, 5, 6])),
+    "root-one-K5": Graph.from_edges(6, [(0, 1)] + _clique([1, 2, 3, 4, 5])),
+    "wheel": Graph.from_edges(
+        7, [(0, 1), (0, 2), (0, 3)] + _clique([1, 2, 3, 4])
+        + [(4, 5), (4, 6), (5, 6), (1, 5), (2, 6), (3, 5), (3, 6)]),
+    "two-hubs": Graph.from_edges(
+        8, [(0, 1), (0, 2)] + _clique([1, 3, 4, 5]) + _clique([2, 5, 6, 7])
+        + [(3, 6), (4, 7)]),
+}
+
+
+@pytest.mark.parametrize("h", [0, 1, 2, 5])
+@pytest.mark.parametrize("name", sorted(BAND_ONLY_GRAPHS))
+def test_band_only_steps_match_dfs_oracle(name, h):
+    g = BAND_ONLY_GRAPHS[name]
+    assert len({d for d, _ in _domains(g, 1)}) == 3   # distances 0, 1 and 2
+    assert count_with_stats(g, h)[0] == dfs_count(g, h)
+
+
+def test_band_only_k7_matches_closed_form():
+    # K7 at h = 9: the first bucket sums 19 values over a 19^5 table
+    k7 = make_family("complete", 7)
+    assert count_with_stats(k7, 9)[0] == count_closed_form(k7, 9) == 10**7 - 9**7
+
+
+def test_band_only_step_counts_output_cells():
+    # K7 at h = 4: the band-only first step evaluates its 9^5 output cells,
+    # each later step its einsum loop, 9^5, 9^4, ..., 9 (counting the first
+    # step's loop of 9^6 too would give 597,870)
+    assert count_with_stats(make_family("complete", 7), 4)[1] == \
+        2 * 9**5 + 9**4 + 9**3 + 9**2 + 9 == 125_478
+
+
+def test_band_matrices_only_in_table_steps(monkeypatch):
+    # K7 at h = 4 has six variables: the first is summed in closed form, and
+    # each of the five einsum calls takes the table the step before made (a
+    # band matrix holds only 0 and 1)
+    calls = []
+    einsum = np.einsum
+
+    def spy(spec, *operands, **kwargs):
+        calls.append((spec, [int(np.max(a)) for a in operands]))
+        return einsum(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    k7 = make_family("complete", 7)
+    assert count(k7, 4) == count_closed_form(k7, 4)
+    assert len(calls) == 5
+    assert all(max(peaks) > 1 for _, peaks in calls), calls
+
+
+@st.composite
+def dense_graphs(draw):
+    """Graphs on <= 8 vertices with at least half of all pairs as edges."""
+    n = draw(st.integers(2, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    missing = draw(st.lists(st.sampled_from(pairs), unique=True,
+                            max_size=len(pairs) // 2))
+    return Graph.from_edges(n, [p for p in pairs if p not in missing])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_graphs(), st.integers(0, 3))
+def test_dense_elimination_matches_dfs_oracle(g, h):
+    assert count_with_stats(g, h)[0] == dfs_count(g, h)
 
 
 def test_pins_are_not_table_axes():

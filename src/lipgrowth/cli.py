@@ -140,8 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
                     default="brute")
     sp.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET,
                     help="cells, not bytes, of the largest elimination table "
-                         "(brute) or of each folded lattice buffer (strip; a "
-                         "big-int DP holds a Python int per cell), at least 1")
+                         "(brute; past int64 a Python int per cell) or of each "
+                         "of the two folded lattice buffers (strip; int64 "
+                         "limbs, 16 bytes per budget cell), at least 1")
 
     sp = sub.add_parser(
         "ehrhart", parents=[common], help="fit the counting polynomial",
@@ -206,25 +207,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@contextlib.contextmanager
+def _blame(flag: str):
+    """Report a library error raised inside as a usage error of ``flag``."""
+    try:
+        yield
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
+
+
 def _build_graph(args) -> graphs.Graph:
     if args.family:
         if args.n is None:
             raise ValueError("--family: needs --n")
-        try:
+        with _blame("--n"):
             return graphs.make_family(args.family, args.n)
-        except ValueError as exc:
-            raise ValueError(f"--n: {exc}") from exc
     if args.grid:
         return graphs.make_grid(*args.grid)
     if args.er:
-        try:
+        with _blame("--er"):
             return graphs.sample_er(*args.er, args.seed)
-        except ValueError as exc:
-            raise ValueError(f"--er: {exc}") from exc
-    try:
+    with _blame("--load"):
         return graphs.read_edgelist(args.load)
-    except (ValueError, OverflowError, OSError) as exc:
-        raise ValueError(f"--load: {exc}") from exc
 
 
 def _cmd_generate(args):
@@ -232,19 +236,17 @@ def _cmd_generate(args):
 
 
 def _cmd_count(args):
+    if args.method == "strip" and not args.grid:
+        raise ValueError("--method: strip needs --grid")
     g = _build_graph(args)
     t0 = time.perf_counter()
     expansions = 0
     if args.method == "brute":
         value, expansions = counting.count_with_stats(g, args.h, args.budget)
     elif args.method == "closed":
-        try:
+        with _blame("--method"):
             value = counting.count_closed_form(g, args.h)
-        except ValueError as exc:
-            raise ValueError(f"--method: {exc}") from exc
     else:  # strip
-        if not args.grid:
-            raise ValueError("--method: strip needs --grid")
         value = strips.strip_count_exact(*args.grid, args.h, args.budget)
     elapsed = time.perf_counter() - t0
     rec = {"graph_hash": graphs.graph_hash(g), "h": args.h,
@@ -279,10 +281,8 @@ def _cmd_strip(args):
     pairs = []
     est = None
     for h in args.h:
-        try:
+        with _blame("--m"):  # band and tent have fixed rows
             op = strips.make_operator(args.kind, h, args.m)
-        except ValueError as exc:  # band and tent have fixed rows
-            raise ValueError(f"--m: {exc}") from exc
         # each solve starts from the previous h's Perron vector
         est = strips.top_eigenvalue(op, args.tol, args.max_iter, est)
         pairs.append((h, est.normalized))
@@ -336,18 +336,14 @@ def _cmd_bounds(args):
 
 def _lab_graph(args, seed: int) -> graphs.Graph:
     """``sample_er(args.n, args.d, seed)``; --n is in range, so --d erred."""
-    try:
+    with _blame("--d"):
         return graphs.sample_er(args.n, args.d, seed)
-    except ValueError as exc:
-        raise ValueError(f"--d: {exc}") from exc
 
 
 def _cmd_random_lab(args):
     if args.mode == "lll":
-        try:
+        with _blame("--d"):
             cfg = randomlab.LllConfig(h=args.h, d=args.d)
-        except ValueError as exc:
-            raise ValueError(f"--d: {exc}") from exc
         g = _lab_graph(args, args.seed)
         res = randomlab.lll_sampler(g, cfg, args.trials, args.seed)
         return {"records": [{"mode": "lll", "n": args.n, "d": args.d,

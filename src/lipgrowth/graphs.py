@@ -207,7 +207,7 @@ def sample_er(n: int, d: float, seed: int) -> Graph:
     p = d / n
     rng = np.random.default_rng(seed)
     total = n * (n - 1) // 2
-    found: list[np.ndarray] = []
+    found = [np.empty(0, dtype=np.int64)]
     last = -1  # linear index of the latest present pair
     while p > 0 and last < total - 1:
         # the edges still to come, four standard deviations over, plus the
@@ -227,8 +227,6 @@ def sample_er(n: int, d: float, seed: int) -> Graph:
         if stop < index.size:
             break
         last = int(index[-1])
-    if not found:
-        return Graph(n, np.empty((0, 2), dtype=np.int64))
     i, j = _pairs_from_linear(np.concatenate(found), n)
     return Graph(n, np.stack((i, j), axis=1))
 

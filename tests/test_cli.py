@@ -672,6 +672,43 @@ def test_checks_between_values_name_their_flag(capsys, tmp_path):
     assert captured.err.startswith("error: --load: ")
 
 
+def test_strip_needs_grid_before_any_graph(capsys, monkeypatch, tmp_path):
+    # a call that will be refused samples no graph and reads no file
+    def refuse(*args):
+        raise AssertionError("graph built before the usage check")
+    monkeypatch.setattr(graphs, "sample_er", refuse)
+    monkeypatch.setattr(graphs, "read_edgelist", refuse)
+    for source in (["--er", "2000000", "3"],
+                   ["--load", str(tmp_path / "missing.edges")]):
+        code = main(["count", *source, "--h", "1", "--method", "strip"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), source
+        assert captured.err == "error: --method: strip needs --grid\n"
+
+
+def test_flag_errors_keep_the_library_error_as_cause(capsys, monkeypatch,
+                                                     tmp_path):
+    # the usage error names its flag and chains the library's error
+    raised = []
+
+    def count(args):
+        try:
+            return cli._cmd_count(args)
+        except ValueError as exc:
+            raised.append(exc)
+            raise
+    monkeypatch.setitem(cli._DISPATCH, "count", count)
+    missing = tmp_path / "missing.edges"
+    for argv, flag, cause in (
+            (["--load", str(missing)], "--load", FileNotFoundError),
+            (["--er", "5", "10"], "--er", ValueError)):
+        assert main(["count", *argv, "--h", "1"]) == 2
+        exc = raised.pop()
+        assert str(exc) == f"{flag}: {exc.__cause__}"
+        assert type(exc.__cause__) is cause
+    assert capsys.readouterr().out == ""
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["strip", "--help"]) == 0

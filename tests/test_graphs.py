@@ -70,6 +70,8 @@ def test_sample_er_edge_cases():
     empty = sample_er(10, 0, 123)
     assert len(empty.edges) == 0
     assert empty.component_count == 10
+    assert empty.edge_array.shape == (0, 2)
+    assert empty.edge_array.dtype == np.int64
 
     full = sample_er(5, 5, 99)
     assert len(full.edges) == 10

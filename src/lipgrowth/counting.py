@@ -4,7 +4,7 @@ An h-Lipschitz function assigns an integer to every vertex, differs by at
 most h across each edge, and sends the root of every component, its
 smallest vertex, to 0.  ``count`` gives their number by bucket elimination
 as an exact Python integer; ``reciprocal_fit`` interpolates the counting
-polynomial in exact rationals, and its ``c_estimate`` is the growth constant.
+polynomial in ints over one denominator; its ``c_estimate`` is c(G).
 
 Each edge is a window 1[|f(u) - f(v)| <= h].  Summing out a variable held
 only by such windows needs no product: over f(v) in [lo, hi] they give the
@@ -127,36 +127,21 @@ def _band_sum(partners: list[np.ndarray], lo: int, hi: int,
     return table
 
 
-def count_with_stats(graph: Graph, h: int,
-                     budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
-    """Exact count by bucket elimination, plus the table cells evaluated.
-
-    The count is a #CSP: each vertex with more than one admissible value
-    (see ``_domains``) is a variable, and each edge between two variables is
-    a band-indicator factor 1[|f(u) - f(v)| <= h].  Variables are summed out
-    one at a time in min-degree order (Dechter, Bucket elimination, AI 1999).
-    A variable whose bucket holds band factors only is summed in closed
-    form: its windows' intersection length (``_band_sum``, the identity
-    behind the strip operators' window sums).  Every other step is one fused
-    ``np.einsum`` over the tables and band matrices that mention the
-    variable, so the product that still includes it is never built; band
-    factors are partner sets, and their matrices exist only inside such a
-    step.  Work is polynomial in h for graphs of bounded width.  Planning
-    the order raises ``ResourceLimitError`` at a table over ``budget``
-    cells, before any table exists; the second value is the cells the steps
-    evaluate (see ``_elimination_order``).  The budget counts cells, not
-    bytes: a table past int64 holds one Python int per cell.
-    """
-    if h < 0:
-        raise ValueError("h must be nonnegative")
+def _plan(graph: Graph, h: int, budget: int) -> tuple[list, list[int], int]:
+    """``_domains`` at h, then ``_elimination_order`` over its variables."""
     domains = _domains(graph, h)
+    size = {v: b - a + 1 for v, (a, b) in enumerate(domains) if b > a}
+    nbrs = {v: {w for w in graph.adjacency[v] if w in size} for v in size}
+    return (domains, *_elimination_order(nbrs, size, budget))
+
+
+def _eliminate(graph: Graph, domains: list, h: int, order: list[int]) -> int:
+    """The count over ``domains``, its variables summed out in ``order``
+    (which may name constants), as ``count_with_stats`` describes."""
     values = {v: np.arange(a, b + 1, dtype=np.int64)
               for v, (a, b) in enumerate(domains) if b > a}
     size = {v: len(x) for v, x in values.items()}
-    # the band factors stay partner sets; the planner consumes its own copy
     partners = {v: {w for w in graph.adjacency[v] if w in size} for v in size}
-    order, work = _elimination_order({v: set(p) for v, p in partners.items()},
-                                     size, budget)
 
     # Exactness: a table made by eliminating the set S holds, per assignment
     # of its scope, the number of Lipschitz assignments of S.  Every
@@ -169,6 +154,8 @@ def count_with_stats(graph: Graph, h: int,
     tables = []
     total = 1
     for v in order:
+        if v not in size:
+            continue
         band = sorted(partners.pop(v))
         for w in band:
             partners[w].remove(v)
@@ -197,7 +184,33 @@ def count_with_stats(graph: Graph, h: int,
             tables.append((tuple(scope), table, bound))
         else:
             total *= int(table)
-    return total, work
+    return total
+
+
+def count_with_stats(graph: Graph, h: int,
+                     budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
+    """Exact count by bucket elimination, plus the table cells evaluated.
+
+    The count is a #CSP: each vertex with more than one admissible value
+    (see ``_domains``) is a variable, and each edge between two variables is
+    a band-indicator factor 1[|f(u) - f(v)| <= h].  Variables are summed out
+    one at a time in min-degree order (Dechter, Bucket elimination, AI 1999).
+    A variable whose bucket holds band factors only is summed in closed
+    form: its windows' intersection length (``_band_sum``, the identity
+    behind the strip operators' window sums).  Every other step is one fused
+    ``np.einsum`` over the tables and band matrices that mention the
+    variable, so the product that still includes it is never built; band
+    factors are partner sets, and their matrices exist only inside such a
+    step.  Work is polynomial in h for graphs of bounded width.  Planning
+    the order (``_plan``) raises ``ResourceLimitError`` at a table over
+    ``budget`` cells, before any table exists; the second value is the cells
+    the steps evaluate (see ``_elimination_order``).  The budget counts
+    cells, not bytes: a table past int64 holds one Python int per cell.
+    """
+    if h < 0:
+        raise ValueError("h must be nonnegative")
+    domains, order, work = _plan(graph, h, budget)
+    return _eliminate(graph, domains, h, order), work
 
 
 def count(graph: Graph, h: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -270,17 +283,22 @@ class EhrhartPoly:
         return _root(self.leading, self.degree)
 
     def evaluate(self, h: int) -> Fraction:
-        acc = Fraction(0)
+        """Horner's rule in ints, on numerators over the lcm denominator."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * h + c
-        return acc
+            acc = acc * h + c.numerator * (den // c.denominator)
+        return Fraction(acc, den)
 
 
 def ehrhart_fit(graph: Graph, counts: Sequence[tuple[int, int]]) -> EhrhartPoly:
     """Interpolate exact counts at n-k+1 distinct h values.
 
     The counting function is a degree-(n-k) polynomial, so the interpolant is
-    exact; its value at any further h equals the true count.
+    exact; its value at any further h equals the true count.  Lagrange's
+    form runs in ints: node i's basis polynomial N(h) / (h - h_i), N(h) =
+    prod_j (h - h_j), is one synthetic division, scaled by y_i L / w_i over
+    the common denominator L = lcm of w_i = prod_{j != i} (h_i - h_j).
     """
     nfree = graph.n - graph.component_count
     if len(counts) != nfree + 1:
@@ -289,30 +307,24 @@ def ehrhart_fit(graph: Graph, counts: Sequence[tuple[int, int]]) -> EhrhartPoly:
     if len(set(hs)) != len(hs):
         raise ValueError("interpolation nodes must be distinct")
 
-    # Newton's divided differences in exact arithmetic, then expansion.
-    ys = [Fraction(c) for _, c in counts]
-    coef = list(ys)
-    for level in range(1, len(hs)):
-        for i in range(len(hs) - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (hs[i] - hs[i - level])
-    poly = [Fraction(0)] * len(hs)
-    acc = [Fraction(1)]  # running product (h - h_0)...(h - h_{level-1})
-    for level, c in enumerate(coef):
-        for i, a in enumerate(acc):
-            poly[i] += c * a
-        nxt = [Fraction(0)] * (len(acc) + 1)
-        for i, a in enumerate(acc):
-            nxt[i] -= a * hs[level]
-            nxt[i + 1] += a
-        acc = nxt
+    node = [1]  # N(h), low degree first
+    for x in hs:
+        node = [a - x * b for a, b in zip([0] + node, node + [0])]
+    ws = [math.prod(x - z for z in hs if z != x) for x in hs]
+    den = math.lcm(*ws)
+    num = [0] * len(hs)
+    for x, w, (_, y) in zip(hs, ws, counts):
+        scale = y * (den // w)
+        acc = 0  # N(h) / (h - x), high degree first
+        for k in range(len(hs) - 1, -1, -1):
+            acc = node[k + 1] + x * acc
+            num[k] += scale * acc
 
-    fit = EhrhartPoly(tuple(poly))
-    if nfree >= 1:
-        lead = fit.leading
-        if lead < 1 or lead > Fraction(2) ** nfree:
-            raise ValueError(
-                f"leading coefficient {lead} outside [1, 2^{nfree}]; counts look wrong")
-    return fit
+    if nfree >= 1 and not den <= num[-1] <= den << nfree:
+        raise ValueError(
+            f"leading coefficient {Fraction(num[-1], den)} outside "
+            f"[1, 2^{nfree}]; counts look wrong")
+    return EhrhartPoly(tuple(Fraction(c, den) for c in num))
 
 
 def reciprocal_fit(graph: Graph, budget: int = DEFAULT_BUDGET
@@ -327,14 +339,19 @@ def reciprocal_fit(graph: Graph, budget: int = DEFAULT_BUDGET
     counts at h = 0..d//2 and the reflections of the first ceil(d/2) of
     them.  Every known value left over, the count at d//2 + 1 and for even d
     one more reflection, is checked against the fit, so the fit checks
-    itself: a mismatch raises ValueError.  Counting runs from the top node,
-    h = d//2 + 1, down, so a fit over the budget fails in its first count,
-    before any table is built.  Returns the fit and the counted pairs.
+    itself: a mismatch raises ValueError.  One elimination order, planned at
+    the top node h = d//2 + 1, serves every count, so a fit over the budget
+    fails before any table is built.  The variables and their scopes are the
+    same at every h >= 1 and each domain [-hr, hr], r a BFS distance, grows
+    with h, so under that order no table at a lower h has more cells than at
+    the top.
+    Returns the fit and the counted pairs.
     """
     d = graph.n - graph.component_count
     half = d // 2
-    counted = [(h, count(graph, h, budget)) for h in range(half + 1, -1, -1)]
-    counted.reverse()
+    _, order, _ = _plan(graph, half + 1, budget)
+    counted = [(h, _eliminate(graph, _domains(graph, h), h, order))
+               for h in range(half + 2)]
     sign = -1 if d % 2 else 1
     mirrored = [(-1 - h, sign * c) for h, c in counted[:half + 1]]
     fit = ehrhart_fit(graph, counted[:half + 1] + mirrored[:d - half])
@@ -343,4 +360,3 @@ def reciprocal_fit(graph: Graph, budget: int = DEFAULT_BUDGET
             raise ValueError(f"count {c} at h = {h} is off the fitted "
                              f"polynomial, which gives {fit.evaluate(h)}")
     return fit, counted
-

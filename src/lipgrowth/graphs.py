@@ -202,6 +202,8 @@ def sample_er(n: int, d: float, seed: int) -> Graph:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n * (n - 1) >= 2 ** 63:  # the index past the last pair can reach it
+        raise ValueError(f"n = {n} has too many pairs to index in int64")
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n so the edge probability is in [0, 1]")
     p = d / n

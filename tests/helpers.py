@@ -5,11 +5,13 @@ free-strip weights from difference vectors, pinned-strip states), and the
 reference implementations the library is tested against: breadth-first
 component labels, the pruned depth-first count and the pinned counts it is
 checked against, each strip operator's dense matrix straight from its rule
-and that matrix on even vectors, the stepwise strip DP, a
-one-skip-at-a-time Erdos-Renyi walk, the exhaustive independent-pair scan
-and the every-edge random-construction sampler."""
+and that matrix on even vectors, the stepwise strip DP, Newton's
+interpolation in Fractions, a one-skip-at-a-time Erdos-Renyi walk, the
+exhaustive independent-pair scan and the every-edge random-construction
+sampler."""
 import functools
 from collections import deque
+from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
 from typing import Sequence
 
@@ -65,6 +67,28 @@ def full_counts(graph: Graph) -> list[tuple[int, int]]:
     """Exact counts at h = 0..n-k, the nodes of a full ``ehrhart_fit``."""
     return [(h, count(graph, h))
             for h in range(graph.n - graph.component_count + 1)]
+
+
+def newton_fit(counts: Sequence[tuple[int, int]]) -> tuple[Fraction, ...]:
+    """Coefficients, low degree first, of the polynomial through the
+    (h, count) pairs: Newton's divided differences in Fractions, then
+    expansion of the Newton form."""
+    hs = [h for h, _ in counts]
+    coef = [Fraction(c) for _, c in counts]
+    for level in range(1, len(hs)):
+        for i in range(len(hs) - 1, level - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (hs[i] - hs[i - level])
+    poly = [Fraction(0)] * len(hs)
+    acc = [Fraction(1)]  # running product (h - h_0)...(h - h_{level-1})
+    for level, c in enumerate(coef):
+        for i, a in enumerate(acc):
+            poly[i] += c * a
+        nxt = [Fraction(0)] * (len(acc) + 1)
+        for i, a in enumerate(acc):
+            nxt[i] -= a * hs[level]
+            nxt[i + 1] += a
+        acc = nxt
+    return tuple(poly)
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -349,6 +349,8 @@ def test_exit_codes(capsys, monkeypatch):
     for argv, flag in ((["count", "--er", "10", "nan", "--h", "1"], "--er"),
                        (["count", "--er", "10", "inf", "--h", "1"], "--er"),
                        (["count", "--er", "0", "0", "--h", "1"], "--er"),
+                       (["count", "--er", str(10 ** 23), "1", "--h", "1"],
+                        "--er"),
                        (["random-lab", "--mode", "giant", "--n", "10",
                          "--d", "nan"], "--d"),
                        (["random-lab", "--mode", "lll", "--n", "10",

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (dfs_count, end_pinned_path4, full_counts, relabel,
-                     top_row_pinned_2x3, with_edge)
+from helpers import (dfs_count, end_pinned_path4, full_counts, newton_fit,
+                     relabel, top_row_pinned_2x3, with_edge)
 from lipgrowth.counting import (EhrhartPoly, _domains, _root, count,
                                 count_closed_form, count_with_stats,
                                 ehrhart_fit, reciprocal_fit)
@@ -352,6 +353,45 @@ def test_ehrhart_validation():
         ehrhart_fit(p3, [(0, 1), (1, 9)])            # wrong node count
     with pytest.raises(ValueError):
         ehrhart_fit(p3, [(0, 5), (1, 6), (2, 7)])    # counts violate growth bounds
+    # the leading coefficient's range [1, 2^(n-k)] is closed: (h+1)^2 and
+    # (2h+1)^2 pass, (h+1)(h+2)/2 and 1 + 4h + 5h^2 do not
+    assert ehrhart_fit(p3, [(0, 1), (1, 4), (2, 9)]).leading == 1
+    assert ehrhart_fit(p3, [(0, 1), (1, 9), (2, 25)]).leading == 4
+    for counts in ([(0, 1), (1, 3), (2, 6)], [(0, 1), (1, 10), (2, 29)]):
+        with pytest.raises(ValueError, match="leading coefficient"):
+            ehrhart_fit(p3, counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ehrhart_fit_matches_newton(data):
+    # distinct nodes, negative and not contiguous; counts of up to 2^200
+    # and past, either arbitrary or the values sum_k b_k C(h, k) of an
+    # integer-valued polynomial whose leading coefficient b_d / d! lies in
+    # [1, 2^d], the range ehrhart_fit accepts
+    d = data.draw(st.integers(0, 9))
+    hs = data.draw(st.lists(st.integers(-60, 60), min_size=d + 1,
+                            max_size=d + 1, unique=True))
+    big = st.integers(-2 ** 200, 2 ** 200)
+    if data.draw(st.booleans()):
+        b = data.draw(st.lists(big, min_size=d, max_size=d))
+        b.append(data.draw(st.integers(math.factorial(d),
+                                       math.factorial(d) << d)))
+        ys = [sum(bk * math.prod(range(h - k + 1, h + 1)) // math.factorial(k)
+                  for k, bk in enumerate(b)) for h in hs]
+    else:
+        ys = data.draw(st.lists(big, min_size=d + 1, max_size=d + 1))
+    counts = list(zip(hs, ys))
+    path = make_family("path", d + 1)
+    expected = newton_fit(counts)
+    if d and not 1 <= expected[-1] <= 2 ** d:
+        with pytest.raises(ValueError):
+            ehrhart_fit(path, counts)
+        return
+    fit = ehrhart_fit(path, counts)
+    assert fit.coeffs == expected
+    assert all(type(c) is Fraction for c in fit.coeffs)
+    assert [fit.evaluate(h) for h in hs] == ys
 
 
 def test_ehrhart_polynomiality_holdout():
@@ -407,18 +447,44 @@ def test_reciprocal_fit_examples():
 
 def test_reciprocal_fit_checks_itself(monkeypatch):
     # one count off by one at the top counted node is caught, for odd d
-    # (2x3, d = 5), even d (C7, d = 6) and d = 0
+    # (2x3, d = 5), even d (C7, d = 6) and d = 0; the fit counts through
+    # _eliminate, with the order planned once at the top node
     from lipgrowth import counting
-    exact = counting.count
+    exact = counting._eliminate
     for g in (make_grid(2, 3), make_family("cycle", 7), Graph.from_edges(2, [])):
         top = (g.n - g.component_count) // 2 + 1
-        monkeypatch.setattr(counting, "count",
-                            lambda graph, h, budget=None:
-                            exact(graph, h) + (h == top))
+        monkeypatch.setattr(counting, "_eliminate",
+                            lambda graph, domains, h, order:
+                            exact(graph, domains, h, order) + (h == top))
         with pytest.raises(ValueError):
             reciprocal_fit(g)
-        monkeypatch.setattr(counting, "count", exact)
+        monkeypatch.setattr(counting, "_eliminate", exact)
         reciprocal_fit(g)
+
+
+def test_reciprocal_fit_plans_once(monkeypatch):
+    # one min-degree order per fit, planned at the top node, whatever the
+    # number of counted nodes; a count plans at its own h
+    from lipgrowth import counting
+    calls = []
+    plan = counting._elimination_order
+
+    def spy(nbrs, size, budget):
+        calls.append(max(size.values(), default=1))
+        return plan(nbrs, size, budget)
+
+    def widest(g, h):
+        return max(b - a + 1 for a, b in _domains(g, h))
+
+    monkeypatch.setattr(counting, "_elimination_order", spy)
+    for g in (make_grid(2, 3), make_grid(3, 3), make_family("cycle", 7),
+              Graph.from_edges(3, [])):
+        calls.clear()
+        reciprocal_fit(g)
+        assert calls == [widest(g, (g.n - g.component_count) // 2 + 1)]
+    calls.clear()
+    assert count(make_grid(2, 3), 2) == 1459
+    assert calls == [widest(make_grid(2, 3), 2)]
 
 
 def test_reciprocal_fit_checks_budget_before_counting(monkeypatch):

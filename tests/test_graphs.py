@@ -83,6 +83,11 @@ def test_sample_er_edge_cases():
             sample_er(5, d, 0)
     with pytest.raises(ValueError):
         sample_er(0, 0, 0)
+    # n(n-1)/2 pairs past int64 indexing are refused before any array
+    # exists, at any degree
+    for d in (0, 1, 1e-300):
+        with pytest.raises(ValueError, match="int64"):
+            sample_er(10 ** 20, d, 0)
 
     for seed in (0, 1, 2):
         # no pairs at all

@@ -335,7 +335,10 @@ def _cmd_bounds(args):
 
 
 def _lab_graph(args, seed: int) -> graphs.Graph:
-    """``sample_er(args.n, args.d, seed)``; --n is in range, so --d erred."""
+    """``sample_er(args.n, args.d, seed)``, with an n it cannot index
+    blamed on --n and any other error on --d."""
+    with _blame("--n"):
+        graphs.er_pairs(args.n)
     with _blame("--d"):
         return graphs.sample_er(args.n, args.d, seed)
 

@@ -189,6 +189,16 @@ def _pairs_from_linear(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def er_pairs(n: int) -> int:
+    """The n(n-1)/2 vertex pairs ``sample_er`` draws from, for an n it can
+    index: ValueError unless n >= 1 and n(n-1) < 2^63."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n * (n - 1) >= 2 ** 63:  # the index past the last pair can reach it
+        raise ValueError(f"n = {n} has too many pairs to index in int64")
+    return n * (n - 1) // 2
+
+
 def sample_er(n: int, d: float, seed: int) -> Graph:
     """Erdos-Renyi graph: each pair present independently with probability d/n.
 
@@ -200,15 +210,11 @@ def sample_er(n: int, d: float, seed: int) -> Graph:
     they go to ``Graph`` as its edge array, without ``Graph.from_edges``'s
     per-edge normalisation.  The result is a pure function of (n, d, seed).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n * (n - 1) >= 2 ** 63:  # the index past the last pair can reach it
-        raise ValueError(f"n = {n} has too many pairs to index in int64")
+    total = er_pairs(n)
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n so the edge probability is in [0, 1]")
     p = d / n
     rng = np.random.default_rng(seed)
-    total = n * (n - 1) // 2
     found = [np.empty(0, dtype=np.int64)]
     last = -1  # linear index of the latest present pair
     while p > 0 and last < total - 1:

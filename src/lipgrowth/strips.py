@@ -17,16 +17,20 @@ on an embedded lattice, O(cells) per apply.  Each window turns one buffer
 into its running sum in place and writes the window into the other,
 swapping the two after every window; an operator keeps one buffer pair,
 float or int64, reallocated only when the dtype changes.  A running sum is
-one ``np.cumsum``, or a row add per index along a leading axis whose slabs
-are large enough to pay for the calls.  The last window is never written
-out: its buffer becomes the running sum along that axis, read as one
-difference at each state.  Every kind scatters onto the lattice of prefix
+one ``np.cumsum``, or a row add per index along an axis whose slabs are
+large enough to pay for the calls.  The last window is never written out:
+its buffer becomes the running sum along that axis, read as one difference
+at each state.  A free strip (and tent) scatters onto the lattice of prefix
 vectors, since its weight depends only on the difference of two columns'
-prefix vectors: a half-width-h box window on every axis, then, for free
-strips (and tent), one more along the diagonal (1, ..., 1) for the column
-offset.  A pinned strip of m rows is the free strip of m+1 rows with its
-top row fixed, so its states are the prefix vectors of m difference steps
-and it needs no offset window.
+prefix vectors: a half-width-h box window on every axis, then one more
+along the diagonal (1, ..., 1) for the column offset.  A pinned strip of m
+rows is the free strip of m+1 rows with its top row fixed: its states are
+its rows, the prefix vectors of m difference steps, and a transition moves
+every row by at most h, one box window per row and no offset window.  From
+three rows it holds its top row as the offset from the row below, whose
+axis is shorter, and runs that row's window along it and the next row's
+along the diagonal that keeps the top row (a site-by-site transfer for the
+top row: Enting, J. Phys. A 13, 3713, 1980).
 
 Every kind is folded by its negation symmetry d -> -d, which W commutes
 with, so the Perron vector and every W^k 1 are even: an operator runs on
@@ -82,22 +86,24 @@ def _folded_ones(half: int) -> np.ndarray:
 
 # Elements per index along an axis, below which a running sum takes one
 # ``np.cumsum`` instead of a Python-level row add per index: on smaller
-# slabs the calls cost more than the arithmetic (cumsum won by 3x at 123
-# elements, row adds by 1.7x at 1,000).
+# slabs the calls cost more than the arithmetic (along a leading axis,
+# cumsum won by 3x at 123 elements, row adds by 1.7x at 1,000; along the
+# last, cumsum by 5x at 65, row adds by 1.6x at 1,701 and 2x at 3,321).
 _ROW_ADD_MIN = 512
 
 
 def _running_sum(a: np.ndarray, axis: int) -> None:
     """Overwrite ``a`` with its running sum along ``axis``.
 
-    Along a leading axis whose index slabs hold at least ``_ROW_ADD_MIN``
+    Along an axis whose index slabs hold at least ``_ROW_ADD_MIN``
     elements this is one vectorised row add per index: ``np.cumsum`` would
-    run that axis as its strided inner loop.  Along the last axis, or on
-    smaller slabs, it is one ``np.cumsum``.  Both add in the same order, so
-    results do not depend on which one runs.
+    run a leading axis as its strided inner loop, and the last axis as one
+    short inner loop per slab element.  On smaller slabs it is one
+    ``np.cumsum``.  Both add in the same order, so results do not depend on
+    which one runs.
     """
     n = a.shape[axis]
-    if axis == a.ndim - 1 or a.size < _ROW_ADD_MIN * n:
+    if a.size < _ROW_ADD_MIN * n:
         np.cumsum(a, axis=axis, out=a)
     else:
         s = a.swapaxes(0, axis)
@@ -160,23 +166,41 @@ class FreeStripOperator:
     orbit representatives, the first ``half`` = (dim + 1)/2 states, and
     keeps only the flat prefix of the lattice up to the end of the leading
     axis's centre slab.  Windows along the other axes run on it unchanged;
-    a window whose reach crosses the centre reads a reflected copy of the
-    cells below the centre appended after it: h slabs for the leading axis,
-    up to the last state's h-th diagonal step for the diagonal.  The two
-    buffers that hold it, ``buffer_cells`` each, are kept in the dtype of
-    the last apply, float or int64.  ``state_budget`` bounds
-    ``buffer_cells`` before anything is allocated, so an operator holds 16
-    bytes per budget cell whatever the size of the integers it counts:
-    exact applies run on int64 limbs, one limb to an apply.
+    a window whose reach crosses the centre (along the leading axis or a
+    diagonal) reads a reflected copy of the cells below the centre appended
+    after it, h of its rows past the last cell it must be right at: the end
+    of the half, or the centre state for the offset's diagonal, which is
+    read only at the states.  The two buffers that hold it, ``buffer_cells``
+    each, are kept in the dtype of the last apply, float or int64.
+    ``state_budget`` bounds ``buffer_cells`` before anything is allocated,
+    so an operator holds 16 bytes per budget cell whatever the size of the
+    integers it counts: exact applies run on int64 limbs, one limb to an
+    apply.
 
     ``apply`` and ``apply_exact`` take an even vector folded to its ``half``
     representatives and return W x in the same form: ``_fold``'s
     sqrt(orbit)-scaled values for ``apply`` (the eigen-solve's vectors),
     plain values for ``apply_exact`` (the strip DP's).
 
-    A ``pinned`` kind fixes the top row at 0: its m rows are the m
-    difference steps below that row, so it runs on the m axes of the free
-    (m+1)-row lattice, unpadded and without the diagonal window.
+    A ``pinned`` kind fixes a row above its m rows at 0.  Its states are
+    the rows' values y_1..y_m, the prefix sums of m difference steps, and a
+    transition is one box window per row, with no offset window.  Up to two
+    rows the box holds y_m, ..., y_1, unpadded.  From three rows it is
+    sheared: the top row is held as c = y_m - y_{m-1} on the box
+    (c, y_{m-1}, ..., y_1), where c's axis is [-2h, 2h], 4h+1 cells to
+    y_m's 2mh+1.  The top row's window runs along c, the leading axis;
+    row m-1's runs along the diagonal (c + 1, y_{m-1} - 1), which keeps
+    y_m, down the columns of the flat box reshaped to rows of one diagonal
+    step.  A state has |c| <= h and no later window moves c, so the lower
+    rows' windows run on those slabs alone, a contiguous range of the
+    folded half (c in [-h, 0]).  The diagonal's rows are unpadded and wrap
+    at the ends of y_{m-1}, but a wrapped read lands more than (2m-3)h
+    along y_{m-1} from where it starts; a cell there holds a value only if
+    its y_{m-2} is within h of its y_{m-1}, while the lower windows read
+    from a state reach only y_{m-2} within 2h of the state's y_{m-1}, so
+    for m >= 3 no wrapped value reaches a state.  At two rows one would
+    (there is no y_{m-2}), and the sheared box would be no smaller, so two
+    rows keep the box of rows.
     """
 
     kind = "free-strip"
@@ -190,31 +214,54 @@ class FreeStripOperator:
         self.m = m
         self.h = h
         axes = m if self.pinned else m - 1
-        pad = 0 if self.pinned else h
         self.dim = (2 * h + 1) ** axes
         self.half = (self.dim + 1) // 2
-        # axis k holds the prefix of the first axes - k difference steps
-        self._shape = tuple(2 * (i * h + pad) + 1 for i in range(axes, 0, -1))
-        strides = [math.prod(self._shape[k + 1:]) for k in range(axes)]
-        self._step = 1 if self.pinned else max(sum(strides), 1)
+        # box axis k holds the sum of difference steps a..b-1, padded by p;
+        # a pinned strip of three or more rows stores its top row as c, its
+        # offset from the row below, on the box (c, y_{m-1}, ..., y_1)
+        sheared = self.pinned and m > 2
+        if sheared:
+            spans = [(m - 1, m, h)] + [(0, k, 0) for k in range(m - 1, 0, -1)]
+        else:
+            spans = [(0, axes - k, 0 if self.pinned else h)
+                     for k in range(axes)]
+        self._shape = tuple(2 * ((b - a) * h + p) + 1 for a, b, p in spans)
         self._size = math.prod(self._shape)
+        strides = [math.prod(self._shape[k + 1:]) for k in range(axes)]
         self.buffer_cells = 0
+        self._windows = []
         if axes:
-            self._slab = self._size // self._shape[0]
-            self._half_cells = (self._shape[0] // 2 + 1) * self._slab
-            # the leading axis's window reads h slabs past the half
-            self._fold_reach = self._half_cells + h * self._slab
-            # the last window's running sum reaches every representative's
-            # ``_hi`` cell: h diagonal steps past the centre state's step
-            # (free), h slabs past the half (pinned, one axis), or the half
-            # (pinned, the last axis innermost)
-            if not self.pinned:
-                self._last = (self._size // 2 // self._step + h + 1) * self._step
-            elif axes == 1:
-                self._last = self._fold_reach
+            slab = strides[0]
+            self._half_cells = half = (self._shape[0] // 2 + 1) * slab
+
+            def across(length, end):
+                # a window down the columns of rows of ``length`` cells,
+                # across the centre: it reads h rows past the row of
+                # ``end``, the last cell it must be right at
+                rows = end // length + h + 1
+                return 0, rows * length, (rows, length), 0
+
+            # the leading axis's window, then the others on the half
+            self._windows = [across(slab, half - 1)]
+            start = 0
+            if sheared:
+                # the diagonal (c + 1, y_{m-1} - 1), which keeps the top
+                # row, then the lower rows on the states' c in [-h, 0]
+                self._windows.append(across(max(slab - strides[1], 1),
+                                            half - 1))
+                start = h * slab
+            box = ((half - start) // slab,) + self._shape[1:]
+            self._windows += [(start, half, box, k)
+                              for k in range(1 + sheared, axes)]
+            if self.pinned:
+                stride, n = 1, self._shape[-1]
             else:
-                self._last = self._half_cells
-            self.buffer_cells = max(self._fold_reach, self._last)
+                # the column offset's window along the diagonal (1, ..., 1),
+                # right at the states up to the centre
+                stride = max(sum(strides), 1)
+                n = -(-self._size // stride)
+                self._windows.append(across(stride, self._size // 2))
+            self.buffer_cells = max(w[1] for w in self._windows)
         if self.buffer_cells > state_budget:
             raise ResourceLimitError(
                 f"folded lattice buffers of {self.buffer_cells} cells exceed "
@@ -230,14 +277,15 @@ class FreeStripOperator:
         self._limb_bits = 62 - (self.dim * (1 if self.pinned
                                             else 2 * h + 1)).bit_length()
         # A state's site is linear in its difference steps: from the centre
-        # cell, the site of the all-zero state, step t moves prefix axes
-        # 0..axes-1-t by d_t, so it adds d_t times their stride sum.  States
-        # run in C order over (d_1, ..., d_axes), each in [-h, h].
-        reach = np.cumsum(strides, dtype=np.int64)[::-1]
+        # cell, the site of the all-zero state, step t moves every box axis
+        # whose sum holds it by d_t, so it adds d_t times their stride sum.
+        # States run in C order over (d_1, ..., d_axes), each in [-h, h].
         steps = np.arange(-h, h + 1, dtype=np.int64)
         sites = np.int64(self._size // 2)
         for t in range(axes):
-            sites = np.add.outer(sites, steps * reach[t])
+            reach = sum(s for (a, b, _), s in zip(spans, strides)
+                        if a <= t < b)
+            sites = np.add.outer(sites, steps * reach)
         # A representative is scattered to whichever of its site and the
         # mirror site (size - 1 - site, its negation's) is not past the
         # centre cell.
@@ -245,15 +293,10 @@ class FreeStripOperator:
         self._rep = np.minimum(rep, self._size - 1 - rep)
         if not axes:
             return
-        # The last window (the last box axis when pinned, else the diagonal
-        # as the leading axis of rows of one step) at coordinate j of n is
+        # The last window at coordinate j of n along its stride is
         # run[min(j + h, n - 1)] - run[j - h - 1], the second term only
         # where j > h; hi and lo index those two cells of the running sum at
         # the representative sites.
-        if self.pinned:
-            stride, n = 1, self._shape[-1]
-        else:
-            stride, n = self._step, -(-self._size // self._step)
         j = self._rep // stride % n
         self._hi = self._rep + (np.minimum(j + h, n - 1) - j) * stride
         self._has_lo = j > h
@@ -303,7 +346,7 @@ class FreeStripOperator:
     def _fold_apply(self, v: np.ndarray) -> np.ndarray:
         """W x at the representatives, in the dtype of v, for the even x
         whose representatives hold the values v."""
-        if not self._shape:
+        if not self._windows:
             return v * (2 * self.h + 1)
         if self._buffers is None or self._buffers.dtype != v.dtype:
             self._buffers = None  # free the old pair before allocating
@@ -314,19 +357,14 @@ class FreeStripOperator:
         src[self._rep] = v
         # the centre slab holds both members of its orbits
         self._reflect(src, self._size // 2 + 1, half)
-        for axis in range(len(self._shape) - self.pinned):
-            stop = half
-            if axis == 0:
-                stop = self._fold_reach
-                self._reflect(src, half, stop)
-            shape = (stop // self._slab,) + self._shape[1:]
-            _window_sum(src[:stop].reshape(shape), self.h, axis,
-                        dst[:stop].reshape(shape))
+        for start, stop, shape, axis in self._windows[:-1]:
+            self._reflect(src, half, stop)
+            _window_sum(src[start:stop].reshape(shape), self.h, axis,
+                        dst[start:stop].reshape(shape))
             src, dst = dst, src
-        self._reflect(src, half, self._last)
-        rows = src[:self._last].reshape(
-            -1, self._shape[-1] if self.pinned else self._step)
-        _running_sum(rows, 1 if self.pinned else 0)
+        start, stop, shape, axis = self._windows[-1]
+        self._reflect(src, half, stop)
+        _running_sum(src[start:stop].reshape(shape), axis)
         # fancy indexing copies, so the result never aliases a buffer
         y = src[self._hi]
         np.subtract(y, src[self._lo], out=y, where=self._has_lo)
@@ -406,7 +444,8 @@ class PinnedStripOperator(FreeStripOperator):
     States are absolute value vectors (y_1..y_m) with |y_1| <= h and
     |y_{i+1} - y_i| <= h, the prefix sums of m difference steps in the
     free (m+1)-row state order; a transition to (z_1..z_m) is allowed iff
-    |z_i - y_i| <= h for all i: the box windows alone.
+    |z_i - y_i| <= h for all i: one box window per row, the top row's on
+    its offset from the row below from three rows on.
     """
 
     kind = "pinned-strip"

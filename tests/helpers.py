@@ -298,20 +298,27 @@ def pinned_states(op: PinnedStripOperator) -> list[tuple[int, ...]]:
 
 
 def prefix_sites(m: int, h: int, pinned: bool) -> list[int]:
-    """Flat lattice site of every strip state, in state order: the prefix
-    sums of each difference vector, offset into the padded box and
-    flattened row-major with the longest prefix (the sum of all steps)
-    leading.  A free m-row strip has m - 1 difference steps and pads every
-    axis by h; a pinned one has m steps and no padding."""
-    axes = m if pinned else m - 1
-    pad = 0 if pinned else h
-    sizes = [2 * ((i + 1) * h + pad) + 1 for i in range(axes)]
+    """Flat box site of every strip state, in state order: the state's box
+    coordinates, each offset by its axis's half-extent, flattened row-major
+    with the first coordinate leading.
+
+    A free m-row strip has m - 1 difference steps, and its box holds their
+    prefix sums P_m, ..., P_2, each in [-(k-1)h, (k-1)h] padded by h.  A
+    pinned strip has m steps, whose prefix sums are its rows y_1..y_m.  Up
+    to two rows its box holds y_m, ..., y_1, each y_k in [-kh, kh].  From
+    three rows it holds c = y_m - y_(m-1), the top row's offset from the
+    row below, in [-2h, 2h], then y_(m-1), ..., y_1."""
     sites = []
-    for diffs in product(range(-h, h + 1), repeat=axes):
+    for diffs in product(range(-h, h + 1), repeat=m if pinned else m - 1):
+        ys = list(accumulate(diffs))
+        # (coordinate, half-extent) per box axis, leading first
+        coords = [(y, k * h + (0 if pinned else h))
+                  for k, y in enumerate(ys, 1)][::-1]
+        if pinned and m > 2:
+            coords[0] = (ys[-1] - ys[-2], 2 * h)
         site = 0
-        prefixes = list(enumerate(zip(accumulate(diffs), sizes)))
-        for i, (p, size) in reversed(prefixes):
-            site = site * size + p + (i + 1) * h + pad
+        for y, r in coords:
+            site = site * (2 * r + 1) + y + r
         sites.append(site)
     return sites
 
@@ -339,7 +346,9 @@ def pinned_transition_matrix(m: int, h: int) -> tuple[list, np.ndarray]:
               if abs(y[0]) <= h
               and all(abs(y[i + 1] - y[i]) <= h for i in range(m - 1))]
     ys = np.array(states)
-    matrix = np.all(np.abs(ys[:, None, :] - ys[None, :, :]) <= h, axis=2)
+    matrix = np.ones((len(states),) * 2, dtype=bool)
+    for row in ys.T:
+        matrix &= np.abs(row[:, None] - row[None, :]) <= h
     return states, matrix.astype(float)
 
 

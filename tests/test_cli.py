@@ -363,6 +363,15 @@ def test_exit_codes(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), argv
         assert flag in captured.err, argv
+    # usage: a random-lab --n whose pairs cannot be indexed in int64 is
+    # blamed on --n, whatever --d is
+    for mode, d in (("giant", "2"), ("pairs", "10"), ("giant", "nan")):
+        code = main(["random-lab", "--mode", mode, "--n", str(10 ** 23),
+                     "--d", d, "--trials", "1", "--size", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), mode
+        assert captured.err == (f"error: --n: n = {10 ** 23} has too many "
+                                "pairs to index in int64\n"), mode
     # usage: lll mode checks --h and --d before it samples a graph (this n
     # would take seconds to sample), and the message names the flag
     for args, message in (

@@ -317,6 +317,22 @@ def test_state_budget():
     assert FreeStripOperator(1, 10**6, state_budget=1).buffer_cells == 0
 
 
+def test_pinned_shear_buffer_cells():
+    # from three rows a pinned strip stores its top row as c = y_m - y_(m-1)
+    # in [-2h, 2h], not y_m in [-mh, mh]: pinned-strip(3, 20) holds 203,360
+    # cells per buffer, where the box of rows held 269,001, and
+    # pinned-strip(4, 15), 13,078,156 cells on that box, fits the default
+    # budget (constructed, never applied); two rows keep the box of rows,
+    # whose leading axis is as long as c's
+    assert PinnedStripOperator(3, 20).buffer_cells == 203_360
+    op = PinnedStripOperator(4, 15)
+    assert op.buffer_cells == 7_998_930 < DEFAULT_BUDGET
+    with pytest.raises(ResourceLimitError, match="10296000 cells"):
+        PinnedStripOperator(4, 16)
+    op = PinnedStripOperator(2, 64)
+    assert op._shape == (257, 129) and op.buffer_cells == 24_897
+
+
 def test_strip_count_transpose():
     for m, n, h in ((1, 4, 2), (2, 5, 1), (3, 4, 1), (2, 6, 2)):
         assert strip_count_exact(m, n, h) == strip_count_exact(n, m, h)
@@ -480,30 +496,40 @@ def test_tent_eigenvalue_h1():
     assert est.eigenvalue == pytest.approx(dense.max(), abs=1e-9)
 
 
-def pinned_transition_matrix(m, h):
-    """Pinned-strip states and 0/1 matrix straight from the transition rule.
-
-    States are (y_1..y_m) with |y_1| <= h and |y_(i+1) - y_i| <= h, listed
-    lexicographically; z follows y iff |z_i - y_i| <= h for every row i.
-    """
-    states = [y for y in itertools.product(range(-m * h, m * h + 1), repeat=m)
-              if abs(y[0]) <= h
-              and all(abs(y[i + 1] - y[i]) <= h for i in range(m - 1))]
-    matrix = np.array([[float(all(abs(zi - yi) <= h for zi, yi in zip(z, y)))
-                        for y in states] for z in states])
-    return states, matrix
-
-
 def test_pinned_strip_dense_matches_transition_rule():
-    for m, h in ((1, 0), (1, 1), (1, 3), (2, 0), (2, 1), (2, 2), (3, 1), (3, 2)):
+    for m, h in ((1, 0), (1, 1), (1, 3), (2, 0), (2, 1), (2, 2), (3, 1),
+                 (3, 2), (4, 1)):
         op = PinnedStripOperator(m, h)
-        states, matrix = pinned_transition_matrix(m, h)
-        order = pinned_states(op)
-        assert sorted(order) == states, (m, h)
+        states = pinned_transition_matrix(m, h)[0]
+        assert sorted(pinned_states(op)) == states, (m, h)
         assert len(states) == op.dim
-        perm = [states.index(y) for y in order]
-        W = matrix[np.ix_(perm, perm)].astype(np.int64)
-        assert np.array_equal(folded_exact(op), fold_matrix(W)), (m, h)
+        assert np.array_equal(folded_exact(op),
+                              fold_matrix(oracle_matrix(op))), (m, h)
+
+
+@pytest.mark.parametrize("m, h", [(m, h) for m in range(1, 5)
+                                  for h in range(4)])
+def test_pinned_applies_match_transition_rule(m, h):
+    # float and int64-limb applies of pinned-strip(m) on even vectors are
+    # fold_matrix of the transition rule's W: exact on integer vectors in
+    # quarters (every float sum is exact), on signed ints past int64
+    # (apply_exact) and on nonnegative limbs with carries (_limb_apply)
+    op = PinnedStripOperator(m, h)
+    F = fold_matrix(oracle_matrix(op)).astype(object)
+    rng = np.random.default_rng(10 * m + h)
+    for _ in range(3):
+        v = rng.integers(-10, 11, op.half)
+        y = F.dot(v.astype(object)).tolist()
+        assert op._fold_apply(v / 4).tolist() == [e / 4 for e in y]
+        got = op.apply(_fold(even(v / 4)))
+        expect = _fold(even(np.array(y, dtype=float) / 4))
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+        big = [int(e) * 2**90 + int(e) for e in v]
+        assert op.apply_exact(big) == [e * (2**90 + 1) for e in y]
+        limbs = rng.integers(0, 2**op._limb_bits, (3, op.half))
+        joined = _join_limbs(limbs, op._limb_bits)
+        assert _join_limbs(op._limb_apply(limbs), op._limb_bits) == \
+            F.dot(np.array(joined, dtype=object)).tolist()
 
 
 def test_pinned_apply_exact_at_int64_cap():
@@ -732,7 +758,7 @@ def test_normalization_rules():
 
 WARM_CASES = [(kind, m, h) for h in range(4)
               for kind, ms in (("free-strip", (1, 2, 3, 4)),
-                               ("pinned-strip", (1, 2, 3)),
+                               ("pinned-strip", (1, 2, 3, 4)),
                                ("band", (None,)), ("tent", (None,)))
               for m in ms]
 
@@ -778,7 +804,8 @@ def test_warm_buffers_match_fresh_operator(kind, m, h):
 
 FOLD_CASES = [("band", None, 3), ("tent", None, 3), ("free-strip", 3, 3),
               ("free-strip", 4, 2), ("pinned-strip", 2, 3),
-              ("pinned-strip", 3, 2)]
+              ("pinned-strip", 3, 2), ("pinned-strip", 3, 3),
+              ("pinned-strip", 4, 2)]
 
 
 def fold_case_id(case):

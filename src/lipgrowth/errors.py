@@ -1,7 +1,7 @@
 """Shared exception types and the work budget they enforce."""
 
 # Cells of the largest array an exact engine may allocate: the elimination
-# tables of ``counting`` and the prefix lattice of ``strips``.
+# tables of ``counting`` and the folded lattice buffers of ``strips``.
 DEFAULT_BUDGET = 10**7
 
 

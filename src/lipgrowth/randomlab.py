@@ -116,7 +116,6 @@ class MarginReport:
 
     d: float
     margin: float
-    chain_value: float  # intermediate bound 4 ln(d)/d * ln(e d / (2 ln d))
 
 
 def independent_pair_margin(d: float) -> MarginReport:
@@ -130,8 +129,7 @@ def independent_pair_margin(d: float) -> MarginReport:
     a = flatness_parameter(d)
     h2 = -2 * a * math.log2(2 * a) - (1 - 2 * a) * math.log2(1 - 2 * a)
     margin = d * a * a - 2 * a * math.log(2) - h2 * math.log(2)
-    chain = (4.0 * math.log(d) / d) * math.log(math.e * d / (2.0 * math.log(d)))
-    return MarginReport(d=d, margin=margin, chain_value=chain)
+    return MarginReport(d=d, margin=margin)
 
 
 def giant_fraction_prediction(d: float) -> float:

@@ -177,10 +177,10 @@ class FreeStripOperator:
     integers it counts: exact applies run on int64 limbs, one limb to an
     apply.
 
-    ``apply`` and ``apply_exact`` take an even vector folded to its ``half``
-    representatives and return W x in the same form: ``_fold``'s
-    sqrt(orbit)-scaled values for ``apply`` (the eigen-solve's vectors),
-    plain values for ``apply_exact`` (the strip DP's).
+    ``apply`` takes an even vector as ``_fold``'s sqrt(orbit)-scaled values
+    at its ``half`` representatives (the eigen-solve's vectors) and returns
+    W x in the same form; ``_limb_apply``, the one exact apply, takes a
+    nonnegative one's plain values there as int64 limbs (the strip DP's).
 
     A ``pinned`` kind fixes a row above its m rows at 0.  Its states are
     the rows' values y_1..y_m, the prefix sums of m difference steps, and a
@@ -384,27 +384,6 @@ class FreeStripOperator:
         y[-1] /= _SQRT2
         return y
 
-    def apply_exact(self, xs: Sequence[int]) -> list[int]:
-        """Exact integer W x at the ``half`` representatives, for an even
-        vector x given by its plain values there.
-
-        |x| is split into limbs of ``_limb_bits`` bits, each signed like
-        x and run through the int64 lattice, and W x is recombined from
-        them in Python ints: sum over k of 2^(B k) W x_k.
-        """
-        if len(xs) != self.half:
-            raise ValueError(f"expected the half = {self.half} folded "
-                             f"values, got {len(xs)}")
-        bits = self._limb_bits
-        mask = (1 << bits) - 1
-        signs = [-1 if v < 0 else 1 for v in xs]
-        mags = list(map(abs, xs))
-        limbs = max(-(-int(max(mags)).bit_length() // bits), 1)
-        x = np.array([[s * (a >> bits * k & mask) for s, a in zip(signs, mags)]
-                      for k in range(limbs)], dtype=np.int64)
-        return _join_limbs(np.array([self._fold_apply(limb) for limb in x]),
-                           bits)
-
     def _limb_apply(self, x: np.ndarray) -> np.ndarray:
         """W x for a nonnegative x held as limbs: row k of ``x`` holds digit
         k, of ``_limb_bits`` bits, of the values at the representatives,
@@ -531,9 +510,9 @@ def strip_count_exact(m: int, n: int, h: int,
     x = W^(s//2) 1 and y = W^(s - s//2) 1, the count is x . y.  That takes
     s - s//2 applies instead of s, and the ones skipped are those on the
     largest integers.  W also commutes with negation and 1 is even, so
-    every W^k 1 is even: the DP runs on the ``half`` orbit representatives
-    (``apply_exact``'s folded form), and x . y weights each product by its
-    orbit size, 2 for every representative but the zero state (the last).
+    every W^k 1 is even: the DP runs on the ``half`` orbit representatives,
+    and x . y weights each product by its orbit size, 2 for every
+    representative but the zero state (the last).
 
     x and y are held as int64 limbs of ``_limb_bits`` bits, one row per
     limb (``_limb_apply``), so every apply runs on the int64 lattice

@@ -377,6 +377,13 @@ def fold_matrix(W: np.ndarray) -> np.ndarray:
     return F
 
 
+def to_limbs(xs: Sequence[int], bits: int) -> np.ndarray:
+    """Nonnegative ints as ``bits``-bit int64 limbs, least significant first."""
+    n = max(-(-int(max(xs)).bit_length() // bits), 1)
+    return np.array([[v >> bits * k & (1 << bits) - 1 for v in xs]
+                     for k in range(n)], dtype=np.int64)
+
+
 def strip_count_stepwise(m: int, n: int, h: int) -> int:
     """Reference strip count 1^T W^(max(m, n) - 1) 1, one dense product per
     column in Python ints over free-strip(min(m, n)) states."""

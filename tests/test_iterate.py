@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import oracle_matrix
+from helpers import oracle_matrix, to_limbs
 from lipgrowth.errors import ConvergenceError
 from lipgrowth.iterate import _BASIS_CAP, _bisect, power_iteration
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
@@ -262,8 +262,11 @@ def test_apply_leaves_input_unchanged(op):
 
 @pytest.mark.parametrize("op", APPLY_OPERATORS, ids=lambda op: f"{op.kind}-{op.m}")
 def test_apply_exact_leaves_input_unchanged(op):
+    # the exact apply, _limb_apply, on one limb and on several
     for xs in ([1] * op.half, [2**70 + k for k in range(op.half)]):
-        before = list(xs)
-        y = op.apply_exact(xs)
-        assert xs == before
-        assert op.apply_exact(xs) == y
+        limbs = to_limbs(xs, op._limb_bits)
+        before = limbs.copy()
+        y = op._limb_apply(limbs)
+        assert np.array_equal(limbs, before)
+        assert not np.shares_memory(limbs, y)
+        assert np.array_equal(op._limb_apply(limbs), y)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from helpers import (fold_matrix, free_strip_weight, index_state,
                      oracle_matrix, pinned_states, pinned_transition_matrix,
                      prefix_sites, state_index, strip_count_stepwise,
-                     weight_matrix)
+                     to_limbs, weight_matrix)
 from lipgrowth.counting import count
 from lipgrowth.errors import DEFAULT_BUDGET, ConvergenceError, ResourceLimitError
 from lipgrowth.graphs import make_grid
@@ -39,11 +39,18 @@ def even(v):
 
 def folded_exact(op):
     """The operator on even vectors in Python ints: column j is
-    ``apply_exact`` of the even indicator of representative j, so it equals
+    ``_limb_apply`` of the even indicator of representative j, so it equals
     ``fold_matrix`` of the operator's W."""
-    return np.array([op.apply_exact(e) for e in
-                     np.eye(op.half, dtype=np.int64).tolist()],
+    return np.array([_join_limbs(op._limb_apply(e[None]), op._limb_bits)
+                     for e in np.eye(op.half, dtype=np.int64)],
                     dtype=object).T
+
+
+def limb_product(op, xs):
+    """W x in Python ints from ``_limb_apply``, for an even x given by the
+    nonnegative ints xs at the representatives."""
+    bits = op._limb_bits
+    return _join_limbs(op._limb_apply(to_limbs(xs, bits)), bits)
 
 
 def test_state_index_round_trip():
@@ -79,7 +86,7 @@ def test_weight_matches_offset_enumeration():
 def test_band_apply_examples():
     # W 1 = (2, 3, 2), at the representatives (2, 3)
     b = BandOperator(1)
-    assert b.apply_exact([1, 1]) == [2, 3]
+    assert limb_product(b, [1, 1]) == [2, 3]
     assert np.allclose(b.apply(_fold(np.ones(3))), _fold(np.array([2., 3, 2])))
     with pytest.raises(ValueError):
         b.apply(np.ones(4))
@@ -89,14 +96,14 @@ def test_band_apply_examples():
                                         ("free-strip", 3, 1),
                                         ("pinned-strip", 2, 1)])
 def test_apply_takes_only_the_folded_form(kind, m, h):
-    # a vector over all dim > 1 states is refused by both applies, and the
-    # message names the folded length
+    # a vector over all dim > 1 states is refused by the float apply, whose
+    # message names the folded length, and by the limb apply
     op = make_operator(kind, h, m)
     assert op.dim > 1
     with pytest.raises(ValueError, match=f"half = {op.half}"):
         op.apply(np.ones(op.dim))
-    with pytest.raises(ValueError, match=f"half = {op.half}"):
-        op.apply_exact([1] * op.dim)
+    with pytest.raises(ValueError):
+        op._limb_apply(np.ones((1, op.dim), dtype=np.int64))
 
 
 def test_tent_apply_matches_direct_matrix():
@@ -220,8 +227,7 @@ def test_limb_dp_within_state_budget(monkeypatch):
 
 
 def test_exact_paths_keep_int64_buffers(monkeypatch):
-    # neither a big-int strip DP nor apply_exact on 2^70-sized signed values
-    # leaves anything but int64 in an operator's buffers
+    # a big-int strip DP leaves nothing but int64 in an operator's buffers
     seen = []
     fold_apply = FreeStripOperator._fold_apply
 
@@ -233,11 +239,6 @@ def test_exact_paths_keep_int64_buffers(monkeypatch):
     monkeypatch.setattr(FreeStripOperator, "_fold_apply", recording)
     assert strip_count_exact(3, 40, 10).bit_length() > 400
     assert set(seen) == {(np.dtype(np.int64),) * 3}
-    op = FreeStripOperator(3, 2)
-    xs = [(-1) ** i * (2**70 + i) for i in range(op.half)]
-    assert op.apply_exact(xs) == \
-        exact_product(weight_matrix(3, 2), even(xs))[:op.half]
-    assert op._buffers.dtype == np.int64
 
 
 def test_strip_count_without_axes_or_spread():
@@ -357,7 +358,7 @@ def test_apply_matches_weight_oracle():
         op = FreeStripOperator(m, h)
         W = weight_matrix(m, h)
         assert np.array_equal(folded_exact(op), fold_matrix(W)), (m, h)
-        assert op.apply_exact([1] * op.half) == \
+        assert limb_product(op, [1] * op.half) == \
             exact_product(W, [1] * op.dim)[:op.half], (m, h)
 
 
@@ -369,7 +370,7 @@ def test_apply_weight_oracle_property(case, data):
     W = weight_matrix(m, h)
     xs = data.draw(st.lists(st.integers(0, 2**70), min_size=op.half,
                             max_size=op.half))
-    assert op.apply_exact(xs) == exact_product(W, even(xs))[:op.half]
+    assert limb_product(op, xs) == exact_product(W, even(xs))[:op.half]
     xf = even(np.array(data.draw(st.lists(st.floats(0, 1e6),
                                           min_size=op.half,
                                           max_size=op.half))))
@@ -412,7 +413,7 @@ def int64_cap(op):
 def assert_limb_width(op):
     """The limb width B is the largest for which the static row-sum bound,
     the largest weight times dim, keeps W x below 2^62 on limbs under 2^B;
-    ``apply_exact`` is exact at the int64 cap and one past it, on full
+    ``_limb_apply`` is exact at the int64 cap and one past it, on full
     limbs (2^B - 1), at 2^B and on three full limbs, and a fresh
     operator's one buffer pair is int64 after any of them."""
     bound = (1 if op.pinned else 2 * op.h + 1) * op.dim
@@ -424,7 +425,7 @@ def assert_limb_width(op):
               [2**bits - 1] * op.half, [2**bits] * op.half,
               [2**(3 * bits) - 1] * op.half):
         fresh = make_operator(op.kind, op.h, op.m)
-        assert fresh.apply_exact(v) == exact_product(W, even(v))[:op.half]
+        assert limb_product(fresh, v) == exact_product(W, even(v))[:op.half]
         assert fresh._buffers.dtype == np.int64, op.kind
 
 
@@ -436,18 +437,18 @@ def test_int64_guard_edge():
     assert cap == np.iinfo(np.int64).max // 3
     assert op._limb_bits == 62 - (3 * 9).bit_length()
     assert_limb_width(op)
+    assert_limb_width(FreeStripOperator(4, 1))
     # at the cap, above it, and back again: the operator keeps its one
     # int64 buffer pair
     W = weight_matrix(3, 1)
-    op.apply_exact([1] * op.half)
+    op._limb_apply(np.ones((1, op.half), dtype=np.int64))
     buffers = op._buffers
     for total in (cap, cap + 1, cap, cap + 1):
         v = at_total(op, total)
-        assert op.apply_exact(v) == exact_product(W, even(v))[:op.half]
+        assert limb_product(op, v) == exact_product(W, even(v))[:op.half]
         assert op._buffers is buffers
-    # signed even vectors with sum|x| at the cap of each kind, and the same
-    # times 2^70 + 1: the limbs agree with Python ints and raise no
-    # overflow warning
+    # signed even vectors with sum|x| at the cap of each kind: the int64
+    # lattice agrees with Python ints and raises no overflow warning
     rng = np.random.default_rng(0)
     for other in (FreeStripOperator(1, 3), FreeStripOperator(2, 2), op,
                   FreeStripOperator(4, 1), TentOperator(3), BandOperator(3),
@@ -465,12 +466,10 @@ def test_int64_guard_edge():
             signs = rng.choice([-1, 1], other.half).tolist()
             xs = list(map(operator.mul, parts, signs))
             assert 2 * sum(map(abs, xs)) - abs(xs[-1]) == top
-            for scale in (1, 2**70 + 1):
-                big = [v * scale for v in xs]
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    y = other.apply_exact(big)
-                assert y == exact_product(F, big)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                y = other._fold_apply(np.array(xs, dtype=np.int64)).tolist()
+            assert y == exact_product(F, xs)
     # a strip DP whose totals cross the cap between two steps
     k = 1
     while strip_count_exact(3, k + 1, 1) <= cap:
@@ -512,8 +511,8 @@ def test_pinned_strip_dense_matches_transition_rule():
 def test_pinned_applies_match_transition_rule(m, h):
     # float and int64-limb applies of pinned-strip(m) on even vectors are
     # fold_matrix of the transition rule's W: exact on integer vectors in
-    # quarters (every float sum is exact), on signed ints past int64
-    # (apply_exact) and on nonnegative limbs with carries (_limb_apply)
+    # quarters (every float sum is exact) and on nonnegative limbs with
+    # carries (_limb_apply)
     op = PinnedStripOperator(m, h)
     F = fold_matrix(oracle_matrix(op)).astype(object)
     rng = np.random.default_rng(10 * m + h)
@@ -524,19 +523,18 @@ def test_pinned_applies_match_transition_rule(m, h):
         got = op.apply(_fold(even(v / 4)))
         expect = _fold(even(np.array(y, dtype=float) / 4))
         assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
-        big = [int(e) * 2**90 + int(e) for e in v]
-        assert op.apply_exact(big) == [e * (2**90 + 1) for e in y]
         limbs = rng.integers(0, 2**op._limb_bits, (3, op.half))
         joined = _join_limbs(limbs, op._limb_bits)
         assert _join_limbs(op._limb_apply(limbs), op._limb_bits) == \
             F.dot(np.array(joined, dtype=object)).tolist()
 
 
-def test_pinned_apply_exact_at_int64_cap():
+def test_pinned_limb_apply_at_int64_cap():
     # pinned weights are 0 or 1, so the int64 cap is int64 max itself and
     # the limb width leaves room for dim alone (an int64 run whose running
-    # sums pass the cap: test_fold_int64_wraps_exactly)
-    for m, h in ((1, 1), (2, 1), (2, 2), (3, 1)):
+    # sums pass the cap: test_fold_int64_wraps_exactly); four rows run on
+    # the sheared box
+    for m, h in ((1, 1), (2, 1), (2, 2), (3, 1), (4, 1)):
         op = PinnedStripOperator(m, h)
         assert int64_cap(op) == np.iinfo(np.int64).max, (m, h)
         assert op._limb_bits == 62 - op.dim.bit_length(), (m, h)
@@ -715,7 +713,7 @@ def test_rayleigh_numerator_is_two_column_count():
     # state (the last) standing for two states
     for m, h in ((2, 1), (2, 2), (3, 1)):
         op = FreeStripOperator(m, h)
-        y = op.apply_exact([1] * op.half)
+        y = limb_product(op, [1] * op.half)
         assert _rayleigh(m, h) == Fraction(int(weight_matrix(m, h).sum()),
                                            op.dim)
         assert _rayleigh(m, h) == Fraction(2 * sum(y) - y[-1], op.dim)
@@ -774,9 +772,10 @@ def test_sites_match_prefix_sum_reference(kind, m, h):
 
 @pytest.mark.parametrize("kind, m, h", WARM_CASES)
 def test_warm_buffers_match_fresh_operator(kind, m, h):
-    # one operator runs applies in float, on one limb and on several, in
-    # turn: each result equals a fresh operator's and the weight rule's
-    # product, and its one buffer pair is float or int64, as the last apply
+    # one operator runs applies in float, in signed int64 and on several
+    # nonnegative limbs, in turn: each result equals a fresh operator's and
+    # the weight rule's product, and its one buffer pair is float or int64,
+    # as the last apply
     op = make_operator(kind, h, m)
     W = oracle_matrix(op)
     rng = np.random.default_rng(10 * h + (m or 0))
@@ -793,8 +792,12 @@ def test_warm_buffers_match_fresh_operator(kind, m, h):
             xs = ints if step % 3 == 1 else [2**70 + v for v in ints]
             limbs = max(map(abs, xs)) >> op._limb_bits
             assert bool(limbs) == (step % 3 == 2)
-            y = op.apply_exact(xs)
-            assert y == fresh.apply_exact(xs), step
+            if step % 3 == 1:
+                y = op._fold_apply(np.array(xs, dtype=np.int64)).tolist()
+                z = fresh._fold_apply(np.array(xs, dtype=np.int64)).tolist()
+            else:
+                y, z = limb_product(op, xs), limb_product(fresh, xs)
+            assert y == z, step
             assert y == exact_product(W, even(xs))[:op.half], step
         if op._shape:
             assert op._buffers.dtype == (float, np.int64, np.int64)[step % 3]
@@ -825,9 +828,8 @@ def test_w_commutes_with_state_reversal(case):
 @pytest.mark.parametrize("case", FOLD_CASES, ids=fold_case_id)
 def test_fold_apply_matches_full_apply(case):
     # on an even vector x the folded lattice gives W x at the
-    # representatives, in float and int64, and apply_exact in Python ints,
-    # as fold_matrix states it; apply takes and returns the
-    # sqrt(orbit)-scaled _fold
+    # representatives, in float and int64, as fold_matrix states it; apply
+    # takes and returns the sqrt(orbit)-scaled _fold
     kind, m, h = case
     op = make_operator(kind, h, m)
     W = oracle_matrix(op).astype(object)
@@ -841,14 +843,9 @@ def test_fold_apply_matches_full_apply(case):
         assert F.dot(half.astype(object)).tolist() == y[:op.half].tolist()
         got = op._fold_apply(half.astype(np.int64))
         assert got.dtype == np.int64 and got.tolist() == y[:op.half].tolist()
-        big = half.astype(object) * 2**70
-        assert op.apply_exact(big.tolist()) == (y[:op.half] * 2**70).tolist()
         # quarters: every float sum is exact
         got = op._fold_apply(half / 4)
         assert got.tolist() == [v / 4 for v in y[:op.half].tolist()]
-        assert op.apply_exact(half.tolist()) == y[:op.half].tolist()
-        assert op.apply_exact((big * 2).tolist()) == \
-            (y[:op.half] * 2**71).tolist()
         expect = _fold(y.astype(float))
         assert np.max(np.abs(op.apply(_fold(x.astype(float))) - expect)) <= \
             1e-13 * np.max(np.abs(expect))
@@ -924,5 +921,4 @@ def test_fold_int64_wraps_exactly():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         y = op._fold_apply(np.array(xs, dtype=np.int64)).tolist()
-    assert y == op.apply_exact(xs) \
-        == [0, -big, 0, big]
+    assert y == [0, -big, 0, big]

@@ -21,11 +21,11 @@ from .strips import (BandOperator, FreeStripOperator, PinnedStripOperator,
                      make_operator, strip_count_exact, top_eigenvalue)
 from .continuum import (KernelLimit, kernel_limit, nystrom_top, solve_alpha,
                         solve_beta)
-from .randomlab import (BoundReport, LllConfig, MarginReport,
-                        MonteCarloResult, PairSearchResult, bound_report,
-                        epsilon_upper_bound, giant_fraction_prediction,
-                        independent_pair_margin, independent_pair_search,
-                        lll_sampler, poisson_tail_bound, triple_sum_success,
+from .randomlab import (BoundReport, LllConfig, MonteCarloResult,
+                        PairSearchResult, bound_report, epsilon_upper_bound,
+                        giant_fraction_prediction, independent_pair_margin,
+                        independent_pair_search, lll_sampler,
+                        poisson_tail_bound, triple_sum_success,
                         wilson_interval)
 
 __version__ = "0.1.0"

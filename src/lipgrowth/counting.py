@@ -2,9 +2,10 @@
 
 An h-Lipschitz function assigns an integer to every vertex, differs by at
 most h across each edge, and sends the root of every component, its
-smallest vertex, to 0.  ``count`` gives their number by bucket elimination
-as an exact Python integer; ``reciprocal_fit`` interpolates the counting
-polynomial in ints over one denominator; its ``c_estimate`` is c(G).
+smallest vertex, to 0.  ``count`` gives their number as an exact Python
+integer by bucket elimination: ``_plan`` emits the steps, ``_eliminate``
+runs them.  ``reciprocal_fit`` runs one plan at every h it counts and
+interpolates the counting polynomial in ints; its ``c_estimate`` is c(G).
 
 Each edge is a window 1[|f(u) - f(v)| <= h].  Summing out a variable held
 only by such windows needs no product: over f(v) in [lo, hi] they give the
@@ -55,19 +56,25 @@ def _domains(graph: Graph, h: int) -> list[tuple[int, int]]:
     return [(-h * d, h * d) for d in dist]
 
 
-def _elimination_order(nbrs: dict[int, set[int]], size: dict[int, int],
-                       budget: int) -> tuple[list[int], int]:
-    """Greedy min-degree order, checked against ``budget`` before any work.
+def _plan(graph: Graph, domains: list[tuple[int, int]],
+          budget: int) -> tuple[list[tuple], int]:
+    """Bucket elimination steps over the variables of ``domains`` (vertices
+    of more than one value), checked against ``budget`` before any work.
 
-    Eliminating v pops its neighbours (its scope) from ``nbrs``, which is
-    consumed, and makes them a clique.  Ties go to the fewest table cells,
-    then to the lowest vertex index, so the order is deterministic.  Returns
-    the order and the cells evaluated: prod(size over scope + v), the einsum
-    loop extents, for a step whose bucket holds a table, and the output
-    cells, prod(size over scope), for one whose bucket holds band factors
-    only.  That is a v in no earlier scope, since every table's scope is
-    the scope of some step.
+    Greedy min-degree order: eliminating v pops its neighbours (its scope)
+    and makes them a clique.  Ties go to the fewest table cells, then to the
+    lowest vertex index, so the order is deterministic.  A step is (v, scope,
+    band, inputs): band is v's graph neighbours in its scope, and inputs the
+    earlier steps whose tables hold v.  Scope and band run in reverse
+    elimination order, latest first, so v is the last axis of every table a
+    step takes, and the step's own table has its scope's axes.  Returns the
+    steps and the cells they evaluate: prod(size over scope + v), the einsum
+    loop extents, for a step with inputs, and the output cells, prod(size
+    over scope), for one without.
     """
+    size = {v: b - a + 1 for v, (a, b) in enumerate(domains) if b > a}
+    nbrs = {v: {w for w in graph.adjacency[v] if w in size} for v in size}
+
     def key(u: int) -> tuple[int, int, int]:
         return len(nbrs[u]), math.prod(size[w] for w in nbrs[u]), u
 
@@ -75,7 +82,7 @@ def _elimination_order(nbrs: dict[int, set[int]], size: dict[int, int],
     # are skipped, so each pop is the current minimum
     heap = [key(u) for u in nbrs]
     heapq.heapify(heap)
-    order: list[int] = []
+    steps: list[tuple] = []
     touched: set[int] = set()
     work = 0
     # the edge factors are tables too
@@ -98,8 +105,15 @@ def _elimination_order(nbrs: dict[int, set[int]], size: dict[int, int],
             nbrs[w] |= scope
             nbrs[w] -= {v, w}
             heapq.heappush(heap, key(w))
-        order.append(v)
-    return order, work
+        steps.append((v, scope, []))
+    index = {s[0]: k for k, s in enumerate(steps)}
+    for k, (v, scope, inputs) in enumerate(steps):
+        scope = sorted(scope, key=index.get, reverse=True)
+        if scope:  # taken by the first of its scope eliminated, its last axis
+            steps[index[scope[-1]]][2].append(k)
+        adjacent = graph.adjacency[v]
+        steps[k] = (v, scope, [w for w in scope if w in adjacent], inputs)
+    return steps, work
 
 
 def _band_sum(partners: list[np.ndarray], lo: int, hi: int,
@@ -127,21 +141,11 @@ def _band_sum(partners: list[np.ndarray], lo: int, hi: int,
     return table
 
 
-def _plan(graph: Graph, h: int, budget: int) -> tuple[list, list[int], int]:
-    """``_domains`` at h, then ``_elimination_order`` over its variables."""
-    domains = _domains(graph, h)
-    size = {v: b - a + 1 for v, (a, b) in enumerate(domains) if b > a}
-    nbrs = {v: {w for w in graph.adjacency[v] if w in size} for v in size}
-    return (domains, *_elimination_order(nbrs, size, budget))
-
-
-def _eliminate(graph: Graph, domains: list, h: int, order: list[int]) -> int:
-    """The count over ``domains``, its variables summed out in ``order``
-    (which may name constants), as ``count_with_stats`` describes."""
-    values = {v: np.arange(a, b + 1, dtype=np.int64)
-              for v, (a, b) in enumerate(domains) if b > a}
-    size = {v: len(x) for v, x in values.items()}
-    partners = {v: {w for w in graph.adjacency[v] if w in size} for v in size}
+def _eliminate(steps: list[tuple], domains: list[tuple[int, int]],
+               h: int) -> int:
+    """The count over ``domains`` by ``_plan``'s ``steps``, as
+    ``count_with_stats`` describes; a one-value domain is an axis of one."""
+    values = [np.arange(a, b + 1, dtype=np.int64) for a, b in domains]
 
     # Exactness: a table made by eliminating the set S holds, per assignment
     # of its scope, the number of Lipschitz assignments of S.  Every
@@ -151,37 +155,26 @@ def _eliminate(graph: Graph, domains: list, h: int, order: list[int]) -> int:
     # carries that product as its bound; entries, and the partial sums einsum
     # forms on the way to them, stay below it.  A step runs in int64 while
     # its bound fits, otherwise on object arrays of Python ints.
-    tables = []
+    tables: dict[int, tuple[np.ndarray, int]] = {}
     total = 1
-    for v in order:
-        if v not in size:
-            continue
-        band = sorted(partners.pop(v))
-        for w in band:
-            partners[w].remove(v)
-        bucket = [t for t in tables if v in t[0]]
-        if not bucket:
-            if band:
-                table = _band_sum([values[w] for w in band], *domains[v], h)
-                tables.append((tuple(band), table, min(2 * h + 1, size[v])))
-            else:
-                total *= size[v]
-            continue
-        tables = [t for t in tables if v not in t[0]]
-        scope = sorted(set(band).union(*(t[0] for t in bucket)) - {v})
-        bound = min(2 * h + 1, size[v]) * math.prod(t[2] for t in bucket)
-        dtype = np.int64 if bound <= _INT64_MAX else object
-        for w in band:
-            # v's axis is last, so einsum sums along contiguous rows
-            diff = np.subtract.outer(values[w], values[v])
-            bucket.append(((w, v), np.abs(diff) <= h))
-        label = dict(zip(scope + [v], _LABELS))
-        spec = (",".join("".join(label[u] for u in f[0]) for f in bucket)
-                + "->" + "".join(label[u] for u in scope))
-        table = np.einsum(spec, *(f[1].astype(dtype, copy=False) for f in bucket),
-                          optimize=False)
+    for k, (v, scope, band, inputs) in enumerate(steps):
+        taken = [tables.pop(i) for i in inputs]  # freed once used
+        bound = min(2 * h + 1, len(values[v])) * math.prod(b for _, b in taken)
+        if not taken:
+            table = (_band_sum([values[w] for w in band], *domains[v], h)
+                     if band else len(values[v]))
+        else:
+            dtype = np.int64 if bound <= _INT64_MAX else object
+            label = dict(zip(scope + [v], _LABELS))
+            subs = [steps[i][1] for i in inputs] + [(w, v) for w in band]
+            spec = (",".join("".join(label[u] for u in s) for s in subs)
+                    + "->" + "".join(label[u] for u in scope))
+            table = np.einsum(
+                spec, *(t.astype(dtype, copy=False) for t, _ in taken),
+                *((np.abs(np.subtract.outer(values[w], values[v])) <= h)
+                  .astype(dtype) for w in band), optimize=False)
         if scope:
-            tables.append((tuple(scope), table, bound))
+            tables[k] = (table, bound)
         else:
             total *= int(table)
     return total
@@ -193,24 +186,25 @@ def count_with_stats(graph: Graph, h: int,
 
     The count is a #CSP: each vertex with more than one admissible value
     (see ``_domains``) is a variable, and each edge between two variables is
-    a band-indicator factor 1[|f(u) - f(v)| <= h].  Variables are summed out
-    one at a time in min-degree order (Dechter, Bucket elimination, AI 1999).
-    A variable whose bucket holds band factors only is summed in closed
-    form: its windows' intersection length (``_band_sum``, the identity
-    behind the strip operators' window sums).  Every other step is one fused
-    ``np.einsum`` over the tables and band matrices that mention the
-    variable, so the product that still includes it is never built; band
-    factors are partner sets, and their matrices exist only inside such a
-    step.  Work is polynomial in h for graphs of bounded width.  Planning
-    the order (``_plan``) raises ``ResourceLimitError`` at a table over
-    ``budget`` cells, before any table exists; the second value is the cells
-    the steps evaluate (see ``_elimination_order``).  The budget counts
+    a band-indicator factor 1[|f(u) - f(v)| <= h].  ``_plan`` emits the
+    steps that sum the variables out one at a time in min-degree order
+    (Dechter, Bucket elimination, AI 1999), and ``_eliminate`` runs them.
+    A step that takes no table is summed in closed form: its band factors'
+    window intersection length (``_band_sum``, the identity behind the
+    strip operators' window sums).  Every other step is one fused
+    ``np.einsum`` over the tables it takes and its band matrices, so the
+    product that still includes its variable is never built, and band
+    matrices exist only inside such a step.  Work is polynomial in h for
+    graphs of bounded width.  Planning raises ``ResourceLimitError`` at a
+    table over ``budget`` cells, before any table exists; the second value
+    is the cells the steps evaluate (see ``_plan``).  The budget counts
     cells, not bytes: a table past int64 holds one Python int per cell.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
-    domains, order, work = _plan(graph, h, budget)
-    return _eliminate(graph, domains, h, order), work
+    domains = _domains(graph, h)
+    steps, work = _plan(graph, domains, budget)
+    return _eliminate(steps, domains, h), work
 
 
 def count(graph: Graph, h: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -339,19 +333,19 @@ def reciprocal_fit(graph: Graph, budget: int = DEFAULT_BUDGET
     counts at h = 0..d//2 and the reflections of the first ceil(d/2) of
     them.  Every known value left over, the count at d//2 + 1 and for even d
     one more reflection, is checked against the fit, so the fit checks
-    itself: a mismatch raises ValueError.  One elimination order, planned at
-    the top node h = d//2 + 1, serves every count, so a fit over the budget
-    fails before any table is built.  The variables and their scopes are the
-    same at every h >= 1 and each domain [-hr, hr], r a BFS distance, grows
-    with h, so under that order no table at a lower h has more cells than at
-    the top.
+    itself: a mismatch raises ValueError.  One plan of elimination steps,
+    made at the top node h = d//2 + 1, serves every count, so a fit over
+    the budget fails before any table is built.  The variables and the
+    steps' scopes are the same at every h >= 1, and each domain [-hr, hr],
+    r a BFS distance, grows with h, so no table at a lower h has more cells
+    than at the top.  At h = 0 the zero function is the only one.
     Returns the fit and the counted pairs.
     """
     d = graph.n - graph.component_count
     half = d // 2
-    _, order, _ = _plan(graph, half + 1, budget)
-    counted = [(h, _eliminate(graph, _domains(graph, h), h, order))
-               for h in range(half + 2)]
+    steps, _ = _plan(graph, _domains(graph, half + 1), budget)
+    counted = [(0, 1)] + [(h, _eliminate(steps, _domains(graph, h), h))
+                          for h in range(1, half + 2)]
     sign = -1 if d % 2 else 1
     mirrored = [(-1 - h, sign * c) for h, c in counted[:half + 1]]
     fit = ehrhart_fit(graph, counted[:half + 1] + mirrored[:d - half])

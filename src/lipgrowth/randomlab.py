@@ -105,31 +105,23 @@ def bound_report(d: float) -> BoundReport:
         lower_valid=lower_valid,
         upper_valid=upper_valid,
         upper_exact_below_two=bool(upper_valid and upper_exact < 2.0),
-        pair_margin=independent_pair_margin(d).margin if upper_valid else None,
+        pair_margin=independent_pair_margin(d) if upper_valid else None,
         giant_fraction=giant_fraction_or_none(d),
     )
 
 
-@dataclass(frozen=True)
-class MarginReport:
-    """Positivity margin of d*a^2 - 2a ln2 - H(2a) ln2 with a = 2 ln(d)/d."""
+def independent_pair_margin(d: float) -> float:
+    """d*a^2 - 2a ln2 - H(2a) ln2 with a = 2 ln(d)/d, the margin showing two
+    disjoint alpha*n vertex sets almost surely touch.
 
-    d: float
-    margin: float
-
-
-def independent_pair_margin(d: float) -> MarginReport:
-    """Margin showing two disjoint alpha*n vertex sets almost surely touch.
-
-    Positive margin means the first-moment bound on edge-free set pairs
+    A positive margin means the first-moment bound on edge-free set pairs
     vanishes.  Requires d >= 9, where 2a <= 4 ln(9)/9 < 0.98 keeps H(2a) real.
     """
     if not 9 <= d < math.inf:
         raise ValueError("margin needs finite d >= 9 (entropy domain)")
     a = flatness_parameter(d)
     h2 = -2 * a * math.log2(2 * a) - (1 - 2 * a) * math.log2(1 - 2 * a)
-    margin = d * a * a - 2 * a * math.log(2) - h2 * math.log(2)
-    return MarginReport(d=d, margin=margin)
+    return d * a * a - 2 * a * math.log(2) - h2 * math.log(2)
 
 
 def giant_fraction_prediction(d: float) -> float:

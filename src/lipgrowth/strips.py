@@ -389,7 +389,10 @@ class FreeStripOperator:
         k, of ``_limb_bits`` bits, of the values at the representatives,
         least significant first.  Each limb runs through the int64 lattice,
         and the results are carried back into limbs, with a row appended for
-        each carry out of the top."""
+        each carry out of the top.  A negative limb, whose top carry would
+        never reach 0, is a ValueError."""
+        if (x < 0).any():
+            raise ValueError("limbs must be nonnegative")
         bits = self._limb_bits
         mask = (1 << bits) - 1
         y = [self._fold_apply(limb) for limb in x]

@@ -172,7 +172,7 @@ def test_criterion_8_random_graph_bounds():
                 dd * a * a / (1 - mpmath.e ** (-dd / 4)))
             ok &= abs(rep.upper_exact - float(upper)) <= 1e-10
     for d in np.geomspace(9, 1e6, 120):
-        ok &= independent_pair_margin(float(d)).margin > 0
+        ok &= independent_pair_margin(float(d)) > 0
     worst = 0.0
     for d in (1.5, 2.0, 4.0):
         pred = giant_fraction_prediction(d)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from helpers import (dfs_count, end_pinned_path4, full_counts, newton_fit,
                      relabel, top_row_pinned_2x3, with_edge)
-from lipgrowth.counting import (EhrhartPoly, _domains, _root, count,
-                                count_closed_form, count_with_stats,
-                                ehrhart_fit, reciprocal_fit)
-from lipgrowth.errors import ResourceLimitError
+from lipgrowth.counting import (EhrhartPoly, _domains, _eliminate, _plan,
+                                _root, count, count_closed_form,
+                                count_with_stats, ehrhart_fit, reciprocal_fit)
+from lipgrowth.errors import DEFAULT_BUDGET, ResourceLimitError
 from lipgrowth.graphs import Graph, make_family, make_grid, sample_er
 from lipgrowth.strips import strip_count_exact
 
@@ -448,14 +448,14 @@ def test_reciprocal_fit_examples():
 def test_reciprocal_fit_checks_itself(monkeypatch):
     # one count off by one at the top counted node is caught, for odd d
     # (2x3, d = 5), even d (C7, d = 6) and d = 0; the fit counts through
-    # _eliminate, with the order planned once at the top node
+    # _eliminate, running the steps planned once at the top node
     from lipgrowth import counting
     exact = counting._eliminate
     for g in (make_grid(2, 3), make_family("cycle", 7), Graph.from_edges(2, [])):
         top = (g.n - g.component_count) // 2 + 1
         monkeypatch.setattr(counting, "_eliminate",
-                            lambda graph, domains, h, order:
-                            exact(graph, domains, h, order) + (h == top))
+                            lambda steps, domains, h:
+                            exact(steps, domains, h) + (h == top))
         with pytest.raises(ValueError):
             reciprocal_fit(g)
         monkeypatch.setattr(counting, "_eliminate", exact)
@@ -463,20 +463,20 @@ def test_reciprocal_fit_checks_itself(monkeypatch):
 
 
 def test_reciprocal_fit_plans_once(monkeypatch):
-    # one min-degree order per fit, planned at the top node, whatever the
-    # number of counted nodes; a count plans at its own h
+    # one plan of elimination steps per fit, made at the top node, whatever
+    # the number of counted nodes; a count plans at its own h
     from lipgrowth import counting
     calls = []
-    plan = counting._elimination_order
+    plan = counting._plan
 
-    def spy(nbrs, size, budget):
-        calls.append(max(size.values(), default=1))
-        return plan(nbrs, size, budget)
+    def spy(graph, domains, budget):
+        calls.append(max(b - a + 1 for a, b in domains))
+        return plan(graph, domains, budget)
 
     def widest(g, h):
         return max(b - a + 1 for a, b in _domains(g, h))
 
-    monkeypatch.setattr(counting, "_elimination_order", spy)
+    monkeypatch.setattr(counting, "_plan", spy)
     for g in (make_grid(2, 3), make_grid(3, 3), make_family("cycle", 7),
               Graph.from_edges(3, [])):
         calls.clear()
@@ -485,6 +485,34 @@ def test_reciprocal_fit_plans_once(monkeypatch):
     calls.clear()
     assert count(make_grid(2, 3), 2) == 1459
     assert calls == [widest(make_grid(2, 3), 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_steps_planned_at_three_count_every_lower_h(g):
+    # the steps planned at h = 3 count h = 0..3 as count_with_stats does,
+    # each step's variable the last axis of every table it takes
+    steps, _ = _plan(g, _domains(g, 3), DEFAULT_BUDGET)
+    for v, scope, band, inputs in steps:
+        assert set(band) <= set(scope)
+        assert all(steps[i][1][-1] == v for i in inputs)
+    for h in range(4):
+        assert _eliminate(steps, _domains(g, h), h) == count_with_stats(g, h)[0]
+
+
+@pytest.mark.parametrize("g, h, count_, cells", [
+    (make_grid(3, 4), 2, 5305715, 56991),
+    (make_grid(2, 5), 3, 8591707, 31629),
+    (make_family("cycle", 10), 2, 856945, 1425),
+    (make_family("complete", 7), 4, 61741, 125478),
+    (make_grid(4, 4), 5, 138190481342321, 8855445),
+    (make_grid(3, 5), 4, 1097335135053, 3479470),
+    (make_family("star", 6), 3, 16807, 5),
+    (sample_er(16, 3, 1), 3, 43946797923, 190364),
+])
+def test_node_expansions_pinned(g, h, count_, cells):
+    # the cells the plan evaluates, as reported in count's node_expansions
+    assert count_with_stats(g, h) == (count_, cells)
 
 
 def test_reciprocal_fit_checks_budget_before_counting(monkeypatch):

@@ -66,7 +66,7 @@ def test_bound_report_domain_edges():
     assert rep.pair_margin is None and rep.giant_fraction is not None
     assert bound_report(1).giant_fraction is None
     rep9 = bound_report(9)
-    assert rep9.pair_margin == independent_pair_margin(9).margin
+    assert rep9.pair_margin == independent_pair_margin(9)
     assert rep9.giant_fraction == giant_fraction_prediction(9)
     for d in (0, math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -97,17 +97,15 @@ def test_upper_exact_flagging():
 
 
 def test_pair_margin_examples():
-    rep = independent_pair_margin(10)
-    assert rep.margin == pytest.approx(1.21, abs=0.01)
-    assert independent_pair_margin(9).margin > 0
+    assert independent_pair_margin(10) == pytest.approx(1.21, abs=0.01)
+    assert independent_pair_margin(9) > 0
     with pytest.raises(ValueError):
         independent_pair_margin(8.9)
 
 
 def test_pair_margin_positive_on_log_grid():
     for d in np.geomspace(9, 1e6, 200):
-        rep = independent_pair_margin(float(d))
-        assert rep.margin > 0
+        assert independent_pair_margin(float(d)) > 0
 
 
 def test_giant_fraction_prediction():

@@ -529,6 +529,19 @@ def test_pinned_applies_match_transition_rule(m, h):
             F.dot(np.array(joined, dtype=object)).tolist()
 
 
+def test_limb_apply_refuses_negative_limbs():
+    # a negative limb's top carry is -1 forever, so it is refused before any
+    # apply instead of appending rows without end
+    op = BandOperator(1)
+    applied = []
+    op._fold_apply = applied.append
+    with pytest.raises(ValueError, match="nonnegative"):
+        op._limb_apply(np.array([[-1, 0]]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        op._limb_apply(np.array([[0, 1], [0, -1]]))
+    assert applied == []
+
+
 def test_pinned_limb_apply_at_int64_cap():
     # pinned weights are 0 or 1, so the int64 cap is int64 max itself and
     # the limb width leaves room for dim alone (an int64 run whose running

@@ -64,10 +64,13 @@ def _plan(graph: Graph, domains: list[tuple[int, int]],
     Greedy min-degree order: eliminating v pops its neighbours (its scope)
     and makes them a clique.  Ties go to the fewest table cells, then to the
     lowest vertex index, so the order is deterministic.  A step is (v, scope,
-    band, inputs): band is v's graph neighbours in its scope, and inputs the
-    earlier steps whose tables hold v.  Scope and band run in reverse
-    elimination order, latest first, so v is the last axis of every table a
-    step takes, and the step's own table has its scope's axes.  Returns the
+    band, inputs, spec): band is v's graph neighbours in its scope, inputs
+    the earlier steps whose tables hold v, and spec, for a step with inputs
+    (else None), the subscripts of its ``np.einsum`` over those tables and
+    its band matrices, built here once for every h the plan runs at.  Scope
+    and band run in reverse elimination order, latest first, so v is the
+    last axis of every table a step takes, and the step's own table has its
+    scope's axes.  Returns the
     steps and the cells they evaluate: prod(size over scope + v), the einsum
     loop extents, for a step with inputs, and the output cells, prod(size
     over scope), for one without.
@@ -111,8 +114,14 @@ def _plan(graph: Graph, domains: list[tuple[int, int]],
         scope = sorted(scope, key=index.get, reverse=True)
         if scope:  # taken by the first of its scope eliminated, its last axis
             steps[index[scope[-1]]][2].append(k)
-        adjacent = graph.adjacency[v]
-        steps[k] = (v, scope, [w for w in scope if w in adjacent], inputs)
+        band = [w for w in scope if w in graph.adjacency[v]]
+        spec = None
+        if inputs:  # complete: every step taking a table comes before k
+            label = dict(zip(scope + [v], _LABELS))
+            subs = [steps[i][1] for i in inputs] + [(w, v) for w in band]
+            spec = (",".join("".join(label[u] for u in s) for s in subs)
+                    + "->" + "".join(label[u] for u in scope))
+        steps[k] = (v, scope, band, inputs, spec)
     return steps, work
 
 
@@ -157,7 +166,7 @@ def _eliminate(steps: list[tuple], domains: list[tuple[int, int]],
     # its bound fits, otherwise on object arrays of Python ints.
     tables: dict[int, tuple[np.ndarray, int]] = {}
     total = 1
-    for k, (v, scope, band, inputs) in enumerate(steps):
+    for k, (v, scope, band, inputs, spec) in enumerate(steps):
         taken = [tables.pop(i) for i in inputs]  # freed once used
         bound = min(2 * h + 1, len(values[v])) * math.prod(b for _, b in taken)
         if not taken:
@@ -165,10 +174,6 @@ def _eliminate(steps: list[tuple], domains: list[tuple[int, int]],
                      if band else len(values[v]))
         else:
             dtype = np.int64 if bound <= _INT64_MAX else object
-            label = dict(zip(scope + [v], _LABELS))
-            subs = [steps[i][1] for i in inputs] + [(w, v) for w in band]
-            spec = (",".join("".join(label[u] for u in s) for s in subs)
-                    + "->" + "".join(label[u] for u in scope))
             table = np.einsum(
                 spec, *(t.astype(dtype, copy=False) for t, _ in taken),
                 *((np.abs(np.subtract.outer(values[w], values[v])) <= h)

@@ -116,9 +116,12 @@ def _window_sum(src: np.ndarray, half: int, axis: int, out: np.ndarray) -> None:
     ``axis``, zero outside.
 
     ``src`` is overwritten with its running sum along ``axis``
-    (``_running_sum``); ``out`` has the shape and dtype of ``src`` and shares
-    no memory with it.  The window is then two slice copies and one in-place
-    subtraction, so the call allocates no full-size temporary.  The dtype is
+    (``_running_sum``), all of it; ``out`` has the dtype of ``src``, shares
+    no memory with it and has its shape, or fewer indices along ``axis``:
+    then it gets the window's leading ones only (a strip apply's windows
+    across the centre write only up to the folded half).  The window is
+    then at most two slice copies and one in-place subtraction over
+    ``out``, so the call allocates no full-size temporary.  The dtype is
     kept, so the float and int64 lattices of strip applies run the same
     code.  Every step is elementwise over the slabs of one index, so both
     arrays are viewed with ``axis`` swapped to the front, whatever order the
@@ -128,12 +131,15 @@ def _window_sum(src: np.ndarray, half: int, axis: int, out: np.ndarray) -> None:
     n = src.shape[axis]
     s = src.swapaxes(0, axis)
     o = out.swapaxes(0, axis)
+    rows = o.shape[0]
     # out[j] = run[min(j + half, n - 1)] - run[j - half - 1], the second
     # term only where j > half.
     if half < n:
-        o[:n - half] = s[half:]
-        o[n - half:] = s[n - 1]
-        np.subtract(o[half + 1:], s[:n - half - 1], out=o[half + 1:])
+        k = min(rows, n - half)
+        o[:k] = s[half:half + k]
+        o[k:] = s[n - 1]
+        if rows > half + 1:
+            np.subtract(o[half + 1:], s[:rows - half - 1], out=o[half + 1:])
     else:
         o[...] = s[n - 1]
 
@@ -170,8 +176,11 @@ class FreeStripOperator:
     diagonal) reads a reflected copy of the cells below the centre appended
     after it, h of its rows past the last cell it must be right at: the end
     of the half, or the centre state for the offset's diagonal, which is
-    read only at the states.  The two buffers that hold it, ``buffer_cells``
-    each, are kept in the dtype of the last apply, float or int64.
+    read only at the states.  Unless it is the last, such a window writes
+    only its rows up to the end of the half, all that the next window
+    reads; its running sum still covers its whole reach.  The two buffers
+    that hold the lattice, ``buffer_cells`` each, are kept in the dtype of
+    the last apply, float or int64.
     ``state_budget`` bounds ``buffer_cells`` before anything is allocated,
     so an operator holds 16 bytes per budget cell whatever the size of the
     integers it counts: exact applies run on int64 limbs, one limb to an
@@ -229,6 +238,10 @@ class FreeStripOperator:
         self._size = math.prod(self._shape)
         strides = [math.prod(self._shape[k + 1:]) for k in range(axes)]
         self.buffer_cells = 0
+        # a window (start, stop, end, shape, axis) reads src[start:stop]
+        # viewed as ``shape`` and writes its window sum along ``axis`` into
+        # dst[start:end], the leading rows of that view; the last window
+        # writes nothing
         self._windows = []
         if axes:
             slab = strides[0]
@@ -237,9 +250,12 @@ class FreeStripOperator:
             def across(length, end):
                 # a window down the columns of rows of ``length`` cells,
                 # across the centre: it reads h rows past the row of
-                # ``end``, the last cell it must be right at
+                # ``end``, the last cell it must be right at, and writes
+                # only the rows up to the end of the half, all that the
+                # next window reads (it reflects what lies past the half)
                 rows = end // length + h + 1
-                return 0, rows * length, (rows, length), 0
+                return (0, rows * length, -(-half // length) * length,
+                        (rows, length), 0)
 
             # the leading axis's window, then the others on the half
             self._windows = [across(slab, half - 1)]
@@ -251,7 +267,7 @@ class FreeStripOperator:
                                             half - 1))
                 start = h * slab
             box = ((half - start) // slab,) + self._shape[1:]
-            self._windows += [(start, half, box, k)
+            self._windows += [(start, half, half, box, k)
                               for k in range(1 + sheared, axes)]
             if self.pinned:
                 stride, n = 1, self._shape[-1]
@@ -279,13 +295,15 @@ class FreeStripOperator:
         # A state's site is linear in its difference steps: from the centre
         # cell, the site of the all-zero state, step t moves every box axis
         # whose sum holds it by d_t, so it adds d_t times their stride sum.
-        # States run in C order over (d_1, ..., d_axes), each in [-h, h].
+        # States run in C order over (d_1, ..., d_axes), each in [-h, h], so
+        # those with d_1 <= 0 hold the first half.
         steps = np.arange(-h, h + 1, dtype=np.int64)
         sites = np.int64(self._size // 2)
         for t in range(axes):
             reach = sum(s for (a, b, _), s in zip(spans, strides)
                         if a <= t < b)
-            sites = np.add.outer(sites, steps * reach)
+            sites = np.add.outer(sites, (steps if t else steps[:h + 1])
+                                 * reach)
         # A representative is scattered to whichever of its site and the
         # mirror site (size - 1 - site, its negation's) is not past the
         # centre cell.
@@ -297,7 +315,7 @@ class FreeStripOperator:
         # run[min(j + h, n - 1)] - run[j - h - 1], the second term only
         # where j > h; hi and lo index those two cells of the running sum at
         # the representative sites.
-        j = self._rep // stride % n
+        j = (self._rep if stride == 1 else self._rep // stride) % n
         self._hi = self._rep + (np.minimum(j + h, n - 1) - j) * stride
         self._has_lo = j > h
         self._lo = np.where(self._has_lo, self._rep - (h + 1) * stride, 0)
@@ -305,16 +323,20 @@ class FreeStripOperator:
     def prolong(self, x: np.ndarray, h: int) -> np.ndarray:
         """``x``, the ``_fold`` of an even vector over the states of this kind
         and m at ``h``, interpolated onto this operator's states and folded
-        (a warm start for the eigen-solve after a solve at ``h``).
+        (a warm start for the eigen-solve after a solve at ``h``).  Only the
+        states of the folded half are interpolated: the leading axis onto
+        its rows d_1 <= 0, the other axes on that block, whose first
+        ``half`` states in C order are the representatives.
 
         Each difference step d in [-h, h] sits at the midpoint coordinate
         t = d/(h + 1/2); the map is separable linear interpolation in t,
         clamped at the ends, one gather-and-blend per axis.  A blend
         a + w (b - a) keeps a constant vector exact and a positive one
         positive, and a same-h map is the identity.  Each axis's map
-        commutes with negating t, so the unfolded vector stays even and is
-        folded again.  With no axis, or from h = 0 (a one-point grid), it
-        returns the folded all-ones vector, the cold start.
+        commutes with negating t, so the interpolated vector is even, and
+        its values at the representatives are its fold.  With no axis, or
+        from h = 0 (a one-point grid), it returns the folded all-ones
+        vector, the cold start.
         """
         axes = len(self._shape)
         if not axes or h == 0:
@@ -330,10 +352,15 @@ class FreeStripOperator:
         w = (num - lo * den) / den
         y = np.reshape(x, (2 * h + 1,) * axes)
         for axis in range(axes):
-            a = y.take(lo, axis)
-            wk = w.reshape((den,) + (1,) * (axes - 1 - axis))
-            y = a + wk * (y.take(hi, axis) - a)
-        return _fold(y.ravel())
+            # the leading axis only onto d_1 <= 0, the rows of the half
+            rows = slice(None, self.h + 1 if axis == 0 else None)
+            a = y.take(lo[rows], axis)
+            wk = w[rows].reshape((-1,) + (1,) * (axes - 1 - axis))
+            y = a + wk * (y.take(hi[rows], axis) - a)
+        # _fold of the even vector whose first states y holds
+        z = y.ravel()[:self.half] * _SQRT2
+        z[-1] = y.flat[self.half - 1]
+        return z
 
     def _reflect(self, buf: np.ndarray, start: int, stop: int) -> None:
         """Fill ``buf[start:stop]``, past the centre cell, with the lattice's
@@ -357,12 +384,12 @@ class FreeStripOperator:
         src[self._rep] = v
         # the centre slab holds both members of its orbits
         self._reflect(src, self._size // 2 + 1, half)
-        for start, stop, shape, axis in self._windows[:-1]:
+        for start, stop, end, shape, axis in self._windows[:-1]:
             self._reflect(src, half, stop)
             _window_sum(src[start:stop].reshape(shape), self.h, axis,
-                        dst[start:stop].reshape(shape))
+                        dst[start:end].reshape((-1,) + shape[1:]))
             src, dst = dst, src
-        start, stop, shape, axis = self._windows[-1]
+        start, stop, _, shape, axis = self._windows[-1]
         self._reflect(src, half, stop)
         _running_sum(src[start:stop].reshape(shape), axis)
         # fancy indexing copies, so the result never aliases a buffer
@@ -535,11 +562,14 @@ def strip_count_exact(m: int, n: int, h: int,
 
 def _join_limbs(x: np.ndarray, bits: int) -> list[int]:
     """The Python ints sum over k of 2^(bits k) x[k]: those whose limbs,
-    least significant first, are the rows of ``x``."""
-    vals = x[-1].tolist()
+    least significant first, are the rows of ``x``.  Horner's rule on whole
+    rows: an object array of Python ints, shifted and added one limb at a
+    time."""
+    vals = x[-1].astype(object)
     for row in x[-2::-1]:
-        vals = [(v << bits) + r for v, r in zip(vals, row.tolist())]
-    return vals
+        vals <<= bits
+        vals += row
+    return vals.tolist()
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,14 @@ free-strip weights from difference vectors, pinned-strip states), and the
 reference implementations the library is tested against: breadth-first
 component labels, the pruned depth-first count and the pinned counts it is
 checked against, each strip operator's dense matrix straight from its rule
-and that matrix on even vectors, the stepwise strip DP, Newton's
+and that matrix on even vectors, the warm start interpolated over every
+state, the last window's reads from every state's site, the listwise limb
+join, the stepwise strip DP, Newton's
 interpolation in Fractions, a one-skip-at-a-time Erdos-Renyi walk, the
 exhaustive independent-pair scan and the every-edge random-construction
 sampler."""
 import functools
+import math
 from collections import deque
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
@@ -21,7 +24,8 @@ from lipgrowth.counting import count
 from lipgrowth.errors import ResourceLimitError
 from lipgrowth.graphs import Graph
 from lipgrowth.randomlab import LllConfig, MonteCarloResult, wilson_interval
-from lipgrowth.strips import FreeStripOperator, PinnedStripOperator
+from lipgrowth.strips import (FreeStripOperator, PinnedStripOperator, _fold,
+                              _unfold)
 
 
 def random_tree(n: int, rng: np.random.Generator) -> Graph:
@@ -375,6 +379,60 @@ def fold_matrix(W: np.ndarray) -> np.ndarray:
     F = W[:half, :half].copy()
     F[:, :-1] += W[:half, ::-1][:, :half - 1]
     return F
+
+
+def full_prolong(op: FreeStripOperator, x: np.ndarray, h: int) -> np.ndarray:
+    """``op.prolong(x, h)`` over every state: the unfolded source vector
+    interpolated onto all of ``op``'s states, axis by axis (linear in the
+    midpoint coordinates, clamped at the ends), then folded."""
+    axes = len(op._shape)
+    if not axes or h == 0:
+        return _fold(np.ones(op.dim))
+    den = 2 * op.h + 1
+    num = np.arange(-op.h, op.h + 1) * (2 * h + 1) + h * den
+    num = np.clip(num, 0, 2 * h * den)
+    lo = num // den
+    hi = np.minimum(lo + 1, 2 * h)
+    w = (num - lo * den) / den
+    y = np.reshape(_unfold(x), (2 * h + 1,) * axes)
+    for axis in range(axes):
+        a = y.take(lo, axis)
+        wk = w.reshape((den,) + (1,) * (axes - 1 - axis))
+        y = a + wk * (y.take(hi, axis) - a)
+    return _fold(y.ravel())
+
+
+def last_window_reads(op: FreeStripOperator) -> tuple[np.ndarray, ...]:
+    """The cells (hi, lo) of the last window's running sum that give W x at
+    each representative, and where lo is read (has_lo), from every state's
+    site (``prefix_sites``): the representative is scattered to the one of
+    its site and the mirror site not past the centre, at coordinate j of n
+    along the last window's stride (1 for a pinned strip's last box axis;
+    the sum of the strides for a free strip's diagonal), and the window
+    there is run[min(j + h, n - 1)] - run[j - h - 1], the second term only
+    where j > h."""
+    h, size = op.h, op._size
+    sites = np.array(prefix_sites(op.m, h, op.pinned), dtype=np.int64)
+    rep = np.minimum(sites, size - 1 - sites)[:op.half]
+    if op.pinned:
+        stride, n = 1, op._shape[-1]
+    else:
+        stride = max(sum(math.prod(op._shape[k + 1:])
+                         for k in range(len(op._shape))), 1)
+        n = -(-size // stride)
+    j = rep // stride % n
+    has_lo = j > h
+    return (rep + (np.minimum(j + h, n - 1) - j) * stride,
+            np.where(has_lo, rep - (h + 1) * stride, 0), has_lo)
+
+
+def join_limbs_listwise(x: np.ndarray, bits: int) -> list[int]:
+    """``strips._join_limbs`` one element at a time: Horner's rule on lists
+    of Python ints, row by row from the most significant limb."""
+    vals = x[-1].tolist()
+    for row in x[-2::-1]:
+        vals = [(v << bits) + r for v, r in zip(vals, row.tolist())]
+    return vals
 
 
 def to_limbs(xs: Sequence[int], bits: int) -> np.ndarray:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from helpers import (dfs_count, end_pinned_path4, full_counts, newton_fit,
                      relabel, top_row_pinned_2x3, with_edge)
-from lipgrowth.counting import (EhrhartPoly, _domains, _eliminate, _plan,
-                                _root, count, count_closed_form,
+from lipgrowth.counting import (_LABELS, EhrhartPoly, _domains, _eliminate,
+                                _plan, _root, count, count_closed_form,
                                 count_with_stats, ehrhart_fit, reciprocal_fit)
 from lipgrowth.errors import DEFAULT_BUDGET, ResourceLimitError
 from lipgrowth.graphs import Graph, make_family, make_grid, sample_er
@@ -491,11 +491,21 @@ def test_reciprocal_fit_plans_once(monkeypatch):
 @given(small_graphs())
 def test_steps_planned_at_three_count_every_lower_h(g):
     # the steps planned at h = 3 count h = 0..3 as count_with_stats does,
-    # each step's variable the last axis of every table it takes
+    # each step's variable the last axis of every table it takes; a step
+    # with inputs carries its einsum subscripts: one operand per table taken
+    # and band matrix, each ending in v's label, summed out to the scope's
     steps, _ = _plan(g, _domains(g, 3), DEFAULT_BUDGET)
-    for v, scope, band, inputs in steps:
+    for v, scope, band, inputs, spec in steps:
         assert set(band) <= set(scope)
         assert all(steps[i][1][-1] == v for i in inputs)
+        if not inputs:
+            assert spec is None
+            continue
+        operands, out = spec.split("->")
+        operands = operands.split(",")
+        assert len(operands) == len(inputs) + len(band)
+        assert {o[-1] for o in operands} == {_LABELS[len(scope)]}
+        assert out == _LABELS[:len(scope)]
     for h in range(4):
         assert _eliminate(steps, _domains(g, h), h) == count_with_stats(g, h)[0]
 

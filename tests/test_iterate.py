@@ -1,6 +1,6 @@
 """The Lanczos eigen-solve, the one bisection, the in-place window sum
-behind every strip ``apply``, and the contract that no ``apply`` writes
-into the caller's vector."""
+behind every strip ``apply`` (into a whole or a shorter out), and the
+contract that no ``apply`` writes into the caller's vector."""
 import math
 import tracemalloc
 
@@ -207,17 +207,24 @@ def sample(shape, dtype, rng):
 @pytest.mark.parametrize("dtype", [float, np.int64, object])
 @pytest.mark.parametrize("shape, axis", LAYOUTS)
 def test_window_sum_matches_naive(shape, axis, dtype):
+    # an out with fewer rows along axis than src gets the window's first
+    # rows, as a strip apply's windows across the centre write only up to
+    # the folded half
     rng = np.random.default_rng(len(shape) * 10 + axis)
     n = shape[axis]
     for half in sorted({0, 1, 2, n - 1, n, n + 3}):
-        a = sample(shape, dtype, rng)
-        src = a.copy()
-        out = np.empty_like(a)
-        _window_sum(src, half, axis, out)
-        assert out.dtype == a.dtype
-        assert np.array_equal(out, naive_window(a, half, axis)), (half,)
-        # contract: src now holds its running sum along axis
-        assert np.array_equal(src, np.cumsum(a, axis=axis)), (half,)
+        for rows in sorted({1, half + 1, n - half, n} & set(range(1, n + 1))):
+            a = sample(shape, dtype, rng)
+            src = a.copy()
+            short = list(shape)
+            short[axis] = rows
+            out = np.empty(short, dtype=a.dtype)
+            _window_sum(src, half, axis, out)
+            want = np.take(naive_window(a, half, axis), range(rows), axis)
+            assert out.dtype == a.dtype
+            assert np.array_equal(out, want), (half, rows)
+            # contract: src now holds its whole running sum along axis
+            assert np.array_equal(src, np.cumsum(a, axis=axis)), (half, rows)
 
 
 @pytest.mark.parametrize("shape, axis", LAYOUTS)

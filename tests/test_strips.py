@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (fold_matrix, free_strip_weight, index_state,
+from helpers import (fold_matrix, free_strip_weight, full_prolong,
+                     index_state, join_limbs_listwise, last_window_reads,
                      oracle_matrix, pinned_states, pinned_transition_matrix,
                      prefix_sites, state_index, strip_count_stepwise,
                      to_limbs, weight_matrix)
@@ -529,6 +530,21 @@ def test_pinned_applies_match_transition_rule(m, h):
             F.dot(np.array(joined, dtype=object)).tolist()
 
 
+def test_join_limbs_matches_listwise_join():
+    # whole-row Horner's rule on object arrays equals the element-by-element
+    # join, over 1-7 limbs at widths on and off a multiple of 8
+    rng = np.random.default_rng(12)
+    for bits in (1, 7, 8, 13, 24, 37, 48, 61):
+        for limbs in range(1, 8):
+            x = rng.integers(0, 1 << bits, (limbs, 9), dtype=np.int64)
+            x[:, 0] = 0
+            x[:, 1] = (1 << bits) - 1
+            got = _join_limbs(x, bits)
+            assert got == join_limbs_listwise(x, bits), (bits, limbs)
+            assert all(type(v) is int for v in got)
+            assert got[1] == (1 << bits * limbs) - 1
+
+
 def test_limb_apply_refuses_negative_limbs():
     # a negative limb's top carry is -1 forever, so it is refused before any
     # apply instead of appending rows without end
@@ -590,11 +606,13 @@ def test_prolong_premises():
     # the warm start of a solve on an h ladder, on folded vectors: all-ones
     # maps to all-ones exactly, a positive vector to a positive one (so the
     # start keeps its overlap with the Perron vector), a same-h map is the
-    # identity on the unfolded vector, and the length is the new half
+    # identity on the unfolded vector, and the length is the new half; it
+    # interpolates only the states of the folded half (d_1 <= 0), bit for
+    # bit the fold of the interpolation over every state
     rng = np.random.default_rng(5)
     for kind, m in (("band", 1), ("tent", 2), ("free-strip", 3),
                     ("free-strip", 4), ("pinned-strip", 2),
-                    ("pinned-strip", 3)):
+                    ("pinned-strip", 3), ("pinned-strip", 4)):
         for src, dst in ((1, 3), (3, 2), (2, 5), (4, 4)):
             old, new = make_operator(kind, src, m), make_operator(kind, dst, m)
             assert np.array_equal(new.prolong(_fold(np.ones(old.dim)), src),
@@ -603,6 +621,8 @@ def test_prolong_premises():
             y = new.prolong(x, src)
             assert y.shape == (new.half,), (kind, m, src, dst)
             assert np.all(y > 0), (kind, m, src, dst)
+            assert np.array_equal(y, full_prolong(new, x, src)), \
+                (kind, m, src, dst)
             assert np.array_equal(old.prolong(x, src), _fold(_unfold(x))), \
                 (kind, m, src)
     # no axis (one free row), or a one-point source grid: the folded
@@ -774,13 +794,24 @@ WARM_CASES = [(kind, m, h) for h in range(4)
               for m in ms]
 
 
-@pytest.mark.parametrize("kind, m, h", WARM_CASES)
+@pytest.mark.parametrize("kind, m, h", [
+    (kind, m, h) for h in range(6)
+    for kind, ms in (("free-strip", (1, 2, 3, 4, 5)),
+                     ("pinned-strip", (1, 2, 3, 4)),
+                     ("band", (None,)), ("tent", (None,)))
+    for m in ms])
 def test_sites_match_prefix_sum_reference(kind, m, h):
     # each representative scatters to its site or its mirror site, the one
-    # not past the centre cell
+    # not past the centre cell; sites built for the folded half only
+    # (d_1 <= 0) give the last window's reads that every state's site gives
     op = make_operator(kind, h, m)
     sites = prefix_sites(op.m, h, op.pinned)[:op.half]
     assert op._rep.tolist() == [min(s, op._size - 1 - s) for s in sites]
+    if op._shape:
+        hi, lo, has_lo = last_window_reads(op)
+        assert np.array_equal(op._hi, hi)
+        assert np.array_equal(op._lo, lo)
+        assert np.array_equal(op._has_lo, has_lo)
 
 
 @pytest.mark.parametrize("kind, m, h", WARM_CASES)
@@ -788,8 +819,12 @@ def test_warm_buffers_match_fresh_operator(kind, m, h):
     # one operator runs applies in float, in signed int64 and on several
     # nonnegative limbs, in turn: each result equals a fresh operator's and
     # the weight rule's product, and its one buffer pair is float or int64,
-    # as the last apply
+    # as the last apply.  Its float pair starts full of NaN: a window
+    # writes only up to the folded half and reflects what it reads past
+    # it, so no apply reads a cell it has not written
     op = make_operator(kind, h, m)
+    if op._shape:
+        op._buffers = np.full((2, op.buffer_cells), np.nan)
     W = oracle_matrix(op)
     rng = np.random.default_rng(10 * h + (m or 0))
     for step in range(7):

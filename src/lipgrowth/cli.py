@@ -140,9 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
                     default="brute")
     sp.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET,
                     help="cells, not bytes, of the largest elimination table "
-                         "(brute; past int64 a Python int per cell) or of each "
-                         "of the two folded lattice buffers (strip; int64 "
-                         "limbs, 16 bytes per budget cell), at least 1")
+                         "(brute; past int64 a Python int per cell) or of all "
+                         "the strip DP's window stage arrays together (strip: "
+                         "its input, one output per row but the last, each "
+                         "junction axis with 2h zero rows at both ends where "
+                         "a skew view reads it, and one shared running sum; "
+                         "int64 limbs, 8 bytes per budget cell), at least 1")
 
     sp = sub.add_parser(
         "ehrhart", parents=[common], help="fit the counting polynomial",

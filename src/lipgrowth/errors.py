@@ -1,7 +1,10 @@
 """Shared exception types and the work budget they enforce."""
 
-# Cells of the largest array an exact engine may allocate: the elimination
-# tables of ``counting`` and the folded lattice buffers of ``strips``.
+# Cells an exact engine may allocate: the largest elimination table of
+# ``counting``; in ``strips``, all of a free strip's window stage arrays
+# together (its input, its stage outputs, whose junction axes carry the
+# skew views' zero padding, and one shared running sum), and each of a
+# pinned strip's two folded box buffers.
 DEFAULT_BUDGET = 10**7
 
 

@@ -12,38 +12,38 @@ Operator kinds
   free-strip(m)   m free rows, weight max(0, 2h+1 - spread of prefix offsets)
   pinned-strip(m) m free rows below an all-zero row, 0/1 transitions
 
-Every apply is matrix-free: separable window sums (running-sum differences)
-on an embedded lattice, O(cells) per apply.  Each window turns one buffer
-into its running sum in place and writes the window into the other,
-swapping the two after every window; an operator keeps one buffer pair,
-float or int64, reallocated only when the dtype changes.  A running sum is
-one ``np.cumsum``, or a row add per index along an axis whose slabs are
-large enough to pay for the calls.  The last window is never written out:
-its buffer becomes the running sum along that axis, read as one difference
-at each state.  A free strip (and tent) scatters onto the lattice of prefix
-vectors, since its weight depends only on the difference of two columns'
-prefix vectors: a half-width-h box window on every axis, then one more
-along the diagonal (1, ..., 1) for the column offset.  A pinned strip of m
-rows is the free strip of m+1 rows with its top row fixed: its states are
-its rows, the prefix vectors of m difference steps, and a transition moves
-every row by at most h, one box window per row and no offset window.  From
-three rows it holds its top row as the offset from the row below, whose
-axis is shorter, and runs that row's window along it and the next row's
-along the diagonal that keeps the top row (a site-by-site transfer for the
-top row: Enting, J. Phys. A 13, 3713, 1980).
+Every apply is matrix-free and O(cells): window sums, each a running sum
+(one ``np.cumsum``, or a row add per index along an axis whose slabs are
+large enough to pay for the calls) read as a difference of two of its
+cells.  A free strip (and tent) places the new column one row at a time
+(the site-by-site transfer of the finite-lattice method: Enting, J. Phys.
+A 13, 3713, 1980): one window stage per row, on arrays indexed by the
+states' differences and one junction offset between the old column and
+the new, about twice the states.  A middle row's window runs along a
+read-only skew view of the previous stage, whose junction axis carries 2h
+zero rows at both ends so that the view never leaves it.  A pinned strip
+of m rows is the free strip of m+1 rows with its top row fixed: its
+states are its rows, the prefix vectors of m difference steps, and a
+transition moves every row by at most h, one box window per row on the
+box of rows.  From three rows it holds its top row as the offset from the
+row below, whose axis is shorter, and runs that row's window along it and
+the next row's along the diagonal that keeps the top row (the same
+site-by-site idea for that row).
 
 Every kind is folded by its negation symmetry d -> -d, which W commutes
-with, so the Perron vector and every W^k 1 are even: an operator runs on
-the (dim + 1)/2 orbit representatives and the lattice up to its centre
-slab (the block decomposition of a representation by a symmetry group:
-Serre, Linear Representations of Finite Groups, 1977, section 2.6).  The
-eigen-solve works in sqrt(orbit)-scaled coordinates, where the folded
-operator is symmetric, and the strip DP on plain representative values.
-One code path serves spectra (float) and exact counts (int64 limbs: a
-count of any size is held as base-2^B digits, each run through the int64
-lattice and carried at the representatives; Knuth, TAOCP vol. 2, section
-4.3.1), and the state budget bounds the cells, and so the memory, of an
-operator's lattice buffers before anything is allocated.
+with, so the Perron vector and every W^k 1 are even: an operator takes and
+returns the (dim + 1)/2 orbit representatives, and a pinned strip runs its
+box up to its centre slab (the block decomposition of a representation by
+a symmetry group: Serre, Linear Representations of Finite Groups, 1977,
+section 2.6).  The eigen-solve works in sqrt(orbit)-scaled coordinates,
+where the folded operator is symmetric, and the strip DP on plain
+representative values.  One code path serves spectra (float) and exact
+counts (int64 limbs: a count of any size is held as base-2^B digits, each
+run through the int64 arrays and carried at the representatives; Knuth,
+TAOCP vol. 2, section 4.3.1), and the state budget bounds the cells, and
+so the memory, of an operator's arrays before anything is allocated: all
+of a free strip's stage arrays together (the skew views' zero padding
+included), and each of a pinned strip's two box buffers.
 """
 from __future__ import annotations
 
@@ -92,8 +92,11 @@ def _folded_ones(half: int) -> np.ndarray:
 _ROW_ADD_MIN = 512
 
 
-def _running_sum(a: np.ndarray, axis: int) -> None:
-    """Overwrite ``a`` with its running sum along ``axis``.
+def _running_sum(a: np.ndarray, axis: int,
+                 out: np.ndarray | None = None) -> None:
+    """Write the running sum of ``a`` along ``axis`` into ``out``, an
+    array of its shape and dtype that shares no memory with it, or over
+    ``a`` itself when ``out`` is None.
 
     Along an axis whose index slabs hold at least ``_ROW_ADD_MIN``
     elements this is one vectorised row add per index: ``np.cumsum`` would
@@ -104,44 +107,69 @@ def _running_sum(a: np.ndarray, axis: int) -> None:
     """
     n = a.shape[axis]
     if a.size < _ROW_ADD_MIN * n:
-        np.cumsum(a, axis=axis, out=a)
-    else:
-        s = a.swapaxes(0, axis)
-        for i in range(1, n):
-            np.add(s[i - 1], s[i], out=s[i])
+        np.cumsum(a, axis=axis, out=a if out is None else out)
+        return
+    s = a.swapaxes(0, axis)
+    o = s if out is None else out.swapaxes(0, axis)
+    if out is not None:
+        o[0] = s[0]
+    for i in range(1, n):
+        np.add(o[i - 1], s[i], out=o[i])
 
 
-def _window_sum(src: np.ndarray, half: int, axis: int, out: np.ndarray) -> None:
-    """Write into ``out`` the sum of ``src`` over [j - half, j + half] along
-    ``axis``, zero outside.
+def _window_steps(run: np.ndarray, half: int, axis: int,
+                  out: np.ndarray) -> tuple[list, tuple | None]:
+    """The copies (dst, src) and the subtraction (dst, subtrahend), or None,
+    that write into ``out`` the sum over [j - half, j + half] along
+    ``axis``, zero outside, of the array whose running sum along ``axis``
+    ``run`` holds (``_run_steps`` runs them).
 
-    ``src`` is overwritten with its running sum along ``axis``
-    (``_running_sum``), all of it; ``out`` has the dtype of ``src``, shares
-    no memory with it and has its shape, or fewer indices along ``axis``:
-    then it gets the window's leading ones only (a strip apply's windows
-    across the centre write only up to the folded half).  The window is
-    then at most two slice copies and one in-place subtraction over
-    ``out``, so the call allocates no full-size temporary.  The dtype is
-    kept, so the float and int64 lattices of strip applies run the same
-    code.  Every step is elementwise over the slabs of one index, so both
-    arrays are viewed with ``axis`` swapped to the front, whatever order the
-    other axes then take.
+    They are views, built once and run at every apply, and slices only:
+    an indexed scalar would be a copy.  ``out`` has the dtype of ``run``,
+    shares no memory with it and has its shape, or fewer indices along
+    ``axis``: then it gets the window's leading ones only (a pinned apply's
+    windows across the centre write only up to the folded half).  The
+    window is then at most two slice copies and one in-place subtraction
+    over ``out``, so it allocates no full-size temporary.  Every step is
+    elementwise over the slabs of one index, so both arrays are viewed
+    with ``axis`` swapped to the front, whatever order the other axes then
+    take.
     """
-    _running_sum(src, axis)
-    n = src.shape[axis]
-    s = src.swapaxes(0, axis)
+    n = run.shape[axis]
+    s = run.swapaxes(0, axis)
     o = out.swapaxes(0, axis)
     rows = o.shape[0]
+    if half >= n:
+        return [(o, s[n - 1:])], None
     # out[j] = run[min(j + half, n - 1)] - run[j - half - 1], the second
     # term only where j > half.
-    if half < n:
-        k = min(rows, n - half)
-        o[:k] = s[half:half + k]
-        o[k:] = s[n - 1]
-        if rows > half + 1:
-            np.subtract(o[half + 1:], s[:rows - half - 1], out=o[half + 1:])
-    else:
-        o[...] = s[n - 1]
+    k = min(rows, n - half)
+    sub = ((o[half + 1:], s[:rows - half - 1]) if rows > half + 1
+           else None)
+    return [(o[:k], s[half:half + k]), (o[k:], s[n - 1:])], sub
+
+
+def _run_steps(copies: list, sub: tuple | None = None) -> None:
+    """Run the copies (dst, src) and then the subtraction (dst, subtrahend),
+    if any, of ``_window_steps``; a src may be a scalar."""
+    for dst, src in copies:
+        dst[...] = src
+    if sub is not None:
+        np.subtract(*sub, out=sub[0])
+
+
+def _cell_strides(shape: Sequence[int]) -> tuple[int, ...]:
+    """The strides, in cells, of a C-contiguous array of ``shape``."""
+    return tuple(math.prod(shape[k + 1:]) for k in range(len(shape)))
+
+
+def _skew(a: np.ndarray, start: int, shape: tuple[int, ...],
+          strides: Sequence[int]) -> np.ndarray:
+    """A read-only view of the C-contiguous array ``a`` from its flat cell
+    ``start``, of ``shape`` and ``strides`` counted in cells."""
+    return np.lib.stride_tricks.as_strided(
+        a.reshape(-1)[start:], shape, [s * a.itemsize for s in strides],
+        writeable=False)
 
 
 class FreeStripOperator:
@@ -152,68 +180,61 @@ class FreeStripOperator:
     prefix sum of differences (P_1 = 0); that equals
     max(0, 2h+1 - (max_i D_i - min_i D_i)) with D = P(V) - P(U).
 
-    Since the weight depends on D only, ``apply`` works on the prefix
-    lattice: x is scattered to the points P(U), whose axis for the prefix
-    P_{i+2} spans [-(i+1)h, (i+1)h] and is padded by h at both ends; the
-    longest axis leads.  A window of half-width h along every axis sums x
-    over the box |r_i - P_i(U)| <= h; one more half-width-h window along the
-    diagonal (1, ..., 1) sums that box over the offsets |delta| <= h, and
-    reading it at P(V) gives y(V).  The diagonal window runs down the
-    columns of the flat lattice reshaped to rows of one diagonal step (the
-    sum of the strides); the padding keeps every step taken from a state
-    inside the lattice, so no window wraps.  Every window is a running-sum
-    difference, so one apply costs O(cells), and the last one is taken only
-    at the states: y(V) = R[hi] - R[lo] for the running sum R along the last
-    window's axis.
+    ``apply`` places the new column n beside the old one o a row at a time,
+    each row within h of its old value, and sums x over the old states as
+    it goes (site-by-site transfer).  With d the old state's differences
+    and e the new one's, the stage of row k leaves an array over
+    (e_1, ..., e_{k-1}, J_k, d_{k+1}, ..., d_{m-1}), where the junction
+    J_k = o_{k+1} - n_k, in [-2h, 2h], links the two columns:
 
-    The lattice is folded.  Negating a state reverses both its index and its
-    site, and W commutes with it, so W maps even vectors (x(-U) = x(U)) to
-    even ones.  ``_fold_apply`` takes the values of such a vector at the
-    orbit representatives, the first ``half`` = (dim + 1)/2 states, and
-    keeps only the flat prefix of the lattice up to the end of the leading
-    axis's centre slab.  Windows along the other axes run on it unchanged;
-    a window whose reach crosses the centre (along the leading axis or a
-    diagonal) reads a reflected copy of the cells below the centre appended
-    after it, h of its rows past the last cell it must be right at: the end
-    of the half, or the centre state for the offset's diagonal, which is
-    read only at the states.  Unless it is the last, such a window writes
-    only its rows up to the end of the half, all that the next window
-    reads; its running sum still covers its whole reach.  The two buffers
-    that hold the lattice, ``buffer_cells`` each, are kept in the dtype of
-    the last apply, float or int64.
-    ``state_budget`` bounds ``buffer_cells`` before anything is allocated,
-    so an operator holds 16 bytes per budget cell whatever the size of the
-    integers it counts: exact applies run on int64 limbs, one limb to an
-    apply.
+    - Row 1.  With o_1 = 0 and |n_1| <= h, a window along d_1 turns it into
+      J_1 = d_1 - n_1: a running sum R along that axis, then
+      F(J) = R(min(J + h, h)) - R(J - h - 1), two slice ops.
+    - Rows k = 2, ..., m-1.  Placing n_k, with t = o_k - n_k in [-h, h],
+      maps (J_{k-1}, d_k) to (e_{k-1}, J_k) = (J_{k-1} - t, d_k + t), which
+      keeps s = J + d = e + J'.  So F_k(e, J') is the sum over |t| <= h of
+      F_{k-1}(e + t, J' - t), a window along the anti-diagonal.  It is a
+      running sum R along u of the read-only skew view
+      G(s, u) = F_{k-1}(J = s + u - h, d = h - u), s in [-3h, 3h] and u in
+      [0, 2h], whose strides are (s_J, s_J - s_d).  G reaches J in
+      [-4h, 4h], so F_{k-1}'s junction axis carries 2h zero rows at each
+      end, which no step writes.  The output is R(e + J', 2h - J') for
+      J' >= 0 and R(e + J', 2h) - R(e + J', -J' - 1) for J' < 0: three
+      strided views of R, one copy and one subtraction.
+    - Row m.  A running sum along J_{m-1}, read at e_{m-1} in [-h, h] by
+      two slices, sums the last row's offsets and gives y.  With one row
+      there is no array, and W x is (2h+1) x.
+
+    Every view is built once per operator and dtype, on one flat array:
+    the unfolded input, which also takes the output, the m-1 stage outputs
+    and one running-sum array that all skew stages share.  An apply is
+    then a fixed list of running sums, copies and subtractions, O(cells).
+
+    The apply is folded.  Negating a state reverses its index, and W
+    commutes with it, so W maps even vectors (x(-U) = x(U)) to even ones.
+    ``_fold_apply`` takes the values of such a vector at the orbit
+    representatives, the first ``half`` = (dim + 1)/2 states, unfolds them
+    into the input (v, then v[-2::-1]), and keeps the first ``half`` of
+    the output; the last stage runs only on the states' e_1 <= 0, which
+    hold them.  The arrays are kept in the dtype of the last apply, float
+    or int64.  ``state_budget`` bounds ``buffer_cells``, the cells of all
+    of them together, before anything is allocated, so an operator holds 8
+    bytes per budget cell whatever the size of the integers it counts:
+    exact applies run on int64 limbs, one limb to an apply.
 
     ``apply`` takes an even vector as ``_fold``'s sqrt(orbit)-scaled values
     at its ``half`` representatives (the eigen-solve's vectors) and returns
     W x in the same form; ``_limb_apply``, the one exact apply, takes a
     nonnegative one's plain values there as int64 limbs (the strip DP's).
-
-    A ``pinned`` kind fixes a row above its m rows at 0.  Its states are
-    the rows' values y_1..y_m, the prefix sums of m difference steps, and a
-    transition is one box window per row, with no offset window.  Up to two
-    rows the box holds y_m, ..., y_1, unpadded.  From three rows it is
-    sheared: the top row is held as c = y_m - y_{m-1} on the box
-    (c, y_{m-1}, ..., y_1), where c's axis is [-2h, 2h], 4h+1 cells to
-    y_m's 2mh+1.  The top row's window runs along c, the leading axis;
-    row m-1's runs along the diagonal (c + 1, y_{m-1} - 1), which keeps
-    y_m, down the columns of the flat box reshaped to rows of one diagonal
-    step.  A state has |c| <= h and no later window moves c, so the lower
-    rows' windows run on those slabs alone, a contiguous range of the
-    folded half (c in [-h, 0]).  The diagonal's rows are unpadded and wrap
-    at the ends of y_{m-1}, but a wrapped read lands more than (2m-3)h
-    along y_{m-1} from where it starts; a cell there holds a value only if
-    its y_{m-2} is within h of its y_{m-1}, while the lower windows read
-    from a state reach only y_{m-2} within 2h of the state's y_{m-1}, so
-    for m >= 3 no wrapped value reaches a state.  At two rows one would
-    (there is no y_{m-2}), and the sheared box would be no smaller, so two
-    rows keep the box of rows.
     """
 
     kind = "free-strip"
     pinned = False
+    # what the state budget counts, as the ResourceLimitError names it
+    _held = ("its window stage arrays (its input, one output per row but "
+             "the last, with 2h zero rows at both ends of each junction axis "
+             "that a skew view reads, and one running sum that the skew "
+             "views share)")
 
     def __init__(self, m: int, h: int, state_budget: int = DEFAULT_BUDGET):
         if m < 1:
@@ -222,103 +243,87 @@ class FreeStripOperator:
             raise ValueError("h must be nonnegative")
         self.m = m
         self.h = h
-        axes = m if self.pinned else m - 1
-        self.dim = (2 * h + 1) ** axes
+        self._axes = m if self.pinned else m - 1
+        self.dim = (2 * h + 1) ** self._axes
         self.half = (self.dim + 1) // 2
-        # box axis k holds the sum of difference steps a..b-1, padded by p;
-        # a pinned strip of three or more rows stores its top row as c, its
-        # offset from the row below, on the box (c, y_{m-1}, ..., y_1)
-        sheared = self.pinned and m > 2
-        if sheared:
-            spans = [(m - 1, m, h)] + [(0, k, 0) for k in range(m - 1, 0, -1)]
-        else:
-            spans = [(0, axes - k, 0 if self.pinned else h)
-                     for k in range(axes)]
-        self._shape = tuple(2 * ((b - a) * h + p) + 1 for a, b, p in spans)
-        self._size = math.prod(self._shape)
-        strides = [math.prod(self._shape[k + 1:]) for k in range(axes)]
-        self.buffer_cells = 0
-        # a window (start, stop, end, shape, axis) reads src[start:stop]
-        # viewed as ``shape`` and writes its window sum along ``axis`` into
-        # dst[start:end], the leading rows of that view; the last window
-        # writes nothing
-        self._windows = []
-        if axes:
-            slab = strides[0]
-            self._half_cells = half = (self._shape[0] // 2 + 1) * slab
-
-            def across(length, end):
-                # a window down the columns of rows of ``length`` cells,
-                # across the centre: it reads h rows past the row of
-                # ``end``, the last cell it must be right at, and writes
-                # only the rows up to the end of the half, all that the
-                # next window reads (it reflects what lies past the half)
-                rows = end // length + h + 1
-                return (0, rows * length, -(-half // length) * length,
-                        (rows, length), 0)
-
-            # the leading axis's window, then the others on the half
-            self._windows = [across(slab, half - 1)]
-            start = 0
-            if sheared:
-                # the diagonal (c + 1, y_{m-1} - 1), which keeps the top
-                # row, then the lower rows on the states' c in [-h, 0]
-                self._windows.append(across(max(slab - strides[1], 1),
-                                            half - 1))
-                start = h * slab
-            box = ((half - start) // slab,) + self._shape[1:]
-            self._windows += [(start, half, half, box, k)
-                              for k in range(1 + sheared, axes)]
-            if self.pinned:
-                stride, n = 1, self._shape[-1]
-            else:
-                # the column offset's window along the diagonal (1, ..., 1),
-                # right at the states up to the centre
-                stride = max(sum(strides), 1)
-                n = -(-self._size // stride)
-                self._windows.append(across(stride, self._size // 2))
-            self.buffer_cells = max(w[1] for w in self._windows)
-        if self.buffer_cells > state_budget:
-            raise ResourceLimitError(
-                f"folded lattice buffers of {self.buffer_cells} cells exceed "
-                f"budget {state_budget}")
-        self._buffers: np.ndarray | None = None
-        # Every step of _fold_apply is a copy, add, subtract or multiply,
-        # which int64 arrays wrap modulo 2^64, so an int64 result is
-        # congruent to W x and equals it whenever each |(W x)_i| fits,
-        # however large the running sums grow on the way.  A weight is at
-        # most 2h+1 (1 when pinned), so a row of W sums to at most that
-        # times dim: for |x| < 2^B on every state, with B this limb width,
+        # Every step of _fold_apply is a copy, add or subtract, which int64
+        # arrays wrap modulo 2^64, so an int64 result is congruent to W x
+        # and equals it whenever each |(W x)_i| fits, however large the
+        # running sums grow on the way.  A weight is at most 2h+1 (1 when
+        # pinned), so a row of W sums to at most that times dim: for
+        # |x| < 2^B on every state, with B this limb width,
         # |(W x)_i| < 2^62, and a carry added to it still fits in int64.
         self._limb_bits = 62 - (self.dim * (1 if self.pinned
                                             else 2 * h + 1)).bit_length()
-        # A state's site is linear in its difference steps: from the centre
-        # cell, the site of the all-zero state, step t moves every box axis
-        # whose sum holds it by d_t, so it adds d_t times their stride sum.
-        # States run in C order over (d_1, ..., d_axes), each in [-h, h], so
-        # those with d_1 <= 0 hold the first half.
-        steps = np.arange(-h, h + 1, dtype=np.int64)
-        sites = np.int64(self._size // 2)
-        for t in range(axes):
-            reach = sum(s for (a, b, _), s in zip(spans, strides)
-                        if a <= t < b)
-            sites = np.add.outer(sites, (steps if t else steps[:h + 1])
-                                 * reach)
-        # A representative is scattered to whichever of its site and the
-        # mirror site (size - 1 - site, its negation's) is not past the
-        # centre cell.
-        rep = np.ravel(sites)[:self.half]
-        self._rep = np.minimum(rep, self._size - 1 - rep)
-        if not axes:
-            return
-        # The last window at coordinate j of n along its stride is
-        # run[min(j + h, n - 1)] - run[j - h - 1], the second term only
-        # where j > h; hi and lo index those two cells of the running sum at
-        # the representative sites.
-        j = (self._rep if stride == 1 else self._rep // stride) % n
-        self._hi = self._rep + (np.minimum(j + h, n - 1) - j) * stride
-        self._has_lo = j > h
-        self._lo = np.where(self._has_lo, self._rep - (h + 1) * stride, 0)
+        self.buffer_cells = self._layout()
+        if self.buffer_cells > state_budget:
+            raise ResourceLimitError(
+                f"{self.kind}({m}, {h}) needs {self.buffer_cells} cells for "
+                f"{self._held}, over budget {state_budget}")
+        self._buffers: np.ndarray | None = None
+
+    def _layout(self) -> int:
+        """The cells of the stage arrays, laid out but not allocated: the
+        dim-cell input, F_k for k = 1, ..., m-1 with (2h+1)^(m-2) cells per
+        junction row, 8h+1 rows while a skew stage reads it and 4h+1 on the
+        last, and from three rows the (6h+1)(2h+1)^(m-2)-cell running sum
+        of the skew stages."""
+        m, h = self.m, self.h
+        if m == 1:
+            return 0
+        self._junctions = [8 * h + 1] * (m - 2) + [4 * h + 1]
+        run = 6 * h + 1 if m > 2 else 0
+        return self.dim + (sum(self._junctions) + run) * (2 * h + 1) ** (m - 2)
+
+    def _build(self, dtype: np.dtype) -> None:
+        """Allocate the stage arrays in ``dtype``, zero, and build the views
+        that every apply runs on (see the class docstring)."""
+        m, h = self.m, self.h
+        n = 2 * h + 1
+        self._buffers = None  # free the old arrays before allocating
+        cells = np.zeros(self.buffer_cells, dtype)
+        x = cells[:self.dim].reshape((n,) * (m - 1))
+        F, start = [], self.dim
+        for k, rows in enumerate(self._junctions):
+            shape = (n,) * k + (rows,) + (n,) * (m - 2 - k)
+            F.append(cells[start:start + math.prod(shape)].reshape(shape))
+            start += math.prod(shape)
+        run = cells[start:]
+        # row 1: d_1's running sum into J_1 <= 0, then J_1 > 0 from it
+        pad = 2 * h if m > 2 else 0
+        low = F[0][pad:pad + 2 * h + 1]
+        first = (x, low, (low[2 * h:2 * h + 1], low[:2 * h],
+                          F[0][pad + 2 * h + 1:pad + 4 * h + 1]))
+        skews = []
+        for k in range(1, m - 1):
+            # row k + 1: from F[k - 1], with (J, d) on axes (k - 1, k), to
+            # F[k], with (e, J') there
+            src, dst = F[k - 1], F[k]
+            lead, tail = (n,) * (k - 1), (n,) * (m - 2 - k)
+            fs = _cell_strides(src.shape)
+            sj, sd = fs[k - 1], fs[k]
+            g = _skew(src, 2 * h * sd, lead + (6 * h + 1, n) + tail,
+                      fs[:k - 1] + (sj, sj - sd) + fs[k + 1:])
+            r = run.reshape(g.shape)
+            rs = _cell_strides(r.shape)
+            sa, su = rs[k - 1], rs[k]
+            pad = 2 * h if k < m - 2 else 0
+            cut = (slice(None),) * k
+            pos = dst[cut + (slice(pad + 2 * h, pad + 4 * h + 1),)]
+            neg = dst[cut + (slice(pad, pad + 2 * h),)]
+            diag = rs[:k - 1] + (sa, sa - su) + rs[k + 1:]
+            skews.append((
+                g, k, r, pos, _skew(r, 2 * h * (sa + su), pos.shape, diag),
+                _skew(r, 2 * h * su, neg.shape,
+                      rs[:k - 1] + (sa, sa) + rs[k + 1:]),
+                _skew(r, max(2 * h - 1, 0) * su, neg.shape, diag), neg))
+        # row m on the states' e_1 <= 0 only, which hold the folded half,
+        # into the input's cells
+        last, y = (F[-1][:h + 1], x[:h + 1]) if m > 2 else (F[-1], x)
+        self._views = (cells[:self.dim], first, skews,
+                       (last, y, last[..., 2 * h:], y[..., 1:],
+                        last[..., :2 * h]))
+        self._buffers = cells
 
     def prolong(self, x: np.ndarray, h: int) -> np.ndarray:
         """``x``, the ``_fold`` of an even vector over the states of this kind
@@ -338,7 +343,7 @@ class FreeStripOperator:
         from h = 0 (a one-point grid), it returns the folded all-ones
         vector, the cold start.
         """
-        axes = len(self._shape)
+        axes = self._axes
         if not axes or h == 0:
             return _folded_ones(self.half)
         x = _unfold(x)
@@ -362,40 +367,26 @@ class FreeStripOperator:
         z[-1] = y.flat[self.half - 1]
         return z
 
-    def _reflect(self, buf: np.ndarray, start: int, stop: int) -> None:
-        """Fill ``buf[start:stop]``, past the centre cell, with the lattice's
-        values there: those of the mirror cells below the centre, and 0 past
-        the lattice's end."""
-        end = min(stop, self._size)
-        buf[start:end] = buf[self._size - end:self._size - start][::-1]
-        buf[end:stop] = 0
-
     def _fold_apply(self, v: np.ndarray) -> np.ndarray:
         """W x at the representatives, in the dtype of v, for the even x
         whose representatives hold the values v."""
-        if not self._windows:
+        if self.m == 1:
             return v * (2 * self.h + 1)
         if self._buffers is None or self._buffers.dtype != v.dtype:
-            self._buffers = None  # free the old pair before allocating
-            self._buffers = np.zeros((2, self.buffer_cells), v.dtype)
-        src, dst = self._buffers
-        half = self._half_cells
-        src[:half] = 0
-        src[self._rep] = v
-        # the centre slab holds both members of its orbits
-        self._reflect(src, self._size // 2 + 1, half)
-        for start, stop, end, shape, axis in self._windows[:-1]:
-            self._reflect(src, half, stop)
-            _window_sum(src[start:stop].reshape(shape), self.h, axis,
-                        dst[start:end].reshape((-1,) + shape[1:]))
-            src, dst = dst, src
-        start, stop, _, shape, axis = self._windows[-1]
-        self._reflect(src, half, stop)
-        _running_sum(src[start:stop].reshape(shape), axis)
-        # fancy indexing copies, so the result never aliases a buffer
-        y = src[self._hi]
-        np.subtract(y, src[self._lo], out=y, where=self._has_lo)
-        return y
+            self._build(v.dtype)
+        flat, (x, low, high), skews, (last, y, hi, tail, lo) = self._views
+        flat[:self.half] = v
+        flat[self.half:] = v[-2::-1]
+        _running_sum(x, 0, low)
+        np.subtract(*high)
+        for g, axis, r, pos, inside, top, below, neg in skews:
+            _running_sum(g, axis, r)
+            pos[...] = inside
+            np.subtract(top, below, out=neg)
+        _running_sum(last, last.ndim - 1)
+        y[...] = hi
+        np.subtract(tail, lo, out=tail)
+        return flat[:self.half].copy()
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Folded W x for the ``_fold`` of an even vector x, ``half`` long."""
@@ -414,7 +405,7 @@ class FreeStripOperator:
     def _limb_apply(self, x: np.ndarray) -> np.ndarray:
         """W x for a nonnegative x held as limbs: row k of ``x`` holds digit
         k, of ``_limb_bits`` bits, of the values at the representatives,
-        least significant first.  Each limb runs through the int64 lattice,
+        least significant first.  Each limb runs through the int64 arrays,
         and the results are carried back into limbs, with a row appended for
         each carry out of the top.  A negative limb, whose top carry would
         never reach 0, is a ValueError."""
@@ -453,12 +444,174 @@ class PinnedStripOperator(FreeStripOperator):
     States are absolute value vectors (y_1..y_m) with |y_1| <= h and
     |y_{i+1} - y_i| <= h, the prefix sums of m difference steps in the
     free (m+1)-row state order; a transition to (z_1..z_m) is allowed iff
-    |z_i - y_i| <= h for all i: one box window per row, the top row's on
-    its offset from the row below from three rows on.
+    |z_i - y_i| <= h for all i: one box window per row.
+
+    ``apply`` scatters x to the states' sites on a box lattice, the longest
+    axis leading.  Every window is a running-sum difference, so one apply
+    costs O(cells), and the last one is taken only at the states:
+    y(V) = R[hi] - R[lo] for the running sum R along the last axis.  Each
+    window turns one of two buffers into its running sum in place and
+    writes the window into the other, swapping the two after every window.
+
+    Up to two rows the box holds y_m, ..., y_1, unpadded.  From three rows
+    it is sheared: the top row is held as c = y_m - y_{m-1} on the box
+    (c, y_{m-1}, ..., y_1), where c's axis is [-2h, 2h], 4h+1 cells to
+    y_m's 2mh+1.  The top row's window runs along c, the leading axis;
+    row m-1's runs along the diagonal (c + 1, y_{m-1} - 1), which keeps
+    y_m, down the columns of the flat box reshaped to rows of one diagonal
+    step.  A state has |c| <= h and no later window moves c, so the lower
+    rows' windows run on those slabs alone, a contiguous range of the
+    folded half (c in [-h, 0]).  The diagonal's rows are unpadded and wrap
+    at the ends of y_{m-1}, but a wrapped read lands more than (2m-3)h
+    along y_{m-1} from where it starts; a cell there holds a value only if
+    its y_{m-2} is within h of its y_{m-1}, while the lower windows read
+    from a state reach only y_{m-2} within 2h of the state's y_{m-1}, so
+    for m >= 3 no wrapped value reaches a state.  At two rows one would
+    (there is no y_{m-2}), and the sheared box would be no smaller, so two
+    rows keep the box of rows.
+
+    The box is folded.  Negating a state reverses both its index and its
+    site, so each representative is scattered to whichever of its site and
+    the mirror site is not past the centre cell, and only the flat prefix
+    of the box up to the end of the leading axis's centre slab is kept.
+    Windows along the other axes run on it unchanged; a window whose reach
+    crosses the centre (along the leading axis or the diagonal) reads a
+    reflected copy of the cells below the centre appended after it, h of
+    its rows past the last cell of the half.  Unless it is the last, such a
+    window writes only its rows up to the end of the half, all that the
+    next window reads; its running sum still covers its whole reach.  The
+    two buffers, ``buffer_cells`` each, are kept in the dtype of the last
+    apply, with every window's views built once for them; ``state_budget``
+    bounds ``buffer_cells`` before anything is allocated.
     """
 
     kind = "pinned-strip"
     pinned = True
+    _held = "each of its two folded box buffers"
+
+    def __init__(self, m: int, h: int, state_budget: int = DEFAULT_BUDGET):
+        super().__init__(m, h, state_budget)
+        # A state's site is linear in its difference steps: from the centre
+        # cell, the site of the all-zero state, step t moves every box axis
+        # whose sum holds it by d_t, so it adds d_t times their stride sum.
+        # States run in C order over (d_1, ..., d_m), each in [-h, h], so
+        # those with d_1 <= 0 hold the first half.
+        steps = np.arange(-h, h + 1, dtype=np.int64)
+        sites = np.int64(self._size // 2)
+        strides = _cell_strides(self._shape)
+        for t in range(m):
+            reach = sum(s for (a, b), s in zip(self._spans, strides)
+                        if a <= t < b)
+            sites = np.add.outer(sites, (steps if t else steps[:h + 1])
+                                 * reach)
+        # A representative is scattered to whichever of its site and the
+        # mirror site (size - 1 - site, its negation's) is not past the
+        # centre cell.
+        rep = np.ravel(sites)[:self.half]
+        self._rep = np.minimum(rep, self._size - 1 - rep)
+        # The last window at coordinate j of n along the last axis is
+        # run[min(j + h, n - 1)] - run[j - h - 1], the second term only
+        # where j > h; hi and lo index those two cells of the running sum
+        # at the representative sites.
+        n = self._shape[-1]
+        j = self._rep % n
+        self._hi = self._rep + np.minimum(j + h, n - 1) - j
+        self._has_lo = j > h
+        self._lo = np.where(self._has_lo, self._rep - (h + 1), 0)
+
+    def _layout(self) -> int:
+        """Lay out the box and its windows; the cells of each buffer."""
+        m, h = self.m, self.h
+        # box axis k holds the sum of difference steps a..b-1, padded by p;
+        # from three rows the top row is stored as c, its offset from the
+        # row below, on the box (c, y_{m-1}, ..., y_1)
+        sheared = m > 2
+        if sheared:
+            spans = [(m - 1, m, h)] + [(0, k, 0) for k in range(m - 1, 0, -1)]
+        else:
+            spans = [(0, m - k, 0) for k in range(m)]
+        self._spans = [(a, b) for a, b, _ in spans]
+        self._shape = tuple(2 * ((b - a) * h + p) + 1 for a, b, p in spans)
+        self._size = math.prod(self._shape)
+        strides = _cell_strides(self._shape)
+        # a window (start, stop, end, shape, axis) reads src[start:stop]
+        # viewed as ``shape`` and writes its window sum along ``axis`` into
+        # dst[start:end], the leading rows of that view; the last window
+        # writes nothing
+        slab = strides[0]
+        self._half_cells = half = (self._shape[0] // 2 + 1) * slab
+
+        def across(length):
+            # a window down the columns of rows of ``length`` cells, across
+            # the centre: it reads h rows past the row of the half's last
+            # cell, and writes only the rows up to the end of the half, all
+            # that the next window reads (it reflects what lies past it)
+            rows = (half - 1) // length + h + 1
+            return (0, rows * length, -(-half // length) * length,
+                    (rows, length), 0)
+
+        # the leading axis's window, then the others on the half
+        self._windows = [across(slab)]
+        start = 0
+        if sheared:
+            # the diagonal (c + 1, y_{m-1} - 1), which keeps the top row,
+            # then the lower rows on the states' c in [-h, 0]
+            self._windows.append(across(max(slab - strides[1], 1)))
+            start = h * slab
+        box = ((half - start) // slab,) + self._shape[1:]
+        self._windows += [(start, half, half, box, k)
+                          for k in range(1 + sheared, m)]
+        return max(w[1] for w in self._windows)
+
+    def _build(self, dtype: np.dtype) -> None:
+        """Allocate the two buffers in ``dtype`` and build every window's
+        views once: the cells past the half it reflects in, its box, and
+        the steps of its window sum from one buffer into the other."""
+        self._buffers = None  # free the old pair before allocating
+        pair = np.zeros((2, self.buffer_cells), dtype)
+        size, half = self._size, self._half_cells
+
+        def reflect(buf, start, stop):
+            # the copies that give buf[start:stop], past the centre cell,
+            # the box's values there: the mirror cells' below the centre,
+            # and 0 past the box's end
+            end = min(stop, size)
+            return [(buf[start:end], buf[size - end:size - start][::-1]),
+                    (buf[end:stop], 0)]
+
+        windows = []
+        for i, (start, stop, end, shape, axis) in enumerate(self._windows):
+            src, dst = pair[i % 2], pair[1 - i % 2]
+            box = src[start:stop].reshape(shape)
+            steps = ([], None)
+            if i < len(self._windows) - 1:
+                steps = _window_steps(box, self.h, axis, dst[start:end]
+                                      .reshape((-1,) + shape[1:]))
+            windows.append((reflect(src, half, stop), box, axis) + steps)
+        # the last window's running sum, read at the states
+        last = pair[(len(windows) - 1) % 2]
+        self._views = (pair[0], reflect(pair[0], size // 2 + 1, half),
+                       windows, last)
+        self._buffers = pair
+
+    def _fold_apply(self, v: np.ndarray) -> np.ndarray:
+        """W x at the representatives, in the dtype of v, for the even x
+        whose representatives hold the values v."""
+        if self._buffers is None or self._buffers.dtype != v.dtype:
+            self._build(v.dtype)
+        first, centre, windows, last = self._views
+        first[:self._half_cells] = 0
+        first[self._rep] = v
+        # the centre slab holds both members of its orbits
+        _run_steps(centre)
+        for reflected, box, axis, copies, sub in windows:
+            _run_steps(reflected)
+            _running_sum(box, axis)
+            _run_steps(copies, sub)
+        # fancy indexing copies, so the result never aliases a buffer
+        y = last[self._hi]
+        np.subtract(y, last[self._lo], out=y, where=self._has_lo)
+        return y
 
 
 class BandOperator(PinnedStripOperator):
@@ -545,7 +698,7 @@ def strip_count_exact(m: int, n: int, h: int,
     representative but the zero state (the last).
 
     x and y are held as int64 limbs of ``_limb_bits`` bits, one row per
-    limb (``_limb_apply``), so every apply runs on the int64 lattice
+    limb (``_limb_apply``), so every apply runs on the int64 stage arrays
     however large the count; Python ints appear only for x . y.
     """
     if n < 1:

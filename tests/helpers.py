@@ -301,24 +301,21 @@ def pinned_states(op: PinnedStripOperator) -> list[tuple[int, ...]]:
             for d in product(range(-op.h, op.h + 1), repeat=op.m)]
 
 
-def prefix_sites(m: int, h: int, pinned: bool) -> list[int]:
-    """Flat box site of every strip state, in state order: the state's box
-    coordinates, each offset by its axis's half-extent, flattened row-major
-    with the first coordinate leading.
+def prefix_sites(m: int, h: int) -> list[int]:
+    """Flat box site of every pinned-strip state, in state order: the
+    state's box coordinates, each offset by its axis's half-extent,
+    flattened row-major with the first coordinate leading.
 
-    A free m-row strip has m - 1 difference steps, and its box holds their
-    prefix sums P_m, ..., P_2, each in [-(k-1)h, (k-1)h] padded by h.  A
-    pinned strip has m steps, whose prefix sums are its rows y_1..y_m.  Up
-    to two rows its box holds y_m, ..., y_1, each y_k in [-kh, kh].  From
-    three rows it holds c = y_m - y_(m-1), the top row's offset from the
-    row below, in [-2h, 2h], then y_(m-1), ..., y_1."""
+    A pinned strip has m steps, whose prefix sums are its rows y_1..y_m.
+    Up to two rows its box holds y_m, ..., y_1, each y_k in [-kh, kh].
+    From three rows it holds c = y_m - y_(m-1), the top row's offset from
+    the row below, in [-2h, 2h], then y_(m-1), ..., y_1."""
     sites = []
-    for diffs in product(range(-h, h + 1), repeat=m if pinned else m - 1):
+    for diffs in product(range(-h, h + 1), repeat=m):
         ys = list(accumulate(diffs))
         # (coordinate, half-extent) per box axis, leading first
-        coords = [(y, k * h + (0 if pinned else h))
-                  for k, y in enumerate(ys, 1)][::-1]
-        if pinned and m > 2:
+        coords = [(y, k * h) for k, y in enumerate(ys, 1)][::-1]
+        if m > 2:
             coords[0] = (ys[-1] - ys[-2], 2 * h)
         site = 0
         for y, r in coords:
@@ -338,6 +335,19 @@ def weight_matrix(m: int, h: int) -> np.ndarray:
     W = np.maximum(0, 2 * h + 1 - (delta.max(axis=2) - delta.min(axis=2)))
     W.flags.writeable = False
     return W
+
+
+def weight_rows(m: int, h: int, rows: Sequence[int]) -> np.ndarray:
+    """The rows ``rows`` of ``weight_matrix(m, h)``, from the same rule,
+    16 at a time, without the dim x dim matrix."""
+    diffs = np.array(list(product(range(-h, h + 1), repeat=m - 1)))
+    prefix = np.array([list(accumulate(d, initial=0)) for d in diffs])
+    out = []
+    for k in range(0, len(rows), 16):
+        delta = prefix[rows[k:k + 16], None, :] - prefix[None, :, :]
+        out.append(np.maximum(0, 2 * h + 1 - (delta.max(axis=2)
+                                              - delta.min(axis=2))))
+    return np.concatenate(out)
 
 
 def pinned_transition_matrix(m: int, h: int) -> tuple[list, np.ndarray]:
@@ -385,7 +395,7 @@ def full_prolong(op: FreeStripOperator, x: np.ndarray, h: int) -> np.ndarray:
     """``op.prolong(x, h)`` over every state: the unfolded source vector
     interpolated onto all of ``op``'s states, axis by axis (linear in the
     midpoint coordinates, clamped at the ends), then folded."""
-    axes = len(op._shape)
+    axes = op.m - (not op.pinned)
     if not axes or h == 0:
         return _fold(np.ones(op.dim))
     den = 2 * op.h + 1
@@ -402,28 +412,64 @@ def full_prolong(op: FreeStripOperator, x: np.ndarray, h: int) -> np.ndarray:
     return _fold(y.ravel())
 
 
-def last_window_reads(op: FreeStripOperator) -> tuple[np.ndarray, ...]:
-    """The cells (hi, lo) of the last window's running sum that give W x at
-    each representative, and where lo is read (has_lo), from every state's
-    site (``prefix_sites``): the representative is scattered to the one of
-    its site and the mirror site not past the centre, at coordinate j of n
-    along the last window's stride (1 for a pinned strip's last box axis;
-    the sum of the strides for a free strip's diagonal), and the window
-    there is run[min(j + h, n - 1)] - run[j - h - 1], the second term only
-    where j > h."""
+def last_window_reads(op: PinnedStripOperator) -> tuple[np.ndarray, ...]:
+    """The cells (hi, lo) of a pinned apply's last running sum, along the
+    box's last axis, that give W x at each representative, and where lo is
+    read (has_lo), from every state's site (``prefix_sites``): the
+    representative is scattered to the one of its site and the mirror site
+    not past the centre, at coordinate j of n along that axis, and the
+    window there is run[min(j + h, n - 1)] - run[j - h - 1], the second
+    term only where j > h."""
     h, size = op.h, op._size
-    sites = np.array(prefix_sites(op.m, h, op.pinned), dtype=np.int64)
+    sites = np.array(prefix_sites(op.m, h), dtype=np.int64)
     rep = np.minimum(sites, size - 1 - sites)[:op.half]
-    if op.pinned:
-        stride, n = 1, op._shape[-1]
-    else:
-        stride = max(sum(math.prod(op._shape[k + 1:])
-                         for k in range(len(op._shape))), 1)
-        n = -(-size // stride)
-    j = rep // stride % n
+    n = op._shape[-1]
+    j = rep % n
     has_lo = j > h
-    return (rep + (np.minimum(j + h, n - 1) - j) * stride,
-            np.where(has_lo, rep - (h + 1) * stride, 0), has_lo)
+    return (rep + np.minimum(j + h, n - 1) - j,
+            np.where(has_lo, rep - (h + 1), 0), has_lo)
+
+
+def junction_sums(m: int, h: int, x: np.ndarray) -> list[np.ndarray]:
+    """The free-strip(m) stage arrays F_1, ..., F_(m-1) for the vector x
+    over the states (d_1..d_(m-1)), and then W x, by direct index loops.
+
+    A new column n is placed beside the old column o (o_1 = 0,
+    o_(i+1) = o_i + d_i) a row at a time, each |n_i - o_i| <= h.  F_k is
+    the sum of x over the old states and the first k new rows, indexed by
+    (e_1..e_(k-1), J_k, d_(k+1)..d_(m-1)): the new differences
+    e_i = n_(i+1) - n_i, each in [-h, h] (the sum drops the rest), and the
+    junction J_k = o_(k+1) - n_k, in [-2h, 2h].  Row k + 1 takes t =
+    o_(k+1) - n_(k+1) in [-h, h], so e_k = J_k - t and J_(k+1) =
+    d_(k+1) + t; the last row sums its t and reads e_(m-1).  Every axis is
+    offset by its half-width; no padding."""
+    n = 2 * h + 1
+    x = np.asarray(x).reshape((n,) * (m - 1))
+    stage = np.zeros((4 * h + 1,) + x.shape[1:], dtype=x.dtype)
+    for d in range(-h, h + 1):
+        for n1 in range(-h, h + 1):
+            stage[d - n1 + 2 * h] += x[d + h]
+    stages = [stage]
+    for k in range(1, m):
+        last = k == m - 1
+        # (J_k, d_(k+1)) to the front, or J_k alone at the last row
+        axes = (k - 1,) if last else (k - 1, k)
+        prev = np.moveaxis(stage, axes, range(len(axes)))
+        rest = prev.shape[len(axes):]
+        out = np.zeros((n,) + (() if last else (4 * h + 1,)) + rest,
+                       dtype=x.dtype)
+        for J in range(-2 * h, 2 * h + 1):
+            for t in range(-h, h + 1):
+                if abs(J - t) > h:
+                    continue
+                if last:
+                    out[J - t + h] += prev[J + 2 * h]
+                    continue
+                for d in range(-h, h + 1):
+                    out[J - t + h, d + t + 2 * h] += prev[J + 2 * h, d + h]
+        stage = np.moveaxis(out, range(len(axes)), axes)
+        stages.append(stage)
+    return stages
 
 
 def join_limbs_listwise(x: np.ndarray, bits: int) -> list[int]:

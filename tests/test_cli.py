@@ -402,7 +402,8 @@ def test_exit_codes(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), argv
         assert "--seed" in captured.err, argv
-    # resource limit: the m=8 prefix lattice exceeds the default budget
+    # resource limit: free-strip(8, 3)'s window stage arrays, 22,235,661
+    # cells, exceed the default budget
     assert main(["strip", "--kind", "free-strip", "--m", "8", "--h", "3"]) == 3
     # usage: fewer than one trial, in every random-lab mode
     for mode in ("lll", "giant", "pairs"):
@@ -451,7 +452,8 @@ def test_exit_codes(capsys, monkeypatch):
 
 
 def test_count_strip_honours_budget(capsys):
-    # --budget bounds the strip lattice as it bounds the elimination tables
+    # --budget bounds the strip DP's stage arrays as it bounds the
+    # elimination tables
     argv = ["count", "--grid", "3x40", "--h", "10", "--method", "strip"]
     code, _ = run(capsys, argv + ["--budget", "1"])
     assert code == 3

@@ -1,6 +1,7 @@
-"""The Lanczos eigen-solve, the one bisection, the in-place window sum
-behind every strip ``apply`` (into a whole or a shorter out), and the
-contract that no ``apply`` writes into the caller's vector."""
+"""The Lanczos eigen-solve, the one bisection, the running sum behind
+every strip ``apply`` (in place or into an out) and a pinned apply's window
+steps (into a whole or a shorter out), and the contract that no ``apply``
+writes into the caller's vector."""
 import math
 import tracemalloc
 
@@ -12,7 +13,8 @@ from lipgrowth.errors import ConvergenceError
 from lipgrowth.iterate import _BASIS_CAP, _bisect, power_iteration
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
                               PinnedStripOperator, TentOperator,
-                              _ROW_ADD_MIN, _fold, _unfold, _window_sum)
+                              _ROW_ADD_MIN, _fold, _run_steps,
+                              _running_sum, _unfold, _window_steps)
 
 
 def op_id(op):
@@ -155,6 +157,13 @@ def test_bisect():
         assert _bisect(lambda y: c - y, lo, hi) == c, c
 
 
+def window_sum(src, half, axis, out):
+    """A pinned apply's window into ``out``: ``src`` turned into its running
+    sum in place, then the copies and subtraction of its window steps."""
+    _running_sum(src, axis)
+    _run_steps(*_window_steps(src, half, axis, out))
+
+
 def naive_window(a, half, axis):
     """Sum over [j - half, j + half] along ``axis``, one index at a time."""
     n = a.shape[axis]
@@ -219,7 +228,7 @@ def test_window_sum_matches_naive(shape, axis, dtype):
             short = list(shape)
             short[axis] = rows
             out = np.empty(short, dtype=a.dtype)
-            _window_sum(src, half, axis, out)
+            window_sum(src, half, axis, out)
             want = np.take(naive_window(a, half, axis), range(rows), axis)
             assert out.dtype == a.dtype
             assert np.array_equal(out, want), (half, rows)
@@ -234,9 +243,24 @@ def test_window_sum_float_bits_match_cumsum_difference(shape, axis):
     for half in (0, 1, n // 2, n + 1):
         a = rng.random(shape) * 1e3
         out = np.empty_like(a)
-        _window_sum(a.copy(), half, axis, out)
+        window_sum(a.copy(), half, axis, out)
         assert np.array_equal(out, cumsum_window(a, half, axis)), half
         assert np.allclose(out, naive_window(a, half, axis))
+
+
+@pytest.mark.parametrize("dtype", [float, np.int64])
+@pytest.mark.parametrize("shape, axis", LAYOUTS)
+def test_running_sum_into_out(shape, axis, dtype):
+    # a free apply's running sums read a read-only (skew) view and write
+    # into another array, by either branch; the source is left as it was
+    rng = np.random.default_rng(len(shape) + axis)
+    a = sample(shape, dtype, rng)
+    src = a.copy()
+    src.flags.writeable = False
+    out = np.full(shape, 7, dtype=a.dtype)
+    _running_sum(src, axis, out)
+    assert np.array_equal(out, np.cumsum(a, axis=axis))
+    assert np.array_equal(src, a)
 
 
 APPLY_OPERATORS = [PinnedStripOperator(1, 2), PinnedStripOperator(2, 2),

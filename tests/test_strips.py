@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import operator
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -12,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (fold_matrix, free_strip_weight, full_prolong,
-                     index_state, join_limbs_listwise, last_window_reads,
-                     oracle_matrix, pinned_states, pinned_transition_matrix,
-                     prefix_sites, state_index, strip_count_stepwise,
-                     to_limbs, weight_matrix)
+                     index_state, join_limbs_listwise, junction_sums,
+                     last_window_reads, oracle_matrix, pinned_states,
+                     pinned_transition_matrix, prefix_sites, state_index,
+                     strip_count_stepwise, to_limbs, weight_matrix,
+                     weight_rows)
 from lipgrowth.counting import count
 from lipgrowth.errors import DEFAULT_BUDGET, ConvergenceError, ResourceLimitError
 from lipgrowth.graphs import make_grid
@@ -207,9 +209,9 @@ def test_multi_limb_counts_match_dense_and_elimination():
 
 
 def test_limb_dp_within_state_budget(monkeypatch):
-    # the budget bounds the int64 buffers whatever the count's size, so a
-    # budget one cell above them still gives the exact multi-limb count,
-    # and no apply holds more than its two buffers of 8-byte cells
+    # the budget bounds the int64 stage arrays whatever the count's size,
+    # so a budget one cell above them still gives the exact multi-limb
+    # count, and no apply holds more than their one array of 8-byte cells
     op = FreeStripOperator(3, 4)
     held = []
     fold_apply = FreeStripOperator._fold_apply
@@ -222,13 +224,14 @@ def test_limb_dp_within_state_budget(monkeypatch):
     monkeypatch.setattr(FreeStripOperator, "_fold_apply", recording)
     assert strip_count_exact(3, 40, 4, state_budget=op.buffer_cells + 1) \
         == count_via_dense_int(3, 40, 4)
-    assert len(held) > 20 and set(held) == {16 * op.buffer_cells}
+    assert len(held) > 20 and set(held) == {8 * op.buffer_cells}
     with pytest.raises(ResourceLimitError):
         strip_count_exact(3, 40, 4, state_budget=op.buffer_cells - 1)
 
 
 def test_exact_paths_keep_int64_buffers(monkeypatch):
-    # a big-int strip DP leaves nothing but int64 in an operator's buffers
+    # a big-int strip DP leaves nothing but int64 in an operator's stage
+    # arrays
     seen = []
     fold_apply = FreeStripOperator._fold_apply
 
@@ -243,7 +246,7 @@ def test_exact_paths_keep_int64_buffers(monkeypatch):
 
 
 def test_strip_count_without_axes_or_spread():
-    # one row has no lattice axis (W is the scalar 2h+1), and h = 0 leaves
+    # one row has no stage array (W is the scalar 2h+1), and h = 0 leaves
     # one state: both are (2h+1)^(n-1) on every length, many limbs long
     for n in (2, 61, 200):
         for h in (1, 3, 50):
@@ -296,27 +299,77 @@ def test_strip_count_oracle_vs_bruteforce_small():
     assert strip_count_exact(2, 4, 2) == count(make_grid(2, 4), 2)
 
 
+def stage_cells(m, h):
+    """The cells of free-strip(m, h)'s stage arrays: the dim-cell input,
+    F_1..F_(m-1) with (2h+1)^(m-2) cells per junction row, 8h+1 rows while
+    a skew stage reads them and 4h+1 on the last, and from three rows the
+    skew stages' shared (6h+1)(2h+1)^(m-2)-cell running sum."""
+    if m == 1:
+        return 0
+    rows = (m - 2) * (8 * h + 1) + 4 * h + 1 + (6 * h + 1) * (m > 2)
+    return (2 * h + 1) ** (m - 1) + rows * (2 * h + 1) ** (m - 2)
+
+
 def test_state_budget():
     with pytest.raises(ResourceLimitError):
         FreeStripOperator(4, 10, state_budget=1000)
     with pytest.raises(ResourceLimitError):
         strip_count_exact(5, 5, 3, state_budget=100)
-    # the budget counts the cells of each of the two folded lattice
-    # buffers, not the 25 states nor the 9 x 13 padded prefix lattice
+    # the budget counts the cells of all the stage arrays together, not
+    # the 25 states: 25 + (17 + 9 + 13) 5
     op = FreeStripOperator(3, 2)
-    assert op.dim < op.buffer_cells < 9 * 13
+    assert op.buffer_cells == stage_cells(3, 2) == 220
     with pytest.raises(ResourceLimitError):
         FreeStripOperator(3, 2, state_budget=op.buffer_cells - 1)
     assert FreeStripOperator(3, 2, state_budget=op.buffer_cells) \
         .buffer_cells == op.buffer_cells
-    # the top node of a 4x20 strip fit: its buffers fit the default budget,
-    # though its padded lattice would not (constructed, never applied)
-    op = FreeStripOperator(4, 40)
-    assert op.buffer_cells == 7_799_001 < DEFAULT_BUDGET < op._size
-    with pytest.raises(ResourceLimitError, match=f"{op.buffer_cells} cells"):
-        FreeStripOperator(4, 40, state_budget=op.buffer_cells - 1)
-    # with no axis there is no buffer
+    for m in range(1, 7):
+        for h in range(4):
+            assert FreeStripOperator(m, h).buffer_cells == stage_cells(m, h)
+            assert TentOperator(h).buffer_cells == stage_cells(2, h)
+    # the top nodes of a 4x20 and a 5x5 fit fit the default budget
+    # (constructed, never applied); six rows at h = 13 do not
+    for m, h, cells in ((4, 40, 7_381_125), (5, 13, 9_329_742)):
+        op = FreeStripOperator(m, h)
+        assert op.buffer_cells == stage_cells(m, h) == cells < DEFAULT_BUDGET
+        with pytest.raises(ResourceLimitError, match=f"{cells} cells"):
+            FreeStripOperator(m, h, state_budget=cells - 1)
+    with pytest.raises(ResourceLimitError, match="307704339 cells"):
+        FreeStripOperator(6, 13)
+    # free-strip(3) fits up to h = 499
+    assert stage_cells(3, 499) <= DEFAULT_BUDGET < stage_cells(3, 500)
+    # with no axis there is no array
     assert FreeStripOperator(1, 10**6, state_budget=1).buffer_cells == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FreeStripOperator(6, 13), lambda: FreeStripOperator(9, 2),
+    lambda: FreeStripOperator(2, 2000, state_budget=10_000),
+    lambda: strip_count_exact(7, 9, 5), lambda: PinnedStripOperator(4, 16)],
+    ids=["free-6-13", "free-9-2", "free-2-2000", "dp-7x9", "pinned-4-16"])
+def test_budget_refused_before_any_allocation(make):
+    # the budget is checked on the layout alone: an operator over it
+    # raises before a site table or a stage array exists (tracemalloc
+    # sees numpy's allocations)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_strip_dp_matches_elimination_on_five_row_grids():
+    # the 5x5 fit's top node runs at the default budget; the strip DP on
+    # 5 x n grids (min(m, n) free rows) equals elimination
+    assert FreeStripOperator(5, 13).buffer_cells <= DEFAULT_BUDGET
+    c = strip_count_exact(5, 5, 13)
+    assert 14 ** 24 < c < 27 ** 24
+    assert c == strip_count_exact(5, 5, 13)
+    for n, h in ((2, 3), (3, 2), (4, 1), (5, 1)):
+        assert strip_count_exact(5, n, h) == count(make_grid(5, n), h), (n, h)
 
 
 def test_pinned_shear_buffer_cells():
@@ -389,6 +442,46 @@ def assert_apply_matches_weights(op, W, xf):
     assert np.max(np.abs(op.apply(_fold(xf)) - _fold(W @ xf))) <= bound
 
 
+@pytest.mark.parametrize("kind, m, h", [
+    (kind, m, h) for h in range(4)
+    for kind, ms in (("free-strip", range(1, 7)), ("tent", (None,)))
+    for m in ms])
+def test_stage_apply_matches_oracle(kind, m, h):
+    # the window stages give the weight rule's W x at the representatives,
+    # exactly in int64 and in float (values in quarters, so every sum is
+    # exact), and apply gives it in the sqrt(orbit)-scaled form; W is the
+    # dense oracle_matrix up to 700 states, and beyond it 64 of its rows
+    # (the zero state's among them) from the same rule
+    op = make_operator(kind, h, m)
+    rng = np.random.default_rng(100 * h + op.m)
+    if op.dim <= 700:
+        rows, W = np.arange(op.half), oracle_matrix(op)[:op.half]
+    else:
+        rows = np.union1d(rng.choice(op.half, 63, replace=False),
+                          [op.half - 1])
+        W = weight_rows(op.m, h, rows)
+    for _ in range(2):
+        v = rng.integers(-2**20, 2**20, op.half)
+        expect = W.astype(object).dot(even(v).astype(object)).tolist()
+        got = op._fold_apply(v.astype(np.int64))
+        assert got.dtype == np.int64 and got[rows].tolist() == expect
+        got = op._fold_apply(v / 4)
+        assert got[rows].tolist() == [e / 4 for e in expect]
+        # _fold scales every representative but the zero state by sqrt 2
+        y = op.apply(_fold(even(v / 4)))[rows]
+        want = np.array(expect) / 4 * np.where(rows < op.half - 1,
+                                               math.sqrt(2), 1)
+        assert np.max(np.abs(y - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_stage_apply_at_int64_cap_and_limb_width():
+    # free kinds' int64 stages at the int64 cap and one past it, on full
+    # limbs and on carries, with the limb width at its static bound
+    for op in [FreeStripOperator(m, 1) for m in range(1, 7)] + \
+            [FreeStripOperator(3, 2), TentOperator(1), TentOperator(3)]:
+        assert_limb_width(op)
+
+
 def test_apply_subnormal_draw():
     # a draw of the property test above: one subnormal state value, whose
     # apply is off by one subnormal step from the weight product
@@ -416,7 +509,8 @@ def assert_limb_width(op):
     the largest weight times dim, keeps W x below 2^62 on limbs under 2^B;
     ``_limb_apply`` is exact at the int64 cap and one past it, on full
     limbs (2^B - 1), at 2^B and on three full limbs, and a fresh
-    operator's one buffer pair is int64 after any of them."""
+    operator's arrays (its one stage array, or a pinned kind's buffer pair;
+    one free row has none) are int64 after any of them."""
     bound = (1 if op.pinned else 2 * op.h + 1) * op.dim
     bits = op._limb_bits
     assert bound << bits < 2**62 <= bound << (bits + 1), (op.kind, bits)
@@ -427,7 +521,8 @@ def assert_limb_width(op):
               [2**(3 * bits) - 1] * op.half):
         fresh = make_operator(op.kind, op.h, op.m)
         assert limb_product(fresh, v) == exact_product(W, even(v))[:op.half]
-        assert fresh._buffers.dtype == np.int64, op.kind
+        assert (fresh._buffers.dtype == np.int64 if fresh.buffer_cells
+                else fresh._buffers is None), op.kind
 
 
 def test_int64_guard_edge():
@@ -439,8 +534,8 @@ def test_int64_guard_edge():
     assert op._limb_bits == 62 - (3 * 9).bit_length()
     assert_limb_width(op)
     assert_limb_width(FreeStripOperator(4, 1))
-    # at the cap, above it, and back again: the operator keeps its one
-    # int64 buffer pair
+    # at the cap, above it, and back again: the operator keeps its int64
+    # stage arrays
     W = weight_matrix(3, 1)
     op._limb_apply(np.ones((1, op.half), dtype=np.int64))
     buffers = op._buffers
@@ -449,7 +544,8 @@ def test_int64_guard_edge():
         assert limb_product(op, v) == exact_product(W, even(v))[:op.half]
         assert op._buffers is buffers
     # signed even vectors with sum|x| at the cap of each kind: the int64
-    # lattice agrees with Python ints and raises no overflow warning
+    # stages and lattice agree with Python ints and raise no overflow
+    # warning
     rng = np.random.default_rng(0)
     for other in (FreeStripOperator(1, 3), FreeStripOperator(2, 2), op,
                   FreeStripOperator(4, 1), TentOperator(3), BandOperator(3),
@@ -794,6 +890,31 @@ WARM_CASES = [(kind, m, h) for h in range(4)
               for m in ms]
 
 
+def stage_arrays(op):
+    """A free kind's stage arrays as laid out in its one flat array: the
+    input (and output), F_1..F_(m-1), each with its junction axis after
+    the k-1 new differences, and the skew stages' running sum."""
+    n = 2 * op.h + 1
+    arrays = [op._buffers[:op.dim].reshape((n,) * (op.m - 1))]
+    start = op.dim
+    for k in range(op.m - 1):
+        rows = 8 * op.h + 1 if k < op.m - 2 else 4 * op.h + 1
+        shape = (n,) * k + (rows,) + (n,) * (op.m - 2 - k)
+        arrays.append(op._buffers[start:start + math.prod(shape)]
+                      .reshape(shape))
+        start += math.prod(shape)
+    return arrays + [op._buffers[start:]]
+
+
+def junction_padding(op):
+    """Index tuples of the zero rows on F_1..F_(m-2)'s junction axes, 2h
+    at each end, which the skew view reads and no step writes."""
+    h = op.h
+    return [(k + 1, (slice(None),) * k + (rows,))
+            for k in range(op.m - 2)
+            for rows in (slice(None, 2 * h), slice(6 * h + 1, None))]
+
+
 @pytest.mark.parametrize("kind, m, h", [
     (kind, m, h) for h in range(6)
     for kind, ms in (("free-strip", (1, 2, 3, 4, 5)),
@@ -801,30 +922,62 @@ WARM_CASES = [(kind, m, h) for h in range(4)
                      ("band", (None,)), ("tent", (None,)))
     for m in ms])
 def test_sites_match_prefix_sum_reference(kind, m, h):
-    # each representative scatters to its site or its mirror site, the one
-    # not past the centre cell; sites built for the folded half only
-    # (d_1 <= 0) give the last window's reads that every state's site gives
     op = make_operator(kind, h, m)
-    sites = prefix_sites(op.m, h, op.pinned)[:op.half]
-    assert op._rep.tolist() == [min(s, op._size - 1 - s) for s in sites]
-    if op._shape:
+    if op.pinned:
+        # each representative scatters to its site or its mirror site, the
+        # one not past the centre cell; sites built for the folded half only
+        # (d_1 <= 0) give the last window's reads that every state's site
+        # gives
+        sites = prefix_sites(op.m, h)[:op.half]
+        assert op._rep.tolist() == [min(s, op._size - 1 - s) for s in sites]
         hi, lo, has_lo = last_window_reads(op)
         assert np.array_equal(op._hi, hi)
         assert np.array_equal(op._lo, lo)
         assert np.array_equal(op._has_lo, has_lo)
+        return
+    # a free kind holds no site table: after an int64 apply its stage
+    # arrays hold the junction sums that direct index loops over the old
+    # column's prefix sums give, F_1..F_(m-2) between 2h zero rows; the
+    # last stage's running sum along J and the output fill the slabs of
+    # e_1 <= 0 (all of them at two rows)
+    assert not hasattr(op, "_rep")
+    rng = np.random.default_rng(10 * h + op.m)
+    v = rng.integers(-99, 100, op.half)
+    y = op._fold_apply(v)
+    if op.m == 1:
+        assert op._buffers is None and op.buffer_cells == 0
+        assert y.tolist() == (v * (2 * h + 1)).tolist()
+        return
+    ref = junction_sums(op.m, h, even(v))
+    arrays = stage_arrays(op)
+    assert arrays[-1].size == (6 * h + 1) * (2 * h + 1) ** (op.m - 2) \
+        * (op.m > 2)
+    assert sum(a.size for a in arrays) == op.buffer_cells
+    for k in range(1, op.m - 1):
+        body = (slice(None),) * (k - 1) + (slice(2 * h, 6 * h + 1),)
+        assert np.array_equal(arrays[k][body], ref[k - 1]), k
+    for k, rows in junction_padding(op):
+        assert not arrays[k][rows].any(), k
+    lead = slice(None, h + 1) if op.m > 2 else slice(None)
+    run = np.cumsum(ref[-2], axis=-1)
+    assert np.array_equal(arrays[-2][lead], run[lead])
+    if op.m > 2:
+        assert np.array_equal(arrays[-2][h + 1:], ref[-2][h + 1:])
+    assert np.array_equal(arrays[0][lead], ref[-1][lead])
+    assert y.tolist() == ref[-1].ravel()[:op.half].tolist()
 
 
 @pytest.mark.parametrize("kind, m, h", WARM_CASES)
 def test_warm_buffers_match_fresh_operator(kind, m, h):
     # one operator runs applies in float, in signed int64 and on several
     # nonnegative limbs, in turn: each result equals a fresh operator's and
-    # the weight rule's product, and its one buffer pair is float or int64,
-    # as the last apply.  Its float pair starts full of NaN: a window
-    # writes only up to the folded half and reflects what it reads past
-    # it, so no apply reads a cell it has not written
+    # the weight rule's product, and its arrays are float or int64, as the
+    # last apply.  Before each float apply its arrays are filled with NaN,
+    # but for a free kind's zero padding: a free apply writes every other
+    # cell before it reads it and never writes the padding, and a pinned
+    # window writes only up to the folded half and reflects what it reads
+    # past it, so no apply reads a cell it has not written
     op = make_operator(kind, h, m)
-    if op._shape:
-        op._buffers = np.full((2, op.buffer_cells), np.nan)
     W = oracle_matrix(op)
     rng = np.random.default_rng(10 * h + (m or 0))
     for step in range(7):
@@ -832,6 +985,12 @@ def test_warm_buffers_match_fresh_operator(kind, m, h):
         fresh = make_operator(kind, h, m)
         if step % 3 == 0:
             x = even(np.array(ints)) / 4
+            if op.buffer_cells:
+                op.apply(_fold(x))  # allocate the float arrays
+                op._buffers[...] = np.nan
+                if not op.pinned:
+                    for k, rows in junction_padding(op):
+                        stage_arrays(op)[k][rows] = 0
             y = op.apply(_fold(x))
             assert np.array_equal(y, fresh.apply(_fold(x))), step
             assert np.allclose(y, _fold(W @ x), rtol=0,
@@ -847,8 +1006,12 @@ def test_warm_buffers_match_fresh_operator(kind, m, h):
                 y, z = limb_product(op, xs), limb_product(fresh, xs)
             assert y == z, step
             assert y == exact_product(W, even(xs))[:op.half], step
-        if op._shape:
+        if op.buffer_cells:
             assert op._buffers.dtype == (float, np.int64, np.int64)[step % 3]
+            if not op.pinned:
+                arrays = stage_arrays(op)
+                for k, rows in junction_padding(op):
+                    assert not arrays[k][rows].any(), (step, k)
         else:
             assert op._buffers is None
 
@@ -875,7 +1038,7 @@ def test_w_commutes_with_state_reversal(case):
 
 @pytest.mark.parametrize("case", FOLD_CASES, ids=fold_case_id)
 def test_fold_apply_matches_full_apply(case):
-    # on an even vector x the folded lattice gives W x at the
+    # on an even vector x the folded apply gives W x at the
     # representatives, in float and int64, as fold_matrix states it; apply
     # takes and returns the sqrt(orbit)-scaled _fold
     kind, m, h = case

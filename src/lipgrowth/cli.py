@@ -141,11 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET,
                     help="cells, not bytes, of the largest elimination table "
                          "(brute; past int64 a Python int per cell) or of all "
-                         "the strip DP's window stage arrays together (strip: "
-                         "its input, one output per row but the last, each "
-                         "junction axis with 2h zero rows at both ends where "
-                         "a skew view reads it, and one shared running sum; "
-                         "int64 limbs, 8 bytes per budget cell), at least 1")
+                         "the strip DP's window stage arrays together (strip; "
+                         "int64 limbs, 8 bytes per cell), at least 1; a count "
+                         "over it, or past what the machine can hold, exits 3 "
+                         "with one line naming what it needs")
 
     sp = sub.add_parser(
         "ehrhart", parents=[common], help="fit the counting polynomial",
@@ -478,8 +477,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; a bare one names nothing
+        print(f"resource limit: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return 3
     except ConvergenceError as exc:
         print(f"no convergence: {exc}", file=sys.stderr)

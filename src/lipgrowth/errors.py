@@ -2,9 +2,8 @@
 
 # Cells an exact engine may allocate: the largest elimination table of
 # ``counting``; in ``strips``, all of a free strip's window stage arrays
-# together (its input, its stage outputs, whose junction axes carry the
-# skew views' zero padding, and one shared running sum), and each of a
-# pinned strip's two folded box buffers.
+# together, and each of a pinned strip's two box buffers.  Work over it, or
+# more than the machine can hold, exits 3 with one line naming the need.
 DEFAULT_BUDGET = 10**7
 
 

@@ -12,22 +12,23 @@ Operator kinds
   free-strip(m)   m free rows, weight max(0, 2h+1 - spread of prefix offsets)
   pinned-strip(m) m free rows below an all-zero row, 0/1 transitions
 
-Every apply is matrix-free and O(cells): window sums, each a running sum
-(one ``np.cumsum``, or a row add per index along an axis whose slabs are
-large enough to pay for the calls) read as a difference of two of its
-cells.  A free strip (and tent) places the new column one row at a time
-(the site-by-site transfer of the finite-lattice method: Enting, J. Phys.
-A 13, 3713, 1980): one window stage per row, on arrays indexed by the
-states' differences and one junction offset between the old column and
-the new, about twice the states.  A middle row's window runs along a
-read-only skew view of the previous stage, whose junction axis carries 2h
-zero rows at both ends so that the view never leaves it.  A pinned strip
-of m rows is the free strip of m+1 rows with its top row fixed: its
-states are its rows, the prefix vectors of m difference steps, and a
-transition moves every row by at most h, one box window per row on the
-box of rows.  From three rows it holds its top row as the offset from the
-row below, whose axis is shorter, and runs that row's window along it and
-the next row's along the diagonal that keeps the top row (the same
+Every apply is matrix-free and O(cells): between its engine's own scatter
+and gather, one loop runs window stages built once per dtype, each a
+running sum (one ``np.cumsum``, or a row add per index along an axis whose
+slabs are large enough to pay for the calls) read by slice steps as
+differences of two of its cells.  A free strip (and tent) places the new
+column one row at a time (the site-by-site transfer of the finite-lattice
+method: Enting, J. Phys. A 13, 3713, 1980): one window stage per row, on
+arrays indexed by the states' differences and one junction offset between
+the old column and the new, about twice the states.  A middle row's window
+runs along a read-only skew view of the previous stage, whose junction
+axis carries 2h zero rows at both ends so that the view never leaves it.
+A pinned strip of m rows is the free strip of m+1 rows with its top row
+fixed: its states are its rows, the prefix vectors of m difference steps,
+and a transition moves every row by at most h, one box window per row on
+the box of rows.  From three rows it holds its top row as the offset from
+the row below, whose axis is shorter, and runs that row's window along it
+and the next row's along the diagonal that keeps the top row (the same
 site-by-site idea for that row).
 
 Every kind is folded by its negation symmetry d -> -d, which W commutes
@@ -59,6 +60,11 @@ from .iterate import power_iteration
 
 
 _SQRT2 = math.sqrt(2.0)
+
+# The most states or buffer cells an operator may have whatever its budget:
+# numpy indexes an array's bytes by intp, and a state vector takes 8 bytes
+# per state, a pinned strip's buffer pair 16 per cell.
+_MAX_CELLS = np.iinfo(np.intp).max // 16
 
 
 def _fold(x: np.ndarray) -> np.ndarray:
@@ -118,44 +124,51 @@ def _running_sum(a: np.ndarray, axis: int,
 
 
 def _window_steps(run: np.ndarray, half: int, axis: int,
-                  out: np.ndarray) -> tuple[list, tuple | None]:
-    """The copies (dst, src) and the subtraction (dst, subtrahend), or None,
-    that write into ``out`` the sum over [j - half, j + half] along
-    ``axis``, zero outside, of the array whose running sum along ``axis``
-    ``run`` holds (``_run_steps`` runs them).
+                  out: np.ndarray) -> list:
+    """The steps (``_run_stages``) that write into ``out`` the sum over
+    [j - half, j + half] along ``axis``, zero outside, of the array whose
+    running sum along ``axis`` ``run`` holds.
 
     They are views, built once and run at every apply, and slices only:
     an indexed scalar would be a copy.  ``out`` has the dtype of ``run``,
     shares no memory with it and has its shape, or fewer indices along
     ``axis``: then it gets the window's leading ones only (a pinned apply's
     windows across the centre write only up to the folded half).  The
-    window is then at most two slice copies and one in-place subtraction
-    over ``out``, so it allocates no full-size temporary.  Every step is
-    elementwise over the slabs of one index, so both arrays are viewed
-    with ``axis`` swapped to the front, whatever order the other axes then
-    take.
+    window is then at most three steps, each a slice copy or subtraction
+    into its own rows of ``out``, so it writes every cell once and
+    allocates no temporary.  Every step is elementwise over the slabs of
+    one index, so both arrays are viewed with ``axis`` swapped to the
+    front, whatever order the other axes then take.
     """
     n = run.shape[axis]
     s = run.swapaxes(0, axis)
     o = out.swapaxes(0, axis)
     rows = o.shape[0]
     if half >= n:
-        return [(o, s[n - 1:])], None
+        return [(o, s[n - 1:], None)]
     # out[j] = run[min(j + half, n - 1)] - run[j - half - 1], the second
-    # term only where j > half.
-    k = min(rows, n - half)
-    sub = ((o[half + 1:], s[:rows - half - 1]) if rows > half + 1
-           else None)
-    return [(o[:k], s[half:half + k]), (o[k:], s[n - 1:])], sub
+    # term only where j > half: one step per run of rows j on which both
+    # terms keep their form
+    cuts = sorted({0, min(half + 1, rows), min(n - half, rows), rows})
+    return [(o[a:b], s[a + half:b + half] if a < n - half else s[n - 1:],
+             s[a - half - 1:b - half - 1] if a > half else None)
+            for a, b in zip(cuts, cuts[1:])]
 
 
-def _run_steps(copies: list, sub: tuple | None = None) -> None:
-    """Run the copies (dst, src) and then the subtraction (dst, subtrahend),
-    if any, of ``_window_steps``; a src may be a scalar."""
-    for dst, src in copies:
-        dst[...] = src
-    if sub is not None:
-        np.subtract(*sub, out=sub[0])
+def _run_stages(stages: list) -> None:
+    """Run the window stages (src, axis, out, steps) in order, every
+    operator kind's apply: the running sum of src along axis into out, or
+    over src when out is None (none when src is None), then each step
+    (dst, a, b): dst = a when b is None, else dst = a - b; a may be a
+    scalar."""
+    for src, axis, out, steps in stages:
+        if src is not None:
+            _running_sum(src, axis, out)
+        for dst, a, b in steps:
+            if b is None:
+                dst[...] = a
+            else:
+                np.subtract(a, b, dst)
 
 
 def _cell_strides(shape: Sequence[int]) -> tuple[int, ...]:
@@ -208,7 +221,7 @@ class FreeStripOperator:
     Every view is built once per operator and dtype, on one flat array:
     the unfolded input, which also takes the output, the m-1 stage outputs
     and one running-sum array that all skew stages share.  An apply is
-    then a fixed list of running sums, copies and subtractions, O(cells).
+    then the stages, m of them, run by ``_run_stages``, O(cells).
 
     The apply is folded.  Negating a state reverses its index, and W
     commutes with it, so W maps even vectors (x(-U) = x(U)) to even ones.
@@ -260,6 +273,11 @@ class FreeStripOperator:
             raise ResourceLimitError(
                 f"{self.kind}({m}, {h}) needs {self.buffer_cells} cells for "
                 f"{self._held}, over budget {state_budget}")
+        cells = max(self.dim, self.buffer_cells)
+        if cells > _MAX_CELLS:
+            raise ResourceLimitError(
+                f"{self.kind}({m}, {h}) needs {cells} cells, more than one "
+                f"array can index, whatever the budget")
         self._buffers: np.ndarray | None = None
 
     def _layout(self) -> int:
@@ -292,9 +310,8 @@ class FreeStripOperator:
         # row 1: d_1's running sum into J_1 <= 0, then J_1 > 0 from it
         pad = 2 * h if m > 2 else 0
         low = F[0][pad:pad + 2 * h + 1]
-        first = (x, low, (low[2 * h:2 * h + 1], low[:2 * h],
-                          F[0][pad + 2 * h + 1:pad + 4 * h + 1]))
-        skews = []
+        self._stages = [(x, 0, low, [(F[0][pad + 2 * h + 1:pad + 4 * h + 1],
+                                      low[2 * h:2 * h + 1], low[:2 * h])])]
         for k in range(1, m - 1):
             # row k + 1: from F[k - 1], with (J, d) on axes (k - 1, k), to
             # F[k], with (e, J') there
@@ -312,17 +329,17 @@ class FreeStripOperator:
             pos = dst[cut + (slice(pad + 2 * h, pad + 4 * h + 1),)]
             neg = dst[cut + (slice(pad, pad + 2 * h),)]
             diag = rs[:k - 1] + (sa, sa - su) + rs[k + 1:]
-            skews.append((
-                g, k, r, pos, _skew(r, 2 * h * (sa + su), pos.shape, diag),
-                _skew(r, 2 * h * su, neg.shape,
-                      rs[:k - 1] + (sa, sa) + rs[k + 1:]),
-                _skew(r, max(2 * h - 1, 0) * su, neg.shape, diag), neg))
+            self._stages.append((g, k, r, [
+                (pos, _skew(r, 2 * h * (sa + su), pos.shape, diag), None),
+                (neg, _skew(r, 2 * h * su, neg.shape,
+                            rs[:k - 1] + (sa, sa) + rs[k + 1:]),
+                 _skew(r, max(2 * h - 1, 0) * su, neg.shape, diag))]))
         # row m on the states' e_1 <= 0 only, which hold the folded half,
         # into the input's cells
         last, y = (F[-1][:h + 1], x[:h + 1]) if m > 2 else (F[-1], x)
-        self._views = (cells[:self.dim], first, skews,
-                       (last, y, last[..., 2 * h:], y[..., 1:],
-                        last[..., :2 * h]))
+        self._stages.append((last, m - 2, None, [
+            (y, last[..., 2 * h:], None),
+            (y[..., 1:], y[..., 1:], last[..., :2 * h])]))
         self._buffers = cells
 
     def prolong(self, x: np.ndarray, h: int) -> np.ndarray:
@@ -374,19 +391,10 @@ class FreeStripOperator:
             return v * (2 * self.h + 1)
         if self._buffers is None or self._buffers.dtype != v.dtype:
             self._build(v.dtype)
-        flat, (x, low, high), skews, (last, y, hi, tail, lo) = self._views
-        flat[:self.half] = v
-        flat[self.half:] = v[-2::-1]
-        _running_sum(x, 0, low)
-        np.subtract(*high)
-        for g, axis, r, pos, inside, top, below, neg in skews:
-            _running_sum(g, axis, r)
-            pos[...] = inside
-            np.subtract(top, below, out=neg)
-        _running_sum(last, last.ndim - 1)
-        y[...] = hi
-        np.subtract(tail, lo, out=tail)
-        return flat[:self.half].copy()
+        self._buffers[:self.half] = v
+        self._buffers[self.half:self.dim] = v[-2::-1]
+        _run_stages(self._stages)
+        return self._buffers[:self.half].copy()
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Folded W x for the ``_fold`` of an even vector x, ``half`` long."""
@@ -448,10 +456,10 @@ class PinnedStripOperator(FreeStripOperator):
 
     ``apply`` scatters x to the states' sites on a box lattice, the longest
     axis leading.  Every window is a running-sum difference, so one apply
-    costs O(cells), and the last one is taken only at the states:
-    y(V) = R[hi] - R[lo] for the running sum R along the last axis.  Each
-    window turns one of two buffers into its running sum in place and
-    writes the window into the other, swapping the two after every window.
+    costs O(cells).  Each window, the last too, is a stage of
+    ``_run_stages``: it turns one of two buffers into its running sum in
+    place and writes the window into the other, swapping the two after
+    every window, and y is the last window's sum read at the states' sites.
 
     Up to two rows the box holds y_m, ..., y_1, unpadded.  From three rows
     it is sheared: the top row is held as c = y_m - y_{m-1} on the box
@@ -477,12 +485,13 @@ class PinnedStripOperator(FreeStripOperator):
     Windows along the other axes run on it unchanged; a window whose reach
     crosses the centre (along the leading axis or the diagonal) reads a
     reflected copy of the cells below the centre appended after it, h of
-    its rows past the last cell of the half.  Unless it is the last, such a
-    window writes only its rows up to the end of the half, all that the
-    next window reads; its running sum still covers its whole reach.  The
-    two buffers, ``buffer_cells`` each, are kept in the dtype of the last
-    apply, with every window's views built once for them; ``state_budget``
-    bounds ``buffer_cells`` before anything is allocated.
+    its rows past the last cell of the half, which the steps before it
+    copy in.  Such a window writes only its rows up to the end of the half,
+    all that the next window reads (and band's one window, all the states);
+    its running sum still covers its whole reach.  The two buffers,
+    ``buffer_cells`` each, are kept in the dtype of the last apply, with
+    every window's stage built once for them; ``state_budget`` bounds
+    ``buffer_cells`` before anything is allocated.
     """
 
     kind = "pinned-strip"
@@ -509,15 +518,6 @@ class PinnedStripOperator(FreeStripOperator):
         # centre cell.
         rep = np.ravel(sites)[:self.half]
         self._rep = np.minimum(rep, self._size - 1 - rep)
-        # The last window at coordinate j of n along the last axis is
-        # run[min(j + h, n - 1)] - run[j - h - 1], the second term only
-        # where j > h; hi and lo index those two cells of the running sum
-        # at the representative sites.
-        n = self._shape[-1]
-        j = self._rep % n
-        self._hi = self._rep + np.minimum(j + h, n - 1) - j
-        self._has_lo = j > h
-        self._lo = np.where(self._has_lo, self._rep - (h + 1), 0)
 
     def _layout(self) -> int:
         """Lay out the box and its windows; the cells of each buffer."""
@@ -536,8 +536,7 @@ class PinnedStripOperator(FreeStripOperator):
         strides = _cell_strides(self._shape)
         # a window (start, stop, end, shape, axis) reads src[start:stop]
         # viewed as ``shape`` and writes its window sum along ``axis`` into
-        # dst[start:end], the leading rows of that view; the last window
-        # writes nothing
+        # dst[start:end], the leading rows of that view
         slab = strides[0]
         self._half_cells = half = (self._shape[0] // 2 + 1) * slab
 
@@ -565,8 +564,11 @@ class PinnedStripOperator(FreeStripOperator):
 
     def _build(self, dtype: np.dtype) -> None:
         """Allocate the two buffers in ``dtype`` and build every window's
-        views once: the cells past the half it reflects in, its box, and
-        the steps of its window sum from one buffer into the other."""
+        stage once: its running sum in place over its box, the steps of its
+        window sum from one buffer into the other, then the copies of the
+        cells past the half that the next window reads (the first window's
+        make an entry stage, with no running sum, with the copies that
+        complete the centre slab)."""
         self._buffers = None  # free the old pair before allocating
         pair = np.zeros((2, self.buffer_cells), dtype)
         size, half = self._size, self._half_cells
@@ -576,22 +578,23 @@ class PinnedStripOperator(FreeStripOperator):
             # the box's values there: the mirror cells' below the centre,
             # and 0 past the box's end
             end = min(stop, size)
-            return [(buf[start:end], buf[size - end:size - start][::-1]),
-                    (buf[end:stop], 0)]
+            steps = [(buf[start:end], buf[size - end:size - start][::-1],
+                      None), (buf[end:stop], 0, None)]
+            return [step for step in steps if step[0].size]
 
-        windows = []
+        # entry steps, with no running sum: the centre slab holds both
+        # members of its orbits
+        steps = reflect(pair[0], size // 2 + 1, half)
+        self._stages = [(None, 0, None, steps)]
         for i, (start, stop, end, shape, axis) in enumerate(self._windows):
             src, dst = pair[i % 2], pair[1 - i % 2]
             box = src[start:stop].reshape(shape)
-            steps = ([], None)
-            if i < len(self._windows) - 1:
-                steps = _window_steps(box, self.h, axis, dst[start:end]
-                                      .reshape((-1,) + shape[1:]))
-            windows.append((reflect(src, half, stop), box, axis) + steps)
-        # the last window's running sum, read at the states
-        last = pair[(len(windows) - 1) % 2]
-        self._views = (pair[0], reflect(pair[0], size // 2 + 1, half),
-                       windows, last)
+            # the cells past the half that this window reads, reflected in
+            # at the end of the steps before it
+            steps.extend(reflect(src, half, stop))
+            steps = _window_steps(box, self.h, axis, dst[start:end]
+                                  .reshape((-1,) + shape[1:]))
+            self._stages.append((box, axis, None, steps))
         self._buffers = pair
 
     def _fold_apply(self, v: np.ndarray) -> np.ndarray:
@@ -599,19 +602,13 @@ class PinnedStripOperator(FreeStripOperator):
         whose representatives hold the values v."""
         if self._buffers is None or self._buffers.dtype != v.dtype:
             self._build(v.dtype)
-        first, centre, windows, last = self._views
+        first = self._buffers[0]
         first[:self._half_cells] = 0
         first[self._rep] = v
-        # the centre slab holds both members of its orbits
-        _run_steps(centre)
-        for reflected, box, axis, copies, sub in windows:
-            _run_steps(reflected)
-            _running_sum(box, axis)
-            _run_steps(copies, sub)
-        # fancy indexing copies, so the result never aliases a buffer
-        y = last[self._hi]
-        np.subtract(y, last[self._lo], out=y, where=self._has_lo)
-        return y
+        _run_stages(self._stages)
+        # the last window's sum, read at the states; fancy indexing copies,
+        # so the result never aliases a buffer
+        return self._buffers[len(self._windows) % 2][self._rep]
 
 
 class BandOperator(PinnedStripOperator):

@@ -412,24 +412,6 @@ def full_prolong(op: FreeStripOperator, x: np.ndarray, h: int) -> np.ndarray:
     return _fold(y.ravel())
 
 
-def last_window_reads(op: PinnedStripOperator) -> tuple[np.ndarray, ...]:
-    """The cells (hi, lo) of a pinned apply's last running sum, along the
-    box's last axis, that give W x at each representative, and where lo is
-    read (has_lo), from every state's site (``prefix_sites``): the
-    representative is scattered to the one of its site and the mirror site
-    not past the centre, at coordinate j of n along that axis, and the
-    window there is run[min(j + h, n - 1)] - run[j - h - 1], the second
-    term only where j > h."""
-    h, size = op.h, op._size
-    sites = np.array(prefix_sites(op.m, h), dtype=np.int64)
-    rep = np.minimum(sites, size - 1 - sites)[:op.half]
-    n = op._shape[-1]
-    j = rep % n
-    has_lo = j > h
-    return (rep + np.minimum(j + h, n - 1) - j,
-            np.where(has_lo, rep - (h + 1), 0), has_lo)
-
-
 def junction_sums(m: int, h: int, x: np.ndarray) -> list[np.ndarray]:
     """The free-strip(m) stage arrays F_1, ..., F_(m-1) for the vector x
     over the states (d_1..d_(m-1)), and then W x, by direct index loops.

@@ -286,6 +286,35 @@ def test_seed_controls_er(capsys):
     assert a != c
 
 
+def test_sizes_no_machine_holds_are_resource_limits(capsys, monkeypatch):
+    # a budget that admits a size one numpy array cannot index: the
+    # operator refuses it before allocating, exit 3 and one line
+    argv = ["count", "--method", "strip", "--grid", "20x20", "--h", "20",
+            "--budget", str(10 ** 40)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (
+        "resource limit: free-strip(20, 20) needs "
+        "336649022169017334663305619565461 cells, more than one array can "
+        "index, whatever the budget\n")
+    # an allocation the machine cannot make is a resource limit too, in one
+    # line: numpy's MemoryError names the allocation, a bare one says so
+    # (raised here, never allocated)
+    too_big = ("Unable to allocate 63.3 GiB for an array with shape "
+               "(1, 8491781521) and data type int64")
+    for exc, message in ((MemoryError(too_big), too_big),
+                         (MemoryError(), "out of memory")):
+        def refuse(*args, exc=exc):
+            raise exc
+        monkeypatch.setattr(strips, "strip_count_exact", refuse)
+        code = main(["count", "--method", "strip", "--grid", "9x9", "--h",
+                     "9", "--budget", str(10 ** 15)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, ""), message
+        assert captured.err == f"resource limit: {message}\n"
+
+
 def test_exit_codes(capsys, monkeypatch):
     # usage: unknown flag, and the removed --threads
     assert main(["count", "--nope"]) == 2

@@ -13,7 +13,7 @@ from lipgrowth.errors import ConvergenceError
 from lipgrowth.iterate import _BASIS_CAP, _bisect, power_iteration
 from lipgrowth.strips import (BandOperator, FreeStripOperator,
                               PinnedStripOperator, TentOperator,
-                              _ROW_ADD_MIN, _fold, _run_steps,
+                              _ROW_ADD_MIN, _fold, _run_stages,
                               _running_sum, _unfold, _window_steps)
 
 
@@ -159,9 +159,8 @@ def test_bisect():
 
 def window_sum(src, half, axis, out):
     """A pinned apply's window into ``out``: ``src`` turned into its running
-    sum in place, then the copies and subtraction of its window steps."""
-    _running_sum(src, axis)
-    _run_steps(*_window_steps(src, half, axis, out))
+    sum in place, then the copies and subtractions of its window steps."""
+    _run_stages([(src, axis, None, _window_steps(src, half, axis, out))])
 
 
 def naive_window(a, half, axis):

@@ -9,19 +9,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (fold_matrix, free_strip_weight, full_prolong,
                      index_state, join_limbs_listwise, junction_sums,
-                     last_window_reads, oracle_matrix, pinned_states,
-                     pinned_transition_matrix, prefix_sites, state_index,
-                     strip_count_stepwise, to_limbs, weight_matrix,
-                     weight_rows)
+                     oracle_matrix, pinned_states, pinned_transition_matrix,
+                     prefix_sites, state_index, strip_count_stepwise,
+                     to_limbs, weight_matrix, weight_rows)
 from lipgrowth.counting import count
 from lipgrowth.errors import DEFAULT_BUDGET, ConvergenceError, ResourceLimitError
 from lipgrowth.graphs import make_grid
-from lipgrowth.strips import (BandOperator, FreeStripOperator,
+from lipgrowth.strips import (_MAX_CELLS, BandOperator, FreeStripOperator,
                               PinnedStripOperator, TentOperator, _fold,
                               _join_limbs, _unfold, extrapolate_limit,
                               make_operator, strip_count_exact,
@@ -345,12 +344,18 @@ def test_state_budget():
 @pytest.mark.parametrize("make", [
     lambda: FreeStripOperator(6, 13), lambda: FreeStripOperator(9, 2),
     lambda: FreeStripOperator(2, 2000, state_budget=10_000),
-    lambda: strip_count_exact(7, 9, 5), lambda: PinnedStripOperator(4, 16)],
-    ids=["free-6-13", "free-9-2", "free-2-2000", "dp-7x9", "pinned-4-16"])
+    lambda: strip_count_exact(7, 9, 5), lambda: PinnedStripOperator(4, 16),
+    lambda: FreeStripOperator(20, 20, state_budget=10**40),
+    lambda: strip_count_exact(20, 20, 20, state_budget=10**40),
+    lambda: PinnedStripOperator(20, 20, state_budget=10**60)],
+    ids=["free-6-13", "free-9-2", "free-2-2000", "dp-7x9", "pinned-4-16",
+         "free-20-20-unindexable", "dp-20x20-unindexable",
+         "pinned-20-20-unindexable"])
 def test_budget_refused_before_any_allocation(make):
     # the budget is checked on the layout alone: an operator over it
     # raises before a site table or a stage array exists (tracemalloc
-    # sees numpy's allocations)
+    # sees numpy's allocations); so is a size that one numpy array cannot
+    # index, however large the budget
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError):
@@ -359,6 +364,20 @@ def test_budget_refused_before_any_allocation(make):
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_index_limit_boundary():
+    # numpy indexes an array's bytes by intp, and a pinned strip's buffer
+    # pair takes 16 bytes per cell: free-strip(2, h), 6h + 2 cells, is
+    # refused from the first h past that, whatever the budget (constructed,
+    # never applied)
+    assert 16 * _MAX_CELLS <= np.iinfo(np.intp).max < 16 * (_MAX_CELLS + 1)
+    h = (_MAX_CELLS - 2) // 6
+    assert FreeStripOperator(2, h, state_budget=10**40).buffer_cells \
+        == 6 * h + 2
+    with pytest.raises(ResourceLimitError,
+                       match="more than one array can index"):
+        FreeStripOperator(2, h + 1, state_budget=10**40)
 
 
 def test_strip_dp_matches_elimination_on_five_row_grids():
@@ -416,29 +435,40 @@ def test_apply_matches_weight_oracle():
             exact_product(W, [1] * op.dim)[:op.half], (m, h)
 
 
+def oracle_draws(case):
+    """A case (m, h) with its representatives' values: nonnegative ints
+    for the limb apply and floats for the float one."""
+    half = FreeStripOperator(*case).half
+    return st.tuples(
+        st.just(case),
+        st.lists(st.integers(0, 2**70), min_size=half, max_size=half),
+        st.lists(st.floats(0, 1e6), min_size=half, max_size=half))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(WEIGHT_ORACLE_CASES), st.data())
-def test_apply_weight_oracle_property(case, data):
-    m, h = case
+@given(st.sampled_from(WEIGHT_ORACLE_CASES).flatmap(oracle_draws))
+# a draw whose float apply is 5 subnormal steps off W x: _fold rounds
+# 5e-324 sqrt(2) to 5e-324, and W's rows sum that error
+@example(((2, 2), [0, 0, 0], [0.0, 5e-324, 5e-324]))
+def test_apply_weight_oracle_property(draws):
+    (m, h), xs, floats = draws
     op = FreeStripOperator(m, h)
     W = weight_matrix(m, h)
-    xs = data.draw(st.lists(st.integers(0, 2**70), min_size=op.half,
-                            max_size=op.half))
     assert limb_product(op, xs) == exact_product(W, even(xs))[:op.half]
-    xf = even(np.array(data.draw(st.lists(st.floats(0, 1e6),
-                                          min_size=op.half,
-                                          max_size=op.half))))
-    assert_apply_matches_weights(op, W, xf)
+    assert_apply_matches_weights(op, W, even(np.array(floats)))
 
 
 def assert_apply_matches_weights(op, W, xf):
     """``apply`` on the even float vector ``xf`` agrees with W xf up to
     rounding.  Cumulative-sum differences err relative to the largest
-    partial sum, (2h+1)^(m-1) * sum(x), not to each output entry; the bound
-    is at least a few subnormal steps, since for a subnormal sum the
-    relative one underflows to 0 while the sqrt(2) scaling still rounds."""
+    partial sum, (2h+1)^(m-1) * sum(x), not to each output entry.  For a
+    subnormal sum that relative bound underflows to 0, while the sqrt(2)
+    scaling of ``_fold`` still rounds each input by up to a subnormal step
+    and W's rows sum those errors: so the bound is at least W's largest row
+    sum in subnormal steps."""
     scale = (2 * op.h + 1) ** (op.m - 1) * xf.sum()
-    bound = max(1e-12 * scale, 4 * np.finfo(float).smallest_subnormal)
+    floor = W.sum(axis=1).max() * np.finfo(float).smallest_subnormal
+    bound = max(1e-12 * scale, floor)
     assert np.max(np.abs(op.apply(_fold(xf)) - _fold(W @ xf))) <= bound
 
 
@@ -925,15 +955,11 @@ def test_sites_match_prefix_sum_reference(kind, m, h):
     op = make_operator(kind, h, m)
     if op.pinned:
         # each representative scatters to its site or its mirror site, the
-        # one not past the centre cell; sites built for the folded half only
-        # (d_1 <= 0) give the last window's reads that every state's site
-        # gives
+        # one not past the centre cell, and the last window's sum is read
+        # there; sites built for the folded half only (d_1 <= 0) are those
+        # that every state's site gives
         sites = prefix_sites(op.m, h)[:op.half]
         assert op._rep.tolist() == [min(s, op._size - 1 - s) for s in sites]
-        hi, lo, has_lo = last_window_reads(op)
-        assert np.array_equal(op._hi, hi)
-        assert np.array_equal(op._lo, lo)
-        assert np.array_equal(op._has_lo, has_lo)
         return
     # a free kind holds no site table: after an int64 apply its stage
     # arrays hold the junction sums that direct index loops over the old
